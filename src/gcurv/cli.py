@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from .bakry_emery import bakry_emery_curvature, be_effective_bound_report
-from .classify import classify, report_to_json
+from .classify import _rational, classify, report_to_json
 from .errors import (
     GcurvError,
     InternalCheckError,
@@ -39,10 +39,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
-
-
-def _rational(value: Fraction) -> dict:
-    return {"num": value.numerator, "den": value.denominator}
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -307,7 +303,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="'standard' or a file of family expressions")
     p.add_argument("--json", action="store_true")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-lp-support", type=int, default=10)
+    p.add_argument("--max-lp-support", type=int, default=10,
+                   help="largest B1(x) union B1(y) support on which the "
+                        "brute-force oracle re-checks an edge curvature")
     return parser
 
 

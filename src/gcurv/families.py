@@ -234,6 +234,8 @@ def parse_family(text: str) -> FamilySpec:
 
 
 def _parse_expr(tokens, pos):
+    if pos >= len(tokens):
+        raise ParseError("expression ends early", column=pos + 1)
     tok = tokens[pos]
     if tok == "(":
         left, pos = _parse_expr(tokens, pos + 1)

@@ -12,6 +12,7 @@ from fractions import Fraction
 from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
+    InternalCheckError,
     InvalidParameterError,
     NotAdjacentError,
     ParseError,
@@ -192,14 +193,6 @@ def _locate_bad_edge(exc, edges):
 def read_edge_list(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh.read())
-
-
-def all_pairs_distances(g: Graph):
-    """Exact BFS distance matrix as a tuple of tuples, cached on the graph."""
-    key = "dist_tuple"
-    if key not in g.cache:
-        g.cache[key] = tuple(tuple(row) for row in g.dist_rows())
-    return g.cache[key]
 
 
 def sphere(g: Graph, x: int, r: int) -> tuple:
@@ -413,7 +406,8 @@ def are_isomorphic(g1: Graph, g2: Graph):
     mapping = _iso_search(g1, g2, {}, 0)
     if mapping is None:
         return None
-    assert sorted(mapping) == list(range(g1.n))
+    if sorted(mapping) != list(range(g1.n)):
+        raise InternalCheckError("isomorphism search returned a partial mapping")
     image = {tuple(sorted((mapping[u], mapping[v]))) for (u, v) in g1.edges}
     if image != set(g2.edges):
         return None

@@ -10,9 +10,14 @@ the objective, so nothing is lost.
 The solver is an exact simplex on the constraint polytope.  The pairwise
 difference system is totally unimodular, so every vertex of the polytope is
 integral and the whole pivot loop runs in plain integer arithmetic.  Each
-solve finishes by checking its own optimality certificate, and the
-brute-force oracle below re-derives small optima by enumerating basic
-points, sharing no code with the simplex path.
+solve finishes by checking its own optimality certificate.
+
+The same integrality gives the brute-force oracle below: the LP optimum is
+the minimum over the polytope's integer points, and with f(x) and f(y)
+fixed each other support vertex takes at most three integer values.  The
+oracle enumerates those points and evaluates the objective from the
+definition of the Laplacian, sharing only the distance matrix with the
+simplex path.
 """
 
 from dataclasses import dataclass
@@ -25,6 +30,7 @@ from .errors import (
     NotAdjacentError,
     SameVertexError,
     SupportTooLargeError,
+    TrivialGraphError,
 )
 from .graphs import Graph, ball
 
@@ -338,8 +344,10 @@ def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
 
     Edges are scanned in lexicographic order; witnesses are the first edge
     attaining the minimum and, when values differ, the first edge attaining
-    any other value.
+    any other value.  Raises TrivialGraphError on a graph without edges.
     """
+    if not g.edges:
+        raise TrivialGraphError("edge curvature needs at least one edge")
     best = None
     best_edge = None
     other = None
@@ -393,110 +401,60 @@ def verify_optimality_certificate(g: Graph, cv: CurvatureValue) -> bool:
     return all(grad[v] == 0 for v in lp.support if v not in (cv.x, cv.y))
 
 
-# --- independent oracle: enumerate basic points of the full-support polytope ---
+# --- independent oracle: enumerate the integer points of the polytope ---
 
 def brute_force_curvature_oracle(g: Graph, x: int, y: int, max_support: int = 10) -> Fraction:
-    """Exact curvature by enumerating candidate basic feasible points.
+    """Exact curvature by enumerating integer 1-Lipschitz functions.
 
-    Works on the full B1(x) union B1(y) support with no reduction: every
-    solvable subset of tight constraints of size equal to the number of free
-    variables is solved over the rationals, checked for feasibility, and the
-    minimum objective is returned.  Guarded by max_support because the
-    enumeration grows combinatorially.
+    Works on the full B1(x) union B1(y) support with no reduction.  With
+    f(x) = 0 and f(y) = d(x, y) fixed, the constraints against x and y
+    confine each free vertex v to the integers in [d(x,y) - d(v,y), d(x,v)].
+    A depth-first search assigns the free vertices in turn, drops a partial
+    assignment as soon as it breaks a constraint between assigned vertices
+    or cannot beat the best point found, and evaluates Delta f(x) - Delta f(y)
+    term by term from the neighbor lists.  Guarded by max_support because
+    the search grows exponentially with it.
     """
-    lp = build_lipschitz_lp(g, x, y)
-    if len(lp.support) > max_support:
-        raise SupportTooLargeError(len(lp.support), max_support)
-    fixed = {x: Fraction(0), y: Fraction(lp.gap)}
-    free = [v for v in lp.support if v not in fixed]
-    k = len(free)
-    pos = {v: i for i, v in enumerate(free)}
-    const = lp.coeffs.get(x, 0) * 0 + lp.coeffs.get(y, 0) * lp.gap
+    if x == y:
+        raise SameVertexError(x)
+    dist = g.dist_rows()
+    gap = dist[x][y]
+    support = {x, y}.union(g.neighbors[x], g.neighbors[y])
+    if len(support) > max_support:
+        raise SupportTooLargeError(len(support), max_support)
+    free = sorted(support - {x, y})
+    f = {x: 0, y: gap}
+    nx, ny = set(g.neighbors[x]), set(g.neighbors[y])
 
-    if k == 0:
-        return Fraction(const, lp.gap)
+    def term(w, val):
+        # the summands f(w) - f(x) of Delta f(x) and f(w) - f(y) of Delta f(y)
+        return (val - f[x] if w in nx else 0) - (val - f[y] if w in ny else 0)
 
-    # hyperplanes f(u) - f(v) = s * d(u, v) as rows over the free variables
-    rows = []
-    ends = []  # union-find node per row endpoint, fixed vertices merged
-    for (u, v, d_uv) in lp.pairs:
-        for sign in (1, -1):
-            coeff = {}
-            rhs = Fraction(sign * d_uv)
-            if u in pos:
-                coeff[pos[u]] = coeff.get(pos[u], 0) + 1
-            else:
-                rhs -= fixed[u]
-            if v in pos:
-                coeff[pos[v]] = coeff.get(pos[v], 0) - 1
-            else:
-                rhs += fixed[v]
-            rows.append((coeff, rhs))
-            ends.append((pos.get(u, k), pos.get(v, k)))
-
+    # values[i] runs in increasing order of its term, and floor[i] bounds the
+    # terms of free[i:] from below, ignoring the constraints among them
+    values = [
+        sorted(range(gap - dist[v][y], dist[x][v] + 1), key=lambda a, v=v: term(v, a))
+        for v in free
+    ]
+    floor = [0] * (len(free) + 1)
+    for i in reversed(range(len(free))):
+        floor[i] = floor[i + 1] + term(free[i], values[i][0])
     best = None
-    parent = list(range(k + 1))
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    def search(i, partial):
+        nonlocal best
+        if best is not None and partial + floor[i] >= best:
+            return
+        if i == len(free):
+            best = partial
+            return
+        v = free[i]
+        for val in values[i]:
+            if all(abs(val - f[u]) <= dist[u][v] for u in free[:i]):
+                f[v] = val
+                search(i + 1, partial + term(v, val))
 
-    for combo in combinations(range(len(rows)), k):
-        # difference rows are independent iff they are acyclic once the
-        # fixed vertices are contracted to one ground node
-        for i in range(k + 1):
-            parent[i] = i
-        acyclic = True
-        for ridx in combo:
-            ra, rb = find(ends[ridx][0]), find(ends[ridx][1])
-            if ra == rb:
-                acyclic = False
-                break
-            parent[ra] = rb
-        if not acyclic:
-            continue
-        sol = _solve_square([rows[r] for r in combo], k)
-        if sol is None:
-            continue
-        ok = True
-        for (u, v, d_uv) in lp.pairs:
-            fu = sol[pos[u]] if u in pos else fixed[u]
-            fv = sol[pos[v]] if v in pos else fixed[v]
-            if abs(fu - fv) > d_uv:
-                ok = False
-                break
-        if not ok:
-            continue
-        obj = const + sum(lp.coeffs[v] * sol[pos[v]] for v in free)
-        if best is None or obj < best:
-            best = obj
+    search(0, term(x, 0) + term(y, gap))
     if best is None:
-        raise InternalCheckError("oracle found no basic feasible point")
-    return Fraction(best, lp.gap)
-
-
-def _solve_square(rows, k):
-    """Gaussian elimination over the rationals; None if singular."""
-    mat = [[Fraction(0)] * k + [Fraction(0)] for _ in range(k)]
-    for i, (coeff, rhs) in enumerate(rows):
-        for j, c in coeff.items():
-            mat[i][j] = Fraction(c)
-        mat[i][k] = Fraction(rhs)
-    for col in range(k):
-        piv = None
-        for r in range(col, k):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [e * inv for e in mat[col]]
-        for r in range(k):
-            if r != col and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-    return [mat[i][k] for i in range(k)]
+        raise InternalCheckError("oracle found no feasible integer point")
+    return Fraction(best, gap)

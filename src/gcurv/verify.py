@@ -347,33 +347,20 @@ def _check_orbit_certificate(ctx: Ctx):
     return None
 
 
-def _oracle_results(ctx: Ctx):
-    if "oracle" not in ctx.memo:
-        witness, checked = None, 0
-        for mem in ctx.corpus:
-            g = mem.graph
-            for (x, y) in g.edges:
-                support = set(ball(g, x, 1)) | set(ball(g, y, 1))
-                # the subset enumeration blows up past four free variables
-                if len(support) > ctx.max_lp_support or len(support) > 6:
-                    continue
-                val = brute_force_curvature_oracle(g, x, y, ctx.max_lp_support)
-                lp = edge_curvature(g, x, y).value
-                if val != lp:
-                    witness = f"{mem.name} ({x},{y}): oracle {val} != lp {lp}"
-                    break
-                checked += 1
-            if witness:
-                break
-        ctx.memo["oracle"] = (witness, checked)
-    return ctx.memo["oracle"]
-
-
 def _check_oracle_equivalence(ctx: Ctx):
-    witness, checked = _oracle_results(ctx)
-    if witness:
-        return witness
-    if ctx.standard and checked < 20:
+    checked = 0
+    for mem in ctx.corpus:
+        g = mem.graph
+        for (x, y) in g.edges:
+            support = set(ball(g, x, 1)) | set(ball(g, y, 1))
+            if len(support) > ctx.max_lp_support:
+                continue
+            val = brute_force_curvature_oracle(g, x, y, ctx.max_lp_support)
+            lp = edge_curvature(g, x, y).value
+            if val != lp:
+                return f"{mem.name} ({x},{y}): oracle {val} != lp {lp}"
+            checked += 1
+    if ctx.standard and checked < 90:
         return f"oracle scope unexpectedly small: {checked} edges"
     return None
 
@@ -775,11 +762,6 @@ def _check_curvature_formula_agreement(ctx: Ctx):
     return None
 
 
-def _check_oracle_agreement(ctx: Ctx):
-    witness, _ = _oracle_results(ctx)
-    return witness
-
-
 # --- reflective invariants ---
 
 def _check_reflection_axioms(ctx: Ctx):
@@ -1117,7 +1099,6 @@ INVARIANT_CHECKS = (
     ("ollivier.lipschitz_extension", _check_lipschitz_extension),
     ("ollivier.long_range_lower_bound", _check_long_range_lower_bound),
     ("ollivier.formula_agreement", _check_curvature_formula_agreement),
-    ("ollivier.oracle_agreement", _check_oracle_agreement),
     ("reflective.reflection_axioms", _check_reflection_axioms),
     ("reflective.candidate_uniqueness", _check_candidate_uniqueness),
     ("reflective.parallel_equivalence", _check_parallel_equivalence),

@@ -51,6 +51,19 @@ def test_unknown_family_is_input_error(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("expr", ["(", "( K 2 x"])
+def test_truncated_family_is_input_error(capsys, expr):
+    code, _, err = run(capsys, "info", "--family", expr)
+    assert code == 2
+    assert "input error" in err
+
+
+def test_edgeless_graph_curvature_is_input_error(capsys):
+    code, _, err = run(capsys, "curvature", "--family", "K 1")
+    assert code == 2
+    assert "input error" in err
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "info", "--file", "/no/such/file.txt")
     assert code == 2

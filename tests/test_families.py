@@ -127,6 +127,8 @@ def test_label_round_trip():
     ("Z 4", 1),
     ("K 2 K 3", 3),
     ("( K 2", 4),
+    ("(", 2),
+    ("( K 2 x", 5),
 ])
 def test_parse_family_error_columns(bad, col):
     with pytest.raises(ParseError) as exc:

@@ -126,15 +126,23 @@ def test_oracle_matches_lp_on_petersen_style_edges():
             == edge_curvature(g, x, y).value
 
 
-@given(connected_graphs(min_n=2, max_n=6))
-@settings(max_examples=25, deadline=None)
+def test_oracle_matches_lp_at_supports_eight_and_nine(j52):
+    q4 = hypercube(4)
+    for g, support in ((q4, 8), (j52, 9)):
+        for (x, y) in g.edges:
+            assert len(set(ball(g, x, 1)) | set(ball(g, y, 1))) == support
+            assert brute_force_curvature_oracle(g, x, y) \
+                == edge_curvature(g, x, y).value
+
+
+@given(connected_graphs(min_n=2, max_n=10))
+@settings(max_examples=50, deadline=None)
 def test_oracle_agreement_on_random_graphs(g):
-    x, y = g.edges[0]
-    support = set(ball(g, x, 1)) | set(ball(g, y, 1))
-    if len(support) > 6:
-        return
-    assert brute_force_curvature_oracle(g, x, y) \
-        == edge_curvature(g, x, y).value
+    # n <= 10 keeps every support within the oracle's default guard
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            solve = edge_curvature if g.adjacent(x, y) else long_range_curvature
+            assert brute_force_curvature_oracle(g, x, y) == solve(g, x, y).value
 
 
 @given(connected_graphs(min_n=2, max_n=7))
