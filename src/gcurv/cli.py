@@ -7,6 +7,7 @@ be unfalsifiable failed).
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -127,8 +128,8 @@ def _cmd_reflective(args):
 
 def _cmd_spectrum(args):
     g = _load_graph(args)
-    lap = laplacian_spectrum(g, args.tol)
-    adj = adjacency_spectrum(g, args.tol)
+    lap = laplacian_spectrum(g)
+    adj = adjacency_spectrum(g)
     payload = {
         "laplacian": [float(f"{v:.12g}") for v in lap.values],
         "adjacency": [float(f"{v:.12g}") for v in adj.values],
@@ -284,6 +285,26 @@ _GRAPH_COMMANDS = {
 }
 
 
+# the graph commands whose float decisions read --tol
+_TOL_COMMANDS = ("bakry-emery", "classify")
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite positive float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _add_tol(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tol", type=_tolerance, default=1e-8,
+                   help="float comparison tolerance (finite, > 0)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcurv",
@@ -297,12 +318,13 @@ def _build_parser() -> argparse.ArgumentParser:
         src.add_argument("--file", help="edge list file ('n m' header)")
         src.add_argument("--family", help="family expression, e.g. 'J 5 2'")
         p.add_argument("--json", action="store_true")
-        p.add_argument("--tol", type=float, default=1e-8)
+        if name in _TOL_COMMANDS:
+            _add_tol(p)
     p = sub.add_parser("verify-theorems")
     p.add_argument("--corpus", required=True,
                    help="'standard' or a file of family expressions")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-8)
+    _add_tol(p)
     p.add_argument("--max-lp-support", type=int, default=10,
                    help="largest B1(x) union B1(y) support on which the "
                         "brute-force oracle re-checks an edge curvature")

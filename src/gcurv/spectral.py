@@ -1,13 +1,11 @@
 """Eigenvalue computations and distance regularity.
 
-Spectra come from a cyclic Jacobi rotation sweep on the dense symmetric
-matrix, iterated until the off-diagonal Frobenius mass drops below the
-requested tolerance.  Comparisons against exact targets use a separate
+Spectra come from LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``)
+on the dense matrix.  Comparisons against exact targets use a separate
 comparison tolerance; when a float sits within 1e-6 of an integer, the
 snapped comparison is reported alongside but never silently substituted.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -21,91 +19,27 @@ from .errors import (
 )
 from .graphs import Graph
 
-_MAX_SWEEPS = 100
 _SNAP_WINDOW = 1e-6
 
 
-def _jacobi_rotate(a, vec, tol: float):
-    """Cyclic Jacobi sweeps in place; returns when off-diagonal mass < tol.
+def _jacobi_eigenvalues(mat):
+    """Eigenvalues of a symmetric matrix, ascending, from LAPACK.
 
-    vec, when given, accumulates the rotations so its columns end up as
-    the eigenvectors matching diag(a).
+    The name outlives the Jacobi sweep it once ran and must stay:
+    ``perfbench/tracing.py`` wraps this module's binding by name to count
+    spectrum cache misses as ``spectral.eigen_calls``.
     """
-    n = a.shape[0]
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(_MAX_SWEEPS):
-        # summed directly: the trace-subtraction shortcut cancels catastrophically
-        off = math.sqrt(float(np.sum((a * a)[off_mask])))
-        if off < tol:
-            return
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)
-                elif theta >= 0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if vec is not None:
-                    vp = vec[:, p].copy()
-                    vq = vec[:, q].copy()
-                    vec[:, p] = c * vp - s * vq
-                    vec[:, q] = s * vp + c * vq
-    raise NoConvergenceError(f"jacobi sweep did not converge below {tol}")
-
-
-def _jacobi_eigenvalues(mat, tol: float):
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
-    a = np.array(mat, dtype=float)
-    if a.shape[0] == 1:
-        return [float(a[0, 0])]
-    _jacobi_rotate(a, None, tol)
-    return sorted(float(v) for v in np.diag(a))
-
-
-def _jacobi_eigensystem(mat, tol: float):
-    """(eigenvalues, eigenvector columns), ascending by eigenvalue."""
-    a = np.array(mat, dtype=float)
-    n = a.shape[0]
-    vec = np.eye(n)
-    if n > 1:
-        _jacobi_rotate(a, vec, tol)
-    order = np.argsort(np.diag(a), kind="stable")
-    return np.diag(a)[order], vec[:, order]
+    try:
+        return np.linalg.eigvalsh(np.asarray(mat, dtype=float)).tolist()
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues with the convergence tolerance they were computed at."""
+    """Eigenvalues of one graph matrix."""
 
     values: tuple
-    tol: float
-
-    def multiplicities(self, eps: float = 1e-8):
-        """Cluster near-equal values into (representative, count) pairs."""
-        groups = []
-        for v in self.values:
-            if groups and abs(v - groups[-1][0]) <= eps:
-                groups[-1][1] += 1
-            else:
-                groups.append([v, 1])
-        return tuple((v, c) for v, c in groups)
 
 
 def laplacian_matrix(g: Graph):
@@ -126,24 +60,20 @@ def adjacency_matrix(g: Graph):
     return a
 
 
-def laplacian_spectrum(g: Graph, tol: float = 1e-10) -> Spectrum:
+def laplacian_spectrum(g: Graph) -> Spectrum:
     """Laplacian eigenvalues sorted ascending."""
-    if tol <= 0:
-        raise InvalidParameterError("tolerance must be positive")
-    key = ("lap_spec", tol)
+    key = "lap_spec"
     if key not in g.cache:
-        g.cache[key] = Spectrum(tuple(_jacobi_eigenvalues(laplacian_matrix(g), tol)), tol)
+        g.cache[key] = Spectrum(tuple(_jacobi_eigenvalues(laplacian_matrix(g))))
     return g.cache[key]
 
 
-def adjacency_spectrum(g: Graph, tol: float = 1e-10) -> Spectrum:
+def adjacency_spectrum(g: Graph) -> Spectrum:
     """Adjacency eigenvalues sorted descending."""
-    if tol <= 0:
-        raise InvalidParameterError("tolerance must be positive")
-    key = ("adj_spec", tol)
+    key = "adj_spec"
     if key not in g.cache:
-        vals = _jacobi_eigenvalues(adjacency_matrix(g), tol)
-        g.cache[key] = Spectrum(tuple(sorted(vals, reverse=True)), tol)
+        vals = _jacobi_eigenvalues(adjacency_matrix(g))
+        g.cache[key] = Spectrum(tuple(reversed(vals)))
     return g.cache[key]
 
 

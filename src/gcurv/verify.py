@@ -615,7 +615,7 @@ def _check_dsl_round_trip(ctx: Ctx):
 
 # --- spectral invariants ---
 
-def _check_jacobi_validation(ctx: Ctx):
+def _check_trace_identities(ctx: Ctx):
     for mem in ctx.corpus:
         g = mem.graph
         for matf, specf in (
@@ -1091,7 +1091,7 @@ INVARIANT_CHECKS = (
     ("families.known_isomorphisms", _check_known_isomorphisms),
     ("families.product_distance_additivity", _check_product_distance_additivity),
     ("families.dsl_round_trip", _check_dsl_round_trip),
-    ("spectral.jacobi_validation", _check_jacobi_validation),
+    ("spectral.trace_identities", _check_trace_identities),
     ("spectral.lichnerowicz_inequality", _check_lichnerowicz_inequality),
     ("spectral.reflective_sharp_identity", _check_reflective_sharp_identity),
     ("spectral.distance_regular_recount", _check_distance_regular_recount),

@@ -91,6 +91,20 @@ def test_bakry_emery_json_bound(capsys):
     assert data["bound"]["equality"] is True
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("classify", "--family", "Q 3"),
+    ("bakry-emery", "--family", "Q 3"),
+    ("verify-theorems", "--corpus", "standard"),
+], ids=["classify", "bakry-emery", "verify-theorems"])
+def test_tolerance_must_be_finite_and_positive(capsys, argv, tol):
+    # rejected while parsing, before any graph or corpus is built
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_spectrum_and_factorize_smoke(capsys):
     code, out, _ = run(capsys, "spectrum", "--family", "K 3")
     assert code == 0

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import connected_graphs
 from gcurv.errors import NotDistanceRegularError
 from gcurv.families import (
+    cocktail_party,
     complete_graph,
     cycle,
+    gosset,
     halved_cube,
     hypercube,
     johnson,
     path_graph,
+    schlafli,
 )
 from gcurv.ollivier import min_edge_curvature
 from gcurv.spectral import (
@@ -124,18 +126,53 @@ def test_laplacian_psd_and_connected_kernel(g):
     assert sum(1 for v in vals if abs(v) < 1e-6) == 1
 
 
-@given(connected_graphs(min_n=3, max_n=7), st.integers(0, 1000))
-@settings(max_examples=30, deadline=None)
-def test_jacobi_agrees_with_numpy(g, seed):
-    rng = np.random.default_rng(seed)
-    n = g.n
-    sym = rng.integers(-3, 4, size=(n, n))
-    sym = sym + sym.T
-    from gcurv.spectral import _jacobi_eigenvalues
+def _intersection_matrix(ia):
+    """Tridiagonal (d+1) x (d+1) matrix with rows (c_i, a_i, b_i)."""
+    k, d = ia.b[0], ia.diameter
+    b, c = ia.b + (0,), (0,) + ia.c
+    mat = np.zeros((d + 1, d + 1))
+    for i in range(d + 1):
+        mat[i, i] = k - b[i] - c[i]
+        if i > 0:
+            mat[i, i - 1] = c[i]
+        if i < d:
+            mat[i, i + 1] = b[i]
+    return mat
 
-    ours = _jacobi_eigenvalues([[float(v) for v in row] for row in sym], 1e-12)
-    ref = np.linalg.eigvalsh(sym.astype(float))
-    assert all(abs(a - b) < 1e-7 for a, b in zip(sorted(ours), ref))
+
+def _multiplicity(ia, theta, n):
+    """Biggs' formula n / sum_i k_i u_i^2 over the standard sequence u of theta."""
+    k = ia.b[0]
+    b, c = ia.b + (0,), (0,) + ia.c
+    u, sizes = [1.0, theta / k], [1, k]
+    for i in range(1, ia.diameter):
+        u.append(((theta - (k - b[i] - c[i])) * u[i] - c[i] * u[i - 1]) / b[i])
+        sizes.append(sizes[i] * b[i] // c[i + 1])
+    return n / sum(s * v * v for s, v in zip(sizes, u))
+
+
+@pytest.mark.parametrize("g", [
+    cocktail_party(4), johnson(6, 3), halved_cube(5), hypercube(4),
+    cycle(7), complete_graph(5), schlafli(), gosset(),
+], ids=["CP4", "J63", "HQ5", "Q4", "C7", "K5", "Schlafli", "Gosset"])
+def test_spectrum_matches_intersection_matrix(g):
+    # Brouwer-Cohen-Neumaier 1989, 4.1: the distinct adjacency eigenvalues
+    # of a distance-regular graph are those of its intersection matrix, with
+    # multiplicities from the standard sequences; the array is counted from
+    # distances, so this shares no matrix with the dense eigensolver.
+    ia = is_distance_regular(g).array
+    roots = np.linalg.eigvals(_intersection_matrix(ia))
+    assert np.all(np.abs(roots.imag) < 1e-9)
+    expected = []
+    for theta in sorted(roots.real, reverse=True):
+        m = _multiplicity(ia, theta, g.n)
+        assert abs(m - round(m)) < 1e-6
+        expected += [theta] * round(m)
+    adj = adjacency_spectrum(g).values
+    assert len(adj) == len(expected) == g.n
+    assert all(abs(a - e) < 1e-8 for a, e in zip(adj, expected))
+    lap = laplacian_spectrum(g).values
+    assert all(abs(v - (ia.b[0] - e)) < 1e-8 for v, e in zip(lap, expected))
 
 
 @given(connected_graphs())
