@@ -1,14 +1,17 @@
 """Carre du champ forms and per-vertex curvature-dimension bounds.
 
-The iterated gradient forms at a vertex are assembled as exact rational
-quadratic forms in the function values on the two-step ball, with the
-gauge value at the base vertex eliminated.  The curvature at a vertex is
-the minimum of the second form against the first over all nonzero test
-functions.  Variables outside the one-step ball enter the second form
-only through a positive diagonal block, so they are minimized out
-exactly by a Schur complement before the generalized eigenvalue step.
+The iterated gradient forms at a vertex are quadratic forms in the
+function values on the two-step ball, with the gauge value at the base
+vertex eliminated.  Both are assembled exactly as integer matrices over a
+fixed denominator: 2 * Gamma and 4 * Gamma_2 have integer entries.  The
+curvature at a vertex is the minimum of the second form against the
+first over all nonzero test functions.  Variables outside the one-step
+ball enter the second form only through a positive diagonal block, so
+they are minimized out exactly, in integers scaled by the least common
+multiple of that block, before the generalized eigenvalue step.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -21,6 +24,7 @@ from .errors import (
     InvalidParameterError,
     NoConvergenceError,
     NonpositiveCurvatureError,
+    check_tolerance,
 )
 from .graphs import Graph, effective_diameter
 from .spectral import _jacobi_eigenvalues
@@ -31,34 +35,98 @@ _SNAP_WINDOW = 1e-6
 
 @dataclass(frozen=True)
 class LocalForm:
-    """Quadratic form in function values on `support` (base vertex gauged out)."""
+    """Quadratic form in function values on `support` (base vertex gauged out).
+
+    The form's matrix is `numerators / denominator`: a symmetric square
+    matrix of integers over one positive integer.
+    """
 
     base: int
     support: tuple
-    matrix: tuple  # tuple of tuple of Fraction, symmetric
+    numerators: tuple  # tuple of tuple of int, symmetric
+    denominator: int
 
     def __post_init__(self):
         k = len(self.support)
-        if len(self.matrix) != k or any(len(row) != k for row in self.matrix):
+        num = self.numerators
+        if len(num) != k or any(len(row) != k for row in num):
             raise InvalidParameterError("form matrix does not match support")
-        for i in range(k):
-            for j in range(i):
-                if self.matrix[i][j] != self.matrix[j][i]:
-                    raise InvalidParameterError("form matrix must be symmetric")
+        if any(tuple(row) != col for row, col in zip(num, zip(*num))):
+            raise InvalidParameterError("form matrix must be symmetric")
+        if not isinstance(self.denominator, int) or self.denominator <= 0:
+            raise InvalidParameterError("form denominator must be a positive integer")
 
     def value(self, f) -> Fraction:
         """Evaluate on f given as {vertex: value}; missing vertices are 0."""
         vals = [Fraction(f.get(v, 0)) for v in self.support]
         total = Fraction(0)
-        for i, vi in enumerate(vals):
-            if not vi:
-                continue
-            row = self.matrix[i]
-            for j, vj in enumerate(vals):
-                if vj:
-                    total += vi * row[j] * vj
-        return total
+        for vi, row in zip(vals, self.numerators):
+            if vi:
+                total += vi * sum(m * vj for m, vj in zip(row, vals) if vj)
+        return total / self.denominator
 
+
+def _check_vertex(g: Graph, x: int) -> None:
+    if not 0 <= x < g.n:
+        raise InvalidParameterError(f"vertex {x} out of range for n={g.n}")
+
+
+def gamma_form(g: Graph, x: int) -> LocalForm:
+    """Half the squared gradient at x as a form on the neighbors of x.
+
+    With f(x) = 0 it is half the sum of f(y)^2, so 2 * Gamma is the identity.
+    """
+    _check_vertex(g, x)
+    support = tuple(g.neighbors[x])
+    k = len(support)
+    eye = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    return LocalForm(x, support, eye, 2)
+
+
+def gamma2_form(g: Graph, x: int) -> LocalForm:
+    """Iterated form at x on the punctured two-step ball, as 4 * Gamma_2.
+
+    Half the Laplacian of the squared gradient, minus the pairing of the
+    gradient of f with the gradient of its Laplacian:
+
+        4 Gamma_2 f(x) = sum_{y~x} sum_{w~y} (f(w) - f(y))^2
+                         - d_x sum_{w~x} (f(w) - f(x))^2
+                         - 2 sum_{y~x} (f(y) - f(x)) (Delta f(y) - Delta f(x)).
+
+    Entries are written into a dense integer matrix whose slot 0 holds x;
+    the gauge f(x) = 0 drops that row and column at the end.
+    """
+    _check_vertex(g, x)
+    row = g.dist_rows()[x]
+    support = tuple(v for v in range(g.n) if 0 < row[v] <= 2)
+    pos = {x: 0}
+    for i, v in enumerate(support, 1):
+        pos[v] = i
+    size = len(support) + 1
+    mat = [[0] * size for _ in range(size)]
+    near = [pos[w] for w in g.neighbors[x]]
+    for y in g.neighbors[x]:
+        i = pos[y]
+        ri = mat[i]
+        around = [pos[w] for w in g.neighbors[y]]
+        # each (f(w) - f(y))^2 adds 1 to both diagonals and -1 off them; the
+        # pairing, with f(x) = 0, is -2 f(y) (sum_{w~y} f(w) - d_y f(y)
+        # - sum_{w~x} f(w)), split evenly between entries (y, w) and (w, y)
+        for j in around:
+            mat[j][j] += 1
+            ri[j] -= 2
+            mat[j][i] -= 2
+        ri[i] += 3 * len(around)
+        for j in near:
+            ri[j] += 1
+            mat[j][i] += 1
+    d = len(near)
+    for j in near:
+        mat[j][j] -= d
+    return LocalForm(x, support, tuple(tuple(r[1:]) for r in mat[1:]), 4)
+
+
+# --- independent symbolic route, used as the test oracle ---
 
 def _accumulate(quad, lin1, lin2, scale: Fraction):
     """Add scale * lin1 * lin2 into the monomial dict quad."""
@@ -78,6 +146,7 @@ def _delta_row(g: Graph, v: int):
 
 
 def _to_local_form(g: Graph, x: int, quad, support) -> LocalForm:
+    """The symbolic route's monomial dict as a form over its lcm denominator."""
     index = {v: i for i, v in enumerate(support)}
     k = len(support)
     mat = [[Fraction(0)] * k for _ in range(k)]
@@ -95,43 +164,10 @@ def _to_local_form(g: Graph, x: int, quad, support) -> LocalForm:
             half = c / 2
             mat[i][j] += half
             mat[j][i] += half
-    return LocalForm(x, tuple(support), tuple(tuple(row) for row in mat))
+    den = math.lcm(*(c.denominator for row in mat for c in row))
+    num = tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in mat)
+    return LocalForm(x, tuple(support), num, den)
 
-
-def gamma_form(g: Graph, x: int) -> LocalForm:
-    """Half the squared gradient at x as a form on the neighbors of x."""
-    quad = {}
-    for y in g.neighbors[x]:
-        lin = {y: Fraction(1), x: Fraction(-1)}
-        _accumulate(quad, lin, lin, Fraction(1, 2))
-    return _to_local_form(g, x, quad, tuple(g.neighbors[x]))
-
-
-def gamma2_form(g: Graph, x: int) -> LocalForm:
-    """Iterated form at x on the punctured two-step ball.
-
-    Half the Laplacian of the squared gradient, minus the pairing of the
-    gradient of f with the gradient of its Laplacian.
-    """
-    quad = {}
-    for y in g.neighbors[x]:
-        for v, sign in ((y, 1), (x, -1)):
-            for w in g.neighbors[v]:
-                lin = {w: Fraction(1), v: Fraction(-1)}
-                _accumulate(quad, lin, lin, Fraction(sign, 4))
-    dx = _delta_row(g, x)
-    for y in g.neighbors[x]:
-        lin1 = {y: Fraction(1), x: Fraction(-1)}
-        lin2 = dict(_delta_row(g, y))
-        for v, c in dx.items():
-            lin2[v] = lin2.get(v, Fraction(0)) - c
-        _accumulate(quad, lin1, lin2, Fraction(-1, 2))
-    row = g.dist_rows()[x]
-    support = tuple(v for v in range(g.n) if 0 < row[v] <= 2)
-    return _to_local_form(g, x, quad, support)
-
-
-# --- independent symbolic route, used as the test oracle ---
 
 def _quad_sub(a, b):
     out = dict(a)
@@ -196,11 +232,17 @@ def symbolic_gamma2(g: Graph, x: int):
 
 
 def gamma2_matches_symbolic(g: Graph, x: int) -> bool:
-    """Cross-check the assembled form against the recursion route."""
+    """Cross-check the assembled form against the recursion route.
+
+    Entries are compared as rationals, whatever denominator each side uses.
+    """
     direct = gamma2_form(g, x)
-    sym = symbolic_gamma2(g, x)
-    alt = _to_local_form(g, x, sym, direct.support)
-    return alt.matrix == direct.matrix
+    alt = _to_local_form(g, x, symbolic_gamma2(g, x), direct.support)
+    return all(
+        a * direct.denominator == d * alt.denominator
+        for row_a, row_d in zip(alt.numerators, direct.numerators)
+        for a, d in zip(row_a, row_d)
+    )
 
 
 # --- curvature ---
@@ -208,45 +250,47 @@ def gamma2_matches_symbolic(g: Graph, x: int) -> bool:
 def _schur_to_inner(g: Graph, x: int, form: LocalForm):
     """Eliminate the two-step variables; exact, using their diagonal block.
 
-    Returns the reduced rational matrix on the neighbors of x ordered as
-    in gamma_form.
+    Returns (numerators, denominator) of the reduced matrix on the
+    neighbors of x ordered as in gamma_form.  With the outer block
+    diagonal, scaling the inner block by the lcm L of the outer diagonal
+    keeps the Schur complement integral: L * A - sum_z (L / d_z) c_z c_z^T,
+    over L times the form's denominator.
     """
-    inner = tuple(g.neighbors[x])
-    inner_ix = {v: i for i, v in enumerate(inner)}
-    outer = [v for v in form.support if v not in inner_ix]
     sup_ix = {v: i for i, v in enumerate(form.support)}
-    mat = form.matrix
-    k = len(inner)
-    reduced = [
-        [mat[sup_ix[inner[i]]][sup_ix[inner[j]]] for j in range(k)]
-        for i in range(k)
-    ]
-    for z in outer:
-        zi = sup_ix[z]
-        dz = mat[zi][zi]
-        if dz <= 0:
-            raise InternalCheckError(f"outer diagonal at {z} not positive")
-        for u in outer:
-            if u != z and mat[zi][sup_ix[u]] != 0:
-                raise InternalCheckError("outer block of the iterated form not diagonal")
-        col = [mat[sup_ix[inner[i]]][zi] for i in range(k)]
-        for i in range(k):
-            if not col[i]:
-                continue
-            for j in range(k):
-                if col[j]:
-                    reduced[i][j] -= col[i] * col[j] / dz
-    return reduced
+    inner_ix = [sup_ix[v] for v in g.neighbors[x]]
+    inner = set(inner_ix)
+    outer_ix = [i for i in range(len(form.support)) if i not in inner]
+    mat = form.numerators
+    for zi in outer_ix:
+        row = mat[zi]
+        if row[zi] <= 0:
+            raise InternalCheckError(f"outer diagonal at {form.support[zi]} not positive")
+        if any(row[ui] for ui in outer_ix if ui != zi):
+            raise InternalCheckError("outer block of the iterated form not diagonal")
+    scale = math.lcm(*(mat[zi][zi] for zi in outer_ix))
+    reduced = [[scale * mat[i][j] for j in inner_ix] for i in inner_ix]
+    for zi in outer_ix:
+        row = mat[zi]  # equal to the column by symmetry
+        q = scale // row[zi]
+        col = [(a, row[i]) for a, i in enumerate(inner_ix) if row[i]]
+        for a, ca in col:
+            red_a = reduced[a]
+            qa = q * ca
+            for b, cb in col:
+                red_a[b] -= qa * cb
+    return reduced, scale * form.denominator
 
 
-def _rayleigh_minimum(b_matrix, a_matrix, tol: float) -> float:
+def _rayleigh_minimum(b_num, b_den: int, a_num, a_den: int, tol: float) -> float:
     """Smallest generalized eigenvalue of a against b, b positive definite.
 
-    Whitens with the eigensystem of b (eigenvalues below tol rejected)
-    and takes the smallest eigenvalue of the transformed a.
+    Each matrix is given as integer numerators over a denominator; the
+    int / int divisions round each entry correctly.  Whitens with the
+    eigensystem of b (eigenvalues below tol rejected) and takes the
+    smallest eigenvalue of the transformed a.
     """
-    bf = np.array([[float(v) for v in row] for row in b_matrix])
-    af = np.array([[float(v) for v in row] for row in a_matrix])
+    bf = np.array([[v / b_den for v in row] for row in b_num])
+    af = np.array([[v / a_den for v in row] for row in a_num])
     try:
         vals, vecs = np.linalg.eigh(bf)
     except np.linalg.LinAlgError as exc:
@@ -265,12 +309,15 @@ def curvature_from_forms(g: Graph, x: int, gamma: LocalForm, gamma2: LocalForm,
     forms (for instance both forms scaled by the same factor, which must
     leave the quotient unchanged).
     """
-    a_inner = _schur_to_inner(g, x, gamma2)
-    return _rayleigh_minimum(gamma.matrix, a_inner, tol)
+    check_tolerance(tol)
+    a_num, a_den = _schur_to_inner(g, x, gamma2)
+    return _rayleigh_minimum(gamma.numerators, gamma.denominator, a_num, a_den, tol)
 
 
 def bakry_emery_curvature(g: Graph, x: int, tol: float = _KERNEL_TOL) -> float:
     """Minimum of the iterated form against the gradient form at x."""
+    check_tolerance(tol)
+    _check_vertex(g, x)
     if g.degree(x) < 1:
         raise InvalidParameterError(f"vertex {x} has no neighbors")
     key = ("be", x, tol)
@@ -298,6 +345,7 @@ def be_effective_bound_report(g: Graph, tol: float = 1e-8) -> BEBoundReport:
     small rational (denominator up to 64 within 1e-6), otherwise within
     tol on floats; the snapped value is reported either way.
     """
+    check_tolerance(tol)
     k_min = min(bakry_emery_curvature(g, x) for x in range(g.n))
     if k_min <= tol:
         raise NonpositiveCurvatureError(k_min)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import TrivialGraphError
+from .errors import TrivialGraphError, check_tolerance
 from .factorization import factorize
 from .families import (
     cocktail_party,
@@ -157,8 +157,11 @@ def _factors_share_curvature(factors) -> bool:
 def classify(g: Graph, tol: float = 1e-8) -> ClassificationReport:
     """Full predicate report with theorem cross-checks.
 
-    Raises TrivialGraphError below two vertices; submodule errors propagate.
+    Raises TrivialGraphError below two vertices and InvalidParameterError
+    for a tolerance that is not finite and positive; submodule errors
+    propagate.
     """
+    check_tolerance(tol)
     if g.n < 2:
         raise TrivialGraphError("classification needs at least two vertices")
     mec = min_edge_curvature(g)

@@ -7,7 +7,6 @@ be unfalsifiable failed).
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -16,8 +15,10 @@ from .classify import _rational, classify, report_to_json
 from .errors import (
     GcurvError,
     InternalCheckError,
+    InvalidParameterError,
     NonpositiveCurvatureError,
     ParseError,
+    check_tolerance,
 )
 from .factorization import factorize
 from .families import parse_family
@@ -295,9 +296,10 @@ def _tolerance(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not math.isfinite(value) or value <= 0:
+    try:
+        return check_tolerance(value)
+    except InvalidParameterError:
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return value
 
 
 def _add_tol(p: argparse.ArgumentParser) -> None:

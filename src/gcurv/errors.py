@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the tolerance check."""
+
+import math
+from numbers import Real
 
 
 class GcurvError(Exception):
@@ -76,6 +79,18 @@ class NotReflectiveError(GcurvError):
 
 class InvalidParameterError(GcurvError):
     pass
+
+
+def check_tolerance(tol) -> float:
+    """Return tol if it is a finite real number above zero.
+
+    A negative tolerance lets the zero eigenvalue pass for the spectral
+    gap, an infinite one makes every curvature nonpositive, and NaN fails
+    every comparison silently, so all three raise InvalidParameterError.
+    """
+    if not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0):
+        raise InvalidParameterError(f"tolerance must be finite and positive, got {tol!r}")
+    return tol
 
 
 class TrivialGraphError(GcurvError):

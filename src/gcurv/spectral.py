@@ -16,6 +16,7 @@ from .errors import (
     InvalidParameterError,
     NoConvergenceError,
     NotDistanceRegularError,
+    check_tolerance,
 )
 from .graphs import Graph
 
@@ -79,6 +80,7 @@ def adjacency_spectrum(g: Graph) -> Spectrum:
 
 def smallest_positive_laplacian_eigenvalue(g: Graph, tol: float = 1e-8) -> float:
     """Spectral gap: the smallest Laplacian eigenvalue exceeding tol."""
+    check_tolerance(tol)
     for v in laplacian_spectrum(g).values:
         if v > tol:
             return v
@@ -193,6 +195,7 @@ def is_lichnerowicz_sharp(g: Graph, tol: float = 1e-8) -> LichnerowiczResult:
     """
     from .ollivier import min_edge_curvature
 
+    check_tolerance(tol)
     kappa = min_edge_curvature(g).value
     lam = smallest_positive_laplacian_eigenvalue(g, tol)
     sharp = kappa > 0 and abs(lam - float(kappa)) <= tol
@@ -211,6 +214,7 @@ class ThetaResult(NamedTuple):
 
 def theta_condition(g: Graph, ia: IntersectionArray, tol: float = 1e-8) -> ThetaResult:
     """Second largest adjacency eigenvalue against b_1 - 1 and b_0 - lam."""
+    check_tolerance(tol)
     if ia is None:
         raise NotDistanceRegularError(None)
     spec = adjacency_spectrum(g)

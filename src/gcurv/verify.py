@@ -987,15 +987,13 @@ def _check_form_properties(ctx: Ctx):
         vertices = range(g.n) if g.n <= 10 else (0,)
         for x in vertices:
             for form in (gamma_form(g, x), gamma2_form(g, x)):
-                mat = form.matrix
+                mat = form.numerators
                 k = len(mat)
                 for i in range(k):
                     for j in range(i):
                         if mat[i][j] != mat[j][i]:
                             return f"{mem.name} vertex {x}: form asymmetry"
-            gam = np.array(
-                [[float(v) for v in row] for row in gamma_form(g, x).matrix]
-            )
+            gam = np.array(gamma_form(g, x).numerators, dtype=float)
             if float(np.linalg.eigvalsh(gam)[0]) < -1e-10:
                 return f"{mem.name} vertex {x}: gradient form not psd"
     return None
@@ -1005,7 +1003,8 @@ def _scale_form(form: LocalForm, factor: int) -> LocalForm:
     return LocalForm(
         form.base,
         form.support,
-        tuple(tuple(v * factor for v in row) for row in form.matrix),
+        tuple(tuple(v * factor for v in row) for row in form.numerators),
+        form.denominator,
     )
 
 

@@ -64,8 +64,8 @@ def test_gamma_form_psd_and_symmetric(octahedron):
     k = len(form.support)
     for i in range(k):
         for j in range(k):
-            assert form.matrix[i][j] == form.matrix[j][i]
-    mat = np.array([[float(v) for v in row] for row in form.matrix])
+            assert form.numerators[i][j] == form.numerators[j][i]
+    mat = np.array(form.numerators, dtype=float) / form.denominator
     assert np.linalg.eigvalsh(mat)[0] > -1e-10
 
 
@@ -79,8 +79,25 @@ def test_form_rejects_asymmetric_matrix():
     from gcurv.errors import InvalidParameterError
 
     with pytest.raises(InvalidParameterError):
-        LocalForm(0, (1, 2), ((Fraction(0), Fraction(1)),
-                              (Fraction(2), Fraction(0))))
+        LocalForm(0, (1, 2), ((0, 1), (2, 0)), 4)
+
+
+@pytest.mark.parametrize("denominator", [0, -2, Fraction(1, 2)])
+def test_form_rejects_bad_denominator(denominator):
+    from gcurv.errors import InvalidParameterError
+
+    with pytest.raises(InvalidParameterError):
+        LocalForm(0, (1,), ((1,),), denominator)
+
+
+@pytest.mark.parametrize("x", [-1, 8])
+def test_vertex_out_of_range_rejected(x):
+    from gcurv.errors import InvalidParameterError
+
+    g = hypercube(3)
+    for call in (bakry_emery_curvature, gamma_form, gamma2_form):
+        with pytest.raises(InvalidParameterError):
+            call(g, x)
 
 
 def test_gamma2_matches_symbolic_small():
@@ -95,7 +112,8 @@ def test_scale_invariance(octahedron):
     gamma2 = gamma2_form(octahedron, 0)
     scale = lambda form: LocalForm(
         form.base, form.support,
-        tuple(tuple(4 * v for v in row) for row in form.matrix),
+        tuple(tuple(4 * v for v in row) for row in form.numerators),
+        form.denominator,
     )
     scaled = curvature_from_forms(octahedron, 0, scale(gamma), scale(gamma2))
     assert abs(base - scaled) < 1e-9
@@ -156,7 +174,28 @@ def test_curvature_is_a_lower_bound_for_sampled_quotients(g, salt):
     assert k <= quotient + 1e-7
 
 
-@given(connected_graphs(min_n=2, max_n=6))
-@settings(max_examples=20, deadline=None)
+@given(connected_graphs(min_n=2, max_n=8))
+@settings(max_examples=25, deadline=None)
 def test_gamma2_symbolic_agreement_random(g):
-    assert gamma2_matches_symbolic(g, 0)
+    # every vertex of an irregular graph: degrees differ across the ball
+    for x in range(g.n):
+        assert gamma2_matches_symbolic(g, x)
+
+
+@given(connected_graphs(min_n=2, max_n=8), st.data())
+@settings(max_examples=40, deadline=None)
+def test_gamma_form_value_is_half_squared_gradient(g, data):
+    x = data.draw(st.integers(0, g.n - 1))
+    f = data.draw(st.lists(st.integers(-9, 9), min_size=g.n, max_size=g.n))
+    # the form gauges f(x) out, so it is evaluated on f - f(x)
+    shifted = {v: f[v] - f[x] for v in range(g.n)}
+    expected = Fraction(sum((f[y] - f[x]) ** 2 for y in g.neighbors[x]), 2)
+    assert gamma_form(g, x).value(shifted) == expected
+
+
+def test_gamma2_form_on_four_cycle_by_hand():
+    # C4 at 0 with f = (0, a, b, c): expanding Gamma_2 by hand gives
+    # 4 * Gamma_2 = 6a^2 + 2b^2 + 6c^2 - 4ab - 4bc + 4ac
+    form = gamma2_form(cycle(4), 0)
+    assert form.support == (1, 2, 3) and form.denominator == 4
+    assert form.numerators == ((6, -2, 2), (-2, 2, -2), (2, -2, 6))

@@ -41,3 +41,20 @@ def test_tracer_counts_one_eigen_call_per_spectrum_miss():
     assert summary["spectral.eigen_calls"] == 1
     assert summary["spectral.eigen_s"] > 0
     assert tracing.wrapped_names() == []
+
+
+def test_tracer_charges_form_assembly_to_the_forms_layer():
+    tracing = _load_tracing()
+    gc = types.SimpleNamespace(
+        **{name: importlib.import_module(f"gcurv.{name}") for name in MODULES})
+    tracer = tracing.Tracer()
+    tracer.install(gc)
+    try:
+        gc.bakry_emery.bakry_emery_curvature(hypercube(3), 0)
+        summary = tracer.summary()
+    finally:
+        tracer.uninstall()
+    assert summary["bakry_emery.forms_s"] > 0
+    # 3 neighbors in the gradient form, 6 in the punctured two-ball
+    assert summary["bakry_emery.form_vars_sum"] == 9
+    assert tracing.wrapped_names() == []

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from gcurv.bakry_emery import bakry_emery_curvature, be_effective_bound_report
 from gcurv.classify import (
     classify,
     family_on_named_list,
     identify_family,
     report_to_json,
 )
-from gcurv.errors import TrivialGraphError
+from gcurv.errors import InvalidParameterError, TrivialGraphError
 from gcurv.families import (
     complete_graph,
     cycle,
@@ -19,6 +20,12 @@ from gcurv.families import (
     parse_family,
 )
 from gcurv.graphs import Graph, build_graph
+from gcurv.spectral import (
+    is_distance_regular,
+    is_lichnerowicz_sharp,
+    smallest_positive_laplacian_eigenvalue,
+    theta_condition,
+)
 
 
 def petersen() -> Graph:
@@ -70,6 +77,23 @@ def test_cycle_report_skips_local_check():
 def test_trivial_graph_rejected():
     with pytest.raises(TrivialGraphError):
         classify(build_graph(1, []))
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("call", [
+    lambda g, tol: classify(g, tol),
+    lambda g, tol: smallest_positive_laplacian_eigenvalue(g, tol),
+    lambda g, tol: is_lichnerowicz_sharp(g, tol),
+    lambda g, tol: theta_condition(g, is_distance_regular(g), tol),
+    lambda g, tol: be_effective_bound_report(g, tol),
+    lambda g, tol: bakry_emery_curvature(g, 0, tol),
+], ids=["classify", "spectral_gap", "lichnerowicz", "theta",
+        "be_bound", "be_curvature"])
+def test_library_rejects_bad_tolerance(call, tol):
+    # on Q 3, tol=-1 used to return the zero eigenvalue as the gap and
+    # tol=inf to call a curvature of 2 nonpositive
+    with pytest.raises(InvalidParameterError):
+        call(hypercube(3), tol)
 
 
 @pytest.mark.parametrize(
