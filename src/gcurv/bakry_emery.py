@@ -25,6 +25,7 @@ from .errors import (
     NoConvergenceError,
     NonpositiveCurvatureError,
     check_tolerance,
+    check_vertex,
 )
 from .graphs import Graph, effective_diameter
 from .spectral import _jacobi_eigenvalues
@@ -66,17 +67,12 @@ class LocalForm:
         return total / self.denominator
 
 
-def _check_vertex(g: Graph, x: int) -> None:
-    if not 0 <= x < g.n:
-        raise InvalidParameterError(f"vertex {x} out of range for n={g.n}")
-
-
 def gamma_form(g: Graph, x: int) -> LocalForm:
     """Half the squared gradient at x as a form on the neighbors of x.
 
     With f(x) = 0 it is half the sum of f(y)^2, so 2 * Gamma is the identity.
     """
-    _check_vertex(g, x)
+    check_vertex(g.n, x)
     support = tuple(g.neighbors[x])
     k = len(support)
     eye = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
@@ -96,7 +92,7 @@ def gamma2_form(g: Graph, x: int) -> LocalForm:
     Entries are written into a dense integer matrix whose slot 0 holds x;
     the gauge f(x) = 0 drops that row and column at the end.
     """
-    _check_vertex(g, x)
+    check_vertex(g.n, x)
     row = g.dist_rows()[x]
     support = tuple(v for v in range(g.n) if 0 < row[v] <= 2)
     pos = {x: 0}
@@ -317,7 +313,7 @@ def curvature_from_forms(g: Graph, x: int, gamma: LocalForm, gamma2: LocalForm,
 def bakry_emery_curvature(g: Graph, x: int, tol: float = _KERNEL_TOL) -> float:
     """Minimum of the iterated form against the gradient form at x."""
     check_tolerance(tol)
-    _check_vertex(g, x)
+    check_vertex(g.n, x)
     if g.degree(x) < 1:
         raise InvalidParameterError(f"vertex {x} has no neighbors")
     key = ("be", x, tol)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the tolerance check."""
+"""Exception types shared across the package, and the parameter checks."""
 
 import math
 from numbers import Real
@@ -91,6 +91,15 @@ def check_tolerance(tol) -> float:
     if not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0):
         raise InvalidParameterError(f"tolerance must be finite and positive, got {tol!r}")
     return tol
+
+
+def check_vertex(n: int, x: int) -> None:
+    """Raise InvalidParameterError unless x is a vertex of an n-vertex graph.
+
+    Python's negative indexing would otherwise turn -1 into vertex n - 1.
+    """
+    if not 0 <= x < n:
+        raise InvalidParameterError(f"vertex {x} out of range for n={n}")
 
 
 class TrivialGraphError(GcurvError):

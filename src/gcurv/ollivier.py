@@ -9,8 +9,13 @@ the objective, so nothing is lost.
 
 The solver is an exact simplex on the constraint polytope.  The pairwise
 difference system is totally unimodular, so every vertex of the polytope is
-integral and the whole pivot loop runs in plain integer arithmetic.  Each
-solve finishes by checking its own optimality certificate.
+integral and the whole pivot loop runs in plain integer arithmetic.  No
+constraint list is built: the tight rows form a spanning tree, each pivot
+cuts one subtree off and scans only the rows across that cut, reading each
+slack d(u, v) - (f(u) - f(v)) from the distance rows and the current
+values, and the multipliers are subtree sums updated along the paths the
+pivot changes.  Each solve finishes by checking its own optimality
+certificate, and verify_optimality_certificate replays one in integers.
 
 The same integrality gives the brute-force oracle below: the LP optimum is
 the minimum over the polytope's integer points, and with f(x) and f(y)
@@ -20,9 +25,12 @@ definition of the Laplacian, sharing only the distance matrix with the
 simplex path.
 """
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from numbers import Rational
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -31,8 +39,9 @@ from .errors import (
     SameVertexError,
     SupportTooLargeError,
     TrivialGraphError,
+    check_vertex,
 )
-from .graphs import Graph, ball
+from .graphs import Graph
 
 _MAX_PIVOTS = 200_000
 
@@ -80,139 +89,137 @@ class MinEdgeCurvature(NamedTuple):
 
 
 def build_lipschitz_lp(g: Graph, x: int, y: int) -> LipschitzLP:
+    check_vertex(g.n, x)
+    check_vertex(g.n, y)
     if x == y:
         raise SameVertexError(x)
     dist = g.dist_rows()
     gap = dist[x][y]
-    support = tuple(sorted(set(ball(g, x, 1)) | set(ball(g, y, 1))))
     s1x = g._nbr_sets[x]
     s1y = g._nbr_sets[y]
-    coeffs = {}
-    for v in support:
-        c = (1 if v in s1x else 0) - (1 if v in s1y else 0)
-        if v == x:
-            c -= g.degree(x)
-        if v == y:
-            c += g.degree(y)
-        coeffs[v] = c
+    support = tuple(sorted(s1x | s1y | {x, y}))
+    coeffs = {v: (v in s1x) - (v in s1y) for v in support}
+    coeffs[x] -= g.degree(x)
+    coeffs[y] += g.degree(y)
+    lo, hi = min(x, y), max(x, y)
     pairs = tuple(
         (u, v, dist[u][v])
         for u, v in combinations(support, 2)
-        if {u, v} != {x, y}
+        if u != lo or v != hi
     )
     return LipschitzLP(x, y, gap, support, coeffs, pairs)
 
 
-def _active_tree_multipliers(k, active, constraints, cvec_node):
-    """Solve for multipliers on the active spanning tree, leaves first.
+def _order(row):
+    """Rank of the row f(a) - f(b) <= d(a, b): by pair, then a < b first."""
+    a, b = row
+    return (a, b, False) if a < b else (b, a, True)
 
-    Nodes 0..k-1 are free variables, node k is the merged fixed ground.
-    Stationarity at a free node reads c + sum(sigma * lam) = 0 over its
-    incident active rows, so multipliers resolve bottom up with divisions
-    only by +-1.  Raises if the active set is not a spanning tree, which
-    would be a solver invariant violation.
+
+def _entering_row(dist, f, moving, stride):
+    """First row of least slack among those the step loosens, in _order.
+
+    moving[i] is True for the members that move by stride.  Only rows
+    across the cut have a rate, each in one direction, and the slack of the
+    pair {u, v} reads d(u, v) - s * (f(u) - f(v)) with s = stride for a
+    moving u and -stride otherwise.  Each u of the smaller side, in
+    increasing order, takes its first best partner v on the other side (the
+    lowest of its ties in _order) and the least (slack, pair) wins; once the
+    best slack is zero, a later u can only win with a partner below the best
+    pair's lower end.  Returns (slack, row).
     """
-    ground = k
-    adj = [[] for _ in range(k + 1)]
-    for cidx in active:
-        _, _, _, nu, nv = constraints[cidx]
-        adj[nu].append((cidx, nv, 1))
-        adj[nv].append((cidx, nu, -1))
-    parent_edge = [None] * (k + 1)
-    order = []
-    seen = [False] * (k + 1)
-    seen[ground] = True
-    stack = [ground]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        for cidx, other, _ in adj[node]:
-            if not seen[other]:
-                seen[other] = True
-                parent_edge[other] = cidx
-                stack.append(other)
-    if len(order) != k + 1:
-        raise InternalCheckError("active set does not span the variables")
-    lam = {}
-    for node in reversed(order):
-        if node == ground:
-            continue
-        acc = cvec_node[node]
-        psigma = 0
-        pidx = parent_edge[node]
-        for cidx, other, sigma in adj[node]:
-            if cidx == pidx:
-                psigma = sigma
-            else:
-                acc += sigma * lam[cidx]
-        lam[pidx] = -acc * psigma  # psigma in {-1, +1}
-    return lam, adj
+    ins = [i for i, m in enumerate(moving) if m]
+    outs = [i for i, m in enumerate(moving) if not m]
+    side, other, su = (ins, outs, stride) if len(ins) <= len(outs) else (outs, ins, -stride)
+    best = None
+    for u in side:
+        du = dist[u]
+        ts = [du[v] + su * f[v] for v in other]
+        if not ts:
+            break
+        low = min(ts)
+        v = other[ts.index(low)]
+        cand = (low - su * f[u], min(u, v), max(u, v), u, v)
+        if best is None or cand < best:
+            best = cand
+        if best[0] == 0:
+            other = other[:bisect_left(other, best[1])]
+    t, _, _, u, v = best
+    return t, ((u, v) if su > 0 else (v, u))
 
 
-def _solve_core(k, fval, gval, cvec, constraints, start_active):
+def _solve_core(dist, f, node, ground, cvec, active):
     """Exact minimization of sum cvec[i] * f_i over the difference polytope.
 
-    constraints rows are (u, v, rhs, nu, nv) meaning f(u) - f(v) <= rhs with
-    node ids nu, nv (node k is the fixed ground; gval maps the original
-    fixed vertices to their values).  fval holds the integer value of each
-    free node and is updated in place.  Returns (obj, active, multipliers).
+    Members are numbered in support order; dist is their distance matrix,
+    f their integer values (updated in place) and active the start rows
+    (y, v), one per free member v, all tight.  The tight rows always form
+    a spanning tree of the free nodes and the ground (x and y merged).
+    Stationarity at a free node n reads c(n) + sum(sigma * lam) = 0 over
+    its rows, sigma = +1 where n is the row's first end; summed over the
+    subtree below a row it leaves that row alone, so lam = -sigma * S with
+    S the sum of c over that subtree.  Each pivot drops the first active
+    row (in _order) with a negative multiplier, moves the subtree M below
+    it until a row crossing the cut goes tight, and hangs M from that row:
+    only the sums S on the two paths to the ground and inside M on the way
+    to the new row change.  Returns (active, multipliers).
     """
-    ground = k
-    slack = []
-    for (u, v, rhs, nu, nv) in constraints:
-        fu = fval[nu] if nu != ground else gval[u]
-        fv = fval[nv] if nv != ground else gval[v]
-        s = rhs - (fu - fv)
-        if s < 0:
-            raise InternalCheckError("start point infeasible")
-        slack.append(s)
-    active = sorted(start_active)
+    par = [ground] * len(node)
+    up = [None] * len(node)  # the row from each node to its parent
+    adj = [{} for _ in node]
+    for row in active:
+        nd = node[row[1]]
+        up[nd] = row
+        adj[nd][row] = ground
+        adj[ground][row] = nd
+    lam = {row: cvec[node[row[1]]] for row in active}
+
+    def sigma(nd, row):
+        return 1 if node[row[0]] == nd else -1
+
+    def carry(nd, ds):  # add ds to S along the path from nd to the ground
+        while nd != ground:
+            row = up[nd]
+            lam[row] -= sigma(nd, row) * ds
+            nd = par[nd]
+
     for _ in range(_MAX_PIVOTS):
-        lam, adj = _active_tree_multipliers(k, active, constraints, cvec)
-        leaving = None
-        for cidx in active:
-            if lam[cidx] < 0:
-                leaving = cidx
-                break
+        leaving = next((row for row in active if lam[row] < 0), None)
         if leaving is None:
-            obj = sum(cvec[i] * fval[i] for i in range(k))
-            return obj, active, lam
-        # component cut off from ground once `leaving` is removed
-        seen = [False] * (k + 1)
-        seen[ground] = True
-        stack = [ground]
-        while stack:
-            node = stack.pop()
-            for cidx, other, _ in adj[node]:
-                if cidx != leaving and not seen[other]:
-                    seen[other] = True
-                    stack.append(other)
-        in_m = [not seen[node] for node in range(k + 1)]
-        _, _, _, nu, nv = constraints[leaving]
-        a_dot = (1 if in_m[nu] else 0) - (1 if in_m[nv] else 0)
-        step_sign = -a_dot  # opens the leaving constraint
-        best_t = None
-        entering = None
-        for cidx, (u, v, rhs, cnu, cnv) in enumerate(constraints):
-            rate = ((1 if in_m[cnu] else 0) - (1 if in_m[cnv] else 0)) * step_sign
-            if rate > 0:
-                t = slack[cidx]
-                if best_t is None or t < best_t:
-                    best_t = t
-                    entering = cidx
-        if best_t is None:
-            raise InternalCheckError("curvature polytope appears unbounded")
-        for node in range(k):
-            if in_m[node]:
-                fval[node] += best_t * step_sign
-        if best_t != 0:
-            for cidx, (u, v, rhs, cnu, cnv) in enumerate(constraints):
-                rate = ((1 if in_m[cnu] else 0) - (1 if in_m[cnv] else 0)) * step_sign
-                if rate:
-                    slack[cidx] -= best_t * rate
+            return active, lam
+        top = node[leaving[0]]
+        if up[top] == leaving:
+            top = node[leaving[1]]
+        root = node[leaving[0]] + node[leaving[1]] - top
+        sub = [root]
+        for nd in sub:
+            sub.extend(other for row, other in adj[nd].items() if row != up[nd])
+        moving = [False] * len(f)
+        for nd in sub:
+            moving[nd] = True
+        stride = -1 if moving[leaving[0]] else 1  # opens the leaving row
+        step, entering = _entering_row(dist, f, moving, stride)
+        for nd in sub:
+            f[nd] += step * stride
+        s_m = -sigma(root, leaving) * lam.pop(leaving)
+        carry(top, -s_m)
+        m, w = node[entering[0]], node[entering[1]]
+        if not moving[m]:
+            m, w = w, m
+        carry(w, s_m)
+        # re-root M at m: the rows from m up to root turn over
+        nd, row, below = m, entering, w
+        while nd != root:
+            lam[up[nd]] += sigma(nd, up[nd]) * s_m
+            row, up[nd] = up[nd], row
+            below, par[nd], nd = nd, below, par[nd]
+        up[root], par[root] = row, below
+        lam[entering] = -sigma(m, entering) * s_m
+        del adj[top][leaving], adj[root][leaving]
+        adj[m][entering] = w
+        adj[w][entering] = m
         active.remove(leaving)
-        active.append(entering)
-        active.sort()
+        insort(active, entering, key=_order)
     raise InternalCheckError("pivot limit exceeded")
 
 
@@ -221,45 +228,24 @@ def solve_lipschitz_lp(g: Graph, lp: LipschitzLP) -> CurvatureValue:
     dist = g.dist_rows()
     x, y, gap = lp.x, lp.y, lp.gap
     fixed = {x: 0, y: gap}
-    core = sorted(v for v in lp.support if v not in fixed and lp.coeffs[v] != 0)
-    k = len(core)
-    node = {v: i for i, v in enumerate(core)}
-    ground = k
+    members = sorted(v for v in lp.support if v in fixed or lp.coeffs[v] != 0)
+    ix, iy = members.index(x), members.index(y)
+    node = list(range(len(members)))
+    node[iy] = ix
+    pick = itemgetter(*members)
+    mdist = [pick(dist[u]) for u in members]
+    f = [gap - dist[v][y] for v in members]
+    cvec = [lp.coeffs[v] for v in members]
+    # the start point sits on each row f(y) - f(v) <= d(y, v)
+    active = sorted(((iy, i) for i in range(len(members)) if i not in (ix, iy)), key=_order)
+    active, lam = _solve_core(mdist, f, node, ix, cvec, active)
 
-    constraints = []
-    where = {}
-    members = core + [x, y]
-    for u, v in combinations(sorted(members), 2):
-        if {u, v} == {x, y}:
-            continue
-        rhs = dist[u][v]
-        nu = node.get(u, ground)
-        nv = node.get(v, ground)
-        where[(u, v)] = len(constraints)
-        constraints.append((u, v, rhs, nu, nv))
-        where[(v, u)] = len(constraints)
-        constraints.append((v, u, rhs, nv, nu))
-
-    cvec = [lp.coeffs[v] for v in core]
-    fval = [gap - dist[v][y] for v in core]
-    start_active = [where[(y, v)] for v in core]
-    if k == 0:
-        core_obj = 0
-        lam = {}
-        active = []
-    else:
-        core_obj, active, lam = _solve_core(k, fval, fixed, cvec, constraints, start_active)
-
-    const = lp.coeffs.get(x, 0) * 0 + lp.coeffs.get(y, 0) * gap
-    objective = core_obj + const
-
-    f_full = dict(fixed)
-    for i, v in enumerate(core):
-        f_full[v] = fval[i]
-    anchors = list(f_full.items())
+    f_full = dict(zip(members, f))
+    objective = sum(lp.coeffs[v] * f_full[v] for v in members)
     for z in lp.support:
         if z not in f_full:
-            f_full[z] = min(fw + dist[z][w] for w, fw in anchors)
+            dz = dist[z]
+            f_full[z] = min(fw + dz[w] for w, fw in zip(members, f))
 
     # exact self checks: feasibility on the full support, objective match,
     # and the dual certificate.
@@ -272,22 +258,21 @@ def solve_lipschitz_lp(g: Graph, lp: LipschitzLP) -> CurvatureValue:
     if full_obj != objective:
         raise InternalCheckError("support reduction changed the objective")
     certificate = []
-    for cidx in active:
-        l = lam[cidx]
+    for row in active:
+        l = lam[row]
         if l < 0:
             raise InternalCheckError("negative multiplier at optimum")
-        u, v, rhs, _, _ = constraints[cidx]
+        u, v = members[row[0]], members[row[1]]
+        rhs = dist[u][v]
         if f_full[u] - f_full[v] != rhs:
             raise InternalCheckError("certificate row is not tight")
         if l > 0:
             certificate.append((u, v, rhs, l))
-    gradient = {v: lp.coeffs[v] for v in lp.support if v not in fixed}
+    gradient = dict(lp.coeffs)
     for (u, v, _, l) in certificate:
-        if u not in fixed:
-            gradient[u] = gradient.get(u, 0) + l
-        if v not in fixed:
-            gradient[v] = gradient.get(v, 0) - l
-    if any(gval != 0 for gval in gradient.values()):
+        gradient[u] += l
+        gradient[v] -= l
+    if any(gradient[v] for v in lp.support if v not in fixed):
         raise InternalCheckError("certificate does not balance the objective")
 
     return CurvatureValue(
@@ -325,6 +310,8 @@ def _pair_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
 
 def edge_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
     """Exact curvature of the edge (x, y)."""
+    check_vertex(g.n, x)
+    check_vertex(g.n, y)
     if x == y:
         raise SameVertexError(x)
     if not g.adjacent(x, y):
@@ -334,6 +321,8 @@ def edge_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
 
 def long_range_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
     """Exact curvature of an arbitrary vertex pair, scaled by 1/d(x, y)."""
+    check_vertex(g.n, x)
+    check_vertex(g.n, y)
     if x == y:
         raise SameVertexError(x)
     return _pair_curvature(g, x, y)
@@ -373,27 +362,35 @@ def curvature_from_intersection_array(ia) -> Fraction:
 
 
 def verify_optimality_certificate(g: Graph, cv: CurvatureValue) -> bool:
-    """Arithmetic-only recheck that cv is optimal for its pair.
+    """Integer-only recheck that cv is optimal for its pair.
 
     Verifies primal feasibility of the optimizer, the objective value, and
-    the dual certificate (tight rows, nonnegative multipliers, stationarity).
-    Together these prove optimality without re-solving.
+    the dual certificate (rows tight on the support, nonnegative
+    multipliers, stationarity).  Together these prove optimality without
+    re-solving.  The optimizer and multipliers must be integers, as the
+    solver's always are; anything else is rejected.
     """
     lp = build_lipschitz_lp(g, cv.x, cv.y)
-    f = cv.optimizer
-    if set(f) != set(lp.support):
-        return False
-    if f[cv.y] - f[cv.x] != lp.gap:
+    f = {}
+    for v, val in cv.optimizer.items():
+        if getattr(val, "denominator", None) != 1:
+            return False
+        f[v] = val.numerator
+    if f.keys() != set(lp.support) or f[cv.y] - f[cv.x] != lp.gap:
         return False
     for u, v, d_uv in lp.pairs:
         if abs(f[u] - f[v]) > d_uv:
             return False
     obj = sum(lp.coeffs[v] * f[v] for v in lp.support)
-    if Fraction(obj, lp.gap) != cv.value:
+    value = cv.value
+    if not isinstance(value, Rational) or obj * value.denominator != value.numerator * lp.gap:
         return False
-    grad = {v: Fraction(lp.coeffs[v]) for v in lp.support}
+    grad = dict(lp.coeffs)
     dist = g.dist_rows()
     for (u, v, rhs, l) in cv.certificate:
+        if u not in f or v not in f or getattr(l, "denominator", None) != 1:
+            return False
+        l = l.numerator
         if l < 0 or rhs != dist[u][v] or f[u] - f[v] != rhs:
             return False
         grad[u] += l
@@ -415,6 +412,8 @@ def brute_force_curvature_oracle(g: Graph, x: int, y: int, max_support: int = 10
     term by term from the neighbor lists.  Guarded by max_support because
     the search grows exponentially with it.
     """
+    check_vertex(g.n, x)
+    check_vertex(g.n, y)
     if x == y:
         raise SameVertexError(x)
     dist = g.dist_rows()

@@ -1,14 +1,16 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import connected_graphs
-from gcurv.errors import SameVertexError, SupportTooLargeError
+from gcurv.errors import InvalidParameterError, SameVertexError, SupportTooLargeError
 from gcurv.families import (
     complete_bipartite,
     complete_graph,
     cycle,
+    halved_cube,
     hypercube,
     johnson,
     path_graph,
@@ -16,6 +18,7 @@ from gcurv.families import (
 from gcurv.graphs import ball
 from gcurv.ollivier import (
     brute_force_curvature_oracle,
+    build_lipschitz_lp,
     curvature_from_intersection_array,
     edge_curvature,
     long_range_curvature,
@@ -104,6 +107,84 @@ def test_certificate_rejects_tampered_value(octahedron):
     assert not verify_optimality_certificate(octahedron, tampered)
 
 
+def test_certificate_rejects_row_outside_support(octahedron):
+    cv = edge_curvature(octahedron, 0, 2)
+    _, v, rhs, lam = cv.certificate[0]
+    for outside in (octahedron.n, 99):
+        rows = ((outside, v, rhs, lam),) + cv.certificate[1:]
+        assert not verify_optimality_certificate(octahedron, replace(cv, certificate=rows))
+
+
+def test_certificate_rejects_non_integer_optimizer(q3):
+    cv = long_range_curvature(q3, 0, 7)
+    for z in (0, 3):
+        optimizer = dict(cv.optimizer)
+        optimizer[z] += Fraction(1, 2)
+        assert not verify_optimality_certificate(q3, replace(cv, optimizer=optimizer))
+
+
+@pytest.mark.parametrize("bad", [-1, 8])
+def test_vertex_out_of_range_rejected(q3, bad):
+    for call in (edge_curvature, long_range_curvature, build_lipschitz_lp,
+                 brute_force_curvature_oracle):
+        with pytest.raises(InvalidParameterError):
+            call(q3, bad, 3)
+        with pytest.raises(InvalidParameterError):
+            call(q3, 3, bad)
+
+
+# Exact outputs of the simplex, pinned so that a change to its pivot rule
+# (leaving: first active row with a negative multiplier; entering: the
+# least slack, ties to the lowest row) shows up even when the value does not
+# move.
+def test_pinned_gosset_edge(gosset_graph):
+    cv = edge_curvature(gosset_graph, 0, 1)
+    assert cv.value == 18
+    lower = (8, 9, 10, 11, 12, 41, 42, 43, 44, 45)
+    support = ball(gosset_graph, 0, 1) + tuple(
+        v for v in ball(gosset_graph, 1, 1) if v not in ball(gosset_graph, 0, 1))
+    assert cv.optimizer == {v: -1 if v in lower else int(v == 1) for v in support}
+    assert cv.certificate == (
+        (13, 8, 1, 1), (14, 9, 1, 1), (15, 10, 1, 1), (16, 11, 1, 1),
+        (17, 12, 1, 1), (36, 41, 1, 1), (37, 42, 1, 1), (38, 43, 1, 1),
+        (39, 44, 1, 1), (40, 45, 1, 1),
+    )
+
+
+def test_pinned_johnson_distance_two_pair():
+    g = johnson(7, 3)
+    assert g.distance(0, 9) == 2
+    cv = long_range_curvature(g, 0, 9)
+    assert cv.value == 7
+    assert cv.optimizer == {
+        0: 0, 1: 1, 2: 1, 3: 0, 4: 0, 5: 1, 6: 1, 7: 0, 8: 0, 9: 2, 10: 1,
+        11: 1, 12: 1, 13: 1, 15: 0, 16: 0, 17: -1, 18: -1, 19: 1, 25: 1,
+        31: 1, 32: 1,
+    }
+    assert cv.certificate == (
+        (12, 3, 1, 1), (13, 4, 1, 1), (10, 7, 1, 1), (11, 8, 1, 1),
+        (25, 15, 1, 1), (19, 16, 1, 1), (31, 17, 2, 1), (32, 18, 2, 1),
+    )
+
+
+def test_pinned_halved_cube_distance_three_pair():
+    g = halved_cube(6)
+    assert g.distance(14, 17) == 3
+    cv = long_range_curvature(g, 14, 17)
+    assert cv.value == 10
+    ones = (2, 4, 6, 7, 8, 10, 11, 12, 13, 15, 22, 26, 28, 30, 31)
+    assert cv.optimizer == {v: 0 if v == 14 else 3 if v == 17 else 1 if v in ones else 2
+                            for v in range(g.n)}
+    assert cv.certificate == (
+        (0, 2, 1, 1), (1, 7, 1, 1), (3, 2, 1, 1), (2, 14, 1, 4), (16, 2, 1, 1),
+        (18, 2, 1, 1), (19, 2, 1, 1), (5, 4, 1, 1), (4, 14, 1, 2), (20, 4, 1, 1),
+        (21, 4, 1, 1), (23, 6, 1, 1), (9, 8, 1, 1), (8, 14, 1, 2), (24, 8, 1, 1),
+        (25, 8, 1, 1), (27, 10, 1, 1), (17, 11, 2, 1), (29, 12, 1, 1),
+        (17, 13, 2, 1), (17, 15, 2, 1), (17, 22, 2, 1), (17, 26, 2, 1),
+        (17, 28, 2, 1), (17, 30, 2, 1), (17, 31, 2, 1),
+    )
+
+
 def test_optimizer_is_lipschitz_with_unit_gap(j52):
     dist = j52.dist_rows()
     cv = edge_curvature(j52, 0, 1)
@@ -142,7 +223,9 @@ def test_oracle_agreement_on_random_graphs(g):
     for x in range(g.n):
         for y in range(x + 1, g.n):
             solve = edge_curvature if g.adjacent(x, y) else long_range_curvature
-            assert brute_force_curvature_oracle(g, x, y) == solve(g, x, y).value
+            cv = solve(g, x, y)
+            assert brute_force_curvature_oracle(g, x, y) == cv.value
+            assert verify_optimality_certificate(g, cv)
 
 
 @given(connected_graphs(min_n=2, max_n=7))
