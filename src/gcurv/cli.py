@@ -26,8 +26,7 @@ from .graphs import effective_diameter, is_locally_connected, read_edge_list
 from .ollivier import edge_curvature, min_edge_curvature
 from .reflective import is_reflective
 from .spectral import adjacency_spectrum, laplacian_spectrum
-from .verify import run_all_checks, standard_corpus
-from .verify import CorpusMember
+from .verify import CorpusMember, run_all_checks
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -236,14 +235,14 @@ def _load_corpus(path: str):
                 name=spec.label(), graph=spec.build(), expectations=False,
                 vertex_transitive=False,
             ))
+    if not members:
+        raise ParseError("corpus file lists no graphs")
     return members
 
 
 def _cmd_verify_theorems(args):
-    if args.corpus == "standard":
-        corpus = standard_corpus()
-    else:
-        corpus = _load_corpus(args.corpus)
+    # no corpus selects the standard one, with its oracle scope floor
+    corpus = None if args.corpus == "standard" else _load_corpus(args.corpus)
     results = run_all_checks(
         corpus, tol=args.tol, max_lp_support=args.max_lp_support
     )
@@ -302,6 +301,21 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
 
 
+def _lp_support(text: str) -> int:
+    """argparse type of --max-lp-support: an int of at least 2.
+
+    An edge's support always holds both endpoints, so a smaller bound
+    would leave the oracle nothing to check.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {text!r}")
+    return value
+
+
 def _add_tol(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=_tolerance, default=1e-8,
                    help="float comparison tolerance (finite, > 0)")
@@ -327,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="'standard' or a file of family expressions")
     p.add_argument("--json", action="store_true")
     _add_tol(p)
-    p.add_argument("--max-lp-support", type=int, default=10,
+    p.add_argument("--max-lp-support", type=_lp_support, default=10,
                    help="largest B1(x) union B1(y) support on which the "
                         "brute-force oracle re-checks an edge curvature")
     return parser

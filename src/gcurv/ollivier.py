@@ -247,16 +247,14 @@ def solve_lipschitz_lp(g: Graph, lp: LipschitzLP) -> CurvatureValue:
             dz = dist[z]
             f_full[z] = min(fw + dz[w] for w, fw in zip(members, f))
 
-    # exact self checks: feasibility on the full support, objective match,
-    # and the dual certificate.
+    # exact self checks: feasibility on the full support and the dual
+    # certificate; the support left out of members has coefficient 0, so
+    # the objective over members is the objective over the full support.
     for u, v, d_uv in lp.pairs:
         if abs(f_full[u] - f_full[v]) > d_uv:
             raise InternalCheckError("optimizer violates a Lipschitz constraint")
     if f_full[y] - f_full[x] != gap:
         raise InternalCheckError("optimizer violates the endpoint constraint")
-    full_obj = sum(lp.coeffs[v] * f_full[v] for v in lp.support)
-    if full_obj != objective:
-        raise InternalCheckError("support reduction changed the objective")
     certificate = []
     for row in active:
         l = lam[row]

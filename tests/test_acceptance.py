@@ -1,17 +1,19 @@
-"""Acceptance gate: every criterion prints its own pass/fail line.
+"""Acceptance gate: one verify-theorems run, one pass/fail line per criterion.
 
-The checks themselves live in gcurv.verify and run once per session on the
-standard corpus; each test here reports one criterion.  The final test also
-drives the command line entry point end to end and holds it to the ten
-minute budget.
+A module fixture runs `verify-theorems --corpus standard --json` through the
+command line entry point once.  Each criterion test reports its own row of
+that run's payload, and the final test holds the whole run to exit code 0,
+every check passing and the ten minute budget.
 """
 
+import contextlib
+import io
+import json
 import time
 
 import pytest
 
 from gcurv import cli
-from gcurv.verify import run_acceptance_checks
 
 _LABELS = {
     "criterion_01_curvature_constants": "curvature constants across the corpus",
@@ -28,66 +30,75 @@ _LABELS = {
 
 
 @pytest.fixture(scope="module")
-def results():
-    out = {res.check: res for res in run_acceptance_checks()}
-    assert set(out) == set(_LABELS)
-    return out
+def suite():
+    out = io.StringIO()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify-theorems", "--corpus", "standard", "--json"])
+    elapsed = time.monotonic() - start
+    payload = json.loads(out.getvalue())
+    rows = {row["check"]: row for row in payload["checks"]}
+    assert set(_LABELS) <= set(rows)
+    return code, payload, rows, elapsed
 
 
-def _report(results, capsys, name):
-    res = results[name]
-    line = f"{name} ({_LABELS[name]}): {'PASS' if res.passed else 'FAIL'}"
-    if not res.passed:
-        line += f"  [{res.witness}]"
+def _report(suite, capsys, name):
+    _, _, rows, _ = suite
+    row = rows[name]
+    line = f"{name} ({_LABELS[name]}): {'PASS' if row['passed'] else 'FAIL'}"
+    if not row["passed"]:
+        line += f"  [{row['witness']}]"
     with capsys.disabled():
         print("\n" + line)
-    assert res.passed, f"{name} failed: {res.witness}"
+    assert row["passed"], f"{name} failed: {row['witness']}"
 
 
-def test_criterion_01(results, capsys):
-    _report(results, capsys, "criterion_01_curvature_constants")
+def test_criterion_01(suite, capsys):
+    _report(suite, capsys, "criterion_01_curvature_constants")
 
 
-def test_criterion_02(results, capsys):
-    _report(results, capsys, "criterion_02_effective_diameter")
+def test_criterion_02(suite, capsys):
+    _report(suite, capsys, "criterion_02_effective_diameter")
 
 
-def test_criterion_03(results, capsys):
-    _report(results, capsys, "criterion_03_reflectiveness")
+def test_criterion_03(suite, capsys):
+    _report(suite, capsys, "criterion_03_reflectiveness")
 
 
-def test_criterion_04(results, capsys):
-    _report(results, capsys, "criterion_04_lichnerowicz_sharpness")
+def test_criterion_04(suite, capsys):
+    _report(suite, capsys, "criterion_04_lichnerowicz_sharpness")
 
 
-def test_criterion_05(results, capsys):
-    _report(results, capsys, "criterion_05_factorization_round_trip")
+def test_criterion_05(suite, capsys):
+    _report(suite, capsys, "criterion_05_factorization_round_trip")
 
 
-def test_criterion_06(results, capsys):
-    _report(results, capsys, "criterion_06_structural_suite")
+def test_criterion_06(suite, capsys):
+    _report(suite, capsys, "criterion_06_structural_suite")
 
 
-def test_criterion_07(results, capsys):
-    _report(results, capsys, "criterion_07_orbit_certificate")
+def test_criterion_07(suite, capsys):
+    _report(suite, capsys, "criterion_07_orbit_certificate")
 
 
-def test_criterion_08(results, capsys):
-    _report(results, capsys, "criterion_08_lp_oracle_equivalence")
+def test_criterion_08(suite, capsys):
+    _report(suite, capsys, "criterion_08_lp_oracle_equivalence")
 
 
-def test_criterion_09(results, capsys):
-    _report(results, capsys, "criterion_09_bakry_emery")
+def test_criterion_09(suite, capsys):
+    _report(suite, capsys, "criterion_09_bakry_emery")
 
 
-def test_criterion_10(results, capsys):
-    _report(results, capsys, "criterion_10_classification")
-    # the full suite must also pass through the public entry point, in budget
-    start = time.monotonic()
-    code = cli.main(["verify-theorems", "--corpus", "standard"])
-    elapsed = time.monotonic() - start
-    capsys.readouterr()
+def test_criterion_10(suite, capsys):
+    _report(suite, capsys, "criterion_10_classification")
+
+
+def test_verify_theorems_standard(suite, capsys):
+    code, payload, rows, elapsed = suite
+    failed = [name for name, row in rows.items() if not row["passed"]]
     with capsys.disabled():
-        print(f"verify-theorems --corpus standard: exit {code}, {elapsed:.1f}s")
+        print(f"\nverify-theorems --corpus standard: exit {code}, "
+              f"{len(rows)} checks, {len(failed)} failed, {elapsed:.1f}s")
     assert code == 0
+    assert payload["all_passed"], f"failed checks: {failed}"
     assert elapsed < 600.0

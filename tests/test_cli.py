@@ -1,8 +1,20 @@
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from gcurv import cli
+from gcurv.classify import TheoremVerdict, classify
+from gcurv.graphs import build_graph
+from gcurv.verify import (
+    ACCEPTANCE_CHECKS,
+    INVARIANT_CHECKS,
+    CorpusMember,
+    Ctx,
+    _check_classification,
+)
 
 
 def run(capsys, *argv):
@@ -105,6 +117,16 @@ def test_tolerance_must_be_finite_and_positive(capsys, argv, tol):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("support", ["-1", "0", "1"])
+def test_max_lp_support_must_be_at_least_two(capsys, support):
+    # rejected while parsing, before any corpus is built
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-theorems", "--corpus", "standard",
+                  "--max-lp-support", support])
+    assert exc.value.code == 2
+    assert "--max-lp-support" in capsys.readouterr().err
+
+
 def test_spectrum_and_factorize_smoke(capsys):
     code, out, _ = run(capsys, "spectrum", "--family", "K 3")
     assert code == 0
@@ -132,3 +154,30 @@ def test_verify_theorems_json(tmp_path, capsys):
     data = json.loads(out)
     assert data["all_passed"] is True
     assert all(c["passed"] for c in data["checks"])
+
+
+def test_verify_theorems_empty_corpus_is_input_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("# nothing but a comment\n\n")
+    code, out, err = run(capsys, "verify-theorems", "--corpus", str(corpus))
+    assert code == 2
+    assert "corpus file lists no graphs" in err
+    assert out == ""
+
+
+def test_classification_reports_a_failure_without_witness():
+    mem = CorpusMember(name="K2", graph=build_graph(2, [(0, 1)]))
+    report = replace(classify(mem.graph),
+                     theorem_verdicts={"eff_bm_sharp": TheoremVerdict(False, None)})
+    ctx = Ctx(corpus=(mem,), tol=1e-8, max_lp_support=10, standard=False,
+              memo={"classify": ((mem, report),)})
+    assert _check_classification(ctx) == "K2: eff_bm_sharp: failed without witness"
+
+
+def test_check_names_unique_and_readme_total():
+    names = [name for name, _ in ACCEPTANCE_CHECKS + INVARIANT_CHECKS]
+    assert len(set(names)) == len(names)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = re.search(r"(\d+) in total", readme)
+    assert stated is not None
+    assert int(stated.group(1)) == len(names)
