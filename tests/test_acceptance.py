@@ -14,6 +14,7 @@ import time
 import pytest
 
 from gcurv import cli
+from gcurv.verify import ACCEPTANCE_CHECKS
 
 _LABELS = {
     "criterion_01_curvature_constants": "curvature constants across the corpus",
@@ -38,6 +39,8 @@ def suite():
     elapsed = time.monotonic() - start
     payload = json.loads(out.getvalue())
     rows = {row["check"]: row for row in payload["checks"]}
+    # every acceptance check has exactly one labelled criterion test
+    assert set(_LABELS) == {name for name, _ in ACCEPTANCE_CHECKS}
     assert set(_LABELS) <= set(rows)
     return code, payload, rows, elapsed
 

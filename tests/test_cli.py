@@ -14,6 +14,8 @@ from gcurv.verify import (
     CorpusMember,
     Ctx,
     _check_classification,
+    _check_oracle_equivalence,
+    standard_corpus,
 )
 
 
@@ -125,6 +127,22 @@ def test_max_lp_support_must_be_at_least_two(capsys, support):
                   "--max-lp-support", support])
     assert exc.value.code == 2
     assert "--max-lp-support" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("support", [2, 3, 4, 5])
+def test_narrow_lp_support_on_standard_corpus_passes(support):
+    # a valid N below the default narrows the oracle's scope on purpose,
+    # so the standard corpus's scope floor must not report it as a failure
+    ctx = Ctx(corpus=standard_corpus(), tol=1e-8, max_lp_support=support,
+              standard=True)
+    assert _check_oracle_equivalence(ctx) is None
+
+
+def test_oracle_scope_floor_holds_at_default_support():
+    ctx = Ctx(corpus=standard_corpus()[:1], tol=1e-8, max_lp_support=10,
+              standard=True)
+    witness = _check_oracle_equivalence(ctx)
+    assert witness is not None and witness.startswith("oracle scope unexpectedly small")
 
 
 def test_spectrum_and_factorize_smoke(capsys):
