@@ -218,30 +218,42 @@ _ARITY = {
 _KEYWORDS = {k.lower(): k for k in _GENERATORS}
 
 
+# Products nested d deep have at least d + 1 factors, so more than 2^d
+# vertices unless factors are K 1; deeper input is refused before the
+# recursive parse, label and build can exhaust the stack.
+MAX_PRODUCT_NESTING = 32
+
+
 def parse_family(text: str) -> FamilySpec:
     """Parse a family expression such as "J 5 2" or "( CP 3 x K 2 )".
 
     Keywords are case insensitive and tokens are whitespace separated.
-    Products nest: "( ( Q 2 x CP 3 ) x K 2 )".
+    Products nest, at most MAX_PRODUCT_NESTING deep: "( ( Q 2 x CP 3 ) x K 2 )".
     """
     tokens = text.split()
     if not tokens:
         raise ParseError("empty family expression")
-    spec, pos = _parse_expr(tokens, 0)
+    spec, pos = _parse_expr(tokens, 0, 0)
     if pos != len(tokens):
         raise ParseError(f"trailing input from token {pos + 1}", column=pos + 1)
     return spec
 
 
-def _parse_expr(tokens, pos):
+def _parse_expr(tokens, pos, depth):
     if pos >= len(tokens):
         raise ParseError("expression ends early", column=pos + 1)
     tok = tokens[pos]
     if tok == "(":
-        left, pos = _parse_expr(tokens, pos + 1)
+        if depth == MAX_PRODUCT_NESTING:
+            raise ParseError(
+                f"products nest deeper than {MAX_PRODUCT_NESTING} levels "
+                f"at token {pos + 1}",
+                column=pos + 1,
+            )
+        left, pos = _parse_expr(tokens, pos + 1, depth + 1)
         if pos >= len(tokens) or tokens[pos].lower() != "x":
             raise ParseError("expected 'x' inside product", column=pos + 1)
-        right, pos = _parse_expr(tokens, pos + 1)
+        right, pos = _parse_expr(tokens, pos + 1, depth + 1)
         if pos >= len(tokens) or tokens[pos] != ")":
             raise ParseError("expected ')' closing product", column=pos + 1)
         return FamilySpec("product", factors=(left, right)), pos + 1

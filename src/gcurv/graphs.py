@@ -257,6 +257,11 @@ def effective_diameter(g: Graph) -> Fraction:
 
 def is_locally_connected(g: Graph):
     """(True, None) if every punctured neighborhood is connected, else (False, witness)."""
+    key = "locally_connected"
+    hit = g.cache.get(key)
+    if hit is not None:
+        return hit
+    hit = (True, None)
     for v in range(g.n):
         nb = g.neighbors[v]
         if len(nb) <= 1:
@@ -272,8 +277,10 @@ def is_locally_connected(g: Graph):
                     seen.add(w)
                     q.append(w)
         if len(seen) != len(inside):
-            return False, v
-    return True, None
+            hit = (False, v)
+            break
+    g.cache[key] = hit
+    return hit
 
 
 def induced_subgraph(g: Graph, s):

@@ -72,6 +72,14 @@ def test_truncated_family_is_input_error(capsys, expr):
     assert "input error" in err
 
 
+def test_deeply_nested_family_is_input_error(capsys):
+    expr = "( " * 2000 + "K 2" + " )" * 2000
+    code, _, err = run(capsys, "curvature", "--family", expr)
+    assert code == 2
+    assert "input error" in err and "nest" in err
+    assert "Traceback" not in err
+
+
 def test_edgeless_graph_curvature_is_input_error(capsys):
     code, _, err = run(capsys, "curvature", "--family", "K 1")
     assert code == 2

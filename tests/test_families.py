@@ -4,6 +4,7 @@ import pytest
 
 from gcurv.errors import InvalidParameterError, ParseError
 from gcurv.families import (
+    MAX_PRODUCT_NESTING,
     cartesian_product,
     cocktail_party,
     complete_bipartite,
@@ -134,6 +135,18 @@ def test_parse_family_error_columns(bad, col):
     with pytest.raises(ParseError) as exc:
         parse_family(bad)
     assert exc.value.column == col
+
+
+def test_parse_family_bounds_product_nesting():
+    with pytest.raises(ParseError) as exc:
+        parse_family("( " * 2000 + "K 2" + " )" * 2000)
+    assert exc.value.column == MAX_PRODUCT_NESTING + 1
+    deepest = "K 2"
+    for _ in range(MAX_PRODUCT_NESTING):
+        deepest = f"( {deepest} x K 1 )"
+    assert parse_family(deepest).build().n == 2
+    with pytest.raises(ParseError):
+        parse_family(f"( {deepest} x K 1 )")
 
 
 def test_parse_family_rejects_non_integer_parameter():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import connected_graphs
 from gcurv.errors import NotAdjacentError, NotReflectiveError
@@ -10,12 +11,16 @@ from gcurv.families import (
     cocktail_party,
     complete_graph,
     cycle,
+    gosset,
     hypercube,
     johnson,
     path_graph,
+    schlafli,
 )
-from gcurv.graphs import side_partition
+from gcurv.graphs import build_graph, side_partition
 from gcurv.reflective import (
+    _side_structure_holds,
+    _validate,
     are_parallel,
     candidate_reflection,
     distance_eigenfunction_check,
@@ -182,3 +187,86 @@ def test_parallel_is_reflexive_on_reflective_graphs(g):
         return
     for e in g.edges[:4]:
         assert are_parallel(g, e, e)
+
+
+def test_automorphism_witness_is_lexicographically_first():
+    g = build_graph(5, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (2, 4), (3, 4)])
+    search = find_reflection(g, 0, 2)
+    assert search.failed_axiom == "automorphism"
+    assert search.witness == (1, 4)
+
+
+def _validate_by_pair_scan(g, mapping, x, y):
+    """Reference: every axiom checked with the full O(n^2) adjacency scan."""
+    n = g.n
+    for u in range(n):
+        pu = mapping[u]
+        for v in range(u + 1, n):
+            if g.adjacent(u, v) != g.adjacent(pu, mapping[v]):
+                return ("automorphism", (u, v))
+    for v in range(n):
+        if mapping[mapping[v]] != v:
+            return ("involution", v)
+    if mapping[x] != y:
+        return ("endpoint", x)
+    sp = side_partition(g, x, y)
+    sy_set = frozenset(sp.side_y)
+    for xp in sp.side_x:
+        for w in g.neighbors[xp]:
+            if w in sy_set and w != mapping[xp]:
+                return ("cross-edges", (xp, w))
+        img = mapping[xp]
+        if img not in sy_set or not g.adjacent(xp, img):
+            return ("cross-edges", (xp, img))
+    for z in sp.middle:
+        if mapping[z] != z:
+            return ("middle", z)
+    return None
+
+
+@st.composite
+def graphs_with_involution(draw):
+    g = draw(connected_graphs(min_n=2, max_n=7))
+    order = draw(st.permutations(range(g.n)))
+    swaps = draw(st.integers(0, g.n // 2))
+    mapping = list(range(g.n))
+    for i in range(swaps):
+        a, b = order[2 * i], order[2 * i + 1]
+        mapping[a], mapping[b] = b, a
+    x, y = draw(st.sampled_from(g.edges))
+    if draw(st.booleans()):
+        x, y = y, x
+    return g, tuple(mapping), x, y
+
+
+@given(graphs_with_involution())
+@settings(max_examples=200, deadline=None)
+def test_validate_matches_full_pair_scan(case):
+    g, mapping, x, y = case
+    assert _validate(g, mapping, x, y) == _validate_by_pair_scan(g, mapping, x, y)
+    cand = candidate_reflection(g, x, y).reflection
+    if cand is not None:
+        assert (_validate(g, cand.mapping, x, y)
+                == _validate_by_pair_scan(g, cand.mapping, x, y))
+
+
+@pytest.mark.parametrize("build", [
+    schlafli,
+    lambda: johnson(5, 2),
+    lambda: cartesian_product(complete_graph(2), johnson(4, 2)),
+])
+def test_side_memo_matches_uncached_check(build):
+    g, fresh = build(), build()
+    for (u, v) in g.edges:
+        for x, y in ((u, v), (v, u)):
+            uncached = _side_structure_holds(fresh, side_partition(fresh, x, y).side_x)
+            assert vxy_convex_reflective_check(g, x, y) == uncached
+
+
+def test_gosset_side_memo_holds_one_entry_per_side():
+    g = gosset()
+    for (x, y) in g.edges:
+        assert vxy_convex_reflective_check(g, x, y)
+        assert vxy_convex_reflective_check(g, y, x)
+    side_keys = [k for k in g.cache if isinstance(k, tuple) and k[0] == "side_check"]
+    assert len(side_keys) == 126
