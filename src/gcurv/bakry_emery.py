@@ -8,7 +8,9 @@ curvature at a vertex is the minimum of the second form against the
 first over all nonzero test functions.  Variables outside the one-step
 ball enter the second form only through a positive diagonal block, so
 they are minimized out exactly, in integers scaled by the least common
-multiple of that block, before the generalized eigenvalue step.
+multiple of that block, before the generalized eigenvalue step.  That
+step gives the reported float K(x); the diameter-bound verdicts instead
+test the integer pencil Gamma_2 - r Gamma for positive semidefiniteness.
 """
 
 import math
@@ -24,14 +26,13 @@ from .errors import (
     InvalidParameterError,
     NoConvergenceError,
     NonpositiveCurvatureError,
-    check_tolerance,
     check_vertex,
 )
 from .graphs import Graph, effective_diameter
-from .spectral import _jacobi_eigenvalues
+from .spectral import _jacobi_eigenvalues, _psd_nullity
 
+# smallest eigenvalue the whitening step accepts for the gradient form
 _KERNEL_TOL = 1e-10
-_SNAP_WINDOW = 1e-6
 
 
 @dataclass(frozen=True)
@@ -277,12 +278,21 @@ def _schur_to_inner(g: Graph, x: int, form: LocalForm):
     return reduced, scale * form.denominator
 
 
-def _rayleigh_minimum(b_num, b_den: int, a_num, a_den: int, tol: float) -> float:
+def _inner_gamma2(g: Graph, x: int):
+    """The Schur-reduced iterated form at x as (numerators, denominator), cached."""
+    key = ("be_inner", x)
+    hit = g.cache.get(key)
+    if hit is None:
+        hit = g.cache[key] = _schur_to_inner(g, x, gamma2_form(g, x))
+    return hit
+
+
+def _rayleigh_minimum(b_num, b_den: int, a_num, a_den: int) -> float:
     """Smallest generalized eigenvalue of a against b, b positive definite.
 
     Each matrix is given as integer numerators over a denominator; the
     int / int divisions round each entry correctly.  Whitens with the
-    eigensystem of b (eigenvalues below tol rejected) and takes the
+    eigensystem of b (eigenvalues below _KERNEL_TOL rejected) and takes the
     smallest eigenvalue of the transformed a.
     """
     bf = np.array([[v / b_den for v in row] for row in b_num])
@@ -291,38 +301,49 @@ def _rayleigh_minimum(b_num, b_den: int, a_num, a_den: int, tol: float) -> float
         vals, vecs = np.linalg.eigh(bf)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"gradient form eigensolver failed: {exc}") from exc
-    if np.any(vals <= tol):
-        raise DegenerateFormError(f"gradient form has eigenvalue <= {tol}")
+    if np.any(vals <= _KERNEL_TOL):
+        raise DegenerateFormError(f"gradient form has eigenvalue <= {_KERNEL_TOL}")
     white = vecs / np.sqrt(vals)
     return _jacobi_eigenvalues(white.T @ af @ white)[0]
 
 
-def curvature_from_forms(g: Graph, x: int, gamma: LocalForm, gamma2: LocalForm,
-                         tol: float = _KERNEL_TOL) -> float:
+def curvature_from_forms(g: Graph, x: int, gamma: LocalForm, gamma2: LocalForm) -> float:
     """Curvature at x from explicitly supplied forms.
 
     Exposed so callers can probe the eigenvalue pipeline with transformed
     forms (for instance both forms scaled by the same factor, which must
     leave the quotient unchanged).
     """
-    check_tolerance(tol)
     a_num, a_den = _schur_to_inner(g, x, gamma2)
-    return _rayleigh_minimum(gamma.numerators, gamma.denominator, a_num, a_den, tol)
+    return _rayleigh_minimum(gamma.numerators, gamma.denominator, a_num, a_den)
 
 
-def bakry_emery_curvature(g: Graph, x: int, tol: float = _KERNEL_TOL) -> float:
+def bakry_emery_curvature(g: Graph, x: int) -> float:
     """Minimum of the iterated form against the gradient form at x."""
-    check_tolerance(tol)
     check_vertex(g.n, x)
     if g.degree(x) < 1:
         raise InvalidParameterError(f"vertex {x} has no neighbors")
-    key = ("be", x, tol)
+    key = ("be", x)
     hit = g.cache.get(key)
     if hit is not None:
         return hit
-    value = curvature_from_forms(g, x, gamma_form(g, x), gamma2_form(g, x), tol)
+    gamma = gamma_form(g, x)
+    value = _rayleigh_minimum(gamma.numerators, gamma.denominator, *_inner_gamma2(g, x))
     g.cache[key] = value
     return value
+
+
+def _pencil_psd_nullity(g: Graph, x: int, r: Fraction):
+    """_psd_nullity of the pencil Gamma_2 - r Gamma at x, for r = p/q.
+
+    K(x) >= r exactly when it is positive semidefinite, and K(x) == r when
+    it is also singular.  2 Gamma is the identity, so the pencil times
+    2 q a_den is 2 q A - p a_den I, with A/a_den the reduced iterated form.
+    """
+    a_num, a_den = _inner_gamma2(g, x)
+    shift = r.numerator * a_den
+    return _psd_nullity([[2 * r.denominator * v - shift * (i == j) for j, v in enumerate(row)]
+                         for i, row in enumerate(a_num)])
 
 
 class BEBoundReport(NamedTuple):
@@ -330,33 +351,35 @@ class BEBoundReport(NamedTuple):
     diam_eff: Fraction
     bound: float
     equality: bool
-    k_snapped: Fraction | None
+    k_snapped: Fraction | None  # max_degree / diam_eff when equality holds
     bound_holds: bool
 
 
-def be_effective_bound_report(g: Graph, tol: float = 1e-8) -> BEBoundReport:
+def be_effective_bound_report(g: Graph) -> BEBoundReport:
     """Effective diameter against max degree over the vertex curvature minimum.
 
-    Equality is decided exactly when the curvature minimum snaps to a
-    small rational (denominator up to 64 within 1e-6), otherwise within
-    tol on floats; the snapped value is reported either way.
+    Decided exactly: with r = max_degree / diam_eff the bound says K_min <= r.
+    At the first vertex, in index order, whose pencil Gamma_2 - r Gamma is
+    not positive semidefinite, K_min < r and the bound holds strictly, once
+    the reduced iterated form is positive definite everywhere (K_min > 0).
+    Otherwise K_min >= r, and equality (k_snapped = r) holds exactly when
+    some pencil is singular.  k_min and bound are floats, only reported.
     """
-    check_tolerance(tol)
     k_min = min(bakry_emery_curvature(g, x) for x in range(g.n))
-    if k_min <= tol:
-        raise NonpositiveCurvatureError(k_min)
     diam_eff = effective_diameter(g)
-    max_deg = g.max_degree()
-    bound = max_deg / k_min
-    snap = Fraction(k_min).limit_denominator(64)
-    if abs(k_min - float(snap)) <= _SNAP_WINDOW:
-        equality = diam_eff == Fraction(max_deg) / snap
-        holds = diam_eff <= Fraction(max_deg) / snap
-    else:
-        snap = None
-        equality = abs(float(diam_eff) - bound) <= tol
-        holds = float(diam_eff) <= bound + tol
-    return BEBoundReport(k_min, diam_eff, bound, equality, snap, holds)
+    r = g.max_degree() / diam_eff
+    strict = singular = False
+    for x in range(g.n):
+        psd, nullity = _pencil_psd_nullity(g, x, r)
+        if not psd:
+            strict = True
+            break
+        singular = singular or nullity > 0
+    if strict and any(_psd_nullity(_inner_gamma2(g, x)[0]) != (True, 0) for x in range(g.n)):
+        raise NonpositiveCurvatureError(k_min)
+    equality = singular and not strict
+    return BEBoundReport(k_min, diam_eff, g.max_degree() / k_min, equality,
+                         r if equality else None, strict or equality)
 
 
 class RigidityEntry(NamedTuple):

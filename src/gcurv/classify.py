@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import TrivialGraphError, check_tolerance
+from .errors import TrivialGraphError
 from .factorization import factorize
 from .families import (
     cocktail_party,
@@ -33,7 +33,6 @@ from .spectral import (
     adjacency_spectrum,
     is_distance_regular,
     is_lichnerowicz_sharp,
-    smallest_positive_laplacian_eigenvalue,
 )
 
 
@@ -154,14 +153,11 @@ def _factors_share_curvature(factors) -> bool:
     return len(values) <= 1
 
 
-def classify(g: Graph, tol: float = 1e-8) -> ClassificationReport:
+def classify(g: Graph) -> ClassificationReport:
     """Full predicate report with theorem cross-checks.
 
-    Raises TrivialGraphError below two vertices and InvalidParameterError
-    for a tolerance that is not finite and positive; submodule errors
-    propagate.
+    Raises TrivialGraphError below two vertices; submodule errors propagate.
     """
-    check_tolerance(tol)
     if g.n < 2:
         raise TrivialGraphError("classification needs at least two vertices")
     mec = min_edge_curvature(g)
@@ -171,8 +167,7 @@ def classify(g: Graph, tol: float = 1e-8) -> ClassificationReport:
     eff_bm_sharp = mec.value > 0 and diam_eff * mec.value == max_deg
     refl = is_reflective(g)
     lc, _ = is_locally_connected(g)
-    lam = smallest_positive_laplacian_eigenvalue(g, tol)
-    lich = is_lichnerowicz_sharp(g, tol)
+    lich = is_lichnerowicz_sharp(g)
     dr = is_distance_regular(g)
     factors = factorize(g)
     names = [identify_family(f) for f in factors]
@@ -225,7 +220,7 @@ def classify(g: Graph, tol: float = 1e-8) -> ClassificationReport:
         diam_eff=diam_eff,
         eff_bm_sharp=eff_bm_sharp,
         reflective=refl.reflective,
-        lambda_=lam,
+        lambda_=lich.lam,
         lichnerowicz_sharp=lich.sharp,
         distance_regular=dr.array,
         prime_factors=tuple(

@@ -15,10 +15,8 @@ from .classify import _rational, classify, report_to_json
 from .errors import (
     GcurvError,
     InternalCheckError,
-    InvalidParameterError,
     NonpositiveCurvatureError,
     ParseError,
-    check_tolerance,
 )
 from .factorization import factorize
 from .families import parse_family
@@ -165,7 +163,7 @@ def _cmd_bakry_emery(args):
         "vertex curvatures: " + " ".join(_fmt(v) for v in values),
     ]
     try:
-        rep = be_effective_bound_report(g, args.tol)
+        rep = be_effective_bound_report(g)
         payload["bound"] = {
             "k_min": float(f"{rep.k_min:.12g}"),
             "k_snapped": (
@@ -178,8 +176,7 @@ def _cmd_bakry_emery(args):
         }
         lines.append(
             f"diameter bound: diam_eff {rep.diam_eff} <= {_fmt(rep.bound)} "
-            f"(K_min {_fmt(rep.k_min)}, snapped {rep.k_snapped}, "
-            f"equality: {rep.equality})"
+            f"(K_min {_fmt(rep.k_min)}, equality: {rep.equality})"
         )
     except NonpositiveCurvatureError:
         payload["bound"] = None
@@ -190,7 +187,7 @@ def _cmd_bakry_emery(args):
 
 def _cmd_classify(args):
     g = _load_graph(args)
-    report = classify(g, args.tol)
+    report = classify(g)
     if args.json:
         print(report_to_json(report))
     else:
@@ -243,9 +240,7 @@ def _load_corpus(path: str):
 def _cmd_verify_theorems(args):
     # no corpus selects the standard one, with its oracle scope floor
     corpus = None if args.corpus == "standard" else _load_corpus(args.corpus)
-    results = run_all_checks(
-        corpus, tol=args.tol, max_lp_support=args.max_lp_support
-    )
+    results = run_all_checks(corpus, max_lp_support=args.max_lp_support)
     payload = {
         "corpus": args.corpus,
         "checks": [
@@ -285,22 +280,6 @@ _GRAPH_COMMANDS = {
 }
 
 
-# the graph commands whose float decisions read --tol
-_TOL_COMMANDS = ("bakry-emery", "classify")
-
-
-def _tolerance(text: str) -> float:
-    """argparse type of --tol: a finite positive float."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    try:
-        return check_tolerance(value)
-    except InvalidParameterError:
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-
-
 def _lp_support(text: str) -> int:
     """argparse type of --max-lp-support: an int of at least 2.
 
@@ -316,11 +295,6 @@ def _lp_support(text: str) -> int:
     return value
 
 
-def _add_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=_tolerance, default=1e-8,
-                   help="float comparison tolerance (finite, > 0)")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcurv",
@@ -334,13 +308,10 @@ def _build_parser() -> argparse.ArgumentParser:
         src.add_argument("--file", help="edge list file ('n m' header)")
         src.add_argument("--family", help="family expression, e.g. 'J 5 2'")
         p.add_argument("--json", action="store_true")
-        if name in _TOL_COMMANDS:
-            _add_tol(p)
     p = sub.add_parser("verify-theorems")
     p.add_argument("--corpus", required=True,
                    help="'standard' or a file of family expressions")
     p.add_argument("--json", action="store_true")
-    _add_tol(p)
     p.add_argument("--max-lp-support", type=_lp_support, default=10,
                    help="largest B1(x) union B1(y) support on which the "
                         "brute-force oracle re-checks an edge curvature")

@@ -1,8 +1,5 @@
 """Exception types shared across the package, and the parameter checks."""
 
-import math
-from numbers import Real
-
 
 class GcurvError(Exception):
     """Base class for all package specific errors."""
@@ -81,18 +78,6 @@ class InvalidParameterError(GcurvError):
     pass
 
 
-def check_tolerance(tol) -> float:
-    """Return tol if it is a finite real number above zero.
-
-    A negative tolerance lets the zero eigenvalue pass for the spectral
-    gap, an infinite one makes every curvature nonpositive, and NaN fails
-    every comparison silently, so all three raise InvalidParameterError.
-    """
-    if not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0):
-        raise InvalidParameterError(f"tolerance must be finite and positive, got {tol!r}")
-    return tol
-
-
 def check_vertex(n: int, x: int) -> None:
     """Raise InvalidParameterError unless x is a vertex of an n-vertex graph.
 
@@ -124,10 +109,9 @@ class ParseError(GcurvError):
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
         self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", column {column})" if column is not None else ")")
-        super().__init__(message + where)
+        where = ", ".join(f"{name} {value}" for name, value in
+                          (("line", line), ("column", column)) if value is not None)
+        super().__init__(f"{message} ({where})" if where else message)
 
 
 class InternalCheckError(GcurvError):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import InvalidParameterError, ParseError
-from .graphs import Graph, build_graph
+from .graphs import MAX_VERTICES, Graph, build_graph, check_budget
 
 
 def _check(g: Graph, what: str, n: int, degree: int, diameter: int) -> Graph:
@@ -189,6 +189,18 @@ class FamilySpec:
             return self.kind
         return f"{self.kind} " + " ".join(str(p) for p in self.params)
 
+    def size(self) -> tuple:
+        """(vertices, edges) of the graph build() would return, by arithmetic.
+
+        Counts past MAX_VERTICES saturate at MAX_VERTICES + 1, so huge
+        parameters cost nothing; invalid parameters give some count and are
+        rejected by the generator.
+        """
+        if self.kind == "product":
+            (n1, m1), (n2, m2) = (f.size() for f in self.factors)
+            return n1 * n2, m1 * n2 + m2 * n1
+        return _SIZES[self.kind](*self.params)
+
     def build(self) -> Graph:
         if self.kind == "product":
             left, right = self.factors
@@ -218,6 +230,52 @@ _ARITY = {
 _KEYWORDS = {k.lower(): k for k in _GENERATORS}
 
 
+def _regular(n: int, degree: int) -> tuple:
+    return n, n * degree // 2
+
+
+# (vertices, edges) per generator, as FamilySpec.size reports them
+_SIZES = {
+    "K": lambda n: (n, n * (n - 1) // 2),
+    "C": lambda n: (n, n),
+    "KB": lambda a, b: (a + b, a * b),
+    "CP": lambda k: (2 * k, 2 * k * (k - 1)),
+    "J": lambda n, k: _regular(_capped_comb(n, k), k * (n - k)),
+    "HQ": lambda n: _regular(_capped_pow(2, n - 1), n * (n - 1) // 2),
+    "Q": lambda n: _regular(_capped_pow(2, n), n),
+    "H": lambda m, q: _regular(_capped_pow(q, m), m * (q - 1)),
+    "schlafli": lambda: (27, 216),
+    "gosset": lambda: (56, 756),
+}
+
+
+def _capped_pow(base: int, exp: int) -> int:
+    """base ** exp, or MAX_VERTICES + 1 once it exceeds MAX_VERTICES."""
+    if base < 2:
+        return 1
+    out = 1
+    for _ in range(exp):
+        out *= base
+        if out > MAX_VERTICES:
+            return MAX_VERTICES + 1
+    return out
+
+
+def _capped_comb(a: int, b: int) -> int:
+    """comb(a, b), or MAX_VERTICES + 1 once it exceeds MAX_VERTICES.
+
+    The partial products comb(a - b + i, i) grow at least like 2^i, so the
+    loop stops after a few dozen steps whatever the parameters.
+    """
+    b = min(b, a - b)
+    out = 1
+    for i in range(1, b + 1):
+        out = out * (a - b + i) // i
+        if out > MAX_VERTICES:
+            return MAX_VERTICES + 1
+    return out
+
+
 # Products nested d deep have at least d + 1 factors, so more than 2^d
 # vertices unless factors are K 1; deeper input is refused before the
 # recursive parse, label and build can exhaust the stack.
@@ -229,13 +287,16 @@ def parse_family(text: str) -> FamilySpec:
 
     Keywords are case insensitive and tokens are whitespace separated.
     Products nest, at most MAX_PRODUCT_NESTING deep: "( ( Q 2 x CP 3 ) x K 2 )".
+    An expression whose graph would exceed the input budget of
+    graphs.check_budget is refused here, before anything is built.
     """
     tokens = text.split()
     if not tokens:
         raise ParseError("empty family expression")
     spec, pos = _parse_expr(tokens, 0, 0)
     if pos != len(tokens):
-        raise ParseError(f"trailing input from token {pos + 1}", column=pos + 1)
+        raise ParseError("trailing input", column=pos + 1)
+    check_budget(*spec.size())
     return spec
 
 
@@ -246,8 +307,7 @@ def _parse_expr(tokens, pos, depth):
     if tok == "(":
         if depth == MAX_PRODUCT_NESTING:
             raise ParseError(
-                f"products nest deeper than {MAX_PRODUCT_NESTING} levels "
-                f"at token {pos + 1}",
+                f"products nest deeper than {MAX_PRODUCT_NESTING} levels",
                 column=pos + 1,
             )
         left, pos = _parse_expr(tokens, pos + 1, depth + 1)

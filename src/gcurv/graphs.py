@@ -19,6 +19,20 @@ from .errors import (
     SelfLoopError,
 )
 
+# Input budget.  Every graph is eventually held as all-pairs distance rows
+# and dense n x n matrices, so edge lists and family expressions whose size
+# exceeds these are refused with ParseError before anything is allocated.
+MAX_VERTICES = 4096
+MAX_EDGES = 200_000
+
+
+def check_budget(n: int, m: int) -> None:
+    """Raise ParseError when n vertices or m edges exceed the input budget."""
+    if n > MAX_VERTICES:
+        raise ParseError(f"graph exceeds the input budget of {MAX_VERTICES} vertices")
+    if m > MAX_EDGES:
+        raise ParseError(f"graph exceeds the input budget of {MAX_EDGES} edges")
+
 
 class Graph:
     """Simple undirected graph.  Use build_graph to construct a validated one."""
@@ -154,6 +168,10 @@ def parse_edge_list(text: str) -> Graph:
                 n, m_expected = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError("header must contain two integers", line=lineno)
+            try:
+                check_budget(n, m_expected)
+            except ParseError as exc:
+                raise ParseError(str(exc), line=lineno) from None
             header = (n, m_expected)
             continue
         if len(parts) != 2:

@@ -1,9 +1,10 @@
-"""Eigenvalue computations and distance regularity.
+"""Eigenvalue computations, distance regularity and exact spectral verdicts.
 
 Spectra come from LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``)
-on the dense matrix.  Comparisons against exact targets use a separate
-comparison tolerance; when a float sits within 1e-6 of an integer, the
-snapped comparison is reported alongside but never silently substituted.
+on the dense matrix and are reported as floats.  Yes/no questions about
+them never compare floats: an eigenvalue bound such as lambda_1 >= kappa is
+restated as positive semidefiniteness of an integer matrix and decided by
+fraction-free elimination (``_psd_nullity``).
 """
 
 from dataclasses import dataclass
@@ -16,11 +17,8 @@ from .errors import (
     InvalidParameterError,
     NoConvergenceError,
     NotDistanceRegularError,
-    check_tolerance,
 )
 from .graphs import Graph
-
-_SNAP_WINDOW = 1e-6
 
 
 def _jacobi_eigenvalues(mat):
@@ -78,21 +76,33 @@ def adjacency_spectrum(g: Graph) -> Spectrum:
     return g.cache[key]
 
 
-def smallest_positive_laplacian_eigenvalue(g: Graph, tol: float = 1e-8) -> float:
-    """Spectral gap: the smallest Laplacian eigenvalue exceeding tol."""
-    check_tolerance(tol)
-    for v in laplacian_spectrum(g).values:
-        if v > tol:
-            return v
-    raise InvalidParameterError("no eigenvalue above the positivity threshold")
+def smallest_positive_laplacian_eigenvalue(g: Graph) -> float:
+    """Spectral gap lambda_1: every Graph is connected, so it is the second value."""
+    if g.n < 2:
+        raise InvalidParameterError("a single vertex has no spectral gap")
+    return laplacian_spectrum(g).values[1]
 
 
-def _snap(value: float):
-    """Nearest integer when within the snap window, else None."""
-    r = round(value)
-    if abs(value - r) <= _SNAP_WINDOW:
-        return int(r)
-    return None
+def _psd_nullity(rows):
+    """(psd, nullity) of a symmetric integer matrix; nullity None unless psd.
+
+    Fraction-free (Bareiss) elimination on diagonal pivots, so every entry
+    stays an integer minor.  A negative pivot, or a zero pivot whose row is
+    not zero, means the matrix is indefinite; a zero row adds to the nullity.
+    """
+    nullity, prev = 0, 1
+    while rows:
+        d, tail = rows[0][0], rows[0][1:]
+        if d < 0 or (d == 0 and any(tail)):
+            return False, None
+        if d == 0:
+            nullity += 1
+            rows = [r[1:] for r in rows[1:]]
+        else:
+            rows = [[(d * a - r[0] * b) // prev for a, b in zip(r[1:], tail)]
+                    for r in rows[1:]]
+            prev = d
+    return True, nullity
 
 
 # --- distance regularity ---
@@ -178,53 +188,61 @@ def is_distance_regular(g: Graph) -> DistanceRegularity:
 
 # --- sharpness conditions ---
 
+def _gap_test(g: Graph, r: Fraction):
+    """_psd_nullity of M = n q (L - r I) + p J, for r = p/q.
+
+    L 1 = 0, so M 1 = 0 and M has the eigenvalues n q (lambda_i - r) on the
+    complement of 1: lambda_1 >= r exactly when M is positive semidefinite,
+    and lambda_1 == r exactly when its nullity is also at least 2.
+    """
+    n, p, q = g.n, r.numerator, r.denominator
+    rows = [[p] * n for _ in range(n)]
+    for v, row in enumerate(rows):
+        for w in g.neighbors[v]:
+            row[w] -= n * q
+        row[v] += n * (q * g.degree(v) - p)
+    return _psd_nullity(rows)
+
+
 class LichnerowiczResult(NamedTuple):
-    sharp: bool
+    sharp: bool  # lambda_1 == kappa_min > 0
     lam: float
     kappa_min: Fraction
-    lam_snapped: int | None
-    snap_agrees: bool | None
+    holds: bool  # lambda_1 >= kappa_min
 
 
-def is_lichnerowicz_sharp(g: Graph, tol: float = 1e-8) -> LichnerowiczResult:
-    """Whether the spectral gap matches the minimum edge curvature.
+def is_lichnerowicz_sharp(g: Graph) -> LichnerowiczResult:
+    """The spectral gap against the minimum edge curvature, decided exactly.
 
-    The verdict uses |lam - kappa| <= tol on floats.  When lam sits within
-    the snap window of an integer the exact comparison of the snapped value
-    against kappa is reported as well, without affecting the verdict.
+    A curvature minimum of at most 0 lies below the positive gap of a
+    connected graph and needs no elimination.
     """
     from .ollivier import min_edge_curvature
 
-    check_tolerance(tol)
-    kappa = min_edge_curvature(g).value
-    lam = smallest_positive_laplacian_eigenvalue(g, tol)
-    sharp = kappa > 0 and abs(lam - float(kappa)) <= tol
-    snapped = _snap(lam)
-    agrees = (Fraction(snapped) == kappa) if snapped is not None else None
-    return LichnerowiczResult(sharp, lam, kappa, snapped, agrees)
+    if "lichnerowicz" not in g.cache:
+        kappa = min_edge_curvature(g).value
+        holds, nullity = _gap_test(g, kappa) if kappa > 0 else (True, 0)
+        g.cache["lichnerowicz"] = LichnerowiczResult(
+            nullity >= 2, smallest_positive_laplacian_eigenvalue(g), kappa, holds)
+    return g.cache["lichnerowicz"]
 
 
 class ThetaResult(NamedTuple):
     theta: float
     matches_b1_minus_1: bool
-    matches_b0_minus_lam: bool
-    theta_snapped: int | None
-    snap_agrees: bool | None
 
 
-def theta_condition(g: Graph, ia: IntersectionArray, tol: float = 1e-8) -> ThetaResult:
-    """Second largest adjacency eigenvalue against b_1 - 1 and b_0 - lam."""
-    check_tolerance(tol)
+def theta_condition(g: Graph, ia: IntersectionArray) -> ThetaResult:
+    """Second largest adjacency eigenvalue theta_1 against t = b_1 - 1, exactly.
+
+    The graph is k-regular, so theta_1 = k - lambda_1, and the matrix that
+    _gap_test builds for r = k - t is n (t I - A) + (k - t) J.
+    """
     if ia is None:
         raise NotDistanceRegularError(None)
     spec = adjacency_spectrum(g)
     if len(spec.values) < 2:
         raise InvalidParameterError("need at least two eigenvalues")
-    theta = spec.values[1]
-    b1 = ia.b[1] if len(ia.b) > 1 else 0
-    lam = smallest_positive_laplacian_eigenvalue(g, tol)
-    m1 = abs(theta - (b1 - 1)) <= tol
-    m2 = abs(theta - (ia.b[0] - lam)) <= tol
-    snapped = _snap(theta)
-    agrees = (snapped == b1 - 1) if snapped is not None else None
-    return ThetaResult(theta, m1, m2, snapped, agrees)
+    t = (ia.b[1] if len(ia.b) > 1 else 0) - 1
+    psd, nullity = _gap_test(g, Fraction(ia.b[0] - t))
+    return ThetaResult(spec.values[1], psd and nullity >= 2)

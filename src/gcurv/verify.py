@@ -17,6 +17,7 @@ import numpy as np
 
 from .bakry_emery import (
     LocalForm,
+    _pencil_psd_nullity,
     bakry_emery_curvature,
     be_effective_bound_report,
     be_rigidity_check,
@@ -77,13 +78,13 @@ from .reflective import (
     vxy_convex_reflective_check,
 )
 from .spectral import (
+    _psd_nullity,
     adjacency_matrix,
     adjacency_spectrum,
     is_distance_regular,
     is_lichnerowicz_sharp,
     laplacian_matrix,
     laplacian_spectrum,
-    smallest_positive_laplacian_eigenvalue,
     theta_condition,
 )
 
@@ -153,7 +154,6 @@ def standard_corpus() -> tuple:
 @dataclass
 class Ctx:
     corpus: tuple
-    tol: float
     max_lp_support: int
     standard: bool
     memo: dict = field(default_factory=dict)
@@ -267,23 +267,20 @@ def _check_reflectiveness(ctx: Ctx):
 def _check_lichnerowicz_sharpness(ctx: Ctx):
     for mem in ctx.corpus:
         g = mem.graph
-        mec = min_edge_curvature(g)
+        lich = is_lichnerowicz_sharp(g)
         if mem.list_graph and _lc(g):
-            lam = smallest_positive_laplacian_eigenvalue(g, ctx.tol)
-            if abs(lam - float(mec.value)) > 1e-8:
-                return f"{mem.name}: lam {lam} vs kappa {mec.value}"
+            if not lich.sharp:
+                return f"{mem.name}: lam {lich.lam} vs kappa {lich.kappa_min}"
             ia = is_distance_regular(g).array
             if ia is None:
                 return f"{mem.name}: expected an intersection array"
-            th = theta_condition(g, ia, ctx.tol)
+            th = theta_condition(g, ia)
             if not th.matches_b1_minus_1:
                 return f"{mem.name}: theta {th.theta} misses b1-1"
-        # the spectral gap must never undercut a positive curvature minimum
-        if mec.value > 0:
-            lam = smallest_positive_laplacian_eigenvalue(g, ctx.tol)
-            if lam < float(mec.value) - 1e-8:
-                return (f"{mem.name}: Lichnerowicz violation, "
-                        f"lam {lam} < kappa {mec.value}")
+        # the spectral gap must never undercut the curvature minimum
+        if not lich.holds:
+            return (f"{mem.name}: Lichnerowicz violation, "
+                    f"lam {lich.lam} < kappa {lich.kappa_min}")
     return None
 
 
@@ -373,13 +370,14 @@ def _check_bakry_emery(ctx: Ctx):
         if mem is None:
             continue
         for x in range(mem.graph.n):
-            k = bakry_emery_curvature(mem.graph, x)
-            if abs(k - 2) > 1e-6:
-                return f"Q{n} vertex {x}: curvature {k}"
+            # K(x) == 2: the pencil at r = 2 is positive semidefinite and singular
+            psd, nullity = _pencil_psd_nullity(mem.graph, x, Fraction(2))
+            if not (psd and nullity):
+                return f"Q{n} vertex {x}: curvature {bakry_emery_curvature(mem.graph, x)}"
     positive = []
     for mem in ctx.corpus:
         try:
-            rep = be_effective_bound_report(mem.graph, ctx.tol)
+            rep = be_effective_bound_report(mem.graph)
         except NonpositiveCurvatureError:
             continue
         if not rep.bound_holds:
@@ -401,7 +399,7 @@ def _check_bakry_emery(ctx: Ctx):
 def _classify_reports(ctx: Ctx):
     if "classify" not in ctx.memo:
         ctx.memo["classify"] = tuple(
-            (mem, classify(mem.graph, ctx.tol)) for mem in ctx.corpus
+            (mem, classify(mem.graph)) for mem in ctx.corpus
         )
     return ctx.memo["classify"]
 
@@ -641,14 +639,15 @@ def _check_reflective_sharp_identity(ctx: Ctx):
         g = mem.graph
         if not _lc(g):
             continue
-        lich = is_lichnerowicz_sharp(g, ctx.tol)
+        lich = is_lichnerowicz_sharp(g)
         if not lich.sharp:
             return f"{mem.name}: gap {lich.lam} vs kappa {lich.kappa_min}"
         ia = is_distance_regular(g).array
         if ia is None:
             return f"{mem.name}: locally connected reflective but not DR"
-        pred = float(curvature_from_intersection_array(ia))
-        if abs(lich.lam - pred) > 1e-8:
+        # the gap equals kappa exactly, so compare kappa with 1+b0-b1
+        pred = curvature_from_intersection_array(ia)
+        if lich.kappa_min != pred:
             return f"{mem.name}: gap {lich.lam} vs 1+b0-b1 {pred}"
     return None
 
@@ -967,8 +966,7 @@ def _check_form_properties(ctx: Ctx):
         for x in vertices:
             # building a LocalForm rejects an asymmetric matrix
             gamma2_form(g, x)
-            gam = np.array(gamma_form(g, x).numerators, dtype=float)
-            if float(np.linalg.eigvalsh(gam)[0]) < -1e-10:
+            if not _psd_nullity(gamma_form(g, x).numerators)[0]:
                 return f"{mem.name} vertex {x}: gradient form not psd"
     return None
 
@@ -1015,8 +1013,8 @@ def _check_report_determinism(ctx: Ctx):
         "Q2 x CP(3)": lambda: cartesian_product(hypercube(2), cocktail_party(3)),
     }
     for name, build in builders.items():
-        first = report_to_json(classify(build(), ctx.tol))
-        second = report_to_json(classify(build(), ctx.tol))
+        first = report_to_json(classify(build()))
+        second = report_to_json(classify(build()))
         if first != second:
             return f"{name}: reports differ between runs"
     return None
@@ -1078,12 +1076,11 @@ def _run_one(name, fn, ctx: Ctx) -> CheckResult:
     return CheckResult(name, witness is None, witness, time.time() - t0)
 
 
-def run_all_checks(corpus=None, tol: float = 1e-8, max_lp_support: int = 10):
+def run_all_checks(corpus=None, max_lp_support: int = 10):
     """Acceptance criteria plus every module invariant suite, one table."""
     standard = corpus is None
     corpus = standard_corpus() if standard else tuple(corpus)
     if not corpus:
         return []
-    ctx = Ctx(corpus=corpus, tol=tol, max_lp_support=max_lp_support,
-              standard=standard)
+    ctx = Ctx(corpus=corpus, max_lp_support=max_lp_support, standard=standard)
     return [_run_one(name, fn, ctx) for name, fn in ACCEPTANCE_CHECKS + INVARIANT_CHECKS]

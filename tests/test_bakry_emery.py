@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import connected_graphs
 from gcurv.bakry_emery import (
+    _pencil_psd_nullity,
     LocalForm,
     bakry_emery_curvature,
     be_effective_bound_report,
@@ -37,6 +38,9 @@ def test_hypercube_curvature_two(n):
     g = hypercube(n)
     for x in range(g.n):
         assert abs(bakry_emery_curvature(g, x) - 2) < 1e-6
+        # exactly: the pencil Gamma_2 - 2 Gamma is psd and singular
+        psd, nullity = _pencil_psd_nullity(g, x, Fraction(2))
+        assert psd and nullity > 0
 
 
 def test_triangle_curvature():
@@ -130,9 +134,11 @@ def test_effective_bound_octahedron(octahedron):
     rep = be_effective_bound_report(octahedron)
     assert rep.bound_holds
     assert not rep.equality
+    assert rep.k_snapped is None
 
 
 def test_effective_bound_rejects_flat_graph():
+    # K_min of C6 is exactly 0, which the positive definiteness test sees
     with pytest.raises(NonpositiveCurvatureError):
         be_effective_bound_report(cycle(6))
 

@@ -10,7 +10,7 @@ from gcurv.classify import (
     identify_family,
     report_to_json,
 )
-from gcurv.errors import InvalidParameterError, TrivialGraphError
+from gcurv.errors import TrivialGraphError
 from gcurv.families import (
     complete_graph,
     cycle,
@@ -81,19 +81,33 @@ def test_trivial_graph_rejected():
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, float("inf"), float("nan")])
 @pytest.mark.parametrize("call", [
-    lambda g, tol: classify(g, tol),
-    lambda g, tol: smallest_positive_laplacian_eigenvalue(g, tol),
-    lambda g, tol: is_lichnerowicz_sharp(g, tol),
-    lambda g, tol: theta_condition(g, is_distance_regular(g), tol),
-    lambda g, tol: be_effective_bound_report(g, tol),
-    lambda g, tol: bakry_emery_curvature(g, 0, tol),
+    lambda g, tol: classify(g, tol=tol),
+    lambda g, tol: smallest_positive_laplacian_eigenvalue(g, tol=tol),
+    lambda g, tol: is_lichnerowicz_sharp(g, tol=tol),
+    lambda g, tol: theta_condition(g, is_distance_regular(g).array, tol=tol),
+    lambda g, tol: be_effective_bound_report(g, tol=tol),
+    lambda g, tol: bakry_emery_curvature(g, 0, tol=tol),
 ], ids=["classify", "spectral_gap", "lichnerowicz", "theta",
         "be_bound", "be_curvature"])
 def test_library_rejects_bad_tolerance(call, tol):
-    # on Q 3, tol=-1 used to return the zero eigenvalue as the gap and
-    # tol=inf to call a curvature of 2 nonpositive
-    with pytest.raises(InvalidParameterError):
+    # the verdicts are exact, so no function takes a tolerance any more
+    with pytest.raises(TypeError, match="tol"):
         call(hypercube(3), tol)
+
+
+def test_spectral_gap_is_never_the_zero_eigenvalue():
+    # a negative tolerance once returned the zero eigenvalue as the gap of Q 3
+    g = hypercube(3)
+    assert abs(smallest_positive_laplacian_eigenvalue(g) - 2) < 1e-9
+    assert is_lichnerowicz_sharp(g).sharp
+    assert abs(classify(g).lambda_ - 2) < 1e-9
+
+
+def test_curvature_two_is_never_called_nonpositive():
+    # an infinite tolerance once called the vertex curvature 2 of Q 3 nonpositive
+    rep = be_effective_bound_report(hypercube(3))
+    assert rep.equality and rep.bound_holds
+    assert rep.k_snapped == 2
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 
 from gcurv import cli
 from gcurv.classify import TheoremVerdict, classify
+from gcurv.families import FamilySpec
 from gcurv.graphs import build_graph
 from gcurv.verify import (
     ACCEPTANCE_CHECKS,
@@ -72,6 +73,22 @@ def test_truncated_family_is_input_error(capsys, expr):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("expr,where", [("Z 4", "(column 1)"), ("( K 2 x", "(column 5)")])
+def test_family_error_reports_token_position(capsys, expr, where):
+    code, _, err = run(capsys, "info", "--family", expr)
+    assert code == 2
+    assert err.startswith("input error: ") and err.rstrip().endswith(where)
+
+
+@pytest.mark.parametrize("expr", ["Q 30", "K 100000", "( Q 10 x Q 10 )"])
+def test_family_over_budget_is_input_error(capsys, monkeypatch, expr):
+    monkeypatch.setattr(FamilySpec, "build",
+                        lambda self: pytest.fail("built an over-budget graph"))
+    code, _, err = run(capsys, "info", "--family", expr)
+    assert code == 2
+    assert "input budget" in err
+
+
 def test_deeply_nested_family_is_input_error(capsys):
     expr = "( " * 2000 + "K 2" + " )" * 2000
     code, _, err = run(capsys, "curvature", "--family", expr)
@@ -120,7 +137,8 @@ def test_bakry_emery_json_bound(capsys):
     ("verify-theorems", "--corpus", "standard"),
 ], ids=["classify", "bakry-emery", "verify-theorems"])
 def test_tolerance_must_be_finite_and_positive(capsys, argv, tol):
-    # rejected while parsing, before any graph or corpus is built
+    # the verdicts are exact and --tol is gone: argparse refuses it as an
+    # unknown option, before any graph or corpus is built
     with pytest.raises(SystemExit) as exc:
         cli.main([*argv, "--tol", tol])
     assert exc.value.code == 2
@@ -141,13 +159,13 @@ def test_max_lp_support_must_be_at_least_two(capsys, support):
 def test_narrow_lp_support_on_standard_corpus_passes(support):
     # a valid N below the default narrows the oracle's scope on purpose,
     # so the standard corpus's scope floor must not report it as a failure
-    ctx = Ctx(corpus=standard_corpus(), tol=1e-8, max_lp_support=support,
+    ctx = Ctx(corpus=standard_corpus(), max_lp_support=support,
               standard=True)
     assert _check_oracle_equivalence(ctx) is None
 
 
 def test_oracle_scope_floor_holds_at_default_support():
-    ctx = Ctx(corpus=standard_corpus()[:1], tol=1e-8, max_lp_support=10,
+    ctx = Ctx(corpus=standard_corpus()[:1], max_lp_support=10,
               standard=True)
     witness = _check_oracle_equivalence(ctx)
     assert witness is not None and witness.startswith("oracle scope unexpectedly small")
@@ -195,7 +213,7 @@ def test_classification_reports_a_failure_without_witness():
     mem = CorpusMember(name="K2", graph=build_graph(2, [(0, 1)]))
     report = replace(classify(mem.graph),
                      theorem_verdicts={"eff_bm_sharp": TheoremVerdict(False, None)})
-    ctx = Ctx(corpus=(mem,), tol=1e-8, max_lp_support=10, standard=False,
+    ctx = Ctx(corpus=(mem,), max_lp_support=10, standard=False,
               memo={"classify": ((mem, report),)})
     assert _check_classification(ctx) == "K2: eff_bm_sharp: failed without witness"
 

@@ -19,7 +19,7 @@ from gcurv.families import (
     path_graph,
     schlafli,
 )
-from gcurv.graphs import are_isomorphic, induced_subgraph
+from gcurv.graphs import MAX_EDGES, MAX_VERTICES, are_isomorphic, induced_subgraph
 
 
 @pytest.mark.parametrize("k", range(2, 6))
@@ -135,6 +135,37 @@ def test_parse_family_error_columns(bad, col):
     with pytest.raises(ParseError) as exc:
         parse_family(bad)
     assert exc.value.column == col
+
+
+@pytest.mark.parametrize("text", [
+    "K 5", "C 7", "KB 3 4", "CP 4", "J 7 3", "HQ 6", "Q 5", "H 3 4",
+    "schlafli", "gosset", "( Q 2 x ( CP 3 x K 2 ) )",
+])
+def test_spec_size_matches_built_graph(text):
+    spec = parse_family(text)
+    g = spec.build()
+    assert spec.size() == (g.n, g.m)
+
+
+@pytest.mark.parametrize("text", [
+    "Q 30", "K 100000", "H 1000000000 2", "J 1000000000 500000000",
+    "HQ 99999999999999", "( Q 10 x Q 10 )", f"K {MAX_VERTICES + 1}",
+])
+def test_parse_family_refuses_vertex_budget(text):
+    # decided by arithmetic on the spec; parse_family builds nothing
+    with pytest.raises(ParseError, match=f"{MAX_VERTICES} vertices"):
+        parse_family(text)
+
+
+def test_parse_family_refuses_edge_budget():
+    k = 2
+    while k * (k - 1) // 2 <= MAX_EDGES:
+        k += 1
+    assert k <= MAX_VERTICES
+    with pytest.raises(ParseError, match=f"{MAX_EDGES} edges"):
+        parse_family(f"K {k}")
+    assert parse_family(f"K {k - 1}").size()[1] <= MAX_EDGES
+    assert parse_family("Q 12").size() == (MAX_VERTICES, 12 * MAX_VERTICES // 2)
 
 
 def test_parse_family_bounds_product_nesting():

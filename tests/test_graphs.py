@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import connected_graphs
+from gcurv import graphs
 from gcurv.errors import (
     DisconnectedError,
     DuplicateEdgeError,
@@ -12,6 +13,8 @@ from gcurv.errors import (
 )
 from gcurv.families import cocktail_party, complete_graph, cycle, path_graph
 from gcurv.graphs import (
+    MAX_EDGES,
+    MAX_VERTICES,
     are_isomorphic,
     ball,
     build_graph,
@@ -55,6 +58,20 @@ def test_parse_edge_list_reports_line():
     with pytest.raises(ParseError) as exc:
         parse_edge_list("3 2\n0 1\n1 1\n")
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("text,line", [
+    ("1000000000 0\n", 1),
+    (f"# big\n{MAX_VERTICES + 1} {MAX_VERTICES}\n", 2),
+    (f"{MAX_VERTICES} {MAX_EDGES + 1}\n", 1),
+])
+def test_parse_edge_list_refuses_header_over_budget(monkeypatch, text, line):
+    # refused from the header alone: nothing may be built
+    monkeypatch.setattr(graphs, "build_graph",
+                        lambda *a: pytest.fail("built an over-budget graph"))
+    with pytest.raises(ParseError, match="input budget") as exc:
+        parse_edge_list(text)
+    assert exc.value.line == line
 
 
 def test_parse_edge_list_edge_count_mismatch():

@@ -1,6 +1,10 @@
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import connected_graphs
 from gcurv.errors import NotDistanceRegularError
@@ -17,6 +21,7 @@ from gcurv.families import (
 )
 from gcurv.ollivier import min_edge_curvature
 from gcurv.spectral import (
+    _psd_nullity,
     adjacency_matrix,
     adjacency_spectrum,
     is_distance_regular,
@@ -78,8 +83,13 @@ def test_intersection_array_diameter(j52):
 def test_lichnerowicz_sharp_on_johnson(j52):
     res = is_lichnerowicz_sharp(j52)
     assert res.sharp
-    assert res.kappa_min == 5
-    assert res.lam_snapped == 5 and res.snap_agrees
+    assert res.kappa_min == 5 and res.holds
+
+
+def test_lichnerowicz_sharp_on_gosset(gosset_graph):
+    res = is_lichnerowicz_sharp(gosset_graph)
+    assert res.sharp and res.holds
+    assert res.kappa_min == 18
 
 
 def test_lichnerowicz_not_sharp_on_even_cycle():
@@ -93,7 +103,6 @@ def test_theta_condition_johnson(j52):
     th = theta_condition(j52, ia)
     assert abs(th.theta - 1) < 1e-6
     assert th.matches_b1_minus_1
-    assert th.matches_b0_minus_lam
 
 
 def test_theta_condition_requires_array():
@@ -183,3 +192,58 @@ def test_lichnerowicz_inequality_random(g):
         return
     lam = smallest_positive_laplacian_eigenvalue(g)
     assert lam >= float(mec.value) - 1e-8
+    res = is_lichnerowicz_sharp(g)
+    assert res.holds
+    assert res.sharp == (abs(lam - float(mec.value)) < 1e-6)
+
+
+@st.composite
+def symmetric_int_matrices(draw):
+    """Small symmetric integer matrices: free entries, Gram matrices B^T B
+    of rank at most k, and B^T B - cI."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["free", "gram", "shifted"]))
+    if kind == "free":
+        upper = {(i, j): draw(st.integers(-3, 3)) for i in range(n) for j in range(i, n)}
+        return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    b = [[draw(st.integers(-2, 2)) for _ in range(n)]
+         for _ in range(draw(st.integers(0, n)))]
+    c = draw(st.integers(1, 3)) if kind == "shifted" else 0
+    return [[sum(r[i] * r[j] for r in b) - c * (i == j) for j in range(n)]
+            for i in range(n)]
+
+
+def _echelon(rows):
+    """Row echelon form over the rationals; returns (rank, product of pivots)."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank, det = 0, Fraction(1)
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        if piv != rank:
+            det = -det
+        det *= m[rank][col]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank, det
+
+
+@given(symmetric_int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_psd_nullity_matches_principal_minors(mat):
+    n = len(mat)
+    psd = all(
+        _echelon([[mat[i][j] for j in sub] for i in sub])[1] >= 0
+        for k in range(1, n + 1) for sub in combinations(range(n), k)
+    )
+    got_psd, nullity = _psd_nullity(mat)
+    assert got_psd == psd
+    if psd:
+        assert nullity == n - _echelon(mat)[0]
+    else:
+        assert nullity is None
