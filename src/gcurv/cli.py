@@ -228,8 +228,13 @@ def _load_corpus(path: str):
                 spec = parse_family(line)
             except ParseError as exc:
                 raise ParseError(f"corpus line {lineno}: {exc}", line=lineno)
+            g = spec.build()
+            # every check needs an edge; classify refuses the same graphs
+            if g.n < 2:
+                raise ParseError(f"corpus line {lineno}: {spec.label()} "
+                                 "needs at least two vertices")
             members.append(CorpusMember(
-                name=spec.label(), graph=spec.build(), expectations=False,
+                name=spec.label(), graph=g, expectations=False,
                 vertex_transitive=False,
             ))
     if not members:

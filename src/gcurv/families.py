@@ -287,8 +287,8 @@ def parse_family(text: str) -> FamilySpec:
 
     Keywords are case insensitive and tokens are whitespace separated.
     Products nest, at most MAX_PRODUCT_NESTING deep: "( ( Q 2 x CP 3 ) x K 2 )".
-    An expression whose graph would exceed the input budget of
-    graphs.check_budget is refused here, before anything is built.
+    An expression with a subexpression whose graph would exceed the input
+    budget of graphs.check_budget is refused here, before anything is built.
     """
     tokens = text.split()
     if not tokens:
@@ -296,7 +296,20 @@ def parse_family(text: str) -> FamilySpec:
     spec, pos = _parse_expr(tokens, 0, 0)
     if pos != len(tokens):
         raise ParseError("trailing input", column=pos + 1)
-    check_budget(*spec.size())
+    return spec
+
+
+def _sized(spec: FamilySpec, column: int) -> FamilySpec:
+    """spec, once it has a vertex and fits the input budget.
+
+    Every subexpression is built on its own, so each must fit.  A count
+    below one comes from invalid parameters and, multiplied into a product,
+    would hide the size of the other factor.
+    """
+    n, m = spec.size()
+    if n < 1:
+        raise ParseError(f"{spec.label()} has no vertices", column=column)
+    check_budget(n, m)
     return spec
 
 
@@ -305,6 +318,7 @@ def _parse_expr(tokens, pos, depth):
         raise ParseError("expression ends early", column=pos + 1)
     tok = tokens[pos]
     if tok == "(":
+        start = pos
         if depth == MAX_PRODUCT_NESTING:
             raise ParseError(
                 f"products nest deeper than {MAX_PRODUCT_NESTING} levels",
@@ -316,7 +330,7 @@ def _parse_expr(tokens, pos, depth):
         right, pos = _parse_expr(tokens, pos + 1, depth + 1)
         if pos >= len(tokens) or tokens[pos] != ")":
             raise ParseError("expected ')' closing product", column=pos + 1)
-        return FamilySpec("product", factors=(left, right)), pos + 1
+        return _sized(FamilySpec("product", factors=(left, right)), start + 1), pos + 1
     key = tok.lower()
     if key not in _KEYWORDS:
         raise ParseError(f"unknown family keyword {tok!r}", column=pos + 1)
@@ -333,4 +347,4 @@ def _parse_expr(tokens, pos, depth):
                 f"parameter of {kind} must be an integer, got {tokens[pos + 1 + i]!r}",
                 column=pos + 2 + i,
             )
-    return FamilySpec(kind, tuple(params)), pos + 1 + arity
+    return _sized(FamilySpec(kind, tuple(params)), pos + 1), pos + 1 + arity

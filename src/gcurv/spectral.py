@@ -223,7 +223,8 @@ def is_lichnerowicz_sharp(g: Graph) -> LichnerowiczResult:
         kappa = min_edge_curvature(g).value
         holds, nullity = _gap_test(g, kappa) if kappa > 0 else (True, 0)
         g.cache["lichnerowicz"] = LichnerowiczResult(
-            nullity >= 2, smallest_positive_laplacian_eigenvalue(g), kappa, holds)
+            holds and nullity >= 2, smallest_positive_laplacian_eigenvalue(g),
+            kappa, holds)
     return g.cache["lichnerowicz"]
 
 

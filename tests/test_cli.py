@@ -49,9 +49,10 @@ def test_classify_json(capsys):
 
 
 def test_classify_json_deterministic(capsys):
-    _, first, _ = run(capsys, "classify", "--family", "Q 3", "--json")
-    _, second, _ = run(capsys, "classify", "--family", "Q 3", "--json")
-    assert first == second
+    for expr in ("Q 3", "C 5", "( Q 2 x CP 3 )"):
+        _, first, _ = run(capsys, "classify", "--family", expr, "--json")
+        _, second, _ = run(capsys, "classify", "--family", expr, "--json")
+        assert first == second
 
 
 def test_reflective_failure_exit_code(capsys):
@@ -206,6 +207,16 @@ def test_verify_theorems_empty_corpus_is_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "verify-theorems", "--corpus", str(corpus))
     assert code == 2
     assert "corpus file lists no graphs" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("expr", ["K 1", "( K 1 x K 1 )"])
+def test_verify_theorems_single_vertex_member_is_input_error(tmp_path, capsys, expr):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"K 2\n# a comment\n{expr}\n")
+    code, out, err = run(capsys, "verify-theorems", "--corpus", str(corpus))
+    assert code == 2
+    assert f"corpus line 3: {expr} needs at least two vertices" in err
     assert out == ""
 
 

@@ -86,7 +86,8 @@ def test_factor_effective_diameters_add():
         == effective_diameter(g1) + effective_diameter(g2)
 
 
-_PRIME_POOL = [complete_graph(2), complete_graph(3), cycle(5), path_graph(3)]
+_PRIME_POOL = [complete_graph(2), complete_graph(3), cycle(5), path_graph(3),
+               cocktail_party(3)]
 
 
 @given(st.lists(st.sampled_from(range(len(_PRIME_POOL))), min_size=2,

@@ -2,19 +2,28 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import connected_graphs
 from gcurv import graphs
 from gcurv.errors import (
     DisconnectedError,
     DuplicateEdgeError,
+    GcurvError,
     ParseError,
     SelfLoopError,
 )
-from gcurv.families import cocktail_party, complete_graph, cycle, path_graph
+from gcurv.families import (
+    cocktail_party,
+    complete_bipartite,
+    complete_graph,
+    cycle,
+    path_graph,
+)
 from gcurv.graphs import (
     MAX_EDGES,
     MAX_VERTICES,
+    Graph,
     are_isomorphic,
     ball,
     build_graph,
@@ -72,6 +81,40 @@ def test_parse_edge_list_refuses_header_over_budget(monkeypatch, text, line):
     with pytest.raises(ParseError, match="input budget") as exc:
         parse_edge_list(text)
     assert exc.value.line == line
+
+
+_LINE = st.lists(
+    st.one_of(st.integers(-1, 7).map(str),
+              st.sampled_from(["#", "x", "1.5", "0x1", "1000000000"]),
+              st.text(max_size=3)),
+    max_size=4,
+).map(" ".join)
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """A header and edge lines over a few vertices, with noise lines mixed in."""
+    n = draw(st.integers(-1, 7))
+    pairs = draw(st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7)),
+                          max_size=6))
+    if draw(st.booleans()):  # a spanning path makes a valid graph likely
+        pairs = [(v - 1, v) for v in range(1, n)] + pairs
+    m = draw(st.one_of(st.just(len(pairs)), st.integers(-1, 12)))
+    lines = [f"{n} {m}"] + [f"{u} {v}" for (u, v) in pairs]
+    for pos, line in draw(st.lists(st.tuples(st.integers(0, len(lines)), _LINE),
+                                   max_size=3)):
+        lines.insert(pos, line)
+    return "\n".join(lines)
+
+
+@given(st.one_of(_edge_list_texts(), st.text(max_size=40)))
+@settings(max_examples=300, deadline=None)
+def test_edge_list_text_gives_graph_or_gcurv_error(text):
+    try:
+        g = parse_edge_list(text)
+    except GcurvError:
+        return
+    assert isinstance(g, Graph)
 
 
 def test_parse_edge_list_edge_count_mismatch():
@@ -138,6 +181,8 @@ def test_not_isomorphic_same_degree_sequence():
     assert are_isomorphic(cycle(6), build_graph(
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)],
     )) is None
+    # six vertices each, both bipartite and vertex transitive
+    assert are_isomorphic(complete_bipartite(3, 3), cycle(6)) is None
 
 
 @given(connected_graphs())

@@ -31,6 +31,7 @@ from gcurv.spectral import (
     smallest_positive_laplacian_eigenvalue,
     theta_condition,
 )
+from gcurv.verify import CorpusMember, Ctx, _check_lichnerowicz_sharpness
 
 
 def test_laplacian_spectrum_triangle():
@@ -90,6 +91,22 @@ def test_lichnerowicz_sharp_on_gosset(gosset_graph):
     res = is_lichnerowicz_sharp(gosset_graph)
     assert res.sharp and res.holds
     assert res.kappa_min == 18
+
+
+def test_lichnerowicz_violation_is_reported_with_its_witness(monkeypatch):
+    # kappa = 3 lies above the gap 2 of Q3, so the gap matrix is indefinite
+    import gcurv.ollivier
+
+    real = gcurv.ollivier.min_edge_curvature
+    monkeypatch.setattr(gcurv.ollivier, "min_edge_curvature",
+                        lambda g: real(g)._replace(value=Fraction(3)))
+    res = is_lichnerowicz_sharp(hypercube(3))
+    assert (res.sharp, res.holds) == (False, False)
+    ctx = Ctx(corpus=(CorpusMember(name="Q3", graph=hypercube(3)),),
+              max_lp_support=10, standard=False)
+    witness = _check_lichnerowicz_sharpness(ctx)
+    assert witness.startswith("Q3: Lichnerowicz violation, lam ")
+    assert witness.endswith("< kappa 3")
 
 
 def test_lichnerowicz_not_sharp_on_even_cycle():
