@@ -9,38 +9,24 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass
 
 from gcurv import (
     classify,
     effective_diameter,
     is_reflective,
+    load_corpus,
     min_edge_curvature,
-    parse_family,
     smallest_positive_laplacian_eigenvalue,
     standard_corpus,
 )
+from gcurv.errors import GcurvError
 
 
-@dataclass
-class SurveyConfig:
-    corpus_path: str | None = None
-    csv_path: str | None = None
-    full_reports: bool = False
-
-
-def load_members(cfg: SurveyConfig):
-    if cfg.corpus_path is None:
-        return [(mem.name, mem.graph) for mem in standard_corpus()]
-    members = []
-    with open(cfg.corpus_path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            spec = parse_family(line)
-            members.append((spec.label(), spec.build()))
-    return members
+def load_members(corpus_path):
+    if corpus_path is None:
+        return standard_corpus()
+    with open(corpus_path, encoding="utf-8") as handle:
+        return load_corpus(handle)
 
 
 def survey_row(name: str, g) -> dict:
@@ -67,13 +53,18 @@ def main(argv=None) -> int:
     ap.add_argument("--reports", action="store_true",
                     help="print the full classification report per member")
     args = ap.parse_args(argv)
-    cfg = SurveyConfig(args.corpus, args.csv, args.reports)
+    try:
+        members = load_members(args.corpus)
+    except (GcurvError, OSError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
 
     rows = []
     start = time.monotonic()
-    for name, g in load_members(cfg):
+    for mem in members:
+        name, g = mem.name, mem.graph
         rows.append(survey_row(name, g))
-        if cfg.full_reports:
+        if args.reports:
             rep = classify(g)
             verdicts = ", ".join(
                 f"{k.split('_')[0]}={'ok' if v.passed else 'FAIL'}"
@@ -91,12 +82,12 @@ def main(argv=None) -> int:
         print("  ".join(str(r[k]).ljust(widths[k]) for k in header))
     print(f"# {len(rows)} members, {time.monotonic() - start:.1f}s")
 
-    if cfg.csv_path:
-        with open(cfg.csv_path, "w", newline="") as handle:
+    if args.csv:
+        with open(args.csv, "w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=header)
             writer.writeheader()
             writer.writerows(rows)
-        print(f"# wrote {cfg.csv_path}")
+        print(f"# wrote {args.csv}")
     return 0
 
 

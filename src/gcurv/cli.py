@@ -24,7 +24,7 @@ from .graphs import effective_diameter, is_locally_connected, read_edge_list
 from .ollivier import edge_curvature, min_edge_curvature
 from .reflective import is_reflective
 from .spectral import adjacency_spectrum, laplacian_spectrum
-from .verify import CorpusMember, run_all_checks
+from .verify import load_corpus, run_all_checks
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -217,34 +217,12 @@ def _cmd_classify(args):
     return EXIT_INTERNAL if hard_failure else EXIT_OK
 
 
-def _load_corpus(path: str):
-    members = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                spec = parse_family(line)
-            except ParseError as exc:
-                raise ParseError(f"corpus line {lineno}: {exc}", line=lineno)
-            g = spec.build()
-            # every check needs an edge; classify refuses the same graphs
-            if g.n < 2:
-                raise ParseError(f"corpus line {lineno}: {spec.label()} "
-                                 "needs at least two vertices")
-            members.append(CorpusMember(
-                name=spec.label(), graph=g, expectations=False,
-                vertex_transitive=False,
-            ))
-    if not members:
-        raise ParseError("corpus file lists no graphs")
-    return members
-
-
 def _cmd_verify_theorems(args):
     # no corpus selects the standard one, with its oracle scope floor
-    corpus = None if args.corpus == "standard" else _load_corpus(args.corpus)
+    corpus = None
+    if args.corpus != "standard":
+        with open(args.corpus, "r", encoding="utf-8") as fh:
+            corpus = load_corpus(fh)
     results = run_all_checks(corpus, max_lp_support=args.max_lp_support)
     payload = {
         "corpus": args.corpus,

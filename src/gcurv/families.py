@@ -1,24 +1,29 @@
 """Generators for the named graph families and Cartesian products.
 
-Every generator produces a deterministic vertex labeling and validates the
-result against the family's expected order, regularity, and diameter before
-returning it.
+Every generator produces a deterministic vertex labeling, and those of the
+vertex-transitive families validate the result against the family's
+expected order, regularity, and diameter before returning it.
 """
 
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import InvalidParameterError, ParseError
-from .graphs import MAX_VERTICES, Graph, build_graph, check_budget
+from .graphs import MAX_VERTICES, Graph, _bfs_row, build_graph, check_budget
 
 
 def _check(g: Graph, what: str, n: int, degree: int, diameter: int) -> Graph:
+    """g, once its order, degree and diameter match; g must be vertex-transitive.
+
+    On a vertex-transitive graph every eccentricity is the diameter, so one
+    breadth-first search replaces the all-pairs distance matrix.
+    """
     if g.n != n:
         raise InvalidParameterError(f"{what}: expected {n} vertices, built {g.n}")
     degs = {g.degree(v) for v in range(g.n)}
     if degs != {degree}:
         raise InvalidParameterError(f"{what}: expected {degree}-regular, got degrees {sorted(degs)}")
-    ecc = max(max(row) for row in g.dist_rows())
+    ecc = max(_bfs_row(g, 0))
     if ecc != diameter:
         raise InvalidParameterError(f"{what}: expected diameter {diameter}, got {ecc}")
     return g
@@ -144,6 +149,17 @@ def gosset() -> Graph:
     return _check(build_graph(56, edges), "Gosset", 56, 27, 3)
 
 
+def petersen() -> Graph:
+    """The Petersen graph: 2-subsets of a 5-set, adjacent when disjoint."""
+    subsets = list(combinations(range(5), 2))
+    edges = [
+        (i, j)
+        for (i, s), (j, t) in combinations(enumerate(subsets), 2)
+        if not set(s) & set(t)
+    ]
+    return _check(build_graph(10, edges), "Petersen", 10, 3, 2)
+
+
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     """Cartesian product: (u1,u2) ~ (v1,v2) iff equal in one slot, adjacent in the other."""
     n2 = g2.n
@@ -201,6 +217,17 @@ class FamilySpec:
             return n1 * n2, m1 * n2 + m2 * n1
         return _SIZES[self.kind](*self.params)
 
+    def prime_factors(self) -> list:
+        """(vertices, edges, kappa) of each prime factor of the built graph.
+
+        kappa is the constant edge curvature of a factor on the paper's list
+        (cocktail party, Johnson, halved cube, Schlafli, Gosset) and None for
+        any other factor.
+        """
+        if self.kind == "product":
+            return [p for f in self.factors for p in f.prime_factors()]
+        return _PRIMES[self.kind](*self.params)
+
     def build(self) -> Graph:
         if self.kind == "product":
             left, right = self.factors
@@ -212,6 +239,7 @@ class FamilySpec:
 _GENERATORS = {
     "K": complete_graph,
     "C": cycle,
+    "P": path_graph,
     "KB": complete_bipartite,
     "CP": cocktail_party,
     "J": johnson,
@@ -220,11 +248,12 @@ _GENERATORS = {
     "H": hamming,
     "schlafli": schlafli,
     "gosset": gosset,
+    "petersen": petersen,
 }
 
 _ARITY = {
-    "K": 1, "C": 1, "KB": 2, "CP": 1, "J": 2, "HQ": 1, "Q": 1, "H": 2,
-    "schlafli": 0, "gosset": 0,
+    "K": 1, "C": 1, "P": 1, "KB": 2, "CP": 1, "J": 2, "HQ": 1, "Q": 1, "H": 2,
+    "schlafli": 0, "gosset": 0, "petersen": 0,
 }
 
 _KEYWORDS = {k.lower(): k for k in _GENERATORS}
@@ -238,6 +267,7 @@ def _regular(n: int, degree: int) -> tuple:
 _SIZES = {
     "K": lambda n: (n, n * (n - 1) // 2),
     "C": lambda n: (n, n),
+    "P": lambda n: (n, n - 1),
     "KB": lambda a, b: (a + b, a * b),
     "CP": lambda k: (2 * k, 2 * k * (k - 1)),
     "J": lambda n, k: _regular(_capped_comb(n, k), k * (n - k)),
@@ -246,6 +276,32 @@ _SIZES = {
     "H": lambda m, q: _regular(_capped_pow(q, m), m * (q - 1)),
     "schlafli": lambda: (27, 216),
     "gosset": lambda: (56, 756),
+    "petersen": lambda: (10, 15),
+}
+
+_K2 = (2, 1, 2)
+
+
+def _complete(n: int) -> list:
+    # K n is J n 1, of curvature n; K 1 has no prime factor
+    return [] if n == 1 else [(n, n * (n - 1) // 2, n)]
+
+
+# prime factors per generator, as FamilySpec.prime_factors reports them
+_PRIMES = {
+    "K": _complete,
+    "C": lambda n: _complete(3) if n == 3 else [_K2, _K2] if n == 4 else [(n, n, None)],
+    "P": lambda n: _complete(n) if n <= 2 else [(n, n - 1, None)],
+    "KB": lambda a, b: {(1, 1): [_K2], (2, 2): [_K2, _K2]}.get(
+        (a, b), [(a + b, a * b, None)]),
+    "CP": lambda k: [_K2, _K2] if k == 2 else [(2 * k, 2 * k * (k - 1), 2 * k - 2)],
+    "J": lambda n, k: [_SIZES["J"](n, k) + (n,)],
+    "HQ": lambda n: [_SIZES["HQ"](n) + (2 * n - 2,)],
+    "Q": lambda n: n * [_K2],
+    "H": lambda m, q: m * _complete(q),
+    "schlafli": lambda: [(27, 216, 12)],
+    "gosset": lambda: [(56, 756, 18)],
+    "petersen": lambda: [(10, 15, None)],
 }
 
 

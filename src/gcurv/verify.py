@@ -3,9 +3,10 @@
 Each check returns a witness string on failure and None on success; the
 runner wraps them with timing so the CLI can print a pass/fail table.
 Every check quantifies over the corpus it is given: a property that holds
-on fixed inputs whatever the corpus is a unit test, not a check.  Checks
-gate themselves on preconditions (a reflectivity check skips
-non-reflective members), so the same suite runs on user-supplied corpora.
+on fixed inputs whatever the corpus is a unit test, not a check.  A corpus
+is a list of family expressions, and what the paper predicts of a member
+is read off its expression's prime factors (_predict), so the standard
+corpus and a user's corpus are checked alike.
 """
 
 import random
@@ -13,6 +14,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,27 +30,13 @@ from .bakry_emery import (
     gamma_form,
 )
 from .classify import classify
-from .errors import NonpositiveCurvatureError
-from .factorization import factorize, is_prime
-from .families import (
-    cartesian_product,
-    cocktail_party,
-    complete_bipartite,
-    complete_graph,
-    cycle,
-    gosset,
-    halved_cube,
-    hamming,
-    hypercube,
-    johnson,
-    path_graph,
-    schlafli,
-)
+from .errors import NonpositiveCurvatureError, ParseError
+from .factorization import factorize
+from .families import FamilySpec, cartesian_product, parse_family
 from .graphs import (
     Graph,
     are_isomorphic,
     ball,
-    build_graph,
     effective_diameter,
     is_convex_subset,
     is_isometric_subset,
@@ -89,64 +77,77 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class CorpusMember:
-    name: str
+    spec: FamilySpec
     graph: Graph
-    list_graph: bool = False
-    non_example: bool = False
-    product: bool = False
-    vertex_transitive: bool = True
-    expectations: bool = True
-    expected_kappa: Fraction | None = None
-    expected_diam: Fraction | None = None
+
+    @property
+    def name(self) -> str:
+        return self.spec.label()
 
 
-def petersen() -> Graph:
-    """Complement of the 2-subset Johnson graph on a 5-set."""
-    j = johnson(5, 2)
-    edges = [
-        (u, v)
-        for u in range(10)
-        for v in range(u + 1, 10)
-        if not j.adjacent(u, v)
-    ]
-    return build_graph(10, edges)
+# the graphs the paper names, their products, and graphs that miss the list
+STANDARD_CORPUS = (
+    "CP 2", "CP 3", "CP 4", "CP 5",
+    "J 2 1", "J 4 2", "J 5 2", "J 6 2", "J 6 3", "J 7 3",
+    "HQ 3", "HQ 4", "HQ 5", "HQ 6", "schlafli", "gosset",
+    "Q 1", "Q 2", "Q 3", "Q 4", "Q 5", "H 2 3",
+    "( J 4 2 x CP 3 )", "( K 2 x J 4 2 )", "( Q 2 x CP 3 )",
+    "C 5", "C 6", "KB 3 3", "petersen", "P 4", "( C 5 x K 2 )", "( P 4 x K 2 )",
+)
+
+
+def load_corpus(lines) -> tuple:
+    """Corpus members from family expressions, one per line.
+
+    Blank lines and lines starting with '#' are skipped.  Every member needs
+    an edge, so a graph with fewer than two vertices is refused.
+    """
+    members = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            spec = parse_family(line)
+        except ParseError as exc:
+            raise ParseError(f"corpus line {lineno}: {exc}", line=lineno)
+        g = spec.build()
+        if g.n < 2:
+            raise ParseError(f"corpus line {lineno}: {spec.label()} "
+                             "needs at least two vertices")
+        members.append(CorpusMember(spec, g))
+    if not members:
+        raise ParseError("corpus file lists no graphs")
+    return tuple(members)
 
 
 def standard_corpus() -> tuple:
-    members = []
+    return load_corpus(STANDARD_CORPUS)
 
-    def add(name, g, **kw):
-        members.append(CorpusMember(name=name, graph=g, **kw))
 
-    for k in range(2, 6):
-        add(f"CP({k})", cocktail_party(k), list_graph=True,
-            expected_kappa=Fraction(2 * k - 2), expected_diam=Fraction(1))
-    for (n, k) in [(2, 1), (4, 2), (5, 2), (6, 2), (6, 3), (7, 3)]:
-        add(f"J({n},{k})", johnson(n, k), list_graph=True,
-            expected_kappa=Fraction(n))
-    for n in range(3, 7):
-        add(f"HQ({n})", halved_cube(n), list_graph=True,
-            expected_kappa=Fraction(2 * n - 2), expected_diam=Fraction(n, 4))
-    add("Schläfli", schlafli(), list_graph=True,
-        expected_kappa=Fraction(12), expected_diam=Fraction(4, 3))
-    add("Gosset", gosset(), list_graph=True,
-        expected_kappa=Fraction(18), expected_diam=Fraction(3, 2))
-    for n in range(1, 6):
-        add(f"Q{n}", hypercube(n), list_graph=(n <= 2), product=(n >= 2),
-            expected_kappa=Fraction(2), expected_diam=Fraction(n, 2))
-    add("H(2,3)", hamming(2, 3), product=True)
-    add("J(4,2) x CP(3)",
-        cartesian_product(johnson(4, 2), cocktail_party(3)), product=True)
-    add("K2 x J(4,2)",
-        cartesian_product(complete_graph(2), johnson(4, 2)), product=True)
-    add("Q2 x CP(3)",
-        cartesian_product(hypercube(2), cocktail_party(3)), product=True)
-    add("C5", cycle(5), non_example=True)
-    add("C6", cycle(6), non_example=True)
-    add("K3,3", complete_bipartite(3, 3), non_example=True)
-    add("Petersen", petersen(), non_example=True)
-    add("P4", path_graph(4), non_example=True, vertex_transitive=False)
-    return tuple(members)
+class Prediction(NamedTuple):
+    """What the paper's theorems say of a member, read off its prime factors.
+
+    named: every factor is a cocktail party, Johnson, halved cube, Schlafli
+    or Gosset graph, which is exactly when the member is reflective.  sharp:
+    named with equal factor curvatures, which is exactly when the effective
+    diameter bound is attained.  kappa and diam_eff are None unless named.
+    """
+
+    named: bool
+    kappa: Fraction | None
+    sharp: bool
+    diam_eff: Fraction | None
+
+
+def _predict(mem: CorpusMember) -> Prediction:
+    primes = mem.spec.prime_factors()
+    kappas = [k for _, _, k in primes]
+    if None in kappas:
+        return Prediction(False, None, False, None)
+    # a listed factor attains the bound: diam_eff = degree / kappa
+    diam = sum(Fraction(2 * m, n * k) for n, m, k in primes)
+    return Prediction(True, Fraction(min(kappas)), len(set(kappas)) == 1, diam)
 
 
 @dataclass
@@ -165,30 +166,8 @@ class CheckResult:
     seconds: float
 
 
-def _member(ctx: Ctx, name: str):
-    for mem in ctx.corpus:
-        if mem.name == name:
-            return mem
-    return None
-
-
 def _lc(g: Graph) -> bool:
     return is_locally_connected(g)[0]
-
-
-def _sharp_members(ctx: Ctx):
-    """Members satisfying the exact rational sharpness equality."""
-    if "sharp" not in ctx.memo:
-        out = []
-        for mem in ctx.corpus:
-            mec = min_edge_curvature(mem.graph)
-            if mec.value > 0 and (
-                effective_diameter(mem.graph) * mec.value
-                == mem.graph.max_degree()
-            ):
-                out.append(mem)
-        ctx.memo["sharp"] = tuple(out)
-    return ctx.memo["sharp"]
 
 
 def _reflective_members(ctx: Ctx):
@@ -204,61 +183,56 @@ def _reflective_members(ctx: Ctx):
 def _check_curvature_constants(ctx: Ctx):
     t0 = time.time()
     for mem in ctx.corpus:
-        if mem.expected_kappa is None:
+        pred = _predict(mem)
+        if not pred.named:
             continue
         mec = min_edge_curvature(mem.graph)
-        if not mec.is_constant:
-            return (f"{mem.name}: curvature not constant, "
+        if mec.value != pred.kappa:
+            return f"{mem.name}: kappa {mec.value} != {pred.kappa}"
+        if mec.is_constant != pred.sharp:
+            return (f"{mem.name}: curvature constant is {mec.is_constant}, "
                     f"{mec.min_edge} vs {mec.other_edge}")
-        if mec.value != mem.expected_kappa:
-            return f"{mem.name}: kappa {mec.value} != {mem.expected_kappa}"
+        if mem.spec.kind == "product":
+            continue
         dr = is_distance_regular(mem.graph)
         if dr.array is None:
             return f"{mem.name}: not distance regular, witness {dr.witness}"
-        pred = curvature_from_intersection_array(dr.array)
-        if pred != mec.value:
-            return f"{mem.name}: 1+b0-b1 = {pred} != kappa {mec.value}"
+        formula = curvature_from_intersection_array(dr.array)
+        if formula != mec.value:
+            return f"{mem.name}: 1+b0-b1 = {formula} != kappa {mec.value}"
     elapsed = time.time() - t0
     if elapsed >= 120:
         return f"runtime budget exceeded: {elapsed:.1f}s"
     return None
 
 
-_DIAM_EQUALITY_PRODUCTS = {"J(4,2) x CP(3)"}
-_DIAM_STRICT_NAMES = {"K2 x J(4,2)", "K3,3"}
-
-
 def _check_effective_diameter(ctx: Ctx):
     for mem in ctx.corpus:
-        g = mem.graph
+        g, pred = mem.graph, _predict(mem)
         de = effective_diameter(g)
-        if mem.expected_diam is not None and de != mem.expected_diam:
-            return f"{mem.name}: diam_eff {de} != {mem.expected_diam}"
+        if pred.named and de != pred.diam_eff:
+            return f"{mem.name}: diam_eff {de} != {pred.diam_eff}"
         mec = min_edge_curvature(g)
+        if mec.value <= 0:
+            continue
         lhs, rhs = de * mec.value, Fraction(g.max_degree())
-        if (mem.list_graph and _lc(g)) or mem.name in _DIAM_EQUALITY_PRODUCTS:
-            if lhs != rhs:
-                return f"{mem.name}: diam_eff*kappa {lhs} != maxdeg {rhs}"
-        if mem.name in _DIAM_STRICT_NAMES or (
-            mem.non_example and mec.value > 0
-        ):
-            if not lhs < rhs:
-                return f"{mem.name}: expected strict bound, {lhs} vs {rhs}"
+        if pred.sharp and lhs != rhs:
+            return f"{mem.name}: diam_eff*kappa {lhs} != maxdeg {rhs}"
+        if not pred.sharp and not lhs < rhs:
+            return f"{mem.name}: expected strict bound, {lhs} vs {rhs}"
     return None
 
 
 def _check_reflectiveness(ctx: Ctx):
     for mem in ctx.corpus:
-        if not mem.expectations:
-            continue
         v = is_reflective(mem.graph)
-        if mem.non_example:
-            if v.reflective:
-                return f"{mem.name}: unexpectedly reflective"
-            if v.counterexample is None:
-                return f"{mem.name}: missing counterexample edge"
-        elif not v.reflective:
-            return f"{mem.name}: not reflective at {v.counterexample}"
+        if _predict(mem).named:
+            if not v.reflective:
+                return f"{mem.name}: not reflective at {v.counterexample}"
+        elif v.reflective:
+            return f"{mem.name}: unexpectedly reflective"
+        elif v.counterexample is None:
+            return f"{mem.name}: missing counterexample edge"
     return None
 
 
@@ -266,7 +240,7 @@ def _check_lichnerowicz_sharpness(ctx: Ctx):
     for mem in ctx.corpus:
         g = mem.graph
         lich = is_lichnerowicz_sharp(g)
-        if mem.list_graph and _lc(g):
+        if _predict(mem).sharp and _lc(g):
             if not lich.sharp:
                 return f"{mem.name}: lam {lich.lam} vs kappa {lich.kappa_min}"
             ia = is_distance_regular(g).array
@@ -283,34 +257,22 @@ def _check_lichnerowicz_sharpness(ctx: Ctx):
 
 
 def _check_factorization_round_trip(ctx: Ctx):
-    q3 = _member(ctx, "Q3")
-    if q3 is not None:
-        fs = factorize(q3.graph)
-        if len(fs) != 3:
-            return f"Q3: {len(fs)} factors"
-        if any(are_isomorphic(f, complete_graph(2)) is None for f in fs):
-            return "Q3: factor not a single edge"
-        rebuilt = reduce(cartesian_product, fs)
-        if are_isomorphic(rebuilt, q3.graph) is None:
-            return "Q3: factor product differs from the original"
-    jc = _member(ctx, "J(4,2) x CP(3)")
-    if jc is not None:
-        fs = factorize(jc.graph)
-        if len(fs) != 2:
-            return f"J(4,2) x CP(3): {len(fs)} factors"
-        if any(are_isomorphic(f, cocktail_party(3)) is None for f in fs):
-            return "J(4,2) x CP(3): factor not an octahedron"
-        if are_isomorphic(reduce(cartesian_product, fs), jc.graph) is None:
-            return "J(4,2) x CP(3): factor product differs"
     for mem in ctx.corpus:
-        if mem.name.startswith(("Schl", "Gosset", "J(")) and " x " not in mem.name:
-            if not is_prime(mem.graph):
-                return f"{mem.name}: expected prime"
+        fs = factorize(mem.graph)
+        sizes = sorted((f.n, f.m) for f in fs)
+        expected = sorted((n, m) for n, m, _ in mem.spec.prime_factors())
+        if sizes != expected:
+            return f"{mem.name}: factor sizes {sizes} != {expected}"
+        if are_isomorphic(reduce(cartesian_product, fs), mem.graph) is None:
+            return f"{mem.name}: factor product differs from the original"
     return None
 
 
 def _check_structural_suite(ctx: Ctx):
-    for mem in _sharp_members(ctx):
+    for mem in ctx.corpus:
+        # criterion_02 holds the predicted sharp members to the bound's equality
+        if not _predict(mem).sharp:
+            continue
         g = mem.graph
         kappa = min_edge_curvature(g).value
         for (x, y) in g.edges:
@@ -363,15 +325,16 @@ def _check_oracle_equivalence(ctx: Ctx):
 
 
 def _check_bakry_emery(ctx: Ctx):
-    for n in range(2, 6):
-        mem = _member(ctx, f"Q{n}")
-        if mem is None:
+    for mem in ctx.corpus:
+        # a hypercube: every prime factor is K 2
+        if any(p != (2, 1, 2) for p in mem.spec.prime_factors()):
             continue
         for x in range(mem.graph.n):
             # K(x) == 2: the pencil at r = 2 is positive semidefinite and singular
             psd, nullity = _pencil_psd_nullity(mem.graph, x, Fraction(2))
             if not (psd and nullity):
-                return f"Q{n} vertex {x}: curvature {bakry_emery_curvature(mem.graph, x)}"
+                return (f"{mem.name} vertex {x}: curvature "
+                        f"{bakry_emery_curvature(mem.graph, x)}")
     positive = []
     for mem in ctx.corpus:
         try:
@@ -444,7 +407,8 @@ def _check_effective_diameter_rows(ctx: Ctx):
         rows = [Fraction(sum(r), g.n) for r in g.dist_rows()]
         if de > max(rows):
             return f"{mem.name}: diam_eff above the worst row average"
-        if mem.vertex_transitive and mem.expectations and len(set(rows)) != 1:
+        # every regular graph the family expressions build is vertex-transitive
+        if g.is_regular() and len(set(rows)) != 1:
             return f"{mem.name}: row averages differ on a transitive graph"
     return None
 
@@ -716,13 +680,11 @@ def _check_parallel_remark(ctx: Ctx):
 
 def _check_factor_arithmetic(ctx: Ctx):
     for mem in ctx.corpus:
-        if not mem.product:
-            continue
         g = mem.graph
         fs = factorize(g)
         if reduce(lambda a, f: a * f.n, fs, 1) != g.n:
             return f"{mem.name}: vertex counts do not multiply"
-        if sum(f.degree(0) for f in fs) != g.degree(0):
+        if sum(f.max_degree() for f in fs) != g.max_degree():
             return f"{mem.name}: degrees do not add"
         if sum(effective_diameter(f) for f in fs) != effective_diameter(g):
             return f"{mem.name}: effective diameters do not add"
@@ -731,18 +693,10 @@ def _check_factor_arithmetic(ctx: Ctx):
 
 def _check_reflectiveness_transfer(ctx: Ctx):
     for mem in ctx.corpus:
-        if not mem.product:
-            continue
         whole = is_reflective(mem.graph).reflective
         parts = all(is_reflective(f).reflective for f in factorize(mem.graph))
         if whole != parts:
             return f"{mem.name}: transfer breaks ({whole} vs {parts})"
-    for bad in (cycle(5), path_graph(4)):
-        prod = cartesian_product(bad, complete_graph(2))
-        whole = is_reflective(prod).reflective
-        parts = all(is_reflective(f).reflective for f in factorize(prod))
-        if whole or parts:
-            return "non-reflective factor slipped through a product"
     return None
 
 
@@ -791,9 +745,9 @@ def _check_scale_invariance(ctx: Ctx):
 
 def _check_vertex_transitive_consistency(ctx: Ctx):
     for mem in ctx.corpus:
-        if not (mem.vertex_transitive and mem.expectations):
-            continue
         g = mem.graph
+        if not g.is_regular():
+            continue
         vals = [bakry_emery_curvature(g, x) for x in range(g.n)]
         if max(vals) - min(vals) > 1e-8:
             return f"{mem.name}: curvature spread {max(vals) - min(vals)}"

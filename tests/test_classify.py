@@ -18,25 +18,15 @@ from gcurv.families import (
     hypercube,
     johnson,
     parse_family,
+    petersen,
 )
-from gcurv.graphs import Graph, build_graph
+from gcurv.graphs import build_graph
 from gcurv.spectral import (
     is_distance_regular,
     is_lichnerowicz_sharp,
     smallest_positive_laplacian_eigenvalue,
     theta_condition,
 )
-
-
-def petersen() -> Graph:
-    j = johnson(5, 2)
-    edges = [
-        (u, v)
-        for u in range(10)
-        for v in range(u + 1, 10)
-        if v not in j.neighbors[u]
-    ]
-    return build_graph(10, edges)
 
 
 def test_gosset_report(gosset_graph):

@@ -7,7 +7,7 @@ import pytest
 
 from gcurv import cli
 from gcurv.classify import TheoremVerdict, classify
-from gcurv.families import FamilySpec
+from gcurv.families import FamilySpec, parse_family
 from gcurv.graphs import build_graph
 from gcurv.verify import (
     ACCEPTANCE_CHECKS,
@@ -102,6 +102,27 @@ def test_edgeless_graph_curvature_is_input_error(capsys):
     code, _, err = run(capsys, "curvature", "--family", "K 1")
     assert code == 2
     assert "input error" in err
+
+
+# small graphs of every keyword, the one-vertex and edgeless corner cases,
+# stars, paths and products with K 1 among them
+_SMALL_EXPRESSIONS = [
+    "K 1", "K 2", "K 3", "K 5", "C 3", "C 4", "C 5", "C 6", "P 1", "P 2",
+    "P 3", "P 4", "KB 1 1", "KB 1 3", "KB 2 2", "KB 2 3", "KB 3 3", "CP 2",
+    "CP 3", "J 2 1", "J 4 2", "J 5 2", "HQ 2", "HQ 3", "HQ 4", "Q 1", "Q 2",
+    "Q 3", "H 1 3", "H 2 3", "petersen", "( K 1 x K 1 )", "( K 1 x K 2 )",
+    "( P 3 x K 2 )", "( C 5 x K 2 )", "( KB 1 3 x P 2 )",
+]
+
+
+@pytest.mark.parametrize("command", sorted(cli._GRAPH_COMMANDS))
+def test_graph_commands_end_in_a_result_or_an_input_error(capsys, command):
+    # no exception escapes main, and no command reports an internal error
+    for expr in _SMALL_EXPRESSIONS:
+        for mode in ([], ["--json"]):
+            code = cli.main([command, "--family", expr, *mode])
+            assert code in (0, 1, 2), (command, expr, mode, code)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_missing_file_is_input_error(capsys):
@@ -221,12 +242,12 @@ def test_verify_theorems_single_vertex_member_is_input_error(tmp_path, capsys, e
 
 
 def test_classification_reports_a_failure_without_witness():
-    mem = CorpusMember(name="K2", graph=build_graph(2, [(0, 1)]))
+    mem = CorpusMember(parse_family("K 2"), build_graph(2, [(0, 1)]))
     report = replace(classify(mem.graph),
                      theorem_verdicts={"eff_bm_sharp": TheoremVerdict(False, None)})
     ctx = Ctx(corpus=(mem,), max_lp_support=10, standard=False,
               memo={"classify": ((mem, report),)})
-    assert _check_classification(ctx) == "K2: eff_bm_sharp: failed without witness"
+    assert _check_classification(ctx) == "K 2: eff_bm_sharp: failed without witness"
 
 
 def test_check_names_unique_and_readme_total():

@@ -1,0 +1,136 @@
+"""Corpus members and the predictions read off their family expressions.
+
+The table behind FamilySpec.prime_factors is the paper's: each test here
+holds it to what gcurv computes on the built graph, and the criterion tests
+show that a check fails on a user member when a computed value is wrong.
+"""
+
+import dataclasses
+import importlib.util
+import pathlib
+from fractions import Fraction
+
+import pytest
+
+from gcurv import verify
+from gcurv.factorization import factorize
+from gcurv.graphs import effective_diameter
+from gcurv.ollivier import min_edge_curvature
+from gcurv.reflective import ReflectiveVerdict, is_reflective
+from gcurv.verify import STANDARD_CORPUS, CorpusMember, Ctx, load_corpus
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# every keyword with small parameters, coincidences included
+_TABLE_CASES = (
+    [f"K {n}" for n in range(2, 8)]
+    + [f"C {n}" for n in range(3, 10)]
+    + [f"P {n}" for n in range(2, 8)]
+    + [f"KB {a} {b}" for b in range(1, 5) for a in range(1, b + 1)]
+    + [f"CP {k}" for k in range(2, 6)]
+    + [f"J {n} {k}" for n in range(2, 8) for k in range(1, n)]
+    + [f"HQ {n}" for n in range(2, 7)]
+    + [f"Q {n}" for n in range(1, 5)]
+    + [f"H {m} {q}" for m in (1, 2) for q in range(2, 5)]
+    + ["schlafli", "gosset", "petersen"]
+    + ["( K 2 x J 4 2 )", "( J 4 2 x CP 3 )", "( Q 2 x CP 3 )", "( C 5 x K 2 )",
+       "( P 4 x K 2 )", "( K 3 x C 4 )", "( P 3 x K 1 )"]
+)
+
+
+def test_table_cases_cover_every_keyword():
+    from gcurv.families import _GENERATORS
+
+    assert len(_TABLE_CASES) == 79
+    used = {verify.parse_family(text).kind for text in _TABLE_CASES}
+    assert set(_GENERATORS) <= used
+
+
+@pytest.mark.parametrize("text", _TABLE_CASES)
+def test_prime_factor_table_matches_the_computed_values(text):
+    (mem,) = load_corpus([text])
+    g = mem.graph
+    primes = mem.spec.prime_factors()
+    assert sorted((f.n, f.m) for f in factorize(g)) == sorted((n, m) for n, m, _ in primes)
+    pred = verify._predict(mem)
+    assert is_reflective(g).reflective == pred.named
+    mec = min_edge_curvature(g)
+    de = effective_diameter(g)
+    assert (mec.value > 0 and de * mec.value == g.max_degree()) == pred.sharp
+    if pred.named:
+        assert mec.value == pred.kappa
+        assert mec.is_constant == pred.sharp
+        assert de == pred.diam_eff
+    else:
+        assert (pred.kappa, pred.diam_eff) == (None, None)
+
+
+def test_corpus_member_has_only_a_spec_and_a_graph():
+    assert [f.name for f in dataclasses.fields(CorpusMember)] == ["spec", "graph"]
+    mem = load_corpus(["( K 2 x J 4 2 )"])[0]
+    assert mem.name == "( K 2 x J 4 2 )"
+
+
+def test_standard_corpus_is_its_expressions_in_order():
+    assert len(STANDARD_CORPUS) == 32
+    names = [mem.name for mem in verify.standard_corpus()]
+    assert names == [verify.parse_family(e).label() for e in STANDARD_CORPUS]
+    assert names[-2:] == ["( C 5 x K 2 )", "( P 4 x K 2 )"]
+
+
+def test_load_corpus_skips_comments_and_numbers_lines():
+    members = load_corpus(["# a comment", "", "  K 3  ", "C 5"])
+    assert [m.name for m in members] == ["K 3", "C 5"]
+    with pytest.raises(verify.ParseError, match="corpus line 2: "):
+        load_corpus(["K 3", "Z 9"])
+    with pytest.raises(verify.ParseError, match="lists no graphs"):
+        load_corpus(["# nothing"])
+
+
+def _ctx(text):
+    return Ctx(corpus=load_corpus([text]), max_lp_support=10, standard=False)
+
+
+def test_criterion_01_checks_a_user_member(monkeypatch):
+    real = verify.min_edge_curvature
+    monkeypatch.setattr(verify, "min_edge_curvature",
+                        lambda g: real(g)._replace(value=real(g).value + 1))
+    assert verify._check_curvature_constants(_ctx("CP 3")) == "CP 3: kappa 5 != 4"
+
+
+def test_criterion_02_checks_a_user_member(monkeypatch):
+    real = verify.effective_diameter
+    monkeypatch.setattr(verify, "effective_diameter", lambda g: real(g) + Fraction(1, 2))
+    assert verify._check_effective_diameter(_ctx("CP 3")) == "CP 3: diam_eff 3/2 != 1"
+
+
+def test_criterion_03_checks_a_user_member(monkeypatch):
+    monkeypatch.setattr(verify, "is_reflective", lambda g: ReflectiveVerdict(False, (0, 2)))
+    witness = verify._check_reflectiveness(_ctx("CP 3"))
+    assert witness == "CP 3: not reflective at (0, 2)"
+
+
+def test_criterion_05_checks_a_user_member(monkeypatch):
+    monkeypatch.setattr(verify, "factorize", lambda g: [g, g])
+    witness = verify._check_factorization_round_trip(_ctx("CP 3"))
+    assert witness == "CP 3: factor sizes [(6, 12), (6, 12)] != [(6, 12)]"
+
+
+def _load_survey():
+    path = ROOT / "scripts" / "corpus_survey.py"
+    spec = importlib.util.spec_from_file_location("corpus_survey", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_corpus_survey_uses_the_corpus_loader(tmp_path, capsys):
+    survey = _load_survey()
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("K 3\n# a comment\nC 5\n")
+    assert survey.main(["--corpus", str(corpus)]) == 0
+    out = capsys.readouterr().out
+    assert "K 3" in out and "C 5" in out and "# 2 members" in out
+    corpus.write_text("K 1\n")
+    assert survey.main(["--corpus", str(corpus)]) == 2
+    assert "corpus line 1: K 1 needs at least two vertices" in capsys.readouterr().err

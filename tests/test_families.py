@@ -19,6 +19,7 @@ from gcurv.families import (
     johnson,
     parse_family,
     path_graph,
+    petersen,
     schlafli,
 )
 from gcurv.graphs import (
@@ -189,12 +190,13 @@ def test_parse_family_error_columns(bad, col):
 _SIZE_CASES = list(dict.fromkeys(
     [
         "K 5", "C 7", "KB 3 4", "CP 4", "J 7 3", "HQ 6", "Q 5", "H 3 4",
-        "schlafli", "gosset", "( Q 2 x ( CP 3 x K 2 ) )",
+        "schlafli", "gosset", "petersen", "( Q 2 x ( CP 3 x K 2 ) )",
     ]
     + [f"C {n}" for n in range(3, 9)]
     + [f"K {n}" for n in range(2, 9)]
     + [f"KB {a} {b}" for a in range(1, 5) for b in range(1, 5)]
     + [f"Q {n}" for n in range(1, 9)]
+    + [f"P {n}" for n in range(1, 9)]
     + [f"H {m} {q}" for (m, q) in [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2),
                                    (3, 3), (2, 4), (2, 5)]]
 ))
@@ -264,16 +266,16 @@ def test_parse_family_bounds_product_nesting():
 # input budget, and the short text tokens cover anything else.
 _PARAMS = st.one_of(st.integers(-1, 4).map(str), st.just("1000000000"))
 _DSL_TOKENS = st.one_of(
-    st.sampled_from(["K", "C", "KB", "CP", "J", "HQ", "Q", "H", "schlafli",
-                     "Gosset", "cp", "x", "X", "(", ")"]),
+    st.sampled_from(["K", "C", "P", "KB", "CP", "J", "HQ", "Q", "H", "schlafli",
+                     "Gosset", "petersen", "cp", "x", "X", "(", ")"]),
     _PARAMS,
     st.text(max_size=3),
 )
 _EXPRESSIONS = st.recursive(
     st.one_of(
-        st.tuples(st.sampled_from(["K", "C", "CP", "HQ", "q"]), _PARAMS),
+        st.tuples(st.sampled_from(["K", "C", "p", "CP", "HQ", "q"]), _PARAMS),
         st.tuples(st.sampled_from(["KB", "J", "H"]), _PARAMS, _PARAMS),
-        st.tuples(st.sampled_from(["schlafli", "Gosset"])),
+        st.tuples(st.sampled_from(["schlafli", "Gosset", "Petersen"])),
     ).map(" ".join),
     lambda inner: st.tuples(inner, inner).map("( {0[0]} x {0[1]} )".format),
     max_leaves=3,
@@ -307,6 +309,22 @@ def test_family_expressions_build_or_raise_gcurv_errors(text):
 def test_parse_family_rejects_non_integer_parameter():
     with pytest.raises(ParseError):
         parse_family("K two")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cocktail_party(4), lambda: johnson(6, 3), lambda: halved_cube(6),
+    lambda: hamming(2, 4), lambda: hypercube(6), schlafli, gosset, petersen,
+])
+def test_generators_check_the_diameter_without_the_distance_matrix(build):
+    # the graphs are vertex-transitive, so one breadth-first search from
+    # vertex 0 finds the diameter and the distance matrix stays unbuilt
+    assert build()._dist is None
+
+
+def test_petersen_shape():
+    g = petersen()
+    assert (g.n, g.m) == (10, 15) and g.is_regular() and g.degree(0) == 3
+    assert are_isomorphic(parse_family("petersen").build(), g) is not None
 
 
 def test_path_graph_shape():

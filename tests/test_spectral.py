@@ -16,6 +16,7 @@ from gcurv.families import (
     halved_cube,
     hypercube,
     johnson,
+    parse_family,
     path_graph,
     schlafli,
 )
@@ -102,10 +103,10 @@ def test_lichnerowicz_violation_is_reported_with_its_witness(monkeypatch):
                         lambda g: real(g)._replace(value=Fraction(3)))
     res = is_lichnerowicz_sharp(hypercube(3))
     assert (res.sharp, res.holds) == (False, False)
-    ctx = Ctx(corpus=(CorpusMember(name="Q3", graph=hypercube(3)),),
+    ctx = Ctx(corpus=(CorpusMember(parse_family("Q 3"), hypercube(3)),),
               max_lp_support=10, standard=False)
     witness = _check_lichnerowicz_sharpness(ctx)
-    assert witness.startswith("Q3: Lichnerowicz violation, lam ")
+    assert witness.startswith("Q 3: Lichnerowicz violation, lam ")
     assert witness.endswith("< kappa 3")
 
 
