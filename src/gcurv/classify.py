@@ -160,12 +160,14 @@ def classify(g: Graph) -> ClassificationReport:
     """
     if g.n < 2:
         raise TrivialGraphError("classification needs at least two vertices")
+    # reflections first: on a reflective graph they let min_edge_curvature
+    # solve one LP per edge orbit
+    refl = is_reflective(g)
     mec = min_edge_curvature(g)
     diam_eff = effective_diameter(g)
     max_deg = g.max_degree()
     # exact rationals on both sides, never a float comparison
     eff_bm_sharp = mec.value > 0 and diam_eff * mec.value == max_deg
-    refl = is_reflective(g)
     lc, _ = is_locally_connected(g)
     lich = is_lichnerowicz_sharp(g)
     dr = is_distance_regular(g)

@@ -17,6 +17,23 @@ values, and the multipliers are subtree sums updated along the paths the
 pivot changes.  Each solve finishes by checking its own optimality
 certificate, and verify_optimality_certificate replays one in integers.
 
+Reflective graphs are solved once per orbit.  When g.cache holds a positive
+is_reflective verdict, min_edge_curvature (for the edges) and
+long_range_curvatures (for the non-adjacent pairs) take the pairs in
+lexicographic order and solve the first unsolved one by the LP.  A
+breadth-first search then maps each solved pair through the reflection of
+every edge at either of its ends; an automorphism preserves the program,
+so each new image gets the optimizer and certificate carried along
+(v -> sigma(v), turned to x < y).  Each carried certificate is replayed
+with verify_optimality_certificate before it is cached, and a failed
+replay is an InternalCheckError, so every value is proven for its own pair
+whatever the mapping.  The curvature value is the optimum of the program
+and so is unique; the optimizer and certificate are not, and for a pair
+that is not an orbit representative they are the carried ones.  Without a
+cached positive verdict every pair gets its own LP, so single-pair
+requests on a fresh graph (the curvature command) never pay for
+reflections.
+
 The same integrality gives the brute-force oracle below: the LP optimum is
 the minimum over the polytope's integer points, and with f(x) and f(y)
 fixed each other support vertex takes at most three integer values.  The
@@ -28,7 +45,6 @@ simplex path.
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from numbers import Rational
 from operator import itemgetter
 from typing import NamedTuple
@@ -42,6 +58,7 @@ from .errors import (
     check_vertex,
 )
 from .graphs import Graph
+from .reflective import cached_reflections
 
 _MAX_PIVOTS = 200_000
 
@@ -61,7 +78,6 @@ class LipschitzLP:
     gap: int
     support: tuple
     coeffs: dict
-    pairs: tuple  # (u, v, d(u, v)) for unordered support pairs except {x, y}
 
 
 @dataclass(frozen=True)
@@ -88,26 +104,41 @@ class MinEdgeCurvature(NamedTuple):
     other_edge: tuple | None
 
 
-def build_lipschitz_lp(g: Graph, x: int, y: int) -> LipschitzLP:
+def _objective(g: Graph, x: int, y: int):
+    """Sorted support B1(x) union B1(y) and the objective coefficients on it."""
     check_vertex(g.n, x)
     check_vertex(g.n, y)
     if x == y:
         raise SameVertexError(x)
-    dist = g.dist_rows()
-    gap = dist[x][y]
     s1x = g._nbr_sets[x]
     s1y = g._nbr_sets[y]
     support = tuple(sorted(s1x | s1y | {x, y}))
     coeffs = {v: (v in s1x) - (v in s1y) for v in support}
     coeffs[x] -= g.degree(x)
     coeffs[y] += g.degree(y)
-    lo, hi = min(x, y), max(x, y)
-    pairs = tuple(
-        (u, v, dist[u][v])
-        for u, v in combinations(support, 2)
-        if u != lo or v != hi
-    )
-    return LipschitzLP(x, y, gap, support, coeffs, pairs)
+    return support, coeffs
+
+
+def build_lipschitz_lp(g: Graph, x: int, y: int) -> LipschitzLP:
+    support, coeffs = _objective(g, x, y)
+    return LipschitzLP(x, y, g.dist_rows()[x][y], support, coeffs)
+
+
+def _is_lipschitz(dist, support, f) -> bool:
+    """|f(u) - f(v)| <= d(u, v) on every support pair, f an integer dict.
+
+    Distinct vertices are at distance at least 1, so only pairs whose
+    values differ by two or more can break the bound; the support is
+    grouped by value and just those level pairs read the distance rows.
+    """
+    levels = {}
+    for v in support:
+        levels.setdefault(f[v], []).append(v)
+    for a, lows in levels.items():
+        for b, highs in levels.items():
+            if b - a > 1 and any(dist[u][v] < b - a for u in lows for v in highs):
+                return False
+    return True
 
 
 def _order(row):
@@ -250,9 +281,8 @@ def solve_lipschitz_lp(g: Graph, lp: LipschitzLP) -> CurvatureValue:
     # exact self checks: feasibility on the full support and the dual
     # certificate; the support left out of members has coefficient 0, so
     # the objective over members is the objective over the full support.
-    for u, v, d_uv in lp.pairs:
-        if abs(f_full[u] - f_full[v]) > d_uv:
-            raise InternalCheckError("optimizer violates a Lipschitz constraint")
+    if not _is_lipschitz(dist, lp.support, f_full):
+        raise InternalCheckError("optimizer violates a Lipschitz constraint")
     if f_full[y] - f_full[x] != gap:
         raise InternalCheckError("optimizer violates the endpoint constraint")
     certificate = []
@@ -283,19 +313,6 @@ def solve_lipschitz_lp(g: Graph, lp: LipschitzLP) -> CurvatureValue:
     )
 
 
-def _flip_orientation(cv: CurvatureValue) -> CurvatureValue:
-    """Re-express a solved pair with the roles of x and y exchanged."""
-    gap = cv.gap
-    return CurvatureValue(
-        x=cv.y,
-        y=cv.x,
-        gap=gap,
-        value=cv.value,
-        optimizer={v: gap - f for v, f in cv.optimizer.items()},
-        certificate=tuple((v, u, rhs, l) for (u, v, rhs, l) in cv.certificate),
-    )
-
-
 def _pair_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
     a, b = (x, y) if x < y else (y, x)
     key = ("kappa", a, b)
@@ -303,7 +320,63 @@ def _pair_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
     if cv is None:
         cv = solve_lipschitz_lp(g, build_lipschitz_lp(g, a, b))
         g.cache[key] = cv
-    return cv if (x, y) == (a, b) else _flip_orientation(cv)
+    return cv if (x, y) == (a, b) else _carry(cv, range(g.n), True)
+
+
+def _carry(cv: CurvatureValue, sigma, turn: bool) -> CurvatureValue:
+    """cv carried by the vertex map sigma; turn exchanges the roles of x and y.
+
+    The optimizer is integral, so the turned values gap - f stay integers.
+    """
+    gap = cv.gap
+    if not turn:
+        return CurvatureValue(
+            sigma[cv.x], sigma[cv.y], gap, cv.value,
+            {sigma[v]: f for v, f in cv.optimizer.items()},
+            tuple((sigma[u], sigma[v], rhs, l) for (u, v, rhs, l) in cv.certificate),
+        )
+    return CurvatureValue(
+        sigma[cv.y], sigma[cv.x], gap, cv.value,
+        {sigma[v]: Fraction(gap - f.numerator) for v, f in cv.optimizer.items()},
+        tuple((sigma[v], sigma[u], rhs, l) for (u, v, rhs, l) in cv.certificate),
+    )
+
+
+def _solve_by_orbits(g: Graph, pairs) -> None:
+    """Fill the curvature cache for pairs (x < y), one LP per orbit.
+
+    Does nothing unless is_reflective(g) has cached a positive verdict; the
+    module docstring describes the search and the replay.
+    """
+    maps = cached_reflections(g)
+    if maps is None:
+        return
+    cache = g.cache
+    for (a, b) in pairs:
+        if ("kappa", a, b) in cache:
+            continue
+        cv = solve_lipschitz_lp(g, build_lipschitz_lp(g, a, b))
+        cache["kappa", a, b] = cv
+        frontier = [cv]
+        while frontier:
+            reached = []
+            for cv in frontier:
+                for z in (cv.x, cv.y):
+                    for w in g.neighbors[z]:
+                        sigma = maps[(z, w) if z < w else (w, z)]
+                        u, v = sigma[cv.x], sigma[cv.y]
+                        turn = u > v
+                        if turn:
+                            u, v = v, u
+                        if ("kappa", u, v) in cache:
+                            continue
+                        moved = _carry(cv, sigma, turn)
+                        if not (0 <= u < v < g.n and verify_optimality_certificate(g, moved)):
+                            raise InternalCheckError(
+                                f"certificate carried to ({u}, {v}) does not replay")
+                        cache["kappa", u, v] = moved
+                        reached.append(moved)
+            frontier = reached
 
 
 def edge_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
@@ -332,9 +405,11 @@ def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
     Edges are scanned in lexicographic order; witnesses are the first edge
     attaining the minimum and, when values differ, the first edge attaining
     any other value.  Raises TrivialGraphError on a graph without edges.
+    Solves one LP per edge orbit once is_reflective(g) has been cached.
     """
     if not g.edges:
         raise TrivialGraphError("edge curvature needs at least one edge")
+    _solve_by_orbits(g, g.edges)
     best = None
     best_edge = None
     other = None
@@ -350,6 +425,16 @@ def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
             other = edge
             break
     return MinEdgeCurvature(best, other is None, best_edge, other)
+
+
+def long_range_curvatures(g: Graph) -> dict:
+    """Curvature of every non-adjacent pair x < y, keyed in lexicographic order.
+
+    Solves one LP per orbit once is_reflective(g) has been cached.
+    """
+    pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n) if not g.adjacent(x, y)]
+    _solve_by_orbits(g, pairs)
+    return {(x, y): long_range_curvature(g, x, y) for (x, y) in pairs}
 
 
 def curvature_from_intersection_array(ia) -> Fraction:
@@ -368,32 +453,32 @@ def verify_optimality_certificate(g: Graph, cv: CurvatureValue) -> bool:
     re-solving.  The optimizer and multipliers must be integers, as the
     solver's always are; anything else is rejected.
     """
-    lp = build_lipschitz_lp(g, cv.x, cv.y)
+    x, y = cv.x, cv.y
+    support, coeffs = _objective(g, x, y)
+    dist = g.dist_rows()
+    gap = dist[x][y]
     f = {}
     for v, val in cv.optimizer.items():
         if getattr(val, "denominator", None) != 1:
             return False
         f[v] = val.numerator
-    if f.keys() != set(lp.support) or f[cv.y] - f[cv.x] != lp.gap:
+    if f.keys() != set(support) or f[y] - f[x] != gap:
         return False
-    for u, v, d_uv in lp.pairs:
-        if abs(f[u] - f[v]) > d_uv:
-            return False
-    obj = sum(lp.coeffs[v] * f[v] for v in lp.support)
+    if not _is_lipschitz(dist, support, f):
+        return False
+    obj = sum(coeffs[v] * f[v] for v in support)
     value = cv.value
-    if not isinstance(value, Rational) or obj * value.denominator != value.numerator * lp.gap:
+    if not isinstance(value, Rational) or obj * value.denominator != value.numerator * gap:
         return False
-    grad = dict(lp.coeffs)
-    dist = g.dist_rows()
     for (u, v, rhs, l) in cv.certificate:
         if u not in f or v not in f or getattr(l, "denominator", None) != 1:
             return False
         l = l.numerator
         if l < 0 or rhs != dist[u][v] or f[u] - f[v] != rhs:
             return False
-        grad[u] += l
-        grad[v] -= l
-    return all(grad[v] == 0 for v in lp.support if v not in (cv.x, cv.y))
+        coeffs[u] += l
+        coeffs[v] -= l
+    return all(coeffs[v] == 0 for v in support if v != x and v != y)
 
 
 # --- independent oracle: enumerate the integer points of the polytope ---

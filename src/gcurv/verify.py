@@ -47,7 +47,7 @@ from .ollivier import (
     brute_force_curvature_oracle,
     curvature_from_intersection_array,
     edge_curvature,
-    long_range_curvature,
+    long_range_curvatures,
     min_edge_curvature,
     verify_optimality_certificate,
 )
@@ -536,10 +536,9 @@ def _check_long_range_lower_bound(ctx: Ctx):
         mec = min_edge_curvature(g)
         if mec.value <= 0:
             continue
-        for x in range(g.n):
-            for y in range(x + 1, g.n):
-                if long_range_curvature(g, x, y).value < mec.value:
-                    return f"{mem.name}: pair ({x},{y}) beats the edge minimum"
+        for (x, y), cv in long_range_curvatures(g).items():
+            if cv.value < mec.value:
+                return f"{mem.name}: pair ({x},{y}) beats the edge minimum"
     return None
 
 

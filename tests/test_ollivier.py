@@ -3,9 +3,16 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import connected_graphs
-from gcurv.errors import InvalidParameterError, SameVertexError, SupportTooLargeError
+from gcurv import ollivier
+from gcurv.errors import (
+    InternalCheckError,
+    InvalidParameterError,
+    SameVertexError,
+    SupportTooLargeError,
+)
 from gcurv.families import (
     complete_bipartite,
     complete_graph,
@@ -13,18 +20,22 @@ from gcurv.families import (
     halved_cube,
     hypercube,
     johnson,
+    parse_family,
     path_graph,
 )
-from gcurv.graphs import ball
+from gcurv.graphs import ball, build_graph
 from gcurv.ollivier import (
+    _is_lipschitz,
     brute_force_curvature_oracle,
     build_lipschitz_lp,
     curvature_from_intersection_array,
     edge_curvature,
     long_range_curvature,
+    long_range_curvatures,
     min_edge_curvature,
     verify_optimality_certificate,
 )
+from gcurv.reflective import is_reflective
 from gcurv.spectral import is_distance_regular
 
 
@@ -249,3 +260,112 @@ def test_long_range_records_pair_distance(g):
         cv = long_range_curvature(g, x, y)
         assert cv.gap == dist[x][y]
         assert verify_optimality_certificate(g, cv)
+
+
+@given(connected_graphs(min_n=2, max_n=8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_lipschitz_check_matches_every_pair(g, data):
+    x, y = data.draw(st.sampled_from([(x, y) for x in range(g.n) for y in range(x + 1, g.n)]))
+    support = build_lipschitz_lp(g, x, y).support
+    f = {v: data.draw(st.integers(-2, 4)) for v in support}
+    dist = g.dist_rows()
+    expected = all(abs(f[u] - f[v]) <= dist[u][v] for u in support for v in support)
+    assert _is_lipschitz(dist, support, f) == expected
+
+
+def test_certificate_rejects_lipschitz_violation(q3):
+    cv = long_range_curvature(q3, 0, 7)
+    optimizer = dict(cv.optimizer)
+    optimizer[1] = Fraction(2)  # f(1) - f(0) = 2 across an edge
+    assert not verify_optimality_certificate(q3, replace(cv, optimizer=optimizer))
+
+
+# --- one LP per reflection orbit, transported certificates replayed ---
+
+ORBIT_GRAPHS = ("gosset", "schlafli", "HQ 6", "J 7 3", "Q 5", "( Q 2 x CP 3 )")
+
+
+def _all_pairs(g):
+    return [(x, y) for x in range(g.n) for y in range(x + 1, g.n)]
+
+
+@pytest.mark.parametrize("expr", ORBIT_GRAPHS)
+def test_orbit_values_match_per_pair_lp(expr):
+    g, fresh = parse_family(expr).build(), parse_family(expr).build()
+    assert is_reflective(g).reflective
+    assert min_edge_curvature(g) == min_edge_curvature(fresh)
+    far = long_range_curvatures(g)
+    assert list(far) == [p for p in _all_pairs(g) if not g.adjacent(*p)]
+    for (x, y) in _all_pairs(g):
+        cv = g.cache["kappa", x, y]
+        assert (cv.x, cv.y) == (x, y)
+        assert cv.value == long_range_curvature(fresh, x, y).value
+        assert verify_optimality_certificate(g, cv)
+
+
+@given(connected_graphs(min_n=2, max_n=8))
+@settings(max_examples=60, deadline=None)
+def test_orbit_route_matches_per_pair_lp_on_random_graphs(g):
+    fresh = build_graph(g.n, g.edges)
+    is_reflective(g)
+    if g.m:
+        assert min_edge_curvature(g) == min_edge_curvature(fresh)
+    for (x, y), cv in long_range_curvatures(g).items():
+        assert cv.value == long_range_curvature(fresh, x, y).value
+        assert verify_optimality_certificate(g, cv)
+
+
+def _count_solves(monkeypatch):
+    solves = {"edge": 0, "far": 0}
+    solve = ollivier.solve_lipschitz_lp
+
+    def counting(g, lp):
+        solves["edge" if lp.gap == 1 else "far"] += 1
+        return solve(g, lp)
+
+    monkeypatch.setattr(ollivier, "solve_lipschitz_lp", counting)
+    return solves
+
+
+def test_gosset_needs_one_edge_lp_and_two_far_pair_lps(monkeypatch):
+    solves = _count_solves(monkeypatch)
+    g = parse_family("gosset").build()
+    assert is_reflective(g).reflective
+    assert min_edge_curvature(g).value == 18
+    assert len(long_range_curvatures(g)) == 784
+    assert solves == {"edge": 1, "far": 2}
+
+
+@pytest.mark.parametrize("expr", ["C 5", "( C 5 x K 2 )", "P 4"])
+def test_non_reflective_graphs_solve_every_pair(monkeypatch, expr):
+    solves = _count_solves(monkeypatch)
+    g = parse_family(expr).build()
+    assert not is_reflective(g).reflective
+    min_edge_curvature(g)
+    far = long_range_curvatures(g)
+    assert solves == {"edge": g.m, "far": len(far)}
+
+
+def test_uncached_verdict_keeps_the_per_pair_lp(monkeypatch):
+    solves = _count_solves(monkeypatch)
+    g = parse_family("schlafli").build()
+    min_edge_curvature(g)
+    assert solves["edge"] == g.m
+
+
+@pytest.mark.parametrize("corrupt", ["far pair", "one vertex"])
+def test_corrupted_reflection_is_an_internal_error(corrupt):
+    g = parse_family("Q 3").build()
+    assert is_reflective(g).reflective
+    far = next(v for v in range(g.n) if g.distance(0, v) == 2)
+    mapping = list(range(g.n))
+    if corrupt == "far pair":  # sends the edge (0, 1) to a non-adjacent pair
+        mapping[1], mapping[far] = far, 1
+        image = ("kappa", 0, far)
+    else:  # sends both ends of (0, 1) to 0
+        mapping[1] = 0
+        image = ("kappa", 0, 0)
+    g.cache["refl", 0, 1] = (tuple(mapping), None, None)
+    with pytest.raises(InternalCheckError, match="does not replay"):
+        min_edge_curvature(g)
+    assert image not in g.cache

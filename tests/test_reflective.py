@@ -270,3 +270,11 @@ def test_gosset_side_memo_holds_one_entry_per_side():
         assert vxy_convex_reflective_check(g, y, x)
     side_keys = [k for k in g.cache if isinstance(k, tuple) and k[0] == "side_check"]
     assert len(side_keys) == 126
+
+
+def test_gosset_validates_each_mapping_once():
+    g = gosset()
+    assert is_reflective(g).reflective
+    mapping_keys = [k for k in g.cache if isinstance(k, tuple) and k[0] == "mapping_axioms"]
+    assert len(mapping_keys) == 63
+    assert all(g.cache[k] is None for k in mapping_keys)
