@@ -11,29 +11,14 @@ import json
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .errors import TrivialGraphError
 from .factorization import factorize
-from .families import (
-    cocktail_party,
-    complete_graph,
-    gosset,
-    halved_cube,
-    hamming,
-    hypercube,
-    johnson,
-    schlafli,
-)
+from .families import FamilySpec
 from .graphs import Graph, are_isomorphic, effective_diameter, is_locally_connected
 from .ollivier import min_edge_curvature
 from .reflective import is_reflective
-from .spectral import (
-    IntersectionArray,
-    adjacency_spectrum,
-    is_distance_regular,
-    is_lichnerowicz_sharp,
-)
+from .spectral import IntersectionArray, is_distance_regular, is_lichnerowicz_sharp
 
 
 @dataclass(frozen=True)
@@ -61,86 +46,54 @@ class ClassificationReport:
     theorem_verdicts: dict
 
 
-def family_on_named_list(name: str) -> bool:
-    """Whether an identified family belongs to the classification list.
+# report names of the families on the paper's list, by FamilySpec kind
+_FORMATS = {
+    "CP": "CP({})".format,
+    "J": "J({},{})".format,
+    "HQ": "HQ({})".format,
+    "schlafli": lambda: "Schläfli",
+    "gosset": lambda: "Gosset",
+    "K": "K{}".format,
+}
 
-    Complete graphs count (K_n is the k=1 Johnson graph); Hamming graphs and
-    hypercubes do not, but they are products and never name a prime factor.
+
+def family_name(spec: FamilySpec | None) -> str:
+    """Report name of an identified family, "unrecognized" for None."""
+    return "unrecognized" if spec is None else _FORMATS[spec.kind](*spec.params)
+
+
+def _candidates(n: int):
+    """Specs of the paper's list that may have n vertices, in precedence order.
+
+    Precedence CP > J > HQ > Schläfli > Gosset > K settles graphs with
+    several names (the octahedron is CP(3) rather than J(4,2), K4 is HQ(3)
+    before it is complete).  Johnson parameters are canonical, 2 <= b <= a - b.
+    Parameters are clamped to valid ones; a clamped spec never has n vertices.
     """
-    if name.startswith(("CP(", "J(", "HQ(")):
-        return True
-    if name in ("Schläfli", "Gosset"):
-        return True
-    return name.startswith("K") and name[1:].isdigit()
-
-
-def _same_spectrum(g1: Graph, g2: Graph, tol: float = 1e-6) -> bool:
-    v1 = adjacency_spectrum(g1).values
-    v2 = adjacency_spectrum(g2).values
-    return len(v1) == len(v2) and all(abs(a - b) <= tol for a, b in zip(v1, v2))
-
-
-def _candidate_builders(n: int, deg: int):
-    """Generators matching (n, deg), in fixed naming-precedence order.
-
-    Precedence CP > J > HQ > H > Q > K settles graphs with several names
-    (the octahedron is CP(3) rather than J(4,2), K4 is HQ(3) before K4 is
-    complete).  Johnson parameters are canonicalized to b <= a - b.
-    """
-    out = []
-    if n % 2 == 0 and n >= 4 and deg == n - 2:
-        out.append((f"CP({n // 2})", lambda k=n // 2: cocktail_party(k)))
+    yield FamilySpec("CP", (max(2, n // 2),))
     a = 4
-    while comb(a, 2) <= n:
+    while a * (a - 1) // 2 <= n:
         for b in range(2, a // 2 + 1):
-            if comb(a, b) == n and b * (a - b) == deg:
-                out.append((f"J({a},{b})", lambda p=a, q=b: johnson(p, q)))
+            yield FamilySpec("J", (a, b))
         a += 1
-    a = 3
-    while 2 ** (a - 1) <= n:
-        if 2 ** (a - 1) == n and comb(a, 2) == deg:
-            out.append((f"HQ({a})", lambda p=a: halved_cube(p)))
-        a += 1
-    q = 2
-    while q * q <= n:
-        m = 2
-        while q**m <= n:
-            if q**m == n and m * (q - 1) == deg:
-                out.append((f"H({m},{q})", lambda mm=m, qq=q: hamming(mm, qq)))
-            m += 1
-        q += 1
-    a = 2
-    while 2**a <= n:
-        if 2**a == n and deg == a:
-            out.append((f"Q{a}", lambda p=a: hypercube(p)))
-        a += 1
-    if n == 27 and deg == 16:
-        out.append(("Schläfli", schlafli))
-    if n == 56 and deg == 27:
-        out.append(("Gosset", gosset))
-    if deg == n - 1:
-        out.append((f"K{n}", lambda k=n: complete_graph(k)))
-    return out
+    yield FamilySpec("HQ", (max(3, n.bit_length()),))
+    yield FamilySpec("schlafli")
+    yield FamilySpec("gosset")
+    yield FamilySpec("K", (n,))
 
 
-def identify_family(g: Graph) -> str:
-    """Canonical family name of a prime graph, or "unrecognized".
+def identify_family(g: Graph) -> FamilySpec | None:
+    """The first family on the paper's list that g is isomorphic to, or None.
 
-    Candidates are generated from (n, degree) arithmetic, filtered by the
-    adjacency spectrum, and confirmed by an explicit isomorphism.
+    Candidates of g's order and size are confirmed by a certified
+    isomorphism, which alone decides.
     """
-    if g.n < 2 or not g.is_regular():
-        return "unrecognized"
-    deg = g.degree(0)
-    for name, builder in _candidate_builders(g.n, deg):
-        cand = builder()
-        if cand.m != g.m:
-            continue
-        if not _same_spectrum(g, cand):
-            continue
-        if are_isomorphic(g, cand) is not None:
-            return name
-    return "unrecognized"
+    if g.n < 2:
+        return None
+    for spec in _candidates(g.n):
+        if spec.size() == (g.n, g.m) and are_isomorphic(g, spec.build()) is not None:
+            return spec
+    return None
 
 
 def _factors_share_curvature(factors) -> bool:
@@ -172,7 +125,8 @@ def classify(g: Graph) -> ClassificationReport:
     lich = is_lichnerowicz_sharp(g)
     dr = is_distance_regular(g)
     factors = factorize(g)
-    names = [identify_family(f) for f in factors]
+    specs = [identify_family(f) for f in factors]
+    names = [family_name(s) for s in specs]
 
     verdicts = {}
     shared = _factors_share_curvature(factors)
@@ -192,7 +146,7 @@ def classify(g: Graph) -> ClassificationReport:
             "eff_bm_sharp": eff_bm_sharp,
             "reflective": refl.reflective,
             "dr_and_lich": dr.array is not None and lich.sharp,
-            "named_list": len(factors) == 1 and family_on_named_list(names[0]),
+            "named_list": len(factors) == 1 and specs[0] is not None,
         }
         ok = len(set(preds.values())) == 1
         verdicts["E2_locally_connected_equivalences"] = TheoremVerdict(
@@ -203,7 +157,7 @@ def classify(g: Graph) -> ClassificationReport:
         verdicts["E2_locally_connected_equivalences"] = TheoremVerdict(
             True, "skipped: not locally connected"
         )
-    e3_rhs = all(family_on_named_list(nm) for nm in names)
+    e3_rhs = None not in specs
     verdicts["E3_reflective_iff_factors_named"] = TheoremVerdict(
         refl.reflective == e3_rhs,
         None

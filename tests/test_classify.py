@@ -1,17 +1,14 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from gcurv.bakry_emery import bakry_emery_curvature, be_effective_bound_report
-from gcurv.classify import (
-    classify,
-    family_on_named_list,
-    identify_family,
-    report_to_json,
-)
+from gcurv.classify import classify, family_name, identify_family, report_to_json
 from gcurv.errors import TrivialGraphError
 from gcurv.families import (
+    FamilySpec,
     complete_graph,
     cycle,
     halved_cube,
@@ -100,32 +97,44 @@ def test_curvature_two_is_never_called_nonpositive():
     assert rep.k_snapped == 2
 
 
+def cube():
+    # named, so its test id differs from the C 5 case's
+    return hypercube(3)
+
+
 @pytest.mark.parametrize(
     "build,expected",
     [
-        (lambda: complete_graph(4), "HQ(3)"),
-        (lambda: cycle(4), "CP(2)"),
-        (lambda: halved_cube(4), "CP(4)"),
-        (lambda: hypercube(3), "H(3,2)"),
-        (lambda: complete_graph(2), "K2"),
-        (lambda: johnson(4, 2), "CP(3)"),
-        (petersen, "unrecognized"),
-        (lambda: cycle(5), "unrecognized"),
+        (lambda: complete_graph(4), FamilySpec("HQ", (3,))),
+        (lambda: cycle(4), FamilySpec("CP", (2,))),
+        (lambda: halved_cube(4), FamilySpec("CP", (4,))),
+        (lambda: complete_graph(2), FamilySpec("K", (2,))),
+        (lambda: johnson(4, 2), FamilySpec("CP", (3,))),
+        # a product is on no prime list
+        (cube, None),
+        (petersen, None),
+        (lambda: cycle(5), None),
     ],
+    ids=lambda v: None if callable(v) else family_name(v),
 )
 def test_identify_family_precedence(build, expected):
     assert identify_family(build()) == expected
 
 
-def test_named_list_membership():
-    assert family_on_named_list("CP(3)")
-    assert family_on_named_list("J(7,3)")
-    assert family_on_named_list("HQ(5)")
-    assert family_on_named_list("Gosset")
-    assert family_on_named_list("K2")
-    assert not family_on_named_list("H(3,2)")
-    assert not family_on_named_list("Q3")
-    assert not family_on_named_list("unrecognized")
+def test_cospectral_mate_is_not_named():
+    # a Chang graph: J(8,2) Seidel-switched on the 4 vertices of a perfect
+    # matching of K8.  It shares J(8,2)'s intersection array, hence its
+    # spectrum, so only the isomorphism test can refuse it.
+    pairs = list(combinations(range(8), 2))
+    matching = {(0, 1), (2, 3), (4, 5), (6, 7)}
+    edges = [
+        (i, j)
+        for (i, s), (j, t) in combinations(enumerate(pairs), 2)
+        if (len(set(s) & set(t)) == 1) != ((s in matching) != (t in matching))
+    ]
+    chang = build_graph(28, edges)
+    assert is_distance_regular(chang).array == is_distance_regular(johnson(8, 2)).array
+    assert identify_family(chang) is None
 
 
 def test_json_round_trip_and_determinism(octahedron):

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from gcurv import verify
+from gcurv import ollivier, verify
+from gcurv.classify import identify_family
 from gcurv.factorization import factorize
 from gcurv.graphs import effective_diameter
 from gcurv.ollivier import min_edge_curvature
@@ -51,7 +52,16 @@ def test_prime_factor_table_matches_the_computed_values(text):
     (mem,) = load_corpus([text])
     g = mem.graph
     primes = mem.spec.prime_factors()
-    assert sorted((f.n, f.m) for f in factorize(g)) == sorted((n, m) for n, m, _ in primes)
+    factors = factorize(g)
+    assert sorted((f.n, f.m) for f in factors) == sorted((n, m) for n, m, _ in primes)
+    # each factor is named exactly when the table gives it a curvature, and
+    # the named spec's own table row is that factor's
+    for f in factors:
+        (kappa,) = {k for n, m, k in primes if (n, m) == (f.n, f.m)}
+        spec = identify_family(f)
+        assert (spec is not None) == (kappa is not None)
+        if spec is not None:
+            assert spec.prime_factors() == [(f.n, f.m, kappa)]
     pred = verify._predict(mem)
     assert is_reflective(g).reflective == pred.named
     mec = min_edge_curvature(g)
@@ -96,6 +106,16 @@ def test_criterion_01_checks_a_user_member(monkeypatch):
     monkeypatch.setattr(verify, "min_edge_curvature",
                         lambda g: real(g)._replace(value=real(g).value + 1))
     assert verify._check_curvature_constants(_ctx("CP 3")) == "CP 3: kappa 5 != 4"
+
+
+def test_criterion_01_solves_one_lp_per_edge_orbit(monkeypatch):
+    calls = []
+    real = ollivier.solve_lipschitz_lp
+    monkeypatch.setattr(ollivier, "solve_lipschitz_lp",
+                        lambda g, lp: calls.append(lp) or real(g, lp))
+    assert verify._check_curvature_constants(_ctx("CP 4")) is None
+    # the 24 edges of CP 4 form one orbit of its reflections
+    assert len(calls) == 1
 
 
 def test_criterion_02_checks_a_user_member(monkeypatch):

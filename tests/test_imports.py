@@ -1,8 +1,10 @@
-"""Every gcurv module uses each name it imports.
+"""Every gcurv module uses each name it imports, and every private helper.
 
 A name counts as used when it appears as a Python name anywhere in the
 module (a call, an attribute base, an annotation, a default value).
 ``__init__.py`` is left out: its imports are the package's public names.
+A module-level ``_private`` function counts as used when some gcurv module
+names it (as a name, an attribute or an import) outside its own ``def``.
 """
 
 import ast
@@ -34,3 +36,36 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def unreferenced_helpers(sources):
+    """Module-level _private functions that no statement but their own def names."""
+    helpers = set()
+    referenced = set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_"):
+                if not stmt.name.startswith("__"):
+                    helpers.add(stmt.name)
+                names.discard(stmt.name)
+            referenced |= names
+    return sorted(helpers - referenced)
+
+
+def test_unreferenced_helpers_are_found():
+    a = "def _used():\n    pass\n\ndef _dead(n):\n    return _dead(n - 1)\n"
+    b = "from .a import _used\n"
+    assert unreferenced_helpers([a, b]) == ["_dead"]
+
+
+def test_every_private_helper_is_referenced():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert unreferenced_helpers(sources) == []
