@@ -11,6 +11,8 @@ they are minimized out exactly, in integers scaled by the least common
 multiple of that block, before the generalized eigenvalue step.  That
 step gives the reported float K(x); the diameter-bound verdicts instead
 test the integer pencil Gamma_2 - r Gamma for positive semidefiniteness.
+An integer bilinear recursion recomputes 4 * Gamma_2 without the closed
+formula; it is the independent check of the assembled form.
 """
 
 import math
@@ -125,121 +127,81 @@ def gamma2_form(g: Graph, x: int) -> LocalForm:
 
 # --- independent symbolic route, used as the test oracle ---
 
-def _accumulate(quad, lin1, lin2, scale: Fraction):
-    """Add scale * lin1 * lin2 into the monomial dict quad."""
+def _add_product(quad, lin1, lin2, scale: int):
+    """Add scale * lin1 * lin2 into the monomial dict quad (keys u <= v)."""
     for u, a in lin1.items():
         for v, b in lin2.items():
-            c = scale * a * b
-            if c:
-                key = (u, v) if u <= v else (v, u)
-                quad[key] = quad.get(key, Fraction(0)) + c
-
-
-def _delta_row(g: Graph, v: int):
-    """The Laplacian at v as a linear form in f."""
-    row = {w: Fraction(1) for w in g.neighbors[v]}
-    row[v] = Fraction(-g.degree(v))
-    return row
-
-
-def _to_local_form(g: Graph, x: int, quad, support) -> LocalForm:
-    """The symbolic route's monomial dict as a form over its lcm denominator."""
-    index = {v: i for i, v in enumerate(support)}
-    k = len(support)
-    mat = [[Fraction(0)] * k for _ in range(k)]
-    for (u, v), c in quad.items():
-        if not c:
-            continue
-        if u == x or v == x:
-            continue  # gauge f(x) = 0
-        if u not in index or v not in index:
-            raise InternalCheckError(f"form at {x} touched {u, v} outside support")
-        i, j = index[u], index[v]
-        if i == j:
-            mat[i][i] += c
-        else:
-            half = c / 2
-            mat[i][j] += half
-            mat[j][i] += half
-    den = math.lcm(*(c.denominator for row in mat for c in row))
-    num = tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in mat)
-    return LocalForm(x, tuple(support), num, den)
-
-
-def _quad_sub(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) - v
-    return out
-
-
-def _quad_add_scaled(acc, q, scale):
-    for k, v in q.items():
-        c = scale * v
-        if c:
-            acc[k] = acc.get(k, Fraction(0)) + c
+            key = (u, v) if u <= v else (v, u)
+            quad[key] = quad.get(key, 0) + scale * a * b
 
 
 def symbolic_gamma2(g: Graph, x: int):
-    """Gamma_2 at x through the generic bilinear recursion, as a monomial dict.
+    """4 * Gamma_2 at x through the generic bilinear recursion, as a monomial dict.
 
-    Works with vertex-indexed families of linear forms and the recursion
-    2*G_{i+1}(f,h) = Delta G_i(f,h) - G_i(f, Delta h) - G_i(h, Delta f),
-    never using the expanded closed formula.  Exponentially slower than
-    gamma2_form but structurally independent of it.
+    Keys are vertex pairs (u, v) with u <= v, values the integer
+    coefficients of f(u) f(v).  Functions are vertex-indexed families of
+    linear forms in f, and with H_1 = 2 * Gamma the recursion
+
+        H_1(a, b)(v) = sum_{w~v} (a b(w) - a b(v)) - a(v) Delta b(v) - b(v) Delta a(v),
+        4 Gamma_2 f(x) = sum_{w~x} (H_1(f, f)(w) - H_1(f, f)(x)) - 2 H_1(f, Delta f)(x)
+
+    keeps every coefficient an integer.  Delta f is built only on the
+    one-step ball and Delta Delta f only at x, the values the recursion
+    reads.  It never uses the expanded closed formula of gamma2_form, so it
+    serves as that form's independent check.
     """
-    f_forms = [{v: Fraction(1)} for v in range(g.n)]
-    df_forms = [_delta_row(g, v) for v in range(g.n)]
+    check_vertex(g.n, x)
+    nbrs = g.neighbors
 
-    def g0(fa, fb, v):
-        quad = {}
-        _accumulate(quad, fa[v], fb[v], Fraction(1))
-        return quad
+    def laplacian(form_at, v):
+        out = {}
+        for w in nbrs[v]:
+            for u, c in form_at(w).items():
+                out[u] = out.get(u, 0) + c
+        for u, c in form_at(v).items():
+            out[u] = out.get(u, 0) - len(nbrs[v]) * c
+        return out
 
-    def g1(fa, fb, dfa, dfb, v):
-        acc = {}
-        for w in g.neighbors[v]:
-            _quad_add_scaled(acc, _quad_sub(g0(fa, fb, w), g0(fa, fb, v)), Fraction(1, 2))
-        _quad_add_scaled(acc, g0(fa, dfb, v), Fraction(-1, 2))
-        _quad_add_scaled(acc, g0(fb, dfa, v), Fraction(-1, 2))
-        return acc
+    def unit(v):
+        return {v: 1}
 
-    ddf_forms = []
-    for v in range(g.n):
-        acc = {}
-        for w in g.neighbors[v]:
-            for u, c in df_forms[w].items():
-                acc[u] = acc.get(u, Fraction(0)) + c
-            for u, c in df_forms[v].items():
-                acc[u] = acc.get(u, Fraction(0)) - c
-        ddf_forms.append(acc)
+    lap = {v: laplacian(unit, v) for v in (x, *nbrs[x])}
+    lap2 = laplacian(lap.__getitem__, x)
 
-    acc = {}
-    for w in g.neighbors[x]:
-        _quad_add_scaled(
-            acc,
-            _quad_sub(
-                g1(f_forms, f_forms, df_forms, df_forms, w),
-                g1(f_forms, f_forms, df_forms, df_forms, x),
-            ),
-            Fraction(1, 2),
-        )
-    _quad_add_scaled(acc, g1(f_forms, df_forms, df_forms, ddf_forms, x), Fraction(-1))
-    return {k: v for k, v in acc.items() if v}
+    def add_h1(quad, a, b, da, db, v, scale):
+        for w in nbrs[v]:
+            _add_product(quad, a(w), b(w), scale)
+        _add_product(quad, a(v), b(v), -len(nbrs[v]) * scale)
+        _add_product(quad, a(v), db(v), -scale)
+        _add_product(quad, b(v), da(v), -scale)
+
+    quad = {}
+    for w in nbrs[x]:
+        add_h1(quad, unit, unit, lap.__getitem__, lap.__getitem__, w, 1)
+    add_h1(quad, unit, unit, lap.__getitem__, lap.__getitem__, x, -len(nbrs[x]))
+    add_h1(quad, unit, lap.__getitem__, lap.__getitem__, lambda v: lap2, x, -2)
+    return {k: c for k, c in quad.items() if c}
 
 
 def gamma2_matches_symbolic(g: Graph, x: int) -> bool:
     """Cross-check the assembled form against the recursion route.
 
-    Entries are compared as rationals, whatever denominator each side uses.
+    The monomial f(u) f(v) holds the entry (u, u) once and the entries
+    (u, v) and (v, u) together, so doubled diagonals and plain off-diagonal
+    coefficients, over the form's denominator, must equal 8 times its
+    numerators.  Monomials at x are dropped by the gauge f(x) = 0.
     """
     direct = gamma2_form(g, x)
-    alt = _to_local_form(g, x, symbolic_gamma2(g, x), direct.support)
-    return all(
-        a * direct.denominator == d * alt.denominator
-        for row_a, row_d in zip(alt.numerators, direct.numerators)
-        for a, d in zip(row_a, row_d)
-    )
+    index = {v: i for i, v in enumerate(direct.support)}
+    mat = [[0] * len(index) for _ in index]
+    for (u, v), c in symbolic_gamma2(g, x).items():
+        if x in (u, v):
+            continue
+        if u not in index or v not in index:
+            raise InternalCheckError(f"form at {x} touched {u, v} outside support")
+        i, j = index[u], index[v]
+        mat[i][j] = mat[j][i] = c * direct.denominator * (2 if i == j else 1)
+    return all(r == [8 * c for c in row] for r, row in zip(mat, direct.numerators))
 
 
 # --- curvature ---
@@ -364,7 +326,11 @@ def be_effective_bound_report(g: Graph) -> BEBoundReport:
     the reduced iterated form is positive definite everywhere (K_min > 0).
     Otherwise K_min >= r, and equality (k_snapped = r) holds exactly when
     some pencil is singular.  k_min and bound are floats, only reported.
+    A report is cached on the graph; the nonpositive case raises each time.
     """
+    hit = g.cache.get("be_bound")
+    if hit is not None:
+        return hit
     k_min = min(bakry_emery_curvature(g, x) for x in range(g.n))
     diam_eff = effective_diameter(g)
     r = g.max_degree() / diam_eff
@@ -378,8 +344,10 @@ def be_effective_bound_report(g: Graph) -> BEBoundReport:
     if strict and any(_psd_nullity(_inner_gamma2(g, x)[0]) != (True, 0) for x in range(g.n)):
         raise NonpositiveCurvatureError(k_min)
     equality = singular and not strict
-    return BEBoundReport(k_min, diam_eff, g.max_degree() / k_min, equality,
-                         r if equality else None, strict or equality)
+    report = g.cache["be_bound"] = BEBoundReport(
+        k_min, diam_eff, g.max_degree() / k_min, equality, r if equality else None,
+        strict or equality)
+    return report
 
 
 class RigidityEntry(NamedTuple):

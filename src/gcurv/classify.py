@@ -99,6 +99,8 @@ def identify_family(g: Graph) -> FamilySpec | None:
 def _factors_share_curvature(factors) -> bool:
     values = set()
     for f in factors:
+        # reflections first, as for the graph itself in classify
+        is_reflective(f)
         mec = min_edge_curvature(f)
         if not mec.is_constant:
             return False

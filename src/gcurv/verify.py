@@ -351,10 +351,9 @@ def _check_bakry_emery(ctx: Ctx):
         return (f"{bad.name}: bound equality {bad.equality} but "
                 f"hypercube {bad.is_hypercube}")
     for mem in ctx.corpus:
-        if mem.graph.n <= 10:
-            for x in range(mem.graph.n):
-                if not gamma2_matches_symbolic(mem.graph, x):
-                    return f"{mem.name} vertex {x}: iterated form mismatch"
+        for x in range(mem.graph.n):
+            if not gamma2_matches_symbolic(mem.graph, x):
+                return f"{mem.name} vertex {x}: iterated form mismatch"
     return None
 
 

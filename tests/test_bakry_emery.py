@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs
+from gcurv import bakry_emery
 from gcurv.bakry_emery import (
     _pencil_psd_nullity,
     LocalForm,
@@ -16,8 +17,9 @@ from gcurv.bakry_emery import (
     gamma2_form,
     gamma2_matches_symbolic,
     gamma_form,
+    symbolic_gamma2,
 )
-from gcurv.errors import NonpositiveCurvatureError
+from gcurv.errors import InternalCheckError, NonpositiveCurvatureError
 from gcurv.families import (
     cocktail_party,
     complete_bipartite,
@@ -25,6 +27,7 @@ from gcurv.families import (
     cycle,
     hypercube,
     johnson,
+    parse_family,
     path_graph,
 )
 
@@ -180,12 +183,26 @@ def test_curvature_is_a_lower_bound_for_sampled_quotients(g, salt):
     assert k <= quotient + 1e-7
 
 
-@given(connected_graphs(min_n=2, max_n=8))
+def _vanishes_on_constants(quad):
+    """Whether every row of the monomial dict's symmetric matrix sums to 0.
+
+    That is Gamma_2 (f + c) = Gamma_2 f, so it also checks the monomials at
+    the base vertex, which the gauge hides from gamma2_matches_symbolic.
+    """
+    rows = {}
+    for (u, v), c in quad.items():
+        rows[u] = rows.get(u, 0) + c
+        rows[v] = rows.get(v, 0) + c
+    return not any(rows.values())
+
+
+@given(connected_graphs(min_n=2, max_n=10))
 @settings(max_examples=25, deadline=None)
 def test_gamma2_symbolic_agreement_random(g):
     # every vertex of an irregular graph: degrees differ across the ball
     for x in range(g.n):
         assert gamma2_matches_symbolic(g, x)
+        assert _vanishes_on_constants(symbolic_gamma2(g, x))
 
 
 @given(connected_graphs(min_n=2, max_n=8), st.data())
@@ -205,3 +222,66 @@ def test_gamma2_form_on_four_cycle_by_hand():
     form = gamma2_form(cycle(4), 0)
     assert form.support == (1, 2, 3) and form.denominator == 4
     assert form.numerators == ((6, -2, 2), (-2, 2, -2), (2, -2, 6))
+    # the recursion gives the same expansion as integer monomials
+    quad = symbolic_gamma2(cycle(4), 0)
+    assert {k: c for k, c in quad.items() if 0 not in k} == {
+        (1, 1): 6, (2, 2): 2, (3, 3): 6, (1, 2): -4, (2, 3): -4, (1, 3): 4,
+    }
+
+
+@pytest.mark.parametrize("expr", ["gosset", "HQ 6", "J 7 3"])
+def test_symbolic_route_agrees_at_every_vertex_of_large_named_graphs(expr):
+    g = parse_family(expr).build()
+    for x in range(g.n):
+        quad = symbolic_gamma2(g, x)
+        assert all(type(c) is int for c in quad.values())
+        assert _vanishes_on_constants(quad)
+        assert gamma2_matches_symbolic(g, x)
+
+
+def _perturbed(form, i, j):
+    """The form with entries (i, j) and (j, i) raised by one numerator unit."""
+    rows = [list(row) for row in form.numerators]
+    rows[i][j] += 1
+    if i != j:
+        rows[j][i] += 1
+    return LocalForm(form.base, form.support, tuple(map(tuple, rows)), form.denominator)
+
+
+@pytest.mark.parametrize("i,j", [(0, 0), (0, 1), (3, 4), (4, 4)])
+def test_symbolic_route_flags_a_perturbed_form(monkeypatch, octahedron, i, j):
+    # CP(3) at 0: four neighbors and the antipode, so both blocks are hit
+    real = bakry_emery.gamma2_form
+    monkeypatch.setattr(bakry_emery, "gamma2_form", lambda g, x: _perturbed(real(g, x), i, j))
+    assert gamma2_matches_symbolic(octahedron, 0) is False
+
+
+def test_symbolic_monomial_outside_the_support_raises(monkeypatch, octahedron):
+    real = bakry_emery.gamma2_form
+
+    def shrunk(g, x):
+        form = real(g, x)
+        return LocalForm(form.base, form.support[:-1],
+                         tuple(row[:-1] for row in form.numerators[:-1]), form.denominator)
+
+    monkeypatch.setattr(bakry_emery, "gamma2_form", shrunk)
+    with pytest.raises(InternalCheckError, match="outside support"):
+        gamma2_matches_symbolic(octahedron, 0)
+
+
+def test_bound_report_is_cached_but_a_nonpositive_graph_is_not(monkeypatch):
+    g = hypercube(3)
+    first = be_effective_bound_report(g)
+
+    def no_pencil(*args):
+        raise AssertionError("pencil eliminated again")
+
+    monkeypatch.setattr(bakry_emery, "_pencil_psd_nullity", no_pencil)
+    assert be_effective_bound_report(g) is first
+    assert be_rigidity_check([("Q3", g)]).ok
+    monkeypatch.undo()
+    flat = cycle(6)
+    for _ in range(2):
+        with pytest.raises(NonpositiveCurvatureError):
+            be_effective_bound_report(flat)
+    assert "be_bound" not in flat.cache

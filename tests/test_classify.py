@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from gcurv import ollivier
 from gcurv.bakry_emery import bakry_emery_curvature, be_effective_bound_report
 from gcurv.classify import classify, family_name, identify_family, report_to_json
 from gcurv.errors import TrivialGraphError
@@ -151,3 +152,15 @@ def test_json_round_trip_and_determinism(octahedron):
         "E2_locally_connected_equivalences",
         "E3_reflective_iff_factors_named",
     }
+
+
+def test_factor_curvatures_use_the_reflection_orbits(monkeypatch):
+    calls = []
+    real = ollivier.solve_lipschitz_lp
+    monkeypatch.setattr(ollivier, "solve_lipschitz_lp",
+                        lambda g, lp: calls.append(lp) or real(g, lp))
+    rep = classify(parse_family("( K 2 x J 4 2 )").build())
+    assert rep.theorem_verdicts["E1_sharp_iff_reflective_constant"].passed
+    # two edge orbits in the product, one in each factor; without the
+    # factors' reflections, J(4,2) alone solves all twelve of its edges
+    assert len(calls) == 4

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -257,3 +260,17 @@ def test_check_names_unique_and_readme_total():
     stated = re.search(r"(\d+) in total", readme)
     assert stated is not None
     assert int(stated.group(1)) == len(names)
+
+
+@pytest.mark.parametrize("family,code", [("CP 3", 0), ("CP x", 2)])
+def test_module_entry_point_runs_from_a_checkout(family, code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "gcurv", "classify", "--family", family],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr.startswith("input error:")
+    else:
+        assert "prime factors: CP(3)" in proc.stdout

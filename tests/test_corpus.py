@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from gcurv import ollivier, verify
+from gcurv import bakry_emery, ollivier, verify
 from gcurv.classify import identify_family
 from gcurv.factorization import factorize
 from gcurv.graphs import effective_diameter
@@ -116,6 +116,26 @@ def test_criterion_01_solves_one_lp_per_edge_orbit(monkeypatch):
     assert verify._check_curvature_constants(_ctx("CP 4")) is None
     # the 24 edges of CP 4 form one orbit of its reflections
     assert len(calls) == 1
+
+
+def test_criterion_09_compares_the_forms_of_members_above_ten_vertices(monkeypatch):
+    ctx = Ctx(corpus=load_corpus(["CP 3", "Q 4"]), max_lp_support=10, standard=False)
+    # pencils and bound reports cached from the true forms; only the form
+    # criterion_09 compares with the recursion is then corrupted, on Q 4 alone
+    for mem in ctx.corpus:
+        bakry_emery.be_effective_bound_report(mem.graph)
+    real = bakry_emery.gamma2_form
+
+    def corrupted(g, x):
+        form = real(g, x)
+        if g.n <= 10:
+            return form
+        rows = [list(row) for row in form.numerators]
+        rows[0][0] += 1
+        return dataclasses.replace(form, numerators=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(bakry_emery, "gamma2_form", corrupted)
+    assert verify._check_bakry_emery(ctx) == "Q 4 vertex 0: iterated form mismatch"
 
 
 def test_criterion_02_checks_a_user_member(monkeypatch):
