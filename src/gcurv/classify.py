@@ -99,8 +99,6 @@ def identify_family(g: Graph) -> FamilySpec | None:
 def _factors_share_curvature(factors) -> bool:
     values = set()
     for f in factors:
-        # reflections first, as for the graph itself in classify
-        is_reflective(f)
         mec = min_edge_curvature(f)
         if not mec.is_constant:
             return False
@@ -115,8 +113,6 @@ def classify(g: Graph) -> ClassificationReport:
     """
     if g.n < 2:
         raise TrivialGraphError("classification needs at least two vertices")
-    # reflections first: on a reflective graph they let min_edge_curvature
-    # solve one LP per edge orbit
     refl = is_reflective(g)
     mec = min_edge_curvature(g)
     diam_eff = effective_diameter(g)

@@ -17,9 +17,9 @@ values, and the multipliers are subtree sums updated along the paths the
 pivot changes.  Each solve finishes by checking its own optimality
 certificate, and verify_optimality_certificate replays one in integers.
 
-Reflective graphs are solved once per orbit.  When g.cache holds a positive
-is_reflective verdict, min_edge_curvature (for the edges) and
-long_range_curvatures (for the non-adjacent pairs) take the pairs in
+Reflective graphs are solved once per orbit.  min_edge_curvature (for the
+edges) and long_range_curvatures (for the non-adjacent pairs) compute the
+is_reflective verdict first.  On a reflective graph they take the pairs in
 lexicographic order and solve the first unsolved one by the LP.  A
 breadth-first search then maps each solved pair through the reflection of
 every edge at either of its ends; an automorphism preserves the program,
@@ -29,10 +29,10 @@ with verify_optimality_certificate before it is cached, and a failed
 replay is an InternalCheckError, so every value is proven for its own pair
 whatever the mapping.  The curvature value is the optimum of the program
 and so is unique; the optimizer and certificate are not, and for a pair
-that is not an orbit representative they are the carried ones.  Without a
-cached positive verdict every pair gets its own LP, so single-pair
-requests on a fresh graph (the curvature command) never pay for
-reflections.
+that is not an orbit representative they are the carried ones.  On a graph
+that is not reflective every pair gets its own LP.  Single-pair requests
+(edge_curvature, long_range_curvature) compute no reflections: they take
+the orbit route only when an all-pairs call has already filled the cache.
 
 The same integrality gives the brute-force oracle below: the LP optimum is
 the minimum over the polytope's integer points, and with f(x) and f(y)
@@ -58,7 +58,7 @@ from .errors import (
     check_vertex,
 )
 from .graphs import Graph
-from .reflective import cached_reflections
+from .reflective import reflection_maps
 
 _MAX_PIVOTS = 200_000
 
@@ -326,7 +326,8 @@ def _pair_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
 def _carry(cv: CurvatureValue, sigma, turn: bool) -> CurvatureValue:
     """cv carried by the vertex map sigma; turn exchanges the roles of x and y.
 
-    The optimizer is integral, so the turned values gap - f stay integers.
+    The optimizer is integral, so the turned values gap - f stay integers;
+    each distinct one is built once.
     """
     gap = cv.gap
     if not turn:
@@ -335,9 +336,10 @@ def _carry(cv: CurvatureValue, sigma, turn: bool) -> CurvatureValue:
             {sigma[v]: f for v, f in cv.optimizer.items()},
             tuple((sigma[u], sigma[v], rhs, l) for (u, v, rhs, l) in cv.certificate),
         )
+    turned = {k: Fraction(gap - k) for k in {f.numerator for f in cv.optimizer.values()}}
     return CurvatureValue(
         sigma[cv.y], sigma[cv.x], gap, cv.value,
-        {sigma[v]: Fraction(gap - f.numerator) for v, f in cv.optimizer.items()},
+        {sigma[v]: turned[f.numerator] for v, f in cv.optimizer.items()},
         tuple((sigma[v], sigma[u], rhs, l) for (u, v, rhs, l) in cv.certificate),
     )
 
@@ -345,13 +347,14 @@ def _carry(cv: CurvatureValue, sigma, turn: bool) -> CurvatureValue:
 def _solve_by_orbits(g: Graph, pairs) -> None:
     """Fill the curvature cache for pairs (x < y), one LP per orbit.
 
-    Does nothing unless is_reflective(g) has cached a positive verdict; the
-    module docstring describes the search and the replay.
+    Computes the reflections first and does nothing on a graph that is not
+    reflective; the module docstring describes the search and the replay.
     """
-    maps = cached_reflections(g)
+    maps = reflection_maps(g)
     if maps is None:
         return
     cache = g.cache
+    at = [[maps[(z, w) if z < w else (w, z)] for w in g.neighbors[z]] for z in range(g.n)]
     for (a, b) in pairs:
         if ("kappa", a, b) in cache:
             continue
@@ -362,8 +365,7 @@ def _solve_by_orbits(g: Graph, pairs) -> None:
             reached = []
             for cv in frontier:
                 for z in (cv.x, cv.y):
-                    for w in g.neighbors[z]:
-                        sigma = maps[(z, w) if z < w else (w, z)]
+                    for sigma in at[z]:
                         u, v = sigma[cv.x], sigma[cv.y]
                         turn = u > v
                         if turn:
@@ -405,7 +407,8 @@ def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
     Edges are scanned in lexicographic order; witnesses are the first edge
     attaining the minimum and, when values differ, the first edge attaining
     any other value.  Raises TrivialGraphError on a graph without edges.
-    Solves one LP per edge orbit once is_reflective(g) has been cached.
+    Computes the reflections first, so a reflective graph needs one LP per
+    edge orbit.
     """
     if not g.edges:
         raise TrivialGraphError("edge curvature needs at least one edge")
@@ -430,7 +433,8 @@ def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
 def long_range_curvatures(g: Graph) -> dict:
     """Curvature of every non-adjacent pair x < y, keyed in lexicographic order.
 
-    Solves one LP per orbit once is_reflective(g) has been cached.
+    Computes the reflections first, so a reflective graph needs one LP per
+    orbit.
     """
     pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n) if not g.adjacent(x, y)]
     _solve_by_orbits(g, pairs)

@@ -182,7 +182,6 @@ def _reflective_members(ctx: Ctx):
 
 def _check_curvature_constants(ctx: Ctx):
     t0 = time.time()
-    _reflective_members(ctx)  # cached reflections: one LP per edge orbit
     for mem in ctx.corpus:
         pred = _predict(mem)
         if not pred.named:

@@ -346,11 +346,25 @@ def test_non_reflective_graphs_solve_every_pair(monkeypatch, expr):
     assert solves == {"edge": g.m, "far": len(far)}
 
 
-def test_uncached_verdict_keeps_the_per_pair_lp(monkeypatch):
+def test_min_edge_curvature_computes_its_own_reflections(monkeypatch):
     solves = _count_solves(monkeypatch)
     g = parse_family("schlafli").build()
+    assert "reflective" not in g.cache
     min_edge_curvature(g)
-    assert solves["edge"] == g.m
+    assert solves["edge"] == 1
+    assert g.cache["reflective"].reflective
+
+
+@pytest.mark.parametrize("expr", ["schlafli", "Q 4", "C 5"])
+def test_single_pair_requests_compute_no_reflections(monkeypatch, expr):
+    solves = _count_solves(monkeypatch)
+    g = parse_family(expr).build()
+    far = next((0, v) for v in range(1, g.n) if not g.adjacent(0, v))
+    edge_curvature(g, *g.edges[0])
+    long_range_curvature(g, *far)
+    assert solves == {"edge": 1, "far": 1}
+    assert "reflective" not in g.cache
+    assert not any(isinstance(k, tuple) and k[0].startswith("refl") for k in g.cache)
 
 
 @pytest.mark.parametrize("corrupt", ["far pair", "one vertex"])

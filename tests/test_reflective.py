@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs
-from gcurv.errors import NotAdjacentError, NotReflectiveError
+from gcurv import reflective
+from gcurv.errors import InternalCheckError, NotAdjacentError, NotReflectiveError
 from gcurv.families import (
     cartesian_product,
     cocktail_party,
@@ -226,21 +227,39 @@ def _validate_by_pair_scan(g, mapping, x, y):
 
 @st.composite
 def graphs_with_involution(draw):
+    """A graph, a mapping and an edge.  The mapping is a random involution,
+    or one that moves only two or three vertices: a transposition or a
+    3-cycle."""
     g = draw(connected_graphs(min_n=2, max_n=7))
     order = draw(st.permutations(range(g.n)))
-    swaps = draw(st.integers(0, g.n // 2))
     mapping = list(range(g.n))
-    for i in range(swaps):
-        a, b = order[2 * i], order[2 * i + 1]
-        mapping[a], mapping[b] = b, a
+    kind = draw(st.sampled_from(["involution", "transposition", "3-cycle"]))
+    if kind == "3-cycle" and g.n >= 3:
+        a, b, c = order[:3]
+        mapping[a], mapping[b], mapping[c] = b, c, a
+    else:
+        swaps = draw(st.integers(0, g.n // 2)) if kind == "involution" else 1
+        for i in range(swaps):
+            a, b = order[2 * i], order[2 * i + 1]
+            mapping[a], mapping[b] = b, a
     x, y = draw(st.sampled_from(g.edges))
     if draw(st.booleans()):
         x, y = y, x
     return g, tuple(mapping), x, y
 
 
+# mappings that move two or three vertices of a path or a star and break an
+# edge at a fixed vertex: 0 in the first three cases, 2 in the last one
+_P4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+_STAR = build_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+
+
+@example((_P4, (0, 2, 1, 3), 0, 1))
+@example((_P4, (0, 2, 3, 1), 1, 2))
+@example((_STAR, (0, 1, 4, 3, 2), 0, 3))
+@example((_P4, (1, 0, 2, 3), 0, 1))
 @given(graphs_with_involution())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_validate_matches_full_pair_scan(case):
     g, mapping, x, y = case
     assert _validate(g, mapping, x, y) == _validate_by_pair_scan(g, mapping, x, y)
@@ -278,3 +297,63 @@ def test_gosset_validates_each_mapping_once():
     mapping_keys = [k for k in g.cache if isinstance(k, tuple) and k[0] == "mapping_axioms"]
     assert len(mapping_keys) == 63
     assert all(g.cache[k] is None for k in mapping_keys)
+
+
+def _memo_free_search(g, x, y):
+    """(mapping, axiom, witness) of one search on a freshly built graph."""
+    fresh = build_graph(g.n, g.edges)
+    cand = candidate_reflection(fresh, x, y)
+    if cand.reflection is None:
+        return (None, "cross-edges", cand.violator)
+    fail = _validate(fresh, cand.reflection.mapping, x, y)
+    if fail is None:
+        return (cand.reflection.mapping, None, None)
+    return (None,) + fail
+
+
+@given(connected_graphs(min_n=2, max_n=8))
+@settings(max_examples=80, deadline=None)
+def test_side_class_memo_matches_a_memo_free_search(g):
+    expected = {e: _memo_free_search(g, *e) for e in g.edges}
+    for (u, v) in g.edges:
+        for x, y in ((u, v), (v, u)):
+            found = find_reflection(g, x, y)
+            mapping = None if found.reflection is None else found.reflection.mapping
+            assert (mapping, found.failed_axiom, found.witness) == expected[u, v]
+            if found.reflection is not None:
+                assert found.reflection.edge == (x, y)
+    first = next((e for e in g.edges if expected[e][0] is None), None)
+    verdict = is_reflective(build_graph(g.n, g.edges))
+    assert verdict == (first is None, first)
+    assert is_reflective(g) == verdict
+
+
+@pytest.mark.parametrize("build, searches", [(lambda: hypercube(6), 6), (gosset, 63)])
+def test_one_candidate_per_side_class(monkeypatch, build, searches):
+    calls = []
+    build_candidate = reflective.candidate_reflection
+
+    def counting(g, x, y):
+        calls.append((x, y))
+        return build_candidate(g, x, y)
+
+    monkeypatch.setattr(reflective, "candidate_reflection", counting)
+    g = build()
+    assert is_reflective(g).reflective
+    assert len(calls) == searches
+    for (x, y) in g.edges:
+        find_reflection(g, y, x)
+    assert len(calls) == searches
+
+
+def test_reverse_orientation_verdict_must_agree(monkeypatch):
+    validate = reflective._validate
+
+    def reverse_fails(g, mapping, x, y):
+        return ("middle", x) if x > y else validate(g, mapping, x, y)
+
+    monkeypatch.setattr(reflective, "_validate", reverse_fails)
+    g = hypercube(3)
+    with pytest.raises(InternalCheckError, match=r"rejected for \(1, 0\)"):
+        find_reflection(g, 0, 1)
+    assert ("refl", 0, 1) not in g.cache
