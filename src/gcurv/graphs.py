@@ -246,12 +246,18 @@ class SidePartition:
 
 
 def side_partition(g: Graph, x: int, y: int) -> SidePartition:
+    """The split by the edge (x, y), cached; (y, x) reuses it with the sides swapped."""
     if not g.adjacent(x, y):
         raise NotAdjacentError(x, y)
     key = ("side", x, y)
     hit = g.cache.get(key)
     if hit is not None:
         return hit
+    hit = g.cache.get(("side", y, x))
+    if hit is not None:
+        part = SidePartition(x, y, hit.side_y, hit.side_x, hit.middle)
+        g.cache[key] = part
+        return part
     dx = g.dist_rows()[x]
     dy = g.dist_rows()[y]
     sx, sy, mid = [], [], []

@@ -10,12 +10,19 @@ the objective, so nothing is lost.
 The solver is an exact simplex on the constraint polytope.  The pairwise
 difference system is totally unimodular, so every vertex of the polytope is
 integral and the whole pivot loop runs in plain integer arithmetic.  No
-constraint list is built: the tight rows form a spanning tree, each pivot
-cuts one subtree off and scans only the rows across that cut, reading each
-slack d(u, v) - (f(u) - f(v)) from the distance rows and the current
-values, and the multipliers are subtree sums updated along the paths the
-pivot changes.  Each solve finishes by checking its own optimality
-certificate, and verify_optimality_certificate replays one in integers.
+constraint list is built: the tight rows form a spanning tree, kept in
+arrays indexed by the child node of each row (its parent, the row, the
+row's multiplier, sign and rank, and the node's children).  Each pivot
+drops the tight row of least rank (_order) with a negative multiplier,
+which cuts one subtree off, and scans only the rows across that cut,
+reading each slack d(u, v) - (f(u) - f(v)) from the distance rows and the
+current values; the row of least slack enters, ties going to the least
+(lower end, upper end).  The multipliers are subtree sums updated along
+the paths the pivot changes, and a degenerate pivot (slack 0) moves no
+value.  The final rows are sorted by rank once, so every certificate lists
+its rows in one fixed order.  Each solve finishes by checking its own
+optimality certificate, and verify_optimality_certificate replays one in
+integers.
 
 Reflective graphs are solved once per orbit.  min_edge_curvature (for the
 edges) and long_range_curvatures (for the non-adjacent pairs) compute the
@@ -42,7 +49,7 @@ definition of the Laplacian, sharing only the distance matrix with the
 simplex path.
 """
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -141,117 +148,135 @@ def _is_lipschitz(dist, support, f) -> bool:
     return True
 
 
-def _order(row):
-    """Rank of the row f(a) - f(b) <= d(a, b): by pair, then a < b first."""
-    a, b = row
-    return (a, b, False) if a < b else (b, a, True)
+def _order(a, b, n):
+    """Rank of the row f(a) - f(b) <= d(a, b) among n members.
 
-
-def _entering_row(dist, f, moving, stride):
-    """First row of least slack among those the step loosens, in _order.
-
-    moving[i] is True for the members that move by stride.  Only rows
-    across the cut have a rate, each in one direction, and the slack of the
-    pair {u, v} reads d(u, v) - s * (f(u) - f(v)) with s = stride for a
-    moving u and -stride otherwise.  Each u of the smaller side, in
-    increasing order, takes its first best partner v on the other side (the
-    lowest of its ties in _order) and the least (slack, pair) wins; once the
-    best slack is zero, a later u can only win with a partner below the best
-    pair's lower end.  Returns (slack, row).
+    Rows rank by their pair {a, b}, lower end first, then a < b before
+    a > b; the rank is one integer so that a list of them compares fast.
     """
-    ins = [i for i, m in enumerate(moving) if m]
-    outs = [i for i, m in enumerate(moving) if not m]
-    side, other, su = (ins, outs, stride) if len(ins) <= len(outs) else (outs, ins, -stride)
+    return (a * n + b) * 2 if a < b else (b * n + a) * 2 + 1
+
+
+def _entering_row(dist, fs, side, other):
+    """The row that goes tight first as the cut moves: least slack, then _order.
+
+    side and other are the two sides of the cut in increasing order, side
+    the smaller.  With su = +1 or -1 the rate at which f(u) - f(v) grows
+    for u in side and v in other, fs holds su * f.  Only rows across the
+    cut have a rate, each in one direction, and the slack of the pair
+    {u, v} reads d(u, v) + fs(v) - fs(u).  Each u of side, in increasing
+    order, takes its first best partner v (the lowest of its ties in
+    _order) and the least (slack, lower end, upper end) wins; once the best
+    slack is zero, a later u can only win with a partner below the best
+    pair's lower end.  Returns (slack, u, v).
+    """
     best = None
     for u in side:
         du = dist[u]
-        ts = [du[v] + su * f[v] for v in other]
+        ts = [du[v] + fs[v] for v in other]
         if not ts:
             break
         low = min(ts)
         v = other[ts.index(low)]
-        cand = (low - su * f[u], min(u, v), max(u, v), u, v)
+        low -= fs[u]
+        cand = (low, u, v, u, v) if u < v else (low, v, u, u, v)
         if best is None or cand < best:
             best = cand
-        if best[0] == 0:
-            other = other[:bisect_left(other, best[1])]
-    t, _, _, u, v = best
-    return t, ((u, v) if su > 0 else (v, u))
+            if low == 0:
+                other = other[:bisect_left(other, cand[1])]
+    return best[0], best[3], best[4]
 
 
-def _solve_core(dist, f, node, ground, cvec, active):
+def _solve_core(dist, f, ix, iy, cvec):
     """Exact minimization of sum cvec[i] * f_i over the difference polytope.
 
-    Members are numbered in support order; dist is their distance matrix,
-    f their integer values (updated in place) and active the start rows
-    (y, v), one per free member v, all tight.  The tight rows always form
-    a spanning tree of the free nodes and the ground (x and y merged).
+    Members are numbered in support order; dist is their distance matrix
+    and f their integer values (updated in place, nf mirrors -f), starting
+    on the rows f(y) - f(v) <= d(y, v), one per free member v, all tight.
+    The tight rows always form a spanning tree of the free members and the
+    ground (x and y merged, numbered ix).  Each free node keeps, indexed by
+    itself, its parent par, the row up to it, that row's multiplier lam,
+    its sign sg (+1 where the node is the row's first end), the row's rank
+    key (_order) and the list of its children.
     Stationarity at a free node n reads c(n) + sum(sigma * lam) = 0 over
-    its rows, sigma = +1 where n is the row's first end; summed over the
-    subtree below a row it leaves that row alone, so lam = -sigma * S with
-    S the sum of c over that subtree.  Each pivot drops the first active
-    row (in _order) with a negative multiplier, moves the subtree M below
-    it until a row crossing the cut goes tight, and hangs M from that row:
-    only the sums S on the two paths to the ground and inside M on the way
-    to the new row change.  Returns (active, multipliers).
+    its rows; summed over the subtree below a row it leaves that row alone,
+    so lam = -sg * S with S the sum of c over that subtree.  Each pivot
+    drops the row of least _order with a negative multiplier, moves the
+    subtree M below it until a row crossing the cut goes tight (the least
+    slack, ties to the least (lower end, upper end)), and hangs M from that
+    row: only the sums S on the two paths to the ground and on the path in
+    M that turns over change.  A degenerate pivot (slack 0) moves nothing.
+    Returns the final rows [(row, multiplier)] sorted by _order.
     """
-    par = [ground] * len(node)
-    up = [None] * len(node)  # the row from each node to its parent
-    adj = [{} for _ in node]
-    for row in active:
-        nd = node[row[1]]
-        up[nd] = row
-        adj[nd][row] = ground
-        adj[ground][row] = nd
-    lam = {row: cvec[node[row[1]]] for row in active}
+    n = len(f)
+    free = [i for i in range(n) if i != ix and i != iy]
 
-    def sigma(nd, row):
-        return 1 if node[row[0]] == nd else -1
-
-    def carry(nd, ds):  # add ds to S along the path from nd to the ground
-        while nd != ground:
-            row = up[nd]
-            lam[row] -= sigma(nd, row) * ds
-            nd = par[nd]
-
+    par = [ix] * n
+    up = [(iy, i) for i in range(n)]
+    sg = [-1] * n
+    lam = list(cvec)
+    key = [_order(iy, i, n) for i in range(n)]
+    kids = [[] for _ in range(n)]
+    kids[ix] = list(free)
+    lam[ix] = lam[iy] = 0  # not rows: never negative, never read
+    key[ix] = key[iy] = -1
+    nf = [-v for v in f]
     for _ in range(_MAX_PIVOTS):
-        leaving = next((row for row in active if lam[row] < 0), None)
-        if leaving is None:
-            return active, lam
-        top = node[leaving[0]]
-        if up[top] == leaving:
-            top = node[leaving[1]]
-        root = node[leaving[0]] + node[leaving[1]] - top
+        neg = [k for k, l in zip(key, lam) if l < 0]
+        if not neg:
+            break
+        root = key.index(min(neg))
+        top = par[root]
         sub = [root]
         for nd in sub:
-            sub.extend(other for row, other in adj[nd].items() if row != up[nd])
-        moving = [False] * len(f)
-        for nd in sub:
-            moving[nd] = True
-        stride = -1 if moving[leaving[0]] else 1  # opens the leaving row
-        step, entering = _entering_row(dist, f, moving, stride)
-        for nd in sub:
-            f[nd] += step * stride
-        s_m = -sigma(root, leaving) * lam.pop(leaving)
-        carry(top, -s_m)
-        m, w = node[entering[0]], node[entering[1]]
-        if not moving[m]:
-            m, w = w, m
-        carry(w, s_m)
-        # re-root M at m: the rows from m up to root turn over
-        nd, row, below = m, entering, w
-        while nd != root:
-            lam[up[nd]] += sigma(nd, up[nd]) * s_m
-            row, up[nd] = up[nd], row
-            below, par[nd], nd = nd, below, par[nd]
-        up[root], par[root] = row, below
-        lam[entering] = -sigma(m, entering) * s_m
-        del adj[top][leaving], adj[root][leaving]
-        adj[m][entering] = w
-        adj[w][entering] = m
-        active.remove(leaving)
-        insort(active, entering, key=_order)
-    raise InternalCheckError("pivot limit exceeded")
+            sub.extend(kids[nd])
+        stride = -sg[root]  # opens the leaving row
+        ins = sorted(sub)
+        outs = list(range(n))
+        for nd in reversed(ins):
+            del outs[nd]
+        if len(ins) <= len(outs):
+            step, m, w = _entering_row(dist, f if stride > 0 else nf, ins, outs)
+        else:
+            step, w, m = _entering_row(dist, nf if stride > 0 else f, outs, ins)
+        entering = (m, w) if stride > 0 else (w, m)
+        if step:
+            ds = step * stride
+            for nd in sub:
+                f[nd] += ds
+                nf[nd] -= ds
+        s_m = -sg[root] * lam[root]
+        if w == iy:  # y is part of the ground
+            w = ix
+        nd = top
+        while nd != ix:
+            lam[nd] += sg[nd] * s_m
+            nd = par[nd]
+        nd = w
+        while nd != ix:
+            lam[nd] -= sg[nd] * s_m
+            nd = par[nd]
+        kids[top].remove(root)
+        kids[w].append(m)
+        # re-root M at m: each row on the path from m up to root turns over
+        # and moves to the node that was its parent
+        row, k, s, l = entering, _order(*entering, n), stride, -stride * s_m
+        below, nd = w, m
+        while True:
+            up[nd], row = row, up[nd]
+            key[nd], k = k, key[nd]
+            sg[nd], s = s, sg[nd]
+            lam[nd], l = l, lam[nd]
+            par[nd], below, nd = below, nd, par[nd]
+            if below == root:
+                break
+            kids[nd].remove(below)
+            kids[below].append(nd)
+            l += s * s_m
+            s = -s
+    else:
+        raise InternalCheckError("pivot limit exceeded")
+    return [(up[nd], lam[nd]) for nd in sorted(free, key=key.__getitem__)]
 
 
 def solve_lipschitz_lp(g: Graph, lp: LipschitzLP) -> CurvatureValue:
@@ -260,16 +285,12 @@ def solve_lipschitz_lp(g: Graph, lp: LipschitzLP) -> CurvatureValue:
     x, y, gap = lp.x, lp.y, lp.gap
     fixed = {x: 0, y: gap}
     members = sorted(v for v in lp.support if v in fixed or lp.coeffs[v] != 0)
-    ix, iy = members.index(x), members.index(y)
-    node = list(range(len(members)))
-    node[iy] = ix
     pick = itemgetter(*members)
     mdist = [pick(dist[u]) for u in members]
-    f = [gap - dist[v][y] for v in members]
-    cvec = [lp.coeffs[v] for v in members]
     # the start point sits on each row f(y) - f(v) <= d(y, v)
-    active = sorted(((iy, i) for i in range(len(members)) if i not in (ix, iy)), key=_order)
-    active, lam = _solve_core(mdist, f, node, ix, cvec, active)
+    f = [gap - dist[v][y] for v in members]
+    rows = _solve_core(mdist, f, members.index(x), members.index(y),
+                       [lp.coeffs[v] for v in members])
 
     f_full = dict(zip(members, f))
     objective = sum(lp.coeffs[v] * f_full[v] for v in members)
@@ -286,11 +307,10 @@ def solve_lipschitz_lp(g: Graph, lp: LipschitzLP) -> CurvatureValue:
     if f_full[y] - f_full[x] != gap:
         raise InternalCheckError("optimizer violates the endpoint constraint")
     certificate = []
-    for row in active:
-        l = lam[row]
+    for (a, b), l in rows:
         if l < 0:
             raise InternalCheckError("negative multiplier at optimum")
-        u, v = members[row[0]], members[row[1]]
+        u, v = members[a], members[b]
         rhs = dist[u][v]
         if f_full[u] - f_full[v] != rhs:
             raise InternalCheckError("certificate row is not tight")
@@ -303,12 +323,13 @@ def solve_lipschitz_lp(g: Graph, lp: LipschitzLP) -> CurvatureValue:
     if any(gradient[v] for v in lp.support if v not in fixed):
         raise InternalCheckError("certificate does not balance the objective")
 
+    table = {k: Fraction(k) for k in set(f_full.values())}
     return CurvatureValue(
         x=x,
         y=y,
         gap=gap,
         value=Fraction(objective, gap),
-        optimizer={v: Fraction(f_full[v]) for v in lp.support},
+        optimizer={v: table[f_full[v]] for v in lp.support},
         certificate=tuple(certificate),
     )
 

@@ -207,6 +207,17 @@ def test_side_partition_is_a_partition(g):
 
 
 @given(connected_graphs())
+@settings(max_examples=40, deadline=None)
+def test_reversed_side_partition_swaps_the_cached_one(g):
+    for (x, y) in g.edges:
+        side_partition(g, x, y)
+    scratch = build_graph(g.n, g.edges)
+    g.dist_rows = None  # a partition computed again would fail here
+    for (x, y) in g.edges:
+        assert side_partition(g, y, x) == side_partition(scratch, y, x)
+
+
+@given(connected_graphs())
 @settings(max_examples=30, deadline=None)
 def test_self_isomorphism_exists(g):
     mapping = are_isomorphic(g, g)

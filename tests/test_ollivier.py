@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -194,6 +195,51 @@ def test_pinned_halved_cube_distance_three_pair():
         (17, 13, 2, 1), (17, 15, 2, 1), (17, 22, 2, 1), (17, 26, 2, 1),
         (17, 28, 2, 1), (17, 30, 2, 1), (17, 31, 2, 1),
     )
+
+
+# Three irregular graphs (degrees 1-6, 3-8 and 1-5; diameters 4, 2 and 4)
+# whose 224 pairs take 795 pivots, 538 of them degenerate.  The digest covers
+# (x, y, value, optimizer, certificate) of every pair in lexicographic
+# order, so a change to the pivot rule or the row order shows up on pairs
+# that the three pinned tests above do not reach.
+PINNED_EDGE_LISTS = (
+    (11, [(0, 1), (0, 2), (0, 4), (0, 6), (0, 7), (1, 3), (1, 4), (1, 5), (1, 9),
+          (2, 8), (3, 5), (3, 6), (4, 5), (4, 7), (5, 6), (5, 7), (5, 10), (7, 8),
+          (7, 9)]),
+    (13, [(0, 1), (0, 9), (0, 10), (0, 11), (0, 12), (1, 3), (1, 4), (1, 8), (1, 9),
+          (1, 11), (1, 12), (2, 3), (2, 7), (2, 11), (2, 12), (3, 5), (3, 6), (3, 10),
+          (4, 5), (4, 10), (4, 11), (5, 12), (6, 8), (6, 9), (6, 11), (7, 8), (7, 11),
+          (7, 12), (8, 10), (8, 12), (9, 12), (11, 12)]),
+    (14, [(0, 7), (0, 10), (1, 2), (1, 3), (1, 5), (1, 8), (3, 4), (3, 5), (3, 6),
+          (4, 7), (4, 12), (4, 13), (5, 9), (5, 10), (6, 11), (6, 12), (7, 12), (8, 9),
+          (8, 10), (8, 12), (8, 13), (11, 12)]),
+)
+
+
+def test_pinned_digest_of_every_pair_on_irregular_graphs():
+    digest = hashlib.sha256()
+    pairs = 0
+    for n, edges in PINNED_EDGE_LISTS:
+        g = build_graph(n, edges)
+        for x in range(n):
+            for y in range(x + 1, n):
+                solve = edge_curvature if g.adjacent(x, y) else long_range_curvature
+                cv = solve(g, x, y)
+                optimizer = sorted((v, str(f)) for v, f in cv.optimizer.items())
+                digest.update(repr((cv.x, cv.y, str(cv.value), optimizer,
+                                    cv.certificate)).encode())
+                pairs += 1
+    assert pairs == 224
+    assert digest.hexdigest() == (
+        "220b699f838c0a7bc83e67f55684a53610f5471aec6a0b45a647fbdcac8afbaf")
+
+
+def test_pivot_limit_is_an_internal_error(monkeypatch):
+    g = hypercube(3)
+    lp = build_lipschitz_lp(g, 0, 7)  # three pivots from the start basis
+    monkeypatch.setattr(ollivier, "_MAX_PIVOTS", 1)
+    with pytest.raises(InternalCheckError, match="pivot limit exceeded"):
+        ollivier.solve_lipschitz_lp(g, lp)
 
 
 def test_optimizer_is_lipschitz_with_unit_gap(j52):
