@@ -221,10 +221,12 @@ def _solve_core(dist, f, ix, iy, cvec):
     lam[ix] = lam[iy] = 0  # not rows: never negative, never read
     key[ix] = key[iy] = -1
     nf = [-v for v in f]
-    for _ in range(_MAX_PIVOTS):
+    for pivots in range(_MAX_PIVOTS + 1):
         neg = [k for k, l in zip(key, lam) if l < 0]
         if not neg:
             break
+        if pivots == _MAX_PIVOTS:
+            raise InternalCheckError("pivot limit exceeded")
         root = key.index(min(neg))
         top = par[root]
         sub = [root]
@@ -274,8 +276,6 @@ def _solve_core(dist, f, ix, iy, cvec):
             kids[below].append(nd)
             l += s * s_m
             s = -s
-    else:
-        raise InternalCheckError("pivot limit exceeded")
     return [(up[nd], lam[nd]) for nd in sorted(free, key=key.__getitem__)]
 
 

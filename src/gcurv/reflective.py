@@ -15,11 +15,11 @@ identical distance gradients, and a representative can be found inside
 any unit ball by walking reflections along a geodesic.
 
 Because parallel edges share their sides, a sharp graph has far fewer
-distinct sides than directed edges (Gosset: 126 sides, 1,512 directed
+side classes than directed edges (Gosset: 126 classes, 1,512 directed
 edges).  The reflection search depends on nothing but the graph and the
-two sides, and the structural side check on nothing but the graph and
-the side's vertex set, so memoizing the one per side partition and the
-other per side set is exact.
+two sides, so it is memoized per side partition.  side_classes indexes the
+directed edges by their sides, and the checks in verify that read only an
+edge's sides run once per class from that index.
 """
 
 from dataclasses import dataclass
@@ -234,6 +234,24 @@ def is_reflective(g: Graph) -> ReflectiveVerdict:
             break
     g.cache[key] = verdict
     return verdict
+
+
+def side_classes(g: Graph) -> dict:
+    """(side_x, side_y) -> the directed edges with those sides, cached.
+
+    Edges keep g.edges order, (x, y) before (y, x).  find_reflection never
+    builds the index: a graph that is not reflective usually fails at its
+    first edge.
+    """
+    hit = g.cache.get("side_classes")
+    if hit is None:
+        hit = {}
+        for (x, y) in g.edges:
+            for e in ((x, y), (y, x)):
+                sp = side_partition(g, *e)
+                hit.setdefault((sp.side_x, sp.side_y), []).append(e)
+        g.cache["side_classes"] = hit
+    return hit
 
 
 def reflection_maps(g: Graph):
@@ -499,8 +517,8 @@ def _sphere_caps_isometric(g: Graph) -> bool:
 def vxy_convex_reflective_check(g: Graph, x: int, y: int) -> bool:
     """Side of an edge: convex, reflective as a subgraph, isometric spheres.
 
-    The verdict depends only on the graph and the side's vertex set, so it
-    is memoized per side and parallel edges share one check.
+    The verdict depends only on the graph and the side's vertex set, so one
+    member of each side class (side_classes) stands for the whole class.
     """
     verdict = is_reflective(g)
     if not verdict.reflective:
@@ -508,13 +526,6 @@ def vxy_convex_reflective_check(g: Graph, x: int, y: int) -> bool:
     if not g.adjacent(x, y):
         raise NotAdjacentError(x, y)
     side = side_partition(g, x, y).side_x
-    key = ("side_check", frozenset(side))
-    if key not in g.cache:
-        g.cache[key] = _side_structure_holds(g, side)
-    return g.cache[key]
-
-
-def _side_structure_holds(g: Graph, side) -> bool:
     if not is_convex_subset(g, side):
         return False
     sub, _ = induced_subgraph(g, side)

@@ -41,7 +41,6 @@ from .graphs import (
     is_convex_subset,
     is_isometric_subset,
     is_locally_connected,
-    side_partition,
 )
 from .ollivier import (
     brute_force_curvature_oracle,
@@ -60,6 +59,7 @@ from .reflective import (
     pair_orbit_certificate,
     parallel_gradient_identity,
     parallel_in_ball,
+    side_classes,
     triangle_matching_check,
     vxy_convex_reflective_check,
 )
@@ -275,16 +275,17 @@ def _check_structural_suite(ctx: Ctx):
             continue
         g = mem.graph
         kappa = min_edge_curvature(g).value
-        for (x, y) in g.edges:
+        # both checks read only the edge's sides: one member per side class
+        for members in side_classes(g).values():
+            x, y = members[0]
             mv = matching_structure_check(g, x, y, kappa)
             if not mv.ok:
                 return f"{mem.name} ({x},{y}): matching, {mv.note}"
-            if not triangle_matching_check(g, x, y):
-                return f"{mem.name} ({x},{y}): triangle matching"
             if not vxy_convex_reflective_check(g, x, y):
                 return f"{mem.name} ({x},{y}): side structure"
-            if not vxy_convex_reflective_check(g, y, x):
-                return f"{mem.name} ({y},{x}): side structure"
+        for (x, y) in g.edges:
+            if not triangle_matching_check(g, x, y):
+                return f"{mem.name} ({x},{y}): triangle matching"
         for x in range(g.n):
             if not distance_eigenfunction_check(g, x, kappa):
                 return f"{mem.name} vertex {x}: distance eigenfunction"
@@ -415,12 +416,11 @@ def _check_effective_diameter_rows(ctx: Ctx):
 def _check_convex_implies_isometric(ctx: Ctx):
     for mem in ctx.corpus:
         g = mem.graph
-        edges = g.edges if g.n <= 36 else g.edges[:60]
-        for (x, y) in edges:
-            sp = side_partition(g, x, y)
-            for side in (sp.side_x, sp.side_y):
-                if is_convex_subset(g, side) and not is_isometric_subset(g, side):
-                    return f"{mem.name} ({x},{y}): convex side not isometric"
+        # every directed edge's side is the first side of its class
+        for (side, _), members in side_classes(g).items():
+            if is_convex_subset(g, side) and not is_isometric_subset(g, side):
+                x, y = members[0]
+                return f"{mem.name} ({x},{y}): convex side not isometric"
     return None
 
 
@@ -562,116 +562,100 @@ def _check_reflection_axioms(ctx: Ctx):
     for mem in _reflective_members(ctx):
         g = mem.graph
         edge_set = set(g.edges)
-        for (x, y) in g.edges:
+        # all axioms but the endpoint one read only the sides: check them on
+        # the class's first member, then map every member onto that reflection
+        for (side_x, side_y), members in side_classes(g).items():
+            x, y = members[0]
             m = find_reflection(g, x, y).reflection.mapping
-            if m[x] != y or m[y] != x:
-                return f"{mem.name} ({x},{y}): endpoints not exchanged"
             if any(m[m[v]] != v for v in range(g.n)):
                 return f"{mem.name} ({x},{y}): not an involution"
             image = {tuple(sorted((m[u], m[v]))) for (u, v) in g.edges}
             if image != edge_set:
                 return f"{mem.name} ({x},{y}): not an automorphism"
-            sp = side_partition(g, x, y)
-            if any(m[v] != v for v in sp.middle):
+            sx, sy = set(side_x), set(side_y)
+            if any(m[v] != v for v in range(g.n) if v not in sx and v not in sy):
                 return f"{mem.name} ({x},{y}): middle moves"
-            if {m[v] for v in sp.side_x} != set(sp.side_y):
+            if {m[v] for v in sx} != sy:
                 return f"{mem.name} ({x},{y}): sides not exchanged"
-            sx, sy = set(sp.side_x), set(sp.side_y)
             cross = {
                 (u, v)
                 for (u, v) in g.edges
                 if (u in sx and v in sy) or (u in sy and v in sx)
             }
-            swaps = {tuple(sorted((v, m[v]))) for v in sp.side_x}
+            swaps = {tuple(sorted((v, m[v]))) for v in sx}
             if cross != swaps:
                 return f"{mem.name} ({x},{y}): cross edges differ from swaps"
+            for (u, v) in members:
+                if find_reflection(g, u, v).reflection.mapping != m:
+                    return f"{mem.name} ({u},{v}): mapping differs from its class's"
+                if m[u] != v or m[v] != u:
+                    return f"{mem.name} ({u},{v}): endpoints not exchanged"
     return None
 
 
 def _parallel_structure(ctx: Ctx, mem: CorpusMember):
-    """One exhaustive pass over directed-edge pairs; results are memoized.
+    key = ("par", mem.name)
+    if key not in ctx.memo:
+        ctx.memo[key] = _parallel_witnesses(mem.name, mem.graph)
+    return ctx.memo[key]
+
+
+def _parallel_witnesses(name: str, g: Graph):
+    """One pass over the side classes: the first witness of each failure.
 
     Verifies that the side-membership relation coincides with equality of
-    side partitions (hence is an equivalence), that partner sets match the
-    reflection pairing, and that every parallel pair satisfies the distance
-    gradient identity.
+    side partitions (hence is an equivalence), that each class is the
+    reflection pairing of its sides, and that each member satisfies the
+    distance gradient identity with its class's first member.  A relation
+    row reads only its edge's sides, so one row per class is scanned.  A
+    gradient witness may name another pair than an all-pairs scan would.
     """
-    key = ("par", mem.name)
-    if key in ctx.memo:
-        return ctx.memo[key]
-    g = mem.graph
+    classes = side_classes(g)
     dirs = [e for (x, y) in g.edges for e in ((x, y), (y, x))]
-    sx, sy, keys = {}, {}, {}
-    interned = {}
-    for e in dirs:
-        sp = side_partition(g, *e)
-        a, b = frozenset(sp.side_x), frozenset(sp.side_y)
-        sx[e], sy[e] = a, b
-        keys[e] = interned.setdefault((a, b), len(interned))
+    index = {e: i for i, members in enumerate(classes.values()) for e in members}
     out = {"equivalence": None, "remark": None, "gradient": None}
-    partners = {e: [] for e in dirs}
-    for e1 in dirs:
-        a, b, k1 = sx[e1], sy[e1], keys[e1]
+    for i, ((a, b), members) in enumerate(classes.items()):
+        a, b = frozenset(a), frozenset(b)
         for e2 in dirs:
-            related = e2[0] in a and e2[1] in b
-            if related != (k1 == keys[e2]):
+            if (e2[0] in a and e2[1] in b) != (index[e2] == i):
                 out["equivalence"] = (
-                    f"{mem.name}: relation disagrees with side classes "
-                    f"at {e1} vs {e2}"
+                    f"{name}: relation disagrees with side classes "
+                    f"at {members[0]} vs {e2}"
                 )
-                break
-            if related:
-                partners[e1].append(e2)
-        if out["equivalence"]:
+                return out
+    rng = random.Random(len(dirs))
+    for _ in range(min(2000, len(dirs) ** 2)):
+        e1, e2 = rng.choice(dirs), rng.choice(dirs)
+        if are_parallel(g, e1, e2) != (index[e1] == index[e2]):
+            out["equivalence"] = f"{name}: are_parallel({e1},{e2}) odd"
+            return out
+    for (a, _), members in classes.items():
+        m = find_reflection(g, *members[0]).reflection.mapping
+        if set(members) != {(v, m[v]) for v in a}:
+            out["remark"] = (
+                f"{name}: partners of {members[0]} differ from the "
+                f"reflection pairing"
+            )
             break
-    if out["equivalence"] is None:
-        rng = random.Random(len(dirs))
-        for _ in range(min(2000, len(dirs) ** 2)):
-            e1, e2 = rng.choice(dirs), rng.choice(dirs)
-            if are_parallel(g, e1, e2) != (keys[e1] == keys[e2]):
-                out["equivalence"] = f"{mem.name}: are_parallel({e1},{e2}) odd"
-                break
-    if out["equivalence"] is None:
-        for e in dirs:
-            m = find_reflection(g, *e).reflection.mapping
-            expected = {(v, m[v]) for v in sx[e]}
-            if set(partners[e]) != expected:
-                out["remark"] = (
-                    f"{mem.name}: partners of {e} differ from the "
-                    f"reflection pairing"
+    for members in classes.values():
+        for e in members[1:]:
+            if not parallel_gradient_identity(g, members[0], e):
+                out["gradient"] = (
+                    f"{name}: gradient identity fails for "
+                    f"{members[0]} and {e}"
                 )
-                break
-    if out["equivalence"] is None and out["gradient"] is None:
-        done = False
-        for e1 in dirs:
-            for e2 in partners[e1]:
-                if not parallel_gradient_identity(g, e1, e2):
-                    out["gradient"] = (
-                        f"{mem.name}: gradient identity fails for "
-                        f"{e1} and {e2}"
-                    )
-                    done = True
-                    break
-            if done:
-                break
-    ctx.memo[key] = out
+                return out
     return out
 
 
-def _check_parallel_equivalence(ctx: Ctx):
-    for mem in _reflective_members(ctx):
-        w = _parallel_structure(ctx, mem)["equivalence"]
-        if w is not None:
-            return w
-    return None
-
-
-def _check_parallel_remark(ctx: Ctx):
-    for mem in _reflective_members(ctx):
-        w = _parallel_structure(ctx, mem)["remark"]
-        if w is not None:
-            return w
-    return None
+def _parallel_witness(part: str):
+    def check(ctx: Ctx):
+        for mem in _reflective_members(ctx):
+            w = _parallel_structure(ctx, mem)[part]
+            if w is not None:
+                return w
+        return None
+    return check
 
 
 # --- factorization invariants ---
@@ -777,8 +761,8 @@ INVARIANT_CHECKS = (
     ("ollivier.long_range_lower_bound", _check_long_range_lower_bound),
     ("ollivier.formula_agreement", _check_curvature_formula_agreement),
     ("reflective.reflection_axioms", _check_reflection_axioms),
-    ("reflective.parallel_equivalence", _check_parallel_equivalence),
-    ("reflective.parallel_remark", _check_parallel_remark),
+    ("reflective.parallel_equivalence", _parallel_witness("equivalence")),
+    ("reflective.parallel_remark", _parallel_witness("remark")),
     ("factorization.factor_arithmetic", _check_factor_arithmetic),
     ("factorization.reflectiveness_transfer", _check_reflectiveness_transfer),
     ("factorization.locally_disconnected_nonprime",

@@ -8,6 +8,7 @@ show that a check fails on a user member when a computed value is wrong.
 import dataclasses
 import importlib.util
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,16 @@ import pytest
 from gcurv import bakry_emery, ollivier, verify
 from gcurv.classify import identify_family
 from gcurv.factorization import factorize
-from gcurv.graphs import effective_diameter
+from gcurv.graphs import effective_diameter, side_partition
 from gcurv.ollivier import min_edge_curvature
-from gcurv.reflective import ReflectiveVerdict, is_reflective
+from gcurv.reflective import (
+    ReflectiveVerdict,
+    are_parallel,
+    find_reflection,
+    is_reflective,
+    parallel_gradient_identity,
+    side_classes,
+)
 from gcurv.verify import STANDARD_CORPUS, CorpusMember, Ctx, load_corpus
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -154,6 +162,91 @@ def test_criterion_05_checks_a_user_member(monkeypatch):
     monkeypatch.setattr(verify, "factorize", lambda g: [g, g])
     witness = verify._check_factorization_round_trip(_ctx("CP 3"))
     assert witness == "CP 3: factor sizes [(6, 12), (6, 12)] != [(6, 12)]"
+
+
+def _pairwise_parallel_structure(name, g):
+    """The all-pairs scan over directed edges that _parallel_structure replaced."""
+    dirs = [e for (x, y) in g.edges for e in ((x, y), (y, x))]
+    sx, sy, keys = {}, {}, {}
+    interned = {}
+    for e in dirs:
+        sp = side_partition(g, *e)
+        a, b = frozenset(sp.side_x), frozenset(sp.side_y)
+        sx[e], sy[e] = a, b
+        keys[e] = interned.setdefault((a, b), len(interned))
+    out = {"equivalence": None, "remark": None, "gradient": None}
+    partners = {e: [] for e in dirs}
+    for e1 in dirs:
+        for e2 in dirs:
+            related = e2[0] in sx[e1] and e2[1] in sy[e1]
+            if related != (keys[e1] == keys[e2]):
+                out["equivalence"] = (f"{name}: relation disagrees with side "
+                                      f"classes at {e1} vs {e2}")
+                return out
+            if related:
+                partners[e1].append(e2)
+    rng = random.Random(len(dirs))
+    for _ in range(min(2000, len(dirs) ** 2)):
+        e1, e2 = rng.choice(dirs), rng.choice(dirs)
+        if are_parallel(g, e1, e2) != (keys[e1] == keys[e2]):
+            out["equivalence"] = f"{name}: are_parallel({e1},{e2}) odd"
+            return out
+    for e in dirs:
+        m = find_reflection(g, *e).reflection.mapping
+        if set(partners[e]) != {(v, m[v]) for v in sx[e]}:
+            out["remark"] = f"{name}: partners of {e} differ from the reflection pairing"
+            break
+    for e1 in dirs:
+        for e2 in partners[e1]:
+            if not parallel_gradient_identity(g, e1, e2):
+                out["gradient"] = f"{name}: gradient identity fails for {e1} and {e2}"
+                return out
+    return out
+
+
+def test_parallel_structure_per_class_matches_the_pairwise_scan():
+    members = [mem for mem in verify.standard_corpus() if is_reflective(mem.graph).reflective]
+    members += load_corpus(["KB 2 3", "KB 3 3"])
+    ctx = Ctx(corpus=tuple(members), max_lp_support=10, standard=False)
+    for mem in members:
+        assert (verify._parallel_structure(ctx, mem)
+                == _pairwise_parallel_structure(mem.name, mem.graph))
+    witnesses = [verify._parallel_structure(ctx, mem)["equivalence"] for mem in members[-2:]]
+    assert witnesses == [
+        "KB 2 3: relation disagrees with side classes at (0, 2) vs (3, 1)",
+        "KB 3 3: relation disagrees with side classes at (0, 3) vs (4, 1)",
+    ]
+
+
+def test_convex_implies_isometric_reaches_every_side_of_gosset(monkeypatch):
+    ctx = _ctx("gosset")
+    g = ctx.corpus[0].graph
+    seen = set()
+    real = verify.is_convex_subset
+    monkeypatch.setattr(verify, "is_convex_subset",
+                        lambda graph, side: seen.add(side) or real(graph, side))
+    assert verify._check_convex_implies_isometric(ctx) is None
+    every = {side_partition(g, *e).side_x for (x, y) in g.edges for e in ((x, y), (y, x))}
+    assert len(every) == 126
+    assert seen == every
+
+
+def test_reflection_axioms_reject_a_wrong_mapping_of_a_later_member():
+    ctx = _ctx("J 4 2")
+    mem = ctx.corpus[0]
+    g = mem.graph
+    assert verify._check_reflection_axioms(ctx) is None
+    classes = list(side_classes(g).values())
+    firsts = {members[0] for members in classes}
+    u, v = next(e for e in g.edges if e not in firsts and e[::-1] not in firsts)
+    # a true reflection of the graph, but of a class that holds neither (u, v) nor (v, u)
+    other = next(ms for ms in classes if (u, v) not in ms and (v, u) not in ms)
+    wrong = find_reflection(g, *other[0]).reflection.mapping
+    g.cache["refl", u, v] = (wrong, None, None)
+    assert verify._check_reflection_axioms(ctx) in {
+        f"{mem.name} ({u},{v}): mapping differs from its class's",
+        f"{mem.name} ({v},{u}): mapping differs from its class's",
+    }
 
 
 def _load_survey():

@@ -242,6 +242,17 @@ def test_pivot_limit_is_an_internal_error(monkeypatch):
         ollivier.solve_lipschitz_lp(g, lp)
 
 
+def test_pivot_limit_admits_a_solve_that_needs_exactly_the_limit(monkeypatch):
+    g = hypercube(3)
+    lp = build_lipschitz_lp(g, 0, 7)  # three pivots from the start basis
+    free = ollivier.solve_lipschitz_lp(g, lp)
+    monkeypatch.setattr(ollivier, "_MAX_PIVOTS", 3)
+    assert ollivier.solve_lipschitz_lp(g, lp) == free
+    monkeypatch.setattr(ollivier, "_MAX_PIVOTS", 2)
+    with pytest.raises(InternalCheckError, match="pivot limit exceeded"):
+        ollivier.solve_lipschitz_lp(g, lp)
+
+
 def test_optimizer_is_lipschitz_with_unit_gap(j52):
     dist = j52.dist_rows()
     cv = edge_curvature(j52, 0, 1)

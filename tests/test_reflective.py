@@ -20,7 +20,6 @@ from gcurv.families import (
 )
 from gcurv.graphs import build_graph, side_partition
 from gcurv.reflective import (
-    _side_structure_holds,
     _validate,
     are_parallel,
     candidate_reflection,
@@ -31,6 +30,7 @@ from gcurv.reflective import (
     pair_orbit_certificate,
     parallel_gradient_identity,
     parallel_in_ball,
+    side_classes,
     triangle_matching_check,
     vxy_convex_reflective_check,
 )
@@ -275,20 +275,32 @@ def test_validate_matches_full_pair_scan(case):
     lambda: cartesian_product(complete_graph(2), johnson(4, 2)),
 ])
 def test_side_memo_matches_uncached_check(build):
+    # the class's first member stands for every member in criterion_06
     g, fresh = build(), build()
-    for (u, v) in g.edges:
-        for x, y in ((u, v), (v, u)):
-            uncached = _side_structure_holds(fresh, side_partition(fresh, x, y).side_x)
-            assert vxy_convex_reflective_check(g, x, y) == uncached
+    for members in side_classes(g).values():
+        verdict = vxy_convex_reflective_check(g, *members[0])
+        for (x, y) in members:
+            assert vxy_convex_reflective_check(fresh, x, y) == verdict
 
 
 def test_gosset_side_memo_holds_one_entry_per_side():
     g = gosset()
-    for (x, y) in g.edges:
-        assert vxy_convex_reflective_check(g, x, y)
-        assert vxy_convex_reflective_check(g, y, x)
-    side_keys = [k for k in g.cache if isinstance(k, tuple) and k[0] == "side_check"]
-    assert len(side_keys) == 126
+    classes = side_classes(g)
+    assert len(classes) == 126
+    assert all(len(members) == 12 for members in classes.values())
+    for (side_x, side_y), members in classes.items():
+        for (x, y) in members:
+            sp = side_partition(g, x, y)
+            assert (sp.side_x, sp.side_y) == (side_x, side_y)
+
+
+def test_side_classes_list_members_in_edge_order(octahedron):
+    dirs = [e for (x, y) in octahedron.edges for e in ((x, y), (y, x))]
+    classes = side_classes(octahedron)
+    assert sorted(e for members in classes.values() for e in members) == sorted(dirs)
+    for members in classes.values():
+        assert members == sorted(members, key=dirs.index)
+    assert side_classes(octahedron) is classes
 
 
 def test_gosset_validates_each_mapping_once():
