@@ -19,7 +19,13 @@ side classes than directed edges (Gosset: 126 classes, 1,512 directed
 edges).  The reflection search depends on nothing but the graph and the
 two sides, so it is memoized per side partition.  side_classes indexes the
 directed edges by their sides, and the checks in verify that read only an
-edge's sides run once per class from that index.
+edge's sides run once per class from that index: the matching structure,
+the side structure (vxy_convex_reflective_check: the side is convex and
+reflective as a subgraph) and the gradient identity of parallel edges.
+
+The rigidity proof also needs every unit sphere, and every cap of a sphere
+away from a far vertex, to be isometric.  Those conditions read no side,
+so sphere_isometry_witness checks them once per graph.
 """
 
 from dataclasses import dataclass
@@ -30,6 +36,7 @@ from .errors import (
     InternalCheckError,
     InvalidParameterError,
     NotAdjacentError,
+    NotParallelError,
     NotReflectiveError,
 )
 from .graphs import (
@@ -285,8 +292,6 @@ def are_parallel(g: Graph, e1, e2) -> bool:
 
 def parallel_gradient_identity(g: Graph, e1, e2) -> bool:
     """Parallel edges see the same distance gradient and the same sides."""
-    from .errors import NotParallelError
-
     if not are_parallel(g, e1, e2):
         raise NotParallelError(e1, e2)
     x, y = e1
@@ -481,41 +486,29 @@ def triangle_matching_check(g: Graph, x: int, y: int) -> bool:
     return True
 
 
-def _spheres_isometric(g: Graph) -> bool:
-    key = "s1_isometric"
-    if key not in g.cache:
-        g.cache[key] = all(
-            is_isometric_subset(g, sphere(g, v, 1)) for v in range(g.n)
-        )
-    return g.cache[key]
+def sphere_isometry_witness(g: Graph):
+    """First vertex whose unit sphere or one of its caps is not isometric.
 
-
-def _sphere_caps_isometric(g: Graph) -> bool:
-    """Neighbors of v lying one step farther from w than v must be isometric."""
-    key = "cap_isometric"
-    hit = g.cache.get(key)
-    if hit is not None:
-        return hit
+    The cap of v away from w holds the neighbors of v one step farther from
+    w than v.  Returns None when every sphere and every cap of at least two
+    vertices is isometric, else (v, None) for a sphere and (v, w) for a cap.
+    """
     dist = g.dist_rows()
-    ok = True
     for v in range(g.n):
-        nbrs = g.neighbors[v]
+        if not is_isometric_subset(g, sphere(g, v, 1)):
+            return (v, None)
         for w in range(g.n):
             if w == v:
                 continue
-            nvw = dist[v][w]
-            cap = [u for u in nbrs if dist[u][w] == nvw + 1]
+            far = dist[v][w] + 1
+            cap = [u for u in g.neighbors[v] if dist[u][w] == far]
             if len(cap) >= 2 and not is_isometric_subset(g, cap):
-                ok = False
-                break
-        if not ok:
-            break
-    g.cache[key] = ok
-    return ok
+                return (v, w)
+    return None
 
 
 def vxy_convex_reflective_check(g: Graph, x: int, y: int) -> bool:
-    """Side of an edge: convex, reflective as a subgraph, isometric spheres.
+    """Side of an edge: convex, and reflective as an induced subgraph.
 
     The verdict depends only on the graph and the side's vertex set, so one
     member of each side class (side_classes) stands for the whole class.
@@ -529,11 +522,4 @@ def vxy_convex_reflective_check(g: Graph, x: int, y: int) -> bool:
     if not is_convex_subset(g, side):
         return False
     sub, _ = induced_subgraph(g, side)
-    if not is_reflective(sub).reflective:
-        return False
-    if is_locally_connected(g)[0]:
-        if not _spheres_isometric(g):
-            return False
-        if not _sphere_caps_isometric(g):
-            return False
-    return True
+    return is_reflective(sub).reflective

@@ -11,7 +11,7 @@ corpus and a user's corpus are checked alike.
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import NamedTuple
@@ -19,15 +19,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .bakry_emery import (
-    LocalForm,
     _pencil_psd_nullity,
     bakry_emery_curvature,
     be_effective_bound_report,
     be_rigidity_check,
-    curvature_from_forms,
-    gamma2_form,
     gamma2_matches_symbolic,
-    gamma_form,
 )
 from .classify import classify
 from .errors import NonpositiveCurvatureError, ParseError
@@ -60,11 +56,11 @@ from .reflective import (
     parallel_gradient_identity,
     parallel_in_ball,
     side_classes,
+    sphere_isometry_witness,
     triangle_matching_check,
     vxy_convex_reflective_check,
 )
 from .spectral import (
-    _psd_nullity,
     adjacency_matrix,
     adjacency_spectrum,
     is_distance_regular,
@@ -155,7 +151,6 @@ class Ctx:
     corpus: tuple
     max_lp_support: int
     standard: bool
-    memo: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -171,11 +166,7 @@ def _lc(g: Graph) -> bool:
 
 
 def _reflective_members(ctx: Ctx):
-    if "refl" not in ctx.memo:
-        ctx.memo["refl"] = tuple(
-            mem for mem in ctx.corpus if is_reflective(mem.graph).reflective
-        )
-    return ctx.memo["refl"]
+    return (mem for mem in ctx.corpus if is_reflective(mem.graph).reflective)
 
 
 # --- acceptance criteria ---
@@ -275,7 +266,14 @@ def _check_structural_suite(ctx: Ctx):
             continue
         g = mem.graph
         kappa = min_edge_curvature(g).value
-        # both checks read only the edge's sides: one member per side class
+        if _lc(g):
+            bad = sphere_isometry_witness(g)
+            if bad is not None:
+                v, w = bad
+                part = "unit sphere" if w is None else f"cap away from {w}"
+                return f"{mem.name}: vertex {v}: {part} not isometric"
+        # these checks read only the edge's sides: one member per side class,
+        # and every other member's gradient against the first's
         for members in side_classes(g).values():
             x, y = members[0]
             mv = matching_structure_check(g, x, y, kappa)
@@ -283,6 +281,10 @@ def _check_structural_suite(ctx: Ctx):
                 return f"{mem.name} ({x},{y}): matching, {mv.note}"
             if not vxy_convex_reflective_check(g, x, y):
                 return f"{mem.name} ({x},{y}): side structure"
+            for e in members[1:]:
+                if not parallel_gradient_identity(g, members[0], e):
+                    return (f"{mem.name}: gradient identity fails for "
+                            f"{members[0]} and {e}")
         for (x, y) in g.edges:
             if not triangle_matching_check(g, x, y):
                 return f"{mem.name} ({x},{y}): triangle matching"
@@ -292,9 +294,6 @@ def _check_structural_suite(ctx: Ctx):
         for e in g.edges:
             for z in range(g.n):
                 parallel_in_ball(g, e, z)  # raises on any internal failure
-        ps = _parallel_structure(ctx, mem)
-        if ps["gradient"] is not None:
-            return ps["gradient"]
     return None
 
 
@@ -357,17 +356,9 @@ def _check_bakry_emery(ctx: Ctx):
     return None
 
 
-def _classify_reports(ctx: Ctx):
-    if "classify" not in ctx.memo:
-        ctx.memo["classify"] = tuple(
-            (mem, classify(mem.graph)) for mem in ctx.corpus
-        )
-    return ctx.memo["classify"]
-
-
 def _check_classification(ctx: Ctx):
-    for mem, rep in _classify_reports(ctx):
-        for name, verdict in rep.theorem_verdicts.items():
+    for mem in ctx.corpus:
+        for name, verdict in classify(mem.graph).theorem_verdicts.items():
             if not verdict.passed:
                 witness = verdict.witness or "failed without witness"
                 return f"{mem.name}: {name}: {witness}"
@@ -486,8 +477,6 @@ def _recount_intersection_numbers(g: Graph):
 def _check_distance_regular_recount(ctx: Ctx):
     for mem in ctx.corpus:
         g = mem.graph
-        if g.n > 64:
-            continue
         dr = is_distance_regular(g)
         recount = _recount_intersection_numbers(g)
         if dr.array is None:
@@ -593,69 +582,30 @@ def _check_reflection_axioms(ctx: Ctx):
     return None
 
 
-def _parallel_structure(ctx: Ctx, mem: CorpusMember):
-    key = ("par", mem.name)
-    if key not in ctx.memo:
-        ctx.memo[key] = _parallel_witnesses(mem.name, mem.graph)
-    return ctx.memo[key]
+def _check_parallel_equivalence(ctx: Ctx):
+    """The parallel relation coincides with equality of side partitions.
 
-
-def _parallel_witnesses(name: str, g: Graph):
-    """One pass over the side classes: the first witness of each failure.
-
-    Verifies that the side-membership relation coincides with equality of
-    side partitions (hence is an equivalence), that each class is the
-    reflection pairing of its sides, and that each member satisfies the
-    distance gradient identity with its class's first member.  A relation
-    row reads only its edge's sides, so one row per class is scanned.  A
-    gradient witness may name another pair than an all-pairs scan would.
+    Hence it is an equivalence.  A relation row reads only its edge's sides,
+    so one row per side class is scanned; a seeded sample of are_parallel
+    calls is then held to the classes.
     """
-    classes = side_classes(g)
-    dirs = [e for (x, y) in g.edges for e in ((x, y), (y, x))]
-    index = {e: i for i, members in enumerate(classes.values()) for e in members}
-    out = {"equivalence": None, "remark": None, "gradient": None}
-    for i, ((a, b), members) in enumerate(classes.items()):
-        a, b = frozenset(a), frozenset(b)
-        for e2 in dirs:
-            if (e2[0] in a and e2[1] in b) != (index[e2] == i):
-                out["equivalence"] = (
-                    f"{name}: relation disagrees with side classes "
-                    f"at {members[0]} vs {e2}"
-                )
-                return out
-    rng = random.Random(len(dirs))
-    for _ in range(min(2000, len(dirs) ** 2)):
-        e1, e2 = rng.choice(dirs), rng.choice(dirs)
-        if are_parallel(g, e1, e2) != (index[e1] == index[e2]):
-            out["equivalence"] = f"{name}: are_parallel({e1},{e2}) odd"
-            return out
-    for (a, _), members in classes.items():
-        m = find_reflection(g, *members[0]).reflection.mapping
-        if set(members) != {(v, m[v]) for v in a}:
-            out["remark"] = (
-                f"{name}: partners of {members[0]} differ from the "
-                f"reflection pairing"
-            )
-            break
-    for members in classes.values():
-        for e in members[1:]:
-            if not parallel_gradient_identity(g, members[0], e):
-                out["gradient"] = (
-                    f"{name}: gradient identity fails for "
-                    f"{members[0]} and {e}"
-                )
-                return out
-    return out
-
-
-def _parallel_witness(part: str):
-    def check(ctx: Ctx):
-        for mem in _reflective_members(ctx):
-            w = _parallel_structure(ctx, mem)[part]
-            if w is not None:
-                return w
-        return None
-    return check
+    for mem in _reflective_members(ctx):
+        g = mem.graph
+        classes = side_classes(g)
+        dirs = [e for (x, y) in g.edges for e in ((x, y), (y, x))]
+        index = {e: i for i, members in enumerate(classes.values()) for e in members}
+        for i, ((a, b), members) in enumerate(classes.items()):
+            a, b = frozenset(a), frozenset(b)
+            for e2 in dirs:
+                if (e2[0] in a and e2[1] in b) != (index[e2] == i):
+                    return (f"{mem.name}: relation disagrees with side classes "
+                            f"at {members[0]} vs {e2}")
+        rng = random.Random(len(dirs))
+        for _ in range(min(2000, len(dirs) ** 2)):
+            e1, e2 = rng.choice(dirs), rng.choice(dirs)
+            if are_parallel(g, e1, e2) != (index[e1] == index[e2]):
+                return f"{mem.name}: are_parallel({e1},{e2}) odd"
+    return None
 
 
 # --- factorization invariants ---
@@ -690,40 +640,6 @@ def _check_locally_disconnected_nonprime(ctx: Ctx):
 
 
 # --- bakry_emery invariants ---
-
-def _check_form_properties(ctx: Ctx):
-    for mem in ctx.corpus:
-        g = mem.graph
-        vertices = range(g.n) if g.n <= 10 else (0,)
-        for x in vertices:
-            # building a LocalForm rejects an asymmetric matrix
-            gamma2_form(g, x)
-            if not _psd_nullity(gamma_form(g, x).numerators)[0]:
-                return f"{mem.name} vertex {x}: gradient form not psd"
-    return None
-
-
-def _scale_form(form: LocalForm, factor: int) -> LocalForm:
-    return LocalForm(
-        form.base,
-        form.support,
-        tuple(tuple(v * factor for v in row) for row in form.numerators),
-        form.denominator,
-    )
-
-
-def _check_scale_invariance(ctx: Ctx):
-    for mem in ctx.corpus:
-        g = mem.graph
-        base = bakry_emery_curvature(g, 0)
-        scaled = curvature_from_forms(
-            g, 0, _scale_form(gamma_form(g, 0), 4),
-            _scale_form(gamma2_form(g, 0), 4),
-        )
-        if abs(base - scaled) > 1e-9:
-            return f"{mem.name}: scaling moved curvature by {base - scaled}"
-    return None
-
 
 def _check_vertex_transitive_consistency(ctx: Ctx):
     for mem in ctx.corpus:
@@ -761,14 +677,11 @@ INVARIANT_CHECKS = (
     ("ollivier.long_range_lower_bound", _check_long_range_lower_bound),
     ("ollivier.formula_agreement", _check_curvature_formula_agreement),
     ("reflective.reflection_axioms", _check_reflection_axioms),
-    ("reflective.parallel_equivalence", _parallel_witness("equivalence")),
-    ("reflective.parallel_remark", _parallel_witness("remark")),
+    ("reflective.parallel_equivalence", _check_parallel_equivalence),
     ("factorization.factor_arithmetic", _check_factor_arithmetic),
     ("factorization.reflectiveness_transfer", _check_reflectiveness_transfer),
     ("factorization.locally_disconnected_nonprime",
      _check_locally_disconnected_nonprime),
-    ("bakry_emery.form_properties", _check_form_properties),
-    ("bakry_emery.scale_invariance", _check_scale_invariance),
     ("bakry_emery.vertex_transitive_consistency",
      _check_vertex_transitive_consistency),
 )

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gcurv import cli
+from gcurv import cli, verify
 from gcurv.classify import TheoremVerdict, classify
 from gcurv.families import FamilySpec, parse_family
 from gcurv.graphs import build_graph
@@ -244,12 +244,12 @@ def test_verify_theorems_single_vertex_member_is_input_error(tmp_path, capsys, e
     assert out == ""
 
 
-def test_classification_reports_a_failure_without_witness():
+def test_classification_reports_a_failure_without_witness(monkeypatch):
     mem = CorpusMember(parse_family("K 2"), build_graph(2, [(0, 1)]))
     report = replace(classify(mem.graph),
                      theorem_verdicts={"eff_bm_sharp": TheoremVerdict(False, None)})
-    ctx = Ctx(corpus=(mem,), max_lp_support=10, standard=False,
-              memo={"classify": ((mem, report),)})
+    monkeypatch.setattr(verify, "classify", lambda g: report)
+    ctx = Ctx(corpus=(mem,), max_lp_support=10, standard=False)
     assert _check_classification(ctx) == "K 2: eff_bm_sharp: failed without witness"
 
 

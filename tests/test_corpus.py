@@ -13,10 +13,10 @@ from fractions import Fraction
 
 import pytest
 
-from gcurv import bakry_emery, ollivier, verify
+from gcurv import bakry_emery, ollivier, reflective, verify
 from gcurv.classify import identify_family
 from gcurv.factorization import factorize
-from gcurv.graphs import effective_diameter, side_partition
+from gcurv.graphs import effective_diameter, side_partition, sphere
 from gcurv.ollivier import min_edge_curvature
 from gcurv.reflective import (
     ReflectiveVerdict,
@@ -165,7 +165,12 @@ def test_criterion_05_checks_a_user_member(monkeypatch):
 
 
 def _pairwise_parallel_structure(name, g):
-    """The all-pairs scan over directed edges that _parallel_structure replaced."""
+    """All-pairs reference: equivalence, reflection-pairing remark, gradient.
+
+    Scans every directed-edge pair.  The suite checks the equivalence once
+    per side class (reflective.parallel_equivalence) and the gradient in
+    criterion_06; the remark is the cross-edge axiom of reflection_axioms.
+    """
     dirs = [e for (x, y) in g.edges for e in ((x, y), (y, x))]
     sx, sy, keys = {}, {}, {}
     interned = {}
@@ -204,18 +209,62 @@ def _pairwise_parallel_structure(name, g):
     return out
 
 
-def test_parallel_structure_per_class_matches_the_pairwise_scan():
+def test_parallel_structure_per_class_matches_the_pairwise_scan(monkeypatch):
     members = [mem for mem in verify.standard_corpus() if is_reflective(mem.graph).reflective]
-    members += load_corpus(["KB 2 3", "KB 3 3"])
-    ctx = Ctx(corpus=tuple(members), max_lp_support=10, standard=False)
     for mem in members:
-        assert (verify._parallel_structure(ctx, mem)
-                == _pairwise_parallel_structure(mem.name, mem.graph))
-    witnesses = [verify._parallel_structure(ctx, mem)["equivalence"] for mem in members[-2:]]
+        ctx = Ctx(corpus=(mem,), max_lp_support=10, standard=False)
+        ref = _pairwise_parallel_structure(mem.name, mem.graph)
+        assert verify._check_parallel_equivalence(ctx) == ref["equivalence"]
+        assert verify._check_structural_suite(ctx) == ref["gradient"]
+        # the remark the suite no longer checks follows from the reflection axioms
+        if verify._check_reflection_axioms(ctx) is None:
+            assert ref["remark"] is None
+    # only reflective members reach the scan: let two that are not reach it
+    monkeypatch.setattr(verify, "is_reflective", lambda g: ReflectiveVerdict(True, None))
+    witnesses = []
+    for mem in load_corpus(["KB 2 3", "KB 3 3"]):
+        ctx = Ctx(corpus=(mem,), max_lp_support=10, standard=False)
+        witness = verify._check_parallel_equivalence(ctx)
+        assert witness == _pairwise_parallel_structure(mem.name, mem.graph)["equivalence"]
+        witnesses.append(witness)
     assert witnesses == [
         "KB 2 3: relation disagrees with side classes at (0, 2) vs (3, 1)",
         "KB 3 3: relation disagrees with side classes at (0, 3) vs (4, 1)",
     ]
+
+
+def _refuse(monkeypatch, bad):
+    """Make reflective.is_isometric_subset refuse exactly the vertex set bad."""
+    real = reflective.is_isometric_subset
+    monkeypatch.setattr(reflective, "is_isometric_subset",
+                        lambda g, s: set(s) != bad and real(g, s))
+
+
+def test_criterion_06_reports_a_bad_unit_sphere_at_its_vertex(monkeypatch):
+    ctx = _ctx("J 5 2")
+    _refuse(monkeypatch, set(sphere(ctx.corpus[0].graph, 3, 1)))
+    assert verify._check_structural_suite(ctx) == "J 5 2: vertex 3: unit sphere not isometric"
+
+
+def test_criterion_06_reports_a_bad_cap_at_its_vertex(monkeypatch):
+    ctx = _ctx("J 5 2")
+    g = ctx.corpus[0].graph
+    dist = g.dist_rows()
+    caps = ((w, {u for u in g.neighbors[0] if dist[u][w] == dist[0][w] + 1})
+            for w in range(1, g.n))
+    w, cap = next((w, cap) for w, cap in caps if len(cap) >= 2)
+    _refuse(monkeypatch, cap)
+    assert (verify._check_structural_suite(ctx)
+            == f"J 5 2: vertex 0: cap away from {w} not isometric")
+
+
+def test_distance_regular_recount_reaches_a_member_over_64_vertices(monkeypatch):
+    seen = []
+    real = verify._recount_intersection_numbers
+    monkeypatch.setattr(verify, "_recount_intersection_numbers",
+                        lambda g: seen.append(g.n) or real(g))
+    assert verify._check_distance_regular_recount(_ctx("Q 7")) is None
+    assert seen == [128]
 
 
 def test_convex_implies_isometric_reaches_every_side_of_gosset(monkeypatch):

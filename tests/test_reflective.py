@@ -31,6 +31,7 @@ from gcurv.reflective import (
     parallel_gradient_identity,
     parallel_in_ball,
     side_classes,
+    sphere_isometry_witness,
     triangle_matching_check,
     vxy_convex_reflective_check,
 )
@@ -155,6 +156,15 @@ def test_vxy_check_octahedron(octahedron):
 def test_vxy_check_rejects_non_reflective():
     with pytest.raises(NotReflectiveError):
         vxy_convex_reflective_check(cycle(5), 0, 1)
+
+
+def test_sphere_isometry_witness_names_a_sphere_or_a_cap(octahedron):
+    assert sphere_isometry_witness(octahedron) is None
+    # C 5: no edge joins the sphere {1, 4} of vertex 0
+    assert sphere_isometry_witness(cycle(5)) == (0, None)
+    # K 1,1,3: every sphere is isometric, but the cap of 1 away from 0 is {3, 4}
+    g = build_graph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+    assert sphere_isometry_witness(g) == (1, 0)
 
 
 def test_products_of_reflective_factors_are_reflective():
