@@ -8,9 +8,10 @@ curvature at a vertex is the minimum of the second form against the
 first over all nonzero test functions.  Variables outside the one-step
 ball enter the second form only through a positive diagonal block, so
 they are minimized out exactly, in integers scaled by the least common
-multiple of that block, before the generalized eigenvalue step.  That
-step gives the reported float K(x); the diameter-bound verdicts instead
-test the integer pencil Gamma_2 - r Gamma for positive semidefiniteness.
+multiple of that block.  The gradient form is I/2 on the neighbors, so the
+reported float K(x) is twice the least eigenvalue of the reduced iterated
+form; the diameter-bound verdicts instead test the integer pencil
+Gamma_2 - r Gamma for positive semidefiniteness.
 An integer bilinear recursion recomputes 4 * Gamma_2 without the closed
 formula; it is the independent check of the assembled form.
 """
@@ -20,21 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import (
-    DegenerateFormError,
     InternalCheckError,
     InvalidParameterError,
-    NoConvergenceError,
     NonpositiveCurvatureError,
     check_vertex,
 )
 from .graphs import Graph, effective_diameter
 from .spectral import _jacobi_eigenvalues, _psd_nullity
-
-# smallest eigenvalue the whitening step accepts for the gradient form
-_KERNEL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -249,35 +243,29 @@ def _inner_gamma2(g: Graph, x: int):
     return hit
 
 
-def _rayleigh_minimum(b_num, b_den: int, a_num, a_den: int) -> float:
-    """Smallest generalized eigenvalue of a against b, b positive definite.
+def _least_quotient(gamma: LocalForm, a_num, a_den: int) -> float:
+    """Least eigenvalue of a_num / a_den over the scale c of gamma = c * I.
 
-    Each matrix is given as integer numerators over a denominator; the
-    int / int divisions round each entry correctly.  Whitens with the
-    eigensystem of b (eigenvalues below _KERNEL_TOL rejected) and takes the
-    smallest eigenvalue of the transformed a.
+    The int / int divisions round each entry correctly.  gamma_form is I/2,
+    so the quotient is twice the least eigenvalue; any other gradient form
+    must be a positive multiple of the identity.
     """
-    bf = np.array([[v / b_den for v in row] for row in b_num])
-    af = np.array([[v / a_den for v in row] for row in a_num])
-    try:
-        vals, vecs = np.linalg.eigh(bf)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"gradient form eigensolver failed: {exc}") from exc
-    if np.any(vals <= _KERNEL_TOL):
-        raise DegenerateFormError(f"gradient form has eigenvalue <= {_KERNEL_TOL}")
-    white = vecs / np.sqrt(vals)
-    return _jacobi_eigenvalues(white.T @ af @ white)[0]
+    num, den = gamma.numerators, gamma.denominator
+    s = num[0][0] if num else 0
+    if s <= 0 or any(v != s * (i == j) for i, row in enumerate(num) for j, v in enumerate(row)):
+        raise InvalidParameterError("gradient form is not a positive multiple of the identity")
+    low = _jacobi_eigenvalues([[v / a_den for v in row] for row in a_num])[0]
+    return low * den / s
 
 
 def curvature_from_forms(g: Graph, x: int, gamma: LocalForm, gamma2: LocalForm) -> float:
     """Curvature at x from explicitly supplied forms.
 
-    Exposed so callers can probe the eigenvalue pipeline with transformed
+    Exposed so callers can probe the eigenvalue step with transformed
     forms (for instance both forms scaled by the same factor, which must
     leave the quotient unchanged).
     """
-    a_num, a_den = _schur_to_inner(g, x, gamma2)
-    return _rayleigh_minimum(gamma.numerators, gamma.denominator, a_num, a_den)
+    return _least_quotient(gamma, *_schur_to_inner(g, x, gamma2))
 
 
 def bakry_emery_curvature(g: Graph, x: int) -> float:
@@ -289,9 +277,7 @@ def bakry_emery_curvature(g: Graph, x: int) -> float:
     hit = g.cache.get(key)
     if hit is not None:
         return hit
-    gamma = gamma_form(g, x)
-    value = _rayleigh_minimum(gamma.numerators, gamma.denominator, *_inner_gamma2(g, x))
-    g.cache[key] = value
+    value = g.cache[key] = _least_quotient(gamma_form(g, x), *_inner_gamma2(g, x))
     return value
 
 

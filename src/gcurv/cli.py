@@ -20,7 +20,7 @@ from .errors import (
 )
 from .factorization import factorize
 from .families import parse_family
-from .graphs import effective_diameter, is_locally_connected, read_edge_list
+from .graphs import effective_diameter, is_locally_connected, read_edge_list, read_text
 from .ollivier import edge_curvature, min_edge_curvature
 from .reflective import is_reflective
 from .spectral import adjacency_spectrum, laplacian_spectrum
@@ -221,8 +221,7 @@ def _cmd_verify_theorems(args):
     # no corpus selects the standard one, with its oracle scope floor
     corpus = None
     if args.corpus != "standard":
-        with open(args.corpus, "r", encoding="utf-8") as fh:
-            corpus = load_corpus(fh)
+        corpus = load_corpus(read_text(args.corpus).split("\n"))
     results = run_all_checks(corpus, max_lp_support=args.max_lp_support)
     payload = {
         "corpus": args.corpus,

@@ -95,10 +95,6 @@ class FactorizationFailedError(GcurvError):
     """Internal inconsistency: no grouping of relation components verified."""
 
 
-class DegenerateFormError(GcurvError):
-    pass
-
-
 class NonpositiveCurvatureError(GcurvError):
     def __init__(self, value):
         self.value = value

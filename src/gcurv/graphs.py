@@ -208,9 +208,17 @@ def _locate_bad_edge(exc, edges):
     return None
 
 
-def read_edge_list(path: str) -> Graph:
+def read_text(path: str) -> str:
+    """A file's text; ParseError when it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def read_edge_list(path: str) -> Graph:
+    return parse_edge_list(read_text(path))
 
 
 def sphere(g: Graph, x: int, r: int) -> tuple:

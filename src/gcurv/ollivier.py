@@ -20,9 +20,9 @@ current values; the row of least slack enters, ties going to the least
 (lower end, upper end).  The multipliers are subtree sums updated along
 the paths the pivot changes, and a degenerate pivot (slack 0) moves no
 value.  The final rows are sorted by rank once, so every certificate lists
-its rows in one fixed order.  Each solve finishes by checking its own
-optimality certificate, and verify_optimality_certificate replays one in
-integers.
+its rows in one fixed order.  Each solve finishes by checking its
+optimizer and certificate with _certified, the integer core that
+verify_optimality_certificate also runs after its type and shape checks.
 
 Reflective graphs are solved once per orbit.  min_edge_curvature (for the
 edges) and long_range_curvatures (for the non-adjacent pairs) compute the
@@ -293,35 +293,16 @@ def solve_lipschitz_lp(g: Graph, lp: LipschitzLP) -> CurvatureValue:
                        [lp.coeffs[v] for v in members])
 
     f_full = dict(zip(members, f))
+    # the support left out of members has coefficient 0, so the objective
+    # over members is the objective over the full support
     objective = sum(lp.coeffs[v] * f_full[v] for v in members)
     for z in lp.support:
         if z not in f_full:
             dz = dist[z]
             f_full[z] = min(fw + dz[w] for w, fw in zip(members, f))
-
-    # exact self checks: feasibility on the full support and the dual
-    # certificate; the support left out of members has coefficient 0, so
-    # the objective over members is the objective over the full support.
-    if not _is_lipschitz(dist, lp.support, f_full):
-        raise InternalCheckError("optimizer violates a Lipschitz constraint")
-    if f_full[y] - f_full[x] != gap:
-        raise InternalCheckError("optimizer violates the endpoint constraint")
-    certificate = []
-    for (a, b), l in rows:
-        if l < 0:
-            raise InternalCheckError("negative multiplier at optimum")
-        u, v = members[a], members[b]
-        rhs = dist[u][v]
-        if f_full[u] - f_full[v] != rhs:
-            raise InternalCheckError("certificate row is not tight")
-        if l > 0:
-            certificate.append((u, v, rhs, l))
-    gradient = dict(lp.coeffs)
-    for (u, v, _, l) in certificate:
-        gradient[u] += l
-        gradient[v] -= l
-    if any(gradient[v] for v in lp.support if v not in fixed):
-        raise InternalCheckError("certificate does not balance the objective")
+    certificate = tuple((members[a], members[b], mdist[a][b], l) for (a, b), l in rows if l)
+    if not _certified(dist, lp, f_full, certificate):
+        raise InternalCheckError("optimizer and certificate fail the optimality check")
 
     table = {k: Fraction(k) for k in set(f_full.values())}
     return CurvatureValue(
@@ -330,7 +311,7 @@ def solve_lipschitz_lp(g: Graph, lp: LipschitzLP) -> CurvatureValue:
         gap=gap,
         value=Fraction(objective, gap),
         optimizer={v: table[f_full[v]] for v in lp.support},
-        certificate=tuple(certificate),
+        certificate=certificate,
     )
 
 
@@ -469,41 +450,55 @@ def curvature_from_intersection_array(ia) -> Fraction:
     return Fraction(1 + b0 - b1)
 
 
+def _certified(dist, lp: LipschitzLP, f, rows) -> bool:
+    """Do the integer point f and the rows prove that f is optimal for lp?
+
+    f gives every support vertex an integer value and rows are
+    (u, v, rhs, lam) with integer lam.  Checks the endpoint gap, the
+    Lipschitz bound on the support, each row (lam >= 0, rhs = d(u, v),
+    tight at f) and stationarity: the objective plus the rows' multipliers
+    vanishes at every support vertex but x and y.
+    """
+    x, y, support = lp.x, lp.y, lp.support
+    if f[y] - f[x] != lp.gap or not _is_lipschitz(dist, support, f):
+        return False
+    gradient = dict(lp.coeffs)
+    for (u, v, rhs, l) in rows:
+        if l < 0 or rhs != dist[u][v] or f[u] - f[v] != rhs:
+            return False
+        gradient[u] += l
+        gradient[v] -= l
+    return not any(gradient[v] for v in support if v != x and v != y)
+
+
 def verify_optimality_certificate(g: Graph, cv: CurvatureValue) -> bool:
     """Integer-only recheck that cv is optimal for its pair.
 
-    Verifies primal feasibility of the optimizer, the objective value, and
-    the dual certificate (rows tight on the support, nonnegative
-    multipliers, stationarity).  Together these prove optimality without
-    re-solving.  The optimizer and multipliers must be integers, as the
-    solver's always are; anything else is rejected.
+    The optimizer and multipliers must be integers, as the solver's always
+    are, the optimizer must cover the support exactly and the value must be
+    the objective at the optimizer; anything else is rejected.  _certified
+    then checks primal feasibility and the dual certificate, which together
+    prove optimality without re-solving.
     """
-    x, y = cv.x, cv.y
-    support, coeffs = _objective(g, x, y)
-    dist = g.dist_rows()
-    gap = dist[x][y]
+    lp = build_lipschitz_lp(g, cv.x, cv.y)
+    support, coeffs = lp.support, lp.coeffs
     f = {}
     for v, val in cv.optimizer.items():
         if getattr(val, "denominator", None) != 1:
             return False
         f[v] = val.numerator
-    if f.keys() != set(support) or f[y] - f[x] != gap:
-        return False
-    if not _is_lipschitz(dist, support, f):
+    if f.keys() != set(support):
         return False
     obj = sum(coeffs[v] * f[v] for v in support)
     value = cv.value
-    if not isinstance(value, Rational) or obj * value.denominator != value.numerator * gap:
+    if not isinstance(value, Rational) or obj * value.denominator != value.numerator * lp.gap:
         return False
+    rows = []
     for (u, v, rhs, l) in cv.certificate:
         if u not in f or v not in f or getattr(l, "denominator", None) != 1:
             return False
-        l = l.numerator
-        if l < 0 or rhs != dist[u][v] or f[u] - f[v] != rhs:
-            return False
-        coeffs[u] += l
-        coeffs[v] -= l
-    return all(coeffs[v] == 0 for v in support if v != x and v != y)
+        rows.append((u, v, rhs, l.numerator))
+    return _certified(g.dist_rows(), lp, f, rows)
 
 
 # --- independent oracle: enumerate the integer points of the polytope ---

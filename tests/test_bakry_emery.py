@@ -126,6 +126,18 @@ def test_scale_invariance(octahedron):
     assert abs(base - scaled) < 1e-9
 
 
+@pytest.mark.parametrize("diagonal", [(1, 1, 1, 2), (0, 0, 0, 0), (-1, -1, -1, -1)])
+def test_gradient_form_must_be_a_positive_multiple_of_the_identity(octahedron, diagonal):
+    from gcurv.errors import InvalidParameterError
+
+    gamma = gamma_form(octahedron, 0)
+    bent = LocalForm(gamma.base, gamma.support,
+                     tuple(tuple(d * (i == j) for j in range(4)) for i, d in enumerate(diagonal)),
+                     gamma.denominator)
+    with pytest.raises(InvalidParameterError, match="positive multiple of the identity"):
+        curvature_from_forms(octahedron, 0, bent, gamma2_form(octahedron, 0))
+
+
 def test_effective_bound_hypercube():
     rep = be_effective_bound_report(hypercube(4))
     assert rep.k_snapped == 2

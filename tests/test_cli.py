@@ -142,6 +142,15 @@ def test_malformed_file_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("argv", [("info", "--file"), ("verify-theorems", "--corpus")])
+def test_file_that_is_not_utf8_is_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe\x00bad\n")
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert f"input error: {path}: not UTF-8 text" in err
+
+
 def test_bakry_emery_flat_graph(capsys):
     code, out, _ = run(capsys, "bakry-emery", "--family", "C 6")
     assert code == 0

@@ -258,6 +258,33 @@ def test_criterion_06_reports_a_bad_cap_at_its_vertex(monkeypatch):
             == f"J 5 2: vertex 0: cap away from {w} not isometric")
 
 
+def _plant(monkeypatch, vertex):
+    """(N A + E_11, N a_den) at vertex: K moves by under 1e-14, off the rationals."""
+    real = bakry_emery._inner_gamma2
+    big = 10 ** 13
+
+    def planted(g, x):
+        a_num, a_den = real(g, x)
+        if x != vertex:
+            return a_num, a_den
+        return ([[big * v + (i == j == 0) for j, v in enumerate(row)]
+                 for i, row in enumerate(a_num)], big * a_den)
+
+    monkeypatch.setattr(bakry_emery, "_inner_gamma2", planted)
+
+
+def test_vertex_transitive_consistency_names_a_vertex_below_float_noise(monkeypatch):
+    _plant(monkeypatch, 3)
+    assert (verify._check_vertex_transitive_consistency(_ctx("J 5 2"))
+            == "J 5 2: vertex 3: curvature is not 7/2, vertex 0's")
+
+
+def test_vertex_transitive_consistency_leaves_an_irrational_curvature_undecided(monkeypatch):
+    _plant(monkeypatch, 0)
+    assert (verify._check_vertex_transitive_consistency(_ctx("J 5 2"))
+            == "J 5 2: curvature at vertex 0 is irrational: equality undecided")
+
+
 def test_distance_regular_recount_reaches_a_member_over_64_vertices(monkeypatch):
     seen = []
     real = verify._recount_intersection_numbers

@@ -4,7 +4,8 @@ A name counts as used when it appears as a Python name anywhere in the
 module (a call, an attribute base, an annotation, a default value).
 ``__init__.py`` is left out: its imports are the package's public names.
 A module-level ``_private`` function counts as used when some gcurv module
-names it (as a name, an attribute or an import) outside its own ``def``.
+names it (as a name, an attribute or an import) outside its own ``def``,
+and a class of ``errors.py`` counts as used when another module names it.
 """
 
 import ast
@@ -38,20 +39,26 @@ def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
 
 
+def names_in(tree):
+    """Every name, attribute and imported name under an ast node."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
 def unreferenced_helpers(sources):
     """Module-level _private functions that no statement but their own def names."""
     helpers = set()
     referenced = set()
     for source in sources:
         for stmt in ast.parse(source).body:
-            names = set()
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name)
+            names = names_in(stmt)
             if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_"):
                 if not stmt.name.startswith("__"):
                     helpers.add(stmt.name)
@@ -69,3 +76,23 @@ def test_unreferenced_helpers_are_found():
 def test_every_private_helper_is_referenced():
     sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
     assert unreferenced_helpers(sources) == []
+
+
+def unnamed_error_classes(errors_source, other_sources):
+    """Classes of the errors module that no other module names."""
+    classes = {stmt.name for stmt in ast.parse(errors_source).body
+               if isinstance(stmt, ast.ClassDef)}
+    named = set().union(*(names_in(ast.parse(source)) for source in other_sources))
+    return sorted(classes - named)
+
+
+def test_unnamed_error_classes_are_found():
+    errors = "class Used(Exception):\n    pass\n\nclass Left(Used):\n    pass\n"
+    other = "from .errors import Used\n"
+    assert unnamed_error_classes(errors, [other]) == ["Left"]
+
+
+def test_every_error_class_is_named_by_another_module():
+    others = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))
+              if p.name != "errors.py"]
+    assert unnamed_error_classes((SRC / "errors.py").read_text(encoding="utf-8"), others) == []

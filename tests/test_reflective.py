@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import connected_graphs
 from gcurv import reflective
-from gcurv.errors import InternalCheckError, NotAdjacentError, NotReflectiveError
+from gcurv.errors import NotAdjacentError, NotReflectiveError
 from gcurv.families import (
     cartesian_product,
     cocktail_party,
@@ -20,7 +20,7 @@ from gcurv.families import (
 )
 from gcurv.graphs import build_graph, side_partition
 from gcurv.reflective import (
-    _validate,
+    _automorphism_witness,
     are_parallel,
     candidate_reflection,
     distance_eigenfunction_check,
@@ -272,11 +272,24 @@ _STAR = build_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
 @settings(max_examples=300, deadline=None)
 def test_validate_matches_full_pair_scan(case):
     g, mapping, x, y = case
-    assert _validate(g, mapping, x, y) == _validate_by_pair_scan(g, mapping, x, y)
     cand = candidate_reflection(g, x, y).reflection
-    if cand is not None:
-        assert (_validate(g, cand.mapping, x, y)
-                == _validate_by_pair_scan(g, cand.mapping, x, y))
+    for m in [mapping] + ([] if cand is None else [cand.mapping]):
+        scan = _validate_by_pair_scan(g, m, x, y)
+        expected = scan[1] if scan is not None and scan[0] == "automorphism" else None
+        assert _automorphism_witness(g, m) == expected
+
+
+@given(connected_graphs(min_n=2, max_n=8))
+@settings(max_examples=150, deadline=None)
+def test_every_candidate_meets_all_axioms_but_automorphism(g):
+    # find_reflection tests a built candidate only for being an automorphism
+    for (u, v) in g.edges:
+        for x, y in ((u, v), (v, u)):
+            cand = candidate_reflection(g, x, y).reflection
+            if cand is None:
+                continue
+            scan = _validate_by_pair_scan(g, cand.mapping, x, y)
+            assert scan is None or scan[0] == "automorphism"
 
 
 @pytest.mark.parametrize("build", [
@@ -313,12 +326,17 @@ def test_side_classes_list_members_in_edge_order(octahedron):
     assert side_classes(octahedron) is classes
 
 
-def test_gosset_validates_each_mapping_once():
-    g = gosset()
-    assert is_reflective(g).reflective
-    mapping_keys = [k for k in g.cache if isinstance(k, tuple) and k[0] == "mapping_axioms"]
-    assert len(mapping_keys) == 63
-    assert all(g.cache[k] is None for k in mapping_keys)
+def test_gosset_validates_each_mapping_once(monkeypatch):
+    verdicts = []
+    witness = reflective._automorphism_witness
+
+    def counting(g, mapping):
+        verdicts.append(witness(g, mapping))
+        return verdicts[-1]
+
+    monkeypatch.setattr(reflective, "_automorphism_witness", counting)
+    assert is_reflective(gosset()).reflective
+    assert verdicts == [None] * 63
 
 
 def _memo_free_search(g, x, y):
@@ -327,10 +345,10 @@ def _memo_free_search(g, x, y):
     cand = candidate_reflection(fresh, x, y)
     if cand.reflection is None:
         return (None, "cross-edges", cand.violator)
-    fail = _validate(fresh, cand.reflection.mapping, x, y)
-    if fail is None:
+    pair = _automorphism_witness(fresh, cand.reflection.mapping)
+    if pair is None:
         return (cand.reflection.mapping, None, None)
-    return (None,) + fail
+    return (None, "automorphism", pair)
 
 
 @given(connected_graphs(min_n=2, max_n=8))
@@ -366,16 +384,3 @@ def test_one_candidate_per_side_class(monkeypatch, build, searches):
     for (x, y) in g.edges:
         find_reflection(g, y, x)
     assert len(calls) == searches
-
-
-def test_reverse_orientation_verdict_must_agree(monkeypatch):
-    validate = reflective._validate
-
-    def reverse_fails(g, mapping, x, y):
-        return ("middle", x) if x > y else validate(g, mapping, x, y)
-
-    monkeypatch.setattr(reflective, "_validate", reverse_fails)
-    g = hypercube(3)
-    with pytest.raises(InternalCheckError, match=r"rejected for \(1, 0\)"):
-        find_reflection(g, 0, 1)
-    assert ("refl", 0, 1) not in g.cache
