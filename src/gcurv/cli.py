@@ -218,11 +218,10 @@ def _cmd_classify(args):
 
 
 def _cmd_verify_theorems(args):
-    # no corpus selects the standard one, with its oracle scope floor
     corpus = None
     if args.corpus != "standard":
         corpus = load_corpus(read_text(args.corpus).split("\n"))
-    results = run_all_checks(corpus, max_lp_support=args.max_lp_support)
+    results = run_all_checks(corpus)
     payload = {
         "corpus": args.corpus,
         "checks": [
@@ -262,21 +261,6 @@ _GRAPH_COMMANDS = {
 }
 
 
-def _lp_support(text: str) -> int:
-    """argparse type of --max-lp-support: an int of at least 2.
-
-    An edge's support always holds both endpoints, so a smaller bound
-    would leave the oracle nothing to check.
-    """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {text!r}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcurv",
@@ -294,9 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True,
                    help="'standard' or a file of family expressions")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-lp-support", type=_lp_support, default=10,
-                   help="largest B1(x) union B1(y) support on which the "
-                        "brute-force oracle re-checks an edge curvature")
     return parser
 
 

@@ -45,13 +45,6 @@ class SameVertexError(GcurvError):
         super().__init__(f"vertex pair ({x}, {x}) is degenerate")
 
 
-class SupportTooLargeError(GcurvError):
-    def __init__(self, size: int, limit: int):
-        self.size = size
-        self.limit = limit
-        super().__init__(f"optimization support has {size} vertices, limit is {limit}")
-
-
 class NoConvergenceError(GcurvError):
     pass
 

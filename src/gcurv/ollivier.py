@@ -41,12 +41,13 @@ that is not reflective every pair gets its own LP.  Single-pair requests
 (edge_curvature, long_range_curvature) compute no reflections: they take
 the orbit route only when an all-pairs call has already filled the cache.
 
-The same integrality gives the brute-force oracle below: the LP optimum is
-the minimum over the polytope's integer points, and with f(x) and f(y)
-fixed each other support vertex takes at most three integer values.  The
-oracle enumerates those points and evaluates the objective from the
-definition of the Laplacian, sharing only the distance matrix with the
-simplex path.
+The independent oracle below works from the primal side instead: the
+curvature is (D+1) - W/d(x, y), with D the larger degree and W the integer
+transport cost between the lazy measures of x and y scaled by D+1.  W is
+the optimum of a unit-slot assignment, solved by an integer Hungarian
+method (min_assignment_cost) on the distance rows, which is all the
+oracle shares with the simplex.  Its docstring says which pairs the cited
+theorem covers.
 """
 
 from bisect import bisect_left
@@ -58,9 +59,9 @@ from typing import NamedTuple
 
 from .errors import (
     InternalCheckError,
+    InvalidParameterError,
     NotAdjacentError,
     SameVertexError,
-    SupportTooLargeError,
     TrivialGraphError,
     check_vertex,
 )
@@ -375,7 +376,7 @@ def _solve_by_orbits(g: Graph, pairs) -> None:
                         if ("kappa", u, v) in cache:
                             continue
                         moved = _carry(cv, sigma, turn)
-                        if not (0 <= u < v < g.n and verify_optimality_certificate(g, moved)):
+                        if not verify_optimality_certificate(g, moved):
                             raise InternalCheckError(
                                 f"certificate carried to ({u}, {v}) does not replay")
                         cache["kappa", u, v] = moved
@@ -476,11 +477,15 @@ def verify_optimality_certificate(g: Graph, cv: CurvatureValue) -> bool:
 
     The optimizer and multipliers must be integers, as the solver's always
     are, the optimizer must cover the support exactly and the value must be
-    the objective at the optimizer; anything else is rejected.  _certified
-    then checks primal feasibility and the dual certificate, which together
+    the objective at the optimizer; anything else is rejected, a pair
+    whose ends coincide or lie outside the graph included.  _certified then
+    checks primal feasibility and the dual certificate, which together
     prove optimality without re-solving.
     """
-    lp = build_lipschitz_lp(g, cv.x, cv.y)
+    try:
+        lp = build_lipschitz_lp(g, cv.x, cv.y)
+    except (InvalidParameterError, SameVertexError):
+        return False
     support, coeffs = lp.support, lp.coeffs
     f = {}
     for v, val in cv.optimizer.items():
@@ -501,62 +506,95 @@ def verify_optimality_certificate(g: Graph, cv: CurvatureValue) -> bool:
     return _certified(g.dist_rows(), lp, f, rows)
 
 
-# --- independent oracle: enumerate the integer points of the polytope ---
+# --- independent oracle: optimal transport between the lazy measures ---
 
-def brute_force_curvature_oracle(g: Graph, x: int, y: int, max_support: int = 10) -> Fraction:
-    """Exact curvature by enumerating integer 1-Lipschitz functions.
+def min_assignment_cost(cost) -> int:
+    """Least total cost of a perfect assignment in a square integer matrix.
 
-    Works on the full B1(x) union B1(y) support with no reduction.  With
-    f(x) = 0 and f(y) = d(x, y) fixed, the constraints against x and y
-    confine each free vertex v to the integers in [d(x,y) - d(v,y), d(x,v)].
-    A depth-first search assigns the free vertices in turn, drops a partial
-    assignment as soon as it breaks a constraint between assigned vertices
-    or cannot beat the best point found, and evaluates Delta f(x) - Delta f(y)
-    term by term from the neighbor lists.  Guarded by max_support because
-    the search grows exponentially with it.
+    The Hungarian method with potentials (Kuhn-Munkres, O(k^3) for k rows),
+    in plain integers: rows join one at a time, each along a shortest
+    augmenting path in the reduced costs c - u - v, which stay nonnegative.
+    The row potentials only grow from 0 and the column potentials only
+    shrink from 0, never below minus the optimum, so no reduced cost
+    exceeds (k + 1) * max(c) and that bound plus one serves as infinity.
+    """
+    k = len(cost)
+    if k == 0:
+        return 0
+    inf = (k + 1) * max(max(row) for row in cost) + 1
+    u = [0] * (k + 1)
+    v = [0] * (k + 1)
+    owner = [0] * (k + 1)  # owner[j]: the row (from 1) assigned to column j
+    for i in range(1, k + 1):
+        owner[0] = i
+        j0 = 0
+        way = [0] * (k + 1)
+        low = [inf] * (k + 1)
+        used = [False] * (k + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            row, ui = cost[i0 - 1], u[i0]
+            delta, j1 = inf, 0
+            for j in range(1, k + 1):
+                if not used[j]:
+                    cur = row[j - 1] - ui - v[j]
+                    if cur < low[j]:
+                        low[j], way[j] = cur, j0
+                    if low[j] < delta:
+                        delta, j1 = low[j], j
+            for j in range(k + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    low[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    return -v[0]
+
+
+def brute_force_curvature_oracle(g: Graph, x: int, y: int) -> Fraction:
+    """Exact curvature of the pair (x, y) from optimal transport.
+
+    The name outlives the enumeration of integer points it once ran and
+    must stay: ``perfbench/tracing.py`` wraps this module's binding by name
+    for ``ollivier.oracle_s`` and ``ollivier.oracle_calls``.
+
+    With D = max(deg x, deg y) and eps = 1/(D+1), the lazy measure
+    m_x = delta_x + eps * Delta(x, .) of the unit-weight Laplacian, scaled
+    by D+1, puts D+1-deg x units on x and one unit on each neighbor of x.
+    Then kappa(x, y) = (D+1) - W / d(x, y), where W is the integer
+    Wasserstein-1 cost between the scaled measures of x and y: the limit
+    formula of Munch and Wojciechowski (Adv. Math. 2019) for non-normalized
+    Laplacians, taken at eps = 1/(D+1) by the idleness linearity of Bourne,
+    Cushing, Liu, Munch and Peyerimhoff (SIAM J. Discrete Math. 2018).
+    That linearity is stated for adjacent x ~ y, so only edges rest on the
+    theorem; criterion_08 checks edges alone, and the tests compare the
+    formula with the LP on non-adjacent pairs as well.
+
+    W depends only on m_x - m_y, so the shared mass cancels first; the rest
+    is split into unit slots and W is the least cost of assigning the
+    slots of x's side to those of y's on the distance rows
+    (min_assignment_cost).  Only the distance matrix is shared with the
+    simplex, and no Fraction is built before the final division.
     """
     check_vertex(g.n, x)
     check_vertex(g.n, y)
     if x == y:
         raise SameVertexError(x)
     dist = g.dist_rows()
-    gap = dist[x][y]
-    support = {x, y}.union(g.neighbors[x], g.neighbors[y])
-    if len(support) > max_support:
-        raise SupportTooLargeError(len(support), max_support)
-    free = sorted(support - {x, y})
-    f = {x: 0, y: gap}
-    nx, ny = set(g.neighbors[x]), set(g.neighbors[y])
+    top = max(g.degree(x), g.degree(y)) + 1
+    mass = dict.fromkeys(g.neighbors[x], 1)
+    mass[x] = top - g.degree(x)
+    for w in g.neighbors[y]:
+        mass[w] = mass.get(w, 0) - 1
+    mass[y] = mass.get(y, 0) - (top - g.degree(y))
+    sources = [v for v, m in mass.items() for _ in range(m)]
+    sinks = [v for v, m in mass.items() for _ in range(-m)]
+    cost = [[dist[s][t] for t in sinks] for s in sources]
+    return top - Fraction(min_assignment_cost(cost), dist[x][y])
 
-    def term(w, val):
-        # the summands f(w) - f(x) of Delta f(x) and f(w) - f(y) of Delta f(y)
-        return (val - f[x] if w in nx else 0) - (val - f[y] if w in ny else 0)
-
-    # values[i] runs in increasing order of its term, and floor[i] bounds the
-    # terms of free[i:] from below, ignoring the constraints among them
-    values = [
-        sorted(range(gap - dist[v][y], dist[x][v] + 1), key=lambda a, v=v: term(v, a))
-        for v in free
-    ]
-    floor = [0] * (len(free) + 1)
-    for i in reversed(range(len(free))):
-        floor[i] = floor[i + 1] + term(free[i], values[i][0])
-    best = None
-
-    def search(i, partial):
-        nonlocal best
-        if best is not None and partial + floor[i] >= best:
-            return
-        if i == len(free):
-            best = partial
-            return
-        v = free[i]
-        for val in values[i]:
-            if all(abs(val - f[u]) <= dist[u][v] for u in free[:i]):
-                f[v] = val
-                search(i + 1, partial + term(v, val))
-
-    search(0, term(x, 0) + term(y, gap))
-    if best is None:
-        raise InternalCheckError("oracle found no feasible integer point")
-    return Fraction(best, gap)

@@ -401,34 +401,14 @@ def distance_eigenfunction_check(g: Graph, x: int, K) -> bool:
     return True
 
 
-def _kuhn_match(adj, left_count, right_index):
-    """Maximum bipartite matching size by augmenting paths."""
-    match_right = {}
-
-    def augment(a, seen):
-        for b in adj[a]:
-            if b in seen:
-                continue
-            seen.add(b)
-            if b not in match_right or augment(match_right[b], seen):
-                match_right[b] = a
-                return True
-        return False
-
-    size = 0
-    for a in range(left_count):
-        if augment(a, set()):
-            size += 1
-    return size
-
-
 def triangle_matching_check(g: Graph, x: int, y: int) -> bool:
     """Triangle count at the edge is at least the curvature minus two.
 
     At equality the exclusive neighborhoods must additionally admit a
-    perfect matching along graph edges.
+    perfect matching along graph edges: an assignment of cost 0 when each
+    graph edge costs 0 and each other pair 1.
     """
-    from .ollivier import edge_curvature
+    from .ollivier import edge_curvature, min_assignment_cost
 
     if not g.adjacent(x, y):
         raise NotAdjacentError(x, y)
@@ -443,11 +423,8 @@ def triangle_matching_check(g: Graph, x: int, y: int) -> bool:
         right = [w for w in g.neighbors[y] if w not in bx]
         if len(left) != len(right):
             return False
-        adj = [
-            [j for j, b in enumerate(right) if g.adjacent(a, b)]
-            for a in left
-        ]
-        if _kuhn_match(adj, len(left), right) != len(left):
+        cost = [[0 if g.adjacent(a, b) else 1 for b in right] for a in left]
+        if min_assignment_cost(cost):
             return False
     return True
 

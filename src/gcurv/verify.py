@@ -33,7 +33,6 @@ from .families import FamilySpec, cartesian_product, parse_family
 from .graphs import (
     Graph,
     are_isomorphic,
-    ball,
     effective_diameter,
     is_convex_subset,
     is_isometric_subset,
@@ -147,13 +146,6 @@ def _predict(mem: CorpusMember) -> Prediction:
     return Prediction(True, Fraction(min(kappas)), len(set(kappas)) == 1, diam)
 
 
-@dataclass
-class Ctx:
-    corpus: tuple
-    max_lp_support: int
-    standard: bool
-
-
 @dataclass(frozen=True)
 class CheckResult:
     check: str
@@ -166,14 +158,14 @@ def _lc(g: Graph) -> bool:
     return is_locally_connected(g)[0]
 
 
-def _reflective_members(ctx: Ctx):
-    return (mem for mem in ctx.corpus if is_reflective(mem.graph).reflective)
+def _reflective_members(corpus):
+    return (mem for mem in corpus if is_reflective(mem.graph).reflective)
 
 
 # --- acceptance criteria ---
 
-def _check_curvature_constants(ctx: Ctx):
-    for mem in ctx.corpus:
+def _check_curvature_constants(corpus):
+    for mem in corpus:
         pred = _predict(mem)
         if not pred.named:
             continue
@@ -194,8 +186,8 @@ def _check_curvature_constants(ctx: Ctx):
     return None
 
 
-def _check_effective_diameter(ctx: Ctx):
-    for mem in ctx.corpus:
+def _check_effective_diameter(corpus):
+    for mem in corpus:
         g, pred = mem.graph, _predict(mem)
         de = effective_diameter(g)
         if pred.named and de != pred.diam_eff:
@@ -211,8 +203,8 @@ def _check_effective_diameter(ctx: Ctx):
     return None
 
 
-def _check_reflectiveness(ctx: Ctx):
-    for mem in ctx.corpus:
+def _check_reflectiveness(corpus):
+    for mem in corpus:
         v = is_reflective(mem.graph)
         if _predict(mem).named:
             if not v.reflective:
@@ -224,8 +216,8 @@ def _check_reflectiveness(ctx: Ctx):
     return None
 
 
-def _check_lichnerowicz_sharpness(ctx: Ctx):
-    for mem in ctx.corpus:
+def _check_lichnerowicz_sharpness(corpus):
+    for mem in corpus:
         g = mem.graph
         lich = is_lichnerowicz_sharp(g)
         if _predict(mem).sharp and _lc(g):
@@ -244,8 +236,8 @@ def _check_lichnerowicz_sharpness(ctx: Ctx):
     return None
 
 
-def _check_factorization_round_trip(ctx: Ctx):
-    for mem in ctx.corpus:
+def _check_factorization_round_trip(corpus):
+    for mem in corpus:
         fs = factorize(mem.graph)
         sizes = sorted((f.n, f.m) for f in fs)
         expected = sorted((n, m) for n, m, _ in mem.spec.prime_factors())
@@ -256,8 +248,8 @@ def _check_factorization_round_trip(ctx: Ctx):
     return None
 
 
-def _check_structural_suite(ctx: Ctx):
-    for mem in ctx.corpus:
+def _check_structural_suite(corpus):
+    for mem in corpus:
         # criterion_02 holds the predicted sharp members to the bound's equality
         if not _predict(mem).sharp:
             continue
@@ -294,35 +286,26 @@ def _check_structural_suite(ctx: Ctx):
     return None
 
 
-def _check_orbit_certificate(ctx: Ctx):
-    for mem in _reflective_members(ctx):
+def _check_orbit_certificate(corpus):
+    for mem in _reflective_members(corpus):
         if _lc(mem.graph) and not pair_orbit_certificate(mem.graph):
             return f"{mem.name}: pair orbit certificate failed"
     return None
 
 
-def _check_oracle_equivalence(ctx: Ctx):
-    checked = 0
-    for mem in ctx.corpus:
+def _check_oracle_equivalence(corpus):
+    for mem in corpus:
         g = mem.graph
         for (x, y) in g.edges:
-            support = set(ball(g, x, 1)) | set(ball(g, y, 1))
-            if len(support) > ctx.max_lp_support:
-                continue
-            val = brute_force_curvature_oracle(g, x, y, ctx.max_lp_support)
+            val = brute_force_curvature_oracle(g, x, y)
             lp = edge_curvature(g, x, y).value
             if val != lp:
                 return f"{mem.name} ({x},{y}): oracle {val} != lp {lp}"
-            checked += 1
-    # the floor holds at the default scope and above; a smaller
-    # --max-lp-support narrows the scope on purpose
-    if ctx.standard and ctx.max_lp_support >= 10 and checked < 90:
-        return f"oracle scope unexpectedly small: {checked} edges"
     return None
 
 
-def _check_bakry_emery(ctx: Ctx):
-    for mem in ctx.corpus:
+def _check_bakry_emery(corpus):
+    for mem in corpus:
         # a hypercube: every prime factor is K 2
         if any(p != (2, 1, 2) for p in mem.spec.prime_factors()):
             continue
@@ -333,7 +316,7 @@ def _check_bakry_emery(ctx: Ctx):
                 return (f"{mem.name} vertex {x}: curvature "
                         f"{bakry_emery_curvature(mem.graph, x)}")
     positive = []
-    for mem in ctx.corpus:
+    for mem in corpus:
         try:
             rep = be_effective_bound_report(mem.graph)
         except NonpositiveCurvatureError:
@@ -346,15 +329,15 @@ def _check_bakry_emery(ctx: Ctx):
         bad = next(e for e in rig.entries if not e.consistent)
         return (f"{bad.name}: bound equality {bad.equality} but "
                 f"hypercube {bad.is_hypercube}")
-    for mem in ctx.corpus:
+    for mem in corpus:
         for x in range(mem.graph.n):
             if not gamma2_matches_symbolic(mem.graph, x):
                 return f"{mem.name} vertex {x}: iterated form mismatch"
     return None
 
 
-def _check_classification(ctx: Ctx):
-    for mem in ctx.corpus:
+def _check_classification(corpus):
+    for mem in corpus:
         for name, verdict in classify(mem.graph).theorem_verdicts.items():
             if not verdict.passed:
                 witness = verdict.witness or "failed without witness"
@@ -364,8 +347,8 @@ def _check_classification(ctx: Ctx):
 
 # --- graph_core invariants ---
 
-def _check_metric_axioms(ctx: Ctx):
-    for mem in ctx.corpus:
+def _check_metric_axioms(corpus):
+    for mem in corpus:
         g = mem.graph
         dist = g.dist_rows()
         for x in range(g.n):
@@ -388,8 +371,8 @@ def _check_metric_axioms(ctx: Ctx):
     return None
 
 
-def _check_effective_diameter_rows(ctx: Ctx):
-    for mem in ctx.corpus:
+def _check_effective_diameter_rows(corpus):
+    for mem in corpus:
         g = mem.graph
         # every regular graph the family expressions build is vertex-transitive
         if g.is_regular() and len({sum(r) for r in g.dist_rows()}) != 1:
@@ -397,8 +380,8 @@ def _check_effective_diameter_rows(ctx: Ctx):
     return None
 
 
-def _check_convex_implies_isometric(ctx: Ctx):
-    for mem in ctx.corpus:
+def _check_convex_implies_isometric(corpus):
+    for mem in corpus:
         g = mem.graph
         # every directed edge's side is the first side of its class
         for (side, _), members in side_classes(g).items():
@@ -408,8 +391,8 @@ def _check_convex_implies_isometric(ctx: Ctx):
     return None
 
 
-def _check_isomorphism_properties(ctx: Ctx):
-    for mem in ctx.corpus:
+def _check_isomorphism_properties(corpus):
+    for mem in corpus:
         if are_isomorphic(mem.graph, mem.graph) is None:
             return f"{mem.name}: no self isomorphism found"
     return None
@@ -417,8 +400,8 @@ def _check_isomorphism_properties(ctx: Ctx):
 
 # --- spectral invariants ---
 
-def _check_trace_identities(ctx: Ctx):
-    for mem in ctx.corpus:
+def _check_trace_identities(corpus):
+    for mem in corpus:
         g = mem.graph
         for matf, specf in (
             (laplacian_matrix, laplacian_spectrum),
@@ -462,8 +445,8 @@ def _recount_intersection_numbers(g: Graph):
     return (b, c)
 
 
-def _check_distance_regular_recount(ctx: Ctx):
-    for mem in ctx.corpus:
+def _check_distance_regular_recount(corpus):
+    for mem in corpus:
         g = mem.graph
         dr = is_distance_regular(g)
         recount = _recount_intersection_numbers(g)
@@ -477,8 +460,8 @@ def _check_distance_regular_recount(ctx: Ctx):
 
 # --- ollivier invariants ---
 
-def _check_optimizer_certificates(ctx: Ctx):
-    for mem in ctx.corpus:
+def _check_optimizer_certificates(corpus):
+    for mem in corpus:
         g = mem.graph
         for (x, y) in g.edges:
             if not verify_optimality_certificate(g, edge_curvature(g, x, y)):
@@ -486,8 +469,8 @@ def _check_optimizer_certificates(ctx: Ctx):
     return None
 
 
-def _check_long_range_lower_bound(ctx: Ctx):
-    for mem in ctx.corpus:
+def _check_long_range_lower_bound(corpus):
+    for mem in corpus:
         g = mem.graph
         mec = min_edge_curvature(g)
         if mec.value <= 0:
@@ -498,8 +481,8 @@ def _check_long_range_lower_bound(ctx: Ctx):
     return None
 
 
-def _check_curvature_formula_agreement(ctx: Ctx):
-    for mem in _reflective_members(ctx):
+def _check_curvature_formula_agreement(corpus):
+    for mem in _reflective_members(corpus):
         g = mem.graph
         if not _lc(g):
             continue
@@ -515,8 +498,8 @@ def _check_curvature_formula_agreement(ctx: Ctx):
 
 # --- reflective invariants ---
 
-def _check_reflection_axioms(ctx: Ctx):
-    for mem in _reflective_members(ctx):
+def _check_reflection_axioms(corpus):
+    for mem in _reflective_members(corpus):
         g = mem.graph
         edge_set = set(g.edges)
         # all axioms but the endpoint one read only the sides: check them on
@@ -550,14 +533,14 @@ def _check_reflection_axioms(ctx: Ctx):
     return None
 
 
-def _check_parallel_equivalence(ctx: Ctx):
+def _check_parallel_equivalence(corpus):
     """The parallel relation coincides with equality of side partitions.
 
     Hence it is an equivalence.  A relation row reads only its edge's sides,
     so one row per side class is scanned; a seeded sample of are_parallel
     calls is then held to the classes.
     """
-    for mem in _reflective_members(ctx):
+    for mem in _reflective_members(corpus):
         g = mem.graph
         classes = side_classes(g)
         dirs = [e for (x, y) in g.edges for e in ((x, y), (y, x))]
@@ -578,8 +561,8 @@ def _check_parallel_equivalence(ctx: Ctx):
 
 # --- factorization invariants ---
 
-def _check_factor_arithmetic(ctx: Ctx):
-    for mem in ctx.corpus:
+def _check_factor_arithmetic(corpus):
+    for mem in corpus:
         g = mem.graph
         fs = factorize(g)
         if reduce(lambda a, f: a * f.n, fs, 1) != g.n:
@@ -591,8 +574,8 @@ def _check_factor_arithmetic(ctx: Ctx):
     return None
 
 
-def _check_reflectiveness_transfer(ctx: Ctx):
-    for mem in ctx.corpus:
+def _check_reflectiveness_transfer(corpus):
+    for mem in corpus:
         whole = is_reflective(mem.graph).reflective
         parts = all(is_reflective(f).reflective for f in factorize(mem.graph))
         if whole != parts:
@@ -600,8 +583,8 @@ def _check_reflectiveness_transfer(ctx: Ctx):
     return None
 
 
-def _check_locally_disconnected_nonprime(ctx: Ctx):
-    for mem in _reflective_members(ctx):
+def _check_locally_disconnected_nonprime(corpus):
+    for mem in _reflective_members(corpus):
         if not _lc(mem.graph) and len(factorize(mem.graph)) < 2:
             return f"{mem.name}: locally disconnected, reflective, yet prime"
     return None
@@ -609,7 +592,7 @@ def _check_locally_disconnected_nonprime(ctx: Ctx):
 
 # --- bakry_emery invariants ---
 
-def _check_vertex_transitive_consistency(ctx: Ctx):
+def _check_vertex_transitive_consistency(corpus):
     """Every vertex of a regular member has vertex 0's curvature, exactly.
 
     K(0) = 2 lam / a_den, with lam the least eigenvalue of vertex 0's integer
@@ -617,7 +600,7 @@ def _check_vertex_transitive_consistency(ctx: Ctx):
     the integer m nearest its float.  Then K(x) = r = 2m / a_den exactly when
     the pencil Gamma_2 - r Gamma at x is positive semidefinite and singular.
     """
-    for mem in ctx.corpus:
+    for mem in corpus:
         g = mem.graph
         if not g.is_regular():
             continue
@@ -666,20 +649,21 @@ INVARIANT_CHECKS = (
 )
 
 
-def _run_one(name, fn, ctx: Ctx) -> CheckResult:
+def _run_one(name, fn, corpus) -> CheckResult:
     t0 = time.time()
     try:
-        witness = fn(ctx)
+        witness = fn(corpus)
     except Exception as exc:  # a crash is a failed check, not a crash of the suite
         witness = f"{type(exc).__name__}: {exc}"
     return CheckResult(name, witness is None, witness, time.time() - t0)
 
 
-def run_all_checks(corpus=None, max_lp_support: int = 10):
-    """Acceptance criteria plus every module invariant suite, one table."""
-    standard = corpus is None
-    corpus = standard_corpus() if standard else tuple(corpus)
+def run_all_checks(corpus=None):
+    """Acceptance criteria plus every module invariant suite, one table.
+
+    No corpus selects the standard one.
+    """
+    corpus = standard_corpus() if corpus is None else tuple(corpus)
     if not corpus:
         return []
-    ctx = Ctx(corpus=corpus, max_lp_support=max_lp_support, standard=standard)
-    return [_run_one(name, fn, ctx) for name, fn in ACCEPTANCE_CHECKS + INVARIANT_CHECKS]
+    return [_run_one(name, fn, corpus) for name, fn in ACCEPTANCE_CHECKS + INVARIANT_CHECKS]

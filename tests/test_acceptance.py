@@ -24,7 +24,7 @@ _LABELS = {
     "criterion_05_factorization_round_trip": "factorization round trips",
     "criterion_06_structural_suite": "structural identities at sharp members",
     "criterion_07_orbit_certificate": "pair orbit certificates",
-    "criterion_08_lp_oracle_equivalence": "solver agrees with brute oracle",
+    "criterion_08_lp_oracle_equivalence": "solver agrees with transport oracle on every edge",
     "criterion_09_bakry_emery": "vertex curvature values and rigidity",
     "criterion_10_classification": "classification reports",
 }

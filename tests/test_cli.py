@@ -16,7 +16,6 @@ from gcurv.verify import (
     ACCEPTANCE_CHECKS,
     INVARIANT_CHECKS,
     CorpusMember,
-    Ctx,
     _check_classification,
     _check_oracle_equivalence,
     standard_corpus,
@@ -164,45 +163,36 @@ def test_bakry_emery_json_bound(capsys):
     assert data["bound"]["equality"] is True
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("option,value", [
+    pytest.param("--tol", "nan", id="nan"),
+    pytest.param("--tol", "inf", id="inf"),
+    pytest.param("--tol", "0", id="0"),
+    pytest.param("--tol", "-1", id="-1"),
+    pytest.param("--max-lp-support", "10", id="max-lp-support"),
+])
 @pytest.mark.parametrize("argv", [
     ("classify", "--family", "Q 3"),
     ("bakry-emery", "--family", "Q 3"),
     ("verify-theorems", "--corpus", "standard"),
 ], ids=["classify", "bakry-emery", "verify-theorems"])
-def test_tolerance_must_be_finite_and_positive(capsys, argv, tol):
-    # the verdicts are exact and --tol is gone: argparse refuses it as an
-    # unknown option, before any graph or corpus is built
+def test_tolerance_must_be_finite_and_positive(capsys, argv, option, value):
+    # the verdicts are exact and the oracle has no support cap, so --tol and
+    # --max-lp-support are gone: argparse refuses each as an unknown option,
+    # before any graph or corpus is built
     with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, "--tol", tol])
+        cli.main([*argv, option, value])
     assert exc.value.code == 2
-    assert "--tol" in capsys.readouterr().err
+    assert option in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("support", ["-1", "0", "1"])
-def test_max_lp_support_must_be_at_least_two(capsys, support):
-    # rejected while parsing, before any corpus is built
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify-theorems", "--corpus", "standard",
-                  "--max-lp-support", support])
-    assert exc.value.code == 2
-    assert "--max-lp-support" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("support", [2, 3, 4, 5])
-def test_narrow_lp_support_on_standard_corpus_passes(support):
-    # a valid N below the default narrows the oracle's scope on purpose,
-    # so the standard corpus's scope floor must not report it as a failure
-    ctx = Ctx(corpus=standard_corpus(), max_lp_support=support,
-              standard=True)
-    assert _check_oracle_equivalence(ctx) is None
-
-
-def test_oracle_scope_floor_holds_at_default_support():
-    ctx = Ctx(corpus=standard_corpus()[:1], max_lp_support=10,
-              standard=True)
-    witness = _check_oracle_equivalence(ctx)
-    assert witness is not None and witness.startswith("oracle scope unexpectedly small")
+def test_criterion_08_checks_every_standard_edge(monkeypatch):
+    corpus = standard_corpus()
+    seen = set()
+    real = verify.brute_force_curvature_oracle
+    monkeypatch.setattr(verify, "brute_force_curvature_oracle",
+                        lambda g, x, y: seen.add((id(g), x, y)) or real(g, x, y))
+    assert _check_oracle_equivalence(corpus) is None
+    assert len(seen) == sum(len(mem.graph.edges) for mem in corpus) == 2261
 
 
 def test_spectrum_and_factorize_smoke(capsys):
@@ -258,8 +248,7 @@ def test_classification_reports_a_failure_without_witness(monkeypatch):
     report = replace(classify(mem.graph),
                      theorem_verdicts={"eff_bm_sharp": TheoremVerdict(False, None)})
     monkeypatch.setattr(verify, "classify", lambda g: report)
-    ctx = Ctx(corpus=(mem,), max_lp_support=10, standard=False)
-    assert _check_classification(ctx) == "K 2: eff_bm_sharp: failed without witness"
+    assert _check_classification((mem,)) == "K 2: eff_bm_sharp: failed without witness"
 
 
 def test_check_names_unique_and_readme_total():

@@ -26,7 +26,7 @@ from gcurv.reflective import (
     parallel_gradient_identity,
     side_classes,
 )
-from gcurv.verify import STANDARD_CORPUS, CorpusMember, Ctx, load_corpus
+from gcurv.verify import STANDARD_CORPUS, CorpusMember, load_corpus
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -105,15 +105,11 @@ def test_load_corpus_skips_comments_and_numbers_lines():
         load_corpus(["# nothing"])
 
 
-def _ctx(text):
-    return Ctx(corpus=load_corpus([text]), max_lp_support=10, standard=False)
-
-
 def test_criterion_01_checks_a_user_member(monkeypatch):
     real = verify.min_edge_curvature
     monkeypatch.setattr(verify, "min_edge_curvature",
                         lambda g: real(g)._replace(value=real(g).value + 1))
-    assert verify._check_curvature_constants(_ctx("CP 3")) == "CP 3: kappa 5 != 4"
+    assert verify._check_curvature_constants(load_corpus(["CP 3"])) == "CP 3: kappa 5 != 4"
 
 
 def test_criterion_01_solves_one_lp_per_edge_orbit(monkeypatch):
@@ -121,16 +117,16 @@ def test_criterion_01_solves_one_lp_per_edge_orbit(monkeypatch):
     real = ollivier.solve_lipschitz_lp
     monkeypatch.setattr(ollivier, "solve_lipschitz_lp",
                         lambda g, lp: calls.append(lp) or real(g, lp))
-    assert verify._check_curvature_constants(_ctx("CP 4")) is None
+    assert verify._check_curvature_constants(load_corpus(["CP 4"])) is None
     # the 24 edges of CP 4 form one orbit of its reflections
     assert len(calls) == 1
 
 
 def test_criterion_09_compares_the_forms_of_members_above_ten_vertices(monkeypatch):
-    ctx = Ctx(corpus=load_corpus(["CP 3", "Q 4"]), max_lp_support=10, standard=False)
+    corpus = load_corpus(["CP 3", "Q 4"])
     # pencils and bound reports cached from the true forms; only the form
     # criterion_09 compares with the recursion is then corrupted, on Q 4 alone
-    for mem in ctx.corpus:
+    for mem in corpus:
         bakry_emery.be_effective_bound_report(mem.graph)
     real = bakry_emery.gamma2_form
 
@@ -143,24 +139,24 @@ def test_criterion_09_compares_the_forms_of_members_above_ten_vertices(monkeypat
         return dataclasses.replace(form, numerators=tuple(map(tuple, rows)))
 
     monkeypatch.setattr(bakry_emery, "gamma2_form", corrupted)
-    assert verify._check_bakry_emery(ctx) == "Q 4 vertex 0: iterated form mismatch"
+    assert verify._check_bakry_emery(corpus) == "Q 4 vertex 0: iterated form mismatch"
 
 
 def test_criterion_02_checks_a_user_member(monkeypatch):
     real = verify.effective_diameter
     monkeypatch.setattr(verify, "effective_diameter", lambda g: real(g) + Fraction(1, 2))
-    assert verify._check_effective_diameter(_ctx("CP 3")) == "CP 3: diam_eff 3/2 != 1"
+    assert verify._check_effective_diameter(load_corpus(["CP 3"])) == "CP 3: diam_eff 3/2 != 1"
 
 
 def test_criterion_03_checks_a_user_member(monkeypatch):
     monkeypatch.setattr(verify, "is_reflective", lambda g: ReflectiveVerdict(False, (0, 2)))
-    witness = verify._check_reflectiveness(_ctx("CP 3"))
+    witness = verify._check_reflectiveness(load_corpus(["CP 3"]))
     assert witness == "CP 3: not reflective at (0, 2)"
 
 
 def test_criterion_05_checks_a_user_member(monkeypatch):
     monkeypatch.setattr(verify, "factorize", lambda g: [g, g])
-    witness = verify._check_factorization_round_trip(_ctx("CP 3"))
+    witness = verify._check_factorization_round_trip(load_corpus(["CP 3"]))
     assert witness == "CP 3: factor sizes [(6, 12), (6, 12)] != [(6, 12)]"
 
 
@@ -212,19 +208,19 @@ def _pairwise_parallel_structure(name, g):
 def test_parallel_structure_per_class_matches_the_pairwise_scan(monkeypatch):
     members = [mem for mem in verify.standard_corpus() if is_reflective(mem.graph).reflective]
     for mem in members:
-        ctx = Ctx(corpus=(mem,), max_lp_support=10, standard=False)
+        corpus = (mem,)
         ref = _pairwise_parallel_structure(mem.name, mem.graph)
-        assert verify._check_parallel_equivalence(ctx) == ref["equivalence"]
-        assert verify._check_structural_suite(ctx) == ref["gradient"]
+        assert verify._check_parallel_equivalence(corpus) == ref["equivalence"]
+        assert verify._check_structural_suite(corpus) == ref["gradient"]
         # the remark the suite no longer checks follows from the reflection axioms
-        if verify._check_reflection_axioms(ctx) is None:
+        if verify._check_reflection_axioms(corpus) is None:
             assert ref["remark"] is None
     # only reflective members reach the scan: let two that are not reach it
     monkeypatch.setattr(verify, "is_reflective", lambda g: ReflectiveVerdict(True, None))
     witnesses = []
     for mem in load_corpus(["KB 2 3", "KB 3 3"]):
-        ctx = Ctx(corpus=(mem,), max_lp_support=10, standard=False)
-        witness = verify._check_parallel_equivalence(ctx)
+        corpus = (mem,)
+        witness = verify._check_parallel_equivalence(corpus)
         assert witness == _pairwise_parallel_structure(mem.name, mem.graph)["equivalence"]
         witnesses.append(witness)
     assert witnesses == [
@@ -241,20 +237,20 @@ def _refuse(monkeypatch, bad):
 
 
 def test_criterion_06_reports_a_bad_unit_sphere_at_its_vertex(monkeypatch):
-    ctx = _ctx("J 5 2")
-    _refuse(monkeypatch, set(sphere(ctx.corpus[0].graph, 3, 1)))
-    assert verify._check_structural_suite(ctx) == "J 5 2: vertex 3: unit sphere not isometric"
+    corpus = load_corpus(["J 5 2"])
+    _refuse(monkeypatch, set(sphere(corpus[0].graph, 3, 1)))
+    assert verify._check_structural_suite(corpus) == "J 5 2: vertex 3: unit sphere not isometric"
 
 
 def test_criterion_06_reports_a_bad_cap_at_its_vertex(monkeypatch):
-    ctx = _ctx("J 5 2")
-    g = ctx.corpus[0].graph
+    corpus = load_corpus(["J 5 2"])
+    g = corpus[0].graph
     dist = g.dist_rows()
     caps = ((w, {u for u in g.neighbors[0] if dist[u][w] == dist[0][w] + 1})
             for w in range(1, g.n))
     w, cap = next((w, cap) for w, cap in caps if len(cap) >= 2)
     _refuse(monkeypatch, cap)
-    assert (verify._check_structural_suite(ctx)
+    assert (verify._check_structural_suite(corpus)
             == f"J 5 2: vertex 0: cap away from {w} not isometric")
 
 
@@ -275,13 +271,13 @@ def _plant(monkeypatch, vertex):
 
 def test_vertex_transitive_consistency_names_a_vertex_below_float_noise(monkeypatch):
     _plant(monkeypatch, 3)
-    assert (verify._check_vertex_transitive_consistency(_ctx("J 5 2"))
+    assert (verify._check_vertex_transitive_consistency(load_corpus(["J 5 2"]))
             == "J 5 2: vertex 3: curvature is not 7/2, vertex 0's")
 
 
 def test_vertex_transitive_consistency_leaves_an_irrational_curvature_undecided(monkeypatch):
     _plant(monkeypatch, 0)
-    assert (verify._check_vertex_transitive_consistency(_ctx("J 5 2"))
+    assert (verify._check_vertex_transitive_consistency(load_corpus(["J 5 2"]))
             == "J 5 2: curvature at vertex 0 is irrational: equality undecided")
 
 
@@ -290,28 +286,28 @@ def test_distance_regular_recount_reaches_a_member_over_64_vertices(monkeypatch)
     real = verify._recount_intersection_numbers
     monkeypatch.setattr(verify, "_recount_intersection_numbers",
                         lambda g: seen.append(g.n) or real(g))
-    assert verify._check_distance_regular_recount(_ctx("Q 7")) is None
+    assert verify._check_distance_regular_recount(load_corpus(["Q 7"])) is None
     assert seen == [128]
 
 
 def test_convex_implies_isometric_reaches_every_side_of_gosset(monkeypatch):
-    ctx = _ctx("gosset")
-    g = ctx.corpus[0].graph
+    corpus = load_corpus(["gosset"])
+    g = corpus[0].graph
     seen = set()
     real = verify.is_convex_subset
     monkeypatch.setattr(verify, "is_convex_subset",
                         lambda graph, side: seen.add(side) or real(graph, side))
-    assert verify._check_convex_implies_isometric(ctx) is None
+    assert verify._check_convex_implies_isometric(corpus) is None
     every = {side_partition(g, *e).side_x for (x, y) in g.edges for e in ((x, y), (y, x))}
     assert len(every) == 126
     assert seen == every
 
 
 def test_reflection_axioms_reject_a_wrong_mapping_of_a_later_member():
-    ctx = _ctx("J 4 2")
-    mem = ctx.corpus[0]
+    corpus = load_corpus(["J 4 2"])
+    mem = corpus[0]
     g = mem.graph
-    assert verify._check_reflection_axioms(ctx) is None
+    assert verify._check_reflection_axioms(corpus) is None
     classes = list(side_classes(g).values())
     firsts = {members[0] for members in classes}
     u, v = next(e for e in g.edges if e not in firsts and e[::-1] not in firsts)
@@ -319,7 +315,7 @@ def test_reflection_axioms_reject_a_wrong_mapping_of_a_later_member():
     other = next(ms for ms in classes if (u, v) not in ms and (v, u) not in ms)
     wrong = find_reflection(g, *other[0]).reflection.mapping
     g.cache["refl", u, v] = (wrong, None, None)
-    assert verify._check_reflection_axioms(ctx) in {
+    assert verify._check_reflection_axioms(corpus) in {
         f"{mem.name} ({u},{v}): mapping differs from its class's",
         f"{mem.name} ({v},{u}): mapping differs from its class's",
     }

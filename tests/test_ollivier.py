@@ -12,7 +12,6 @@ from gcurv.errors import (
     InternalCheckError,
     InvalidParameterError,
     SameVertexError,
-    SupportTooLargeError,
 )
 from gcurv.families import (
     complete_bipartite,
@@ -33,6 +32,7 @@ from gcurv.ollivier import (
     edge_curvature,
     long_range_curvature,
     long_range_curvatures,
+    min_assignment_cost,
     min_edge_curvature,
     verify_optimality_certificate,
 )
@@ -125,6 +125,13 @@ def test_certificate_rejects_row_outside_support(octahedron):
     for outside in (octahedron.n, 99):
         rows = ((outside, v, rhs, lam),) + cv.certificate[1:]
         assert not verify_optimality_certificate(octahedron, replace(cv, certificate=rows))
+
+
+@pytest.mark.parametrize("bad", [0, 7])
+def test_certificate_rejects_a_pair_that_is_not_one(bad):
+    # an end equal to the other, or outside the graph, is a failed check
+    g = cycle(5)
+    assert not verify_optimality_certificate(g, replace(edge_curvature(g, 0, 1), y=bad))
 
 
 def test_certificate_rejects_non_integer_optimizer(q3):
@@ -263,9 +270,29 @@ def test_optimizer_is_lipschitz_with_unit_gap(j52):
             assert abs(f[u] - f[v]) <= dist[u][v]
 
 
-def test_oracle_rejects_large_support():
-    with pytest.raises(SupportTooLargeError):
-        brute_force_curvature_oracle(johnson(5, 2), 0, 1, max_support=4)
+@pytest.mark.parametrize("cost,least", [
+    ([], 0),
+    ([[1, 0, 1], [0, 1, 1], [1, 1, 0]], 0),  # a perfect matching on the zeros
+    ([[0, 1, 1], [0, 1, 1], [1, 0, 0]], 1),  # two rows share their only zero
+    ([[4, 1, 3], [2, 0, 5], [3, 2, 2]], 5),
+])
+def test_min_assignment_cost(cost, least):
+    assert min_assignment_cost(cost) == least
+
+
+@pytest.mark.parametrize("g,x,y,kappa", [
+    # D + 1 = 3: the end 0 of P 4 carries 2 units, 1 carries 1 and each
+    # neighbor 1; once the shared mass cancels, one unit goes from 0 to 2,
+    # so W = 2 and kappa = 3 - 2
+    (path_graph(4), 0, 1, Fraction(1)),
+    (path_graph(4), 1, 0, Fraction(1)),
+    # D + 1 = 4: the leaf 1 of K 1,3 carries 3 units and the center 1; once
+    # the shared mass cancels, two units go from 1 to the other leaves, 2
+    # apart each, so W = 4 and kappa = 4 - 4
+    (complete_bipartite(1, 3), 1, 0, Fraction(0)),
+])
+def test_oracle_by_hand_where_an_end_carries_several_units(g, x, y, kappa):
+    assert brute_force_curvature_oracle(g, x, y) == kappa == edge_curvature(g, x, y).value
 
 
 def test_oracle_matches_lp_on_petersen_style_edges():
@@ -287,7 +314,6 @@ def test_oracle_matches_lp_at_supports_eight_and_nine(j52):
 @given(connected_graphs(min_n=2, max_n=10))
 @settings(max_examples=50, deadline=None)
 def test_oracle_agreement_on_random_graphs(g):
-    # n <= 10 keeps every support within the oracle's default guard
     for x in range(g.n):
         for y in range(x + 1, g.n):
             solve = edge_curvature if g.adjacent(x, y) else long_range_curvature

@@ -32,7 +32,7 @@ from gcurv.spectral import (
     smallest_positive_laplacian_eigenvalue,
     theta_condition,
 )
-from gcurv.verify import CorpusMember, Ctx, _check_lichnerowicz_sharpness
+from gcurv.verify import CorpusMember, _check_lichnerowicz_sharpness
 
 
 def test_laplacian_spectrum_triangle():
@@ -103,9 +103,7 @@ def test_lichnerowicz_violation_is_reported_with_its_witness(monkeypatch):
                         lambda g: real(g)._replace(value=Fraction(3)))
     res = is_lichnerowicz_sharp(hypercube(3))
     assert (res.sharp, res.holds) == (False, False)
-    ctx = Ctx(corpus=(CorpusMember(parse_family("Q 3"), hypercube(3)),),
-              max_lp_support=10, standard=False)
-    witness = _check_lichnerowicz_sharpness(ctx)
+    witness = _check_lichnerowicz_sharpness((CorpusMember(parse_family("Q 3"), hypercube(3)),))
     assert witness.startswith("Q 3: Lichnerowicz violation, lam ")
     assert witness.endswith("< kappa 3")
 
