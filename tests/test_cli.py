@@ -168,7 +168,6 @@ def test_bakry_emery_json_bound(capsys):
     pytest.param("--tol", "inf", id="inf"),
     pytest.param("--tol", "0", id="0"),
     pytest.param("--tol", "-1", id="-1"),
-    pytest.param("--max-lp-support", "10", id="max-lp-support"),
 ])
 @pytest.mark.parametrize("argv", [
     ("classify", "--family", "Q 3"),
@@ -176,13 +175,23 @@ def test_bakry_emery_json_bound(capsys):
     ("verify-theorems", "--corpus", "standard"),
 ], ids=["classify", "bakry-emery", "verify-theorems"])
 def test_tolerance_must_be_finite_and_positive(capsys, argv, option, value):
-    # the verdicts are exact and the oracle has no support cap, so --tol and
-    # --max-lp-support are gone: argparse refuses each as an unknown option,
-    # before any graph or corpus is built
+    # the verdicts are exact, so --tol is gone: argparse refuses it as an
+    # unknown option, before any graph or corpus is built
     with pytest.raises(SystemExit) as exc:
         cli.main([*argv, option, value])
     assert exc.value.code == 2
     assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("support", ["-1", "0", "1"])
+def test_max_lp_support_must_be_at_least_two(capsys, support):
+    # the oracle has no support cap, so --max-lp-support is gone and every
+    # value, these too, is refused while parsing, before any corpus is built
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-theorems", "--corpus", "standard",
+                  "--max-lp-support", support])
+    assert exc.value.code == 2
+    assert "--max-lp-support" in capsys.readouterr().err
 
 
 def test_criterion_08_checks_every_standard_edge(monkeypatch):
