@@ -23,6 +23,8 @@ value.  The final rows are sorted by rank once, so every certificate lists
 its rows in one fixed order.  Each solve finishes by checking its
 optimizer and certificate with _certified, the integer core that
 verify_optimality_certificate also runs after its type and shape checks.
+Its dual half, _dual_bound, turns any nonnegative rows that leave every
+free vertex stationary into a lower bound on the objective (weak duality).
 
 Reflective graphs are solved once per orbit.  min_edge_curvature (for the
 edges) and long_range_curvatures (for the non-adjacent pairs) compute the
@@ -36,10 +38,18 @@ with verify_optimality_certificate before it is cached, and a failed
 replay is an InternalCheckError, so every value is proven for its own pair
 whatever the mapping.  The curvature value is the optimum of the program
 and so is unique; the optimizer and certificate are not, and for a pair
-that is not an orbit representative they are the carried ones.  On a graph
-that is not reflective every pair gets its own LP.  Single-pair requests
-(edge_curvature, long_range_curvature) compute no reflections: they take
-the orbit route only when an all-pairs call has already filled the cache.
+that is not an orbit representative they are the carried ones.
+Single-pair requests (edge_curvature, long_range_curvature) compute no
+reflections: they take the orbit route only when an all-pairs call has
+already filled the cache.
+
+On a graph that is not reflective, long_range_curvatures gives every pair
+its own LP, and min_edge_curvature bounds every edge first: a greedy
+transport plan (_edge_bound) gives rows that _dual_bound turns into an
+integer lower bound, equal to the curvature on most edges.  The edges are
+solved in increasing (bound, index) order until the next bound exceeds the
+least value found; an edge left unsolved lies above the minimum, so the
+value and both witnesses are those of a full scan.
 
 The independent oracle below works from the primal side instead: the
 curvature is (D+1) - W/d(x, y), with D the larger degree and W the integer
@@ -347,15 +357,16 @@ def _carry(cv: CurvatureValue, sigma, turn: bool) -> CurvatureValue:
     )
 
 
-def _solve_by_orbits(g: Graph, pairs) -> None:
+def _solve_by_orbits(g: Graph, pairs) -> bool:
     """Fill the curvature cache for pairs (x < y), one LP per orbit.
 
-    Computes the reflections first and does nothing on a graph that is not
-    reflective; the module docstring describes the search and the replay.
+    Computes the reflections first and returns False, doing nothing, on a
+    graph that is not reflective; the module docstring describes the search
+    and the replay.
     """
     maps = reflection_maps(g)
     if maps is None:
-        return
+        return False
     cache = g.cache
     at = [[maps[(z, w) if z < w else (w, z)] for w in g.neighbors[z]] for z in range(g.n)]
     for (a, b) in pairs:
@@ -382,6 +393,7 @@ def _solve_by_orbits(g: Graph, pairs) -> None:
                         cache["kappa", u, v] = moved
                         reached.append(moved)
             frontier = reached
+    return True
 
 
 def edge_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
@@ -404,33 +416,78 @@ def long_range_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
     return _pair_curvature(g, x, y)
 
 
-def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
-    """Minimum edge curvature with constancy information.
+def _edge_bound(g: Graph, x: int, y: int) -> int:
+    """Integer lower bound on the curvature of the edge (x, y), certified.
 
-    Edges are scanned in lexicographic order; witnesses are the first edge
-    attaining the minimum and, when values differ, the first edge attaining
-    any other value.  Raises TrivialGraphError on a graph without edges.
-    Computes the reflections first, so a reflective graph needs one LP per
-    edge orbit.
+    The free support vertices of coefficient +1 are sources and those of -1
+    sinks.  A maximum matching pairs sources with sinks at distance 1 (by
+    augmenting paths), and each source left over takes the first sink still
+    free at distance 2.  A pair (w, v) gives the row f(w) - f(v) <= d(w, v),
+    a lone source v the row f(y) - f(v) <= d(y, v) and a lone sink w the row
+    f(w) - f(x) <= d(w, x), each with multiplier 1, so every free vertex is
+    stationary and _dual_bound turns the rows into the bound.
+    """
+    lp = build_lipschitz_lp(g, x, y)
+    dist = g.dist_rows()
+    free = [v for v in lp.support if v != x and v != y]
+    sources = [v for v in free if lp.coeffs[v] == 1]
+    sinks = [v for v in free if lp.coeffs[v] == -1]
+    owner = {}  # sink -> the source matched to it at distance 1
+
+    def augment(s, seen):
+        for t in sinks:
+            if t not in seen and dist[s][t] == 1:
+                seen.add(t)
+                if t not in owner or augment(owner[t], seen):
+                    owner[t] = s
+                    return True
+        return False
+
+    rows = []
+    for s in [s for s in sources if not augment(s, set())]:
+        t = next((t for t in sinks if t not in owner and dist[s][t] == 2), None)
+        if t is None:
+            rows.append((y, s, dist[y][s], 1))
+        else:
+            owner[t] = s
+    rows += [(t, s, dist[t][s], 1) for t, s in owner.items()]
+    rows += [(t, x, dist[t][x], 1) for t in sinks if t not in owner]
+    bound = _dual_bound(dist, lp, rows)
+    if bound is None:
+        raise InternalCheckError(f"edge bound rows of ({x}, {y}) fail the dual check")
+    return bound
+
+
+def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
+    """Minimum edge curvature with constancy information, cached.
+
+    Witnesses are the first edge in lexicographic order attaining the
+    minimum and, when values differ, the first edge attaining any other
+    value.  Raises TrivialGraphError on a graph without edges.  The module
+    docstring describes the two routes: one LP per edge orbit on a
+    reflective graph, bound-first on any other.
     """
     if not g.edges:
         raise TrivialGraphError("edge curvature needs at least one edge")
-    _solve_by_orbits(g, g.edges)
-    best = None
-    best_edge = None
-    other = None
-    values = []
-    for (u, v) in g.edges:
-        val = edge_curvature(g, u, v).value
-        values.append(((u, v), val))
-        if best is None or val < best:
-            best = val
-            best_edge = (u, v)
-    for edge, val in values:
-        if val != best:
-            other = edge
-            break
-    return MinEdgeCurvature(best, other is None, best_edge, other)
+    hit = g.cache.get("min_edge")
+    if hit is not None:
+        return hit
+    edges = g.edges
+    if _solve_by_orbits(g, edges):
+        values = [edge_curvature(g, u, v).value for (u, v) in edges]
+    else:  # an edge left at None has a bound, so a value, above the minimum
+        values = [None] * len(edges)
+        best = None
+        for bound, i in sorted((_edge_bound(g, x, y), i) for i, (x, y) in enumerate(edges)):
+            if best is not None and bound > best:
+                break
+            values[i] = edge_curvature(g, *edges[i]).value
+            best = values[i] if best is None else min(best, values[i])
+    best = min(v for v in values if v is not None)
+    other = next((e for e, v in zip(edges, values) if v != best), None)
+    hit = g.cache["min_edge"] = MinEdgeCurvature(
+        best, other is None, edges[values.index(best)], other)
+    return hit
 
 
 def long_range_curvatures(g: Graph) -> dict:
@@ -451,25 +508,46 @@ def curvature_from_intersection_array(ia) -> Fraction:
     return Fraction(1 + b0 - b1)
 
 
+def _dual_bound(dist, lp: LipschitzLP, rows):
+    """The lower bound that rows prove on lp's objective, or None.
+
+    rows are (u, v, rhs, lam) on support vertices, read as
+    f(u) - f(v) <= rhs with integer multiplier lam.  Each row needs
+    lam >= 0 and rhs = d(u, v), and the objective plus the rows'
+    multipliers must vanish at every support vertex but x and y
+    (stationarity).  Weak duality then bounds the objective at every
+    feasible point by g_y * gap - sum(lam * rhs), with g_y that sum at y.
+    """
+    x, y = lp.x, lp.y
+    gradient = dict(lp.coeffs)  # keyed by the support
+    paid = 0
+    for (u, v, rhs, l) in rows:
+        if l < 0 or rhs != dist[u][v]:
+            return None
+        gradient[u] += l
+        gradient[v] -= l
+        paid += l * rhs
+    g_y = gradient[y]
+    gradient[x] = gradient[y] = 0
+    if any(gradient.values()):
+        return None
+    return g_y * lp.gap - paid
+
+
 def _certified(dist, lp: LipschitzLP, f, rows) -> bool:
     """Do the integer point f and the rows prove that f is optimal for lp?
 
     f gives every support vertex an integer value and rows are
     (u, v, rhs, lam) with integer lam.  Checks the endpoint gap, the
-    Lipschitz bound on the support, each row (lam >= 0, rhs = d(u, v),
-    tight at f) and stationarity: the objective plus the rows' multipliers
-    vanishes at every support vertex but x and y.
+    Lipschitz bound on the support, that each row is tight at f and that
+    _dual_bound accepts the rows; a dual bound met with equality by the
+    tight rows is the objective at f.
     """
-    x, y, support = lp.x, lp.y, lp.support
-    if f[y] - f[x] != lp.gap or not _is_lipschitz(dist, support, f):
+    if f[lp.y] - f[lp.x] != lp.gap or not _is_lipschitz(dist, lp.support, f):
         return False
-    gradient = dict(lp.coeffs)
-    for (u, v, rhs, l) in rows:
-        if l < 0 or rhs != dist[u][v] or f[u] - f[v] != rhs:
-            return False
-        gradient[u] += l
-        gradient[v] -= l
-    return not any(gradient[v] for v in support if v != x and v != y)
+    if any(f[u] - f[v] != rhs for (u, v, rhs, _) in rows):
+        return False
+    return _dual_bound(dist, lp, rows) is not None
 
 
 def verify_optimality_certificate(g: Graph, cv: CurvatureValue) -> bool:

@@ -189,18 +189,24 @@ def is_distance_regular(g: Graph) -> DistanceRegularity:
 # --- sharpness conditions ---
 
 def _gap_test(g: Graph, r: Fraction):
-    """_psd_nullity of M = n q (L - r I) + p J, for r = p/q.
+    """_psd_nullity of M = P^T (q L - p I) P, for r = p/q and P = [e_i - e_last].
 
-    L 1 = 0, so M 1 = 0 and M has the eigenvalues n q (lambda_i - r) on the
-    complement of 1: lambda_1 >= r exactly when M is positive semidefinite,
-    and lambda_1 == r exactly when its nullity is also at least 2.
+    The columns of P are a basis of the complement of 1, which L keeps, and
+    q L - p I has the eigenvalues q (lambda_i - r) there.  By Sylvester's law
+    of inertia M has the same signs: lambda_1 >= r exactly when M is
+    positive semidefinite, and lambda_1 == r exactly when its nullity is
+    also at least 1.  Its entries stay small, which keeps the elimination
+    cheap.
     """
     n, p, q = g.n, r.numerator, r.denominator
-    rows = [[p] * n for _ in range(n)]
-    for v, row in enumerate(rows):
+    a = [[0] * n for _ in range(n)]  # q L - p I
+    for v, row in enumerate(a):
         for w in g.neighbors[v]:
-            row[w] -= n * q
-        row[v] += n * (q * g.degree(v) - p)
+            row[w] = -q
+        row[v] = q * g.degree(v) - p
+    c = a[-1]
+    rows = [[ai[j] - c[i] - c[j] + c[-1] for j in range(n - 1)]
+            for i, ai in enumerate(a[:-1])]
     return _psd_nullity(rows)
 
 
@@ -223,7 +229,7 @@ def is_lichnerowicz_sharp(g: Graph) -> LichnerowiczResult:
         kappa = min_edge_curvature(g).value
         holds, nullity = _gap_test(g, kappa) if kappa > 0 else (True, 0)
         g.cache["lichnerowicz"] = LichnerowiczResult(
-            holds and nullity >= 2, smallest_positive_laplacian_eigenvalue(g),
+            holds and nullity >= 1, smallest_positive_laplacian_eigenvalue(g),
             kappa, holds)
     return g.cache["lichnerowicz"]
 
@@ -236,8 +242,8 @@ class ThetaResult(NamedTuple):
 def theta_condition(g: Graph, ia: IntersectionArray) -> ThetaResult:
     """Second largest adjacency eigenvalue theta_1 against t = b_1 - 1, exactly.
 
-    The graph is k-regular, so theta_1 = k - lambda_1, and the matrix that
-    _gap_test builds for r = k - t is n (t I - A) + (k - t) J.
+    The graph is k-regular, so theta_1 = k - lambda_1 and theta_1 == t
+    exactly when lambda_1 == k - t, which _gap_test decides.
     """
     if ia is None:
         raise NotDistanceRegularError(None)
@@ -246,4 +252,4 @@ def theta_condition(g: Graph, ia: IntersectionArray) -> ThetaResult:
         raise InvalidParameterError("need at least two eigenvalues")
     t = (ia.b[1] if len(ia.b) > 1 else 0) - 1
     psd, nullity = _gap_test(g, Fraction(ia.b[0] - t))
-    return ThetaResult(spec.values[1], psd and nullity >= 2)
+    return ThetaResult(spec.values[1], psd and nullity >= 1)

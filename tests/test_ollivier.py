@@ -419,14 +419,84 @@ def test_gosset_needs_one_edge_lp_and_two_far_pair_lps(monkeypatch):
     assert solves == {"edge": 1, "far": 2}
 
 
+# edges solved for the minimum: the edge bounds leave unsolved every edge
+# whose bound exceeds it
+BOUND_FIRST_EDGE_SOLVES = {"C 5": 5, "( C 5 x K 2 )": 10, "P 4": 1}
+
+
 @pytest.mark.parametrize("expr", ["C 5", "( C 5 x K 2 )", "P 4"])
 def test_non_reflective_graphs_solve_every_pair(monkeypatch, expr):
+    edge_solves = BOUND_FIRST_EDGE_SOLVES[expr]
     solves = _count_solves(monkeypatch)
     g = parse_family(expr).build()
     assert not is_reflective(g).reflective
     min_edge_curvature(g)
     far = long_range_curvatures(g)
-    assert solves == {"edge": g.m, "far": len(far)}
+    assert solves == {"edge": edge_solves, "far": len(far)}
+    assert min_edge_curvature(g) is min_edge_curvature(g)
+    assert solves == {"edge": edge_solves, "far": len(far)}
+
+
+def test_constant_curvature_without_reflections_solves_every_edge(monkeypatch):
+    # Shrikhande: the Cayley graph of Z4 x Z4 on +-(1, 0), +-(0, 1), +-(1, 1);
+    # every bound equals the common value, so no edge can be skipped
+    steps = ((1, 0), (0, 1), (1, 1))
+    g = build_graph(16, sorted({
+        tuple(sorted((4 * a + b, 4 * ((a + s * da) % 4) + (b + s * db) % 4)))
+        for a in range(4) for b in range(4) for (da, db) in steps for s in (1, -1)}))
+    assert g.m == 48 and not is_reflective(g).reflective
+    solves = _count_solves(monkeypatch)
+    assert min_edge_curvature(g) == (2, True, (0, 1), None)
+    assert solves == {"edge": 48, "far": 0}
+
+
+# --- bound-first minimum on graphs that are not reflective ---
+
+def _scan_min_edge(g):
+    """The minimum by a lexicographic scan over every edge's exact value."""
+    values = [edge_curvature(g, x, y).value for (x, y) in g.edges]
+    best = min(values)
+    other = next((e for e, v in zip(g.edges, values) if v != best), None)
+    return (best, other is None, g.edges[values.index(best)], other)
+
+
+BOUND_GRAPHS = ("C 5", "C 6", "P 4", "( C 5 x K 2 )", "KB 2 3", "KB 3 3", "petersen")
+
+
+@pytest.mark.parametrize("expr", BOUND_GRAPHS)
+def test_bound_first_minimum_on_named_graphs(expr):
+    g = parse_family(expr).build()
+    assert tuple(min_edge_curvature(g)) == _scan_min_edge(build_graph(g.n, g.edges))
+    # the greedy plan is an optimal one on every edge of these graphs
+    assert all(ollivier._edge_bound(g, x, y) == edge_curvature(g, x, y).value
+               for (x, y) in g.edges)
+
+
+@given(connected_graphs(min_n=2, max_n=10))
+@settings(max_examples=60, deadline=None)
+def test_bound_first_minimum_on_random_graphs(g):
+    assert tuple(min_edge_curvature(g)) == _scan_min_edge(build_graph(g.n, g.edges))
+    for (x, y) in g.edges:
+        assert ollivier._edge_bound(g, x, y) <= edge_curvature(g, x, y).value
+
+
+def test_dual_bound_refuses_malformed_rows():
+    g = cycle(5)
+    lp = build_lipschitz_lp(g, 0, 1)
+    dist = g.dist_rows()
+    rows = list(edge_curvature(g, 0, 1).certificate)
+    assert ollivier._dual_bound(dist, lp, rows) == 1
+    u, v, rhs, _ = rows[0]
+    # a pair of opposite rows leaves stationarity as it was
+    assert ollivier._dual_bound(dist, lp, rows + [(u, v, rhs, -1), (u, v, rhs, 1)]) is None
+    assert ollivier._dual_bound(dist, lp, rows + [(u, v, rhs + 1, 0)]) is None
+    assert ollivier._dual_bound(dist, lp, rows[1:]) is None
+
+
+def test_refused_edge_bound_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(ollivier, "_dual_bound", lambda dist, lp, rows: None)
+    with pytest.raises(InternalCheckError, match="edge bound"):
+        min_edge_curvature(cycle(5))
 
 
 def test_min_edge_curvature_computes_its_own_reflections(monkeypatch):

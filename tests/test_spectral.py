@@ -22,6 +22,7 @@ from gcurv.families import (
 )
 from gcurv.ollivier import min_edge_curvature
 from gcurv.spectral import (
+    _gap_test,
     _psd_nullity,
     adjacency_matrix,
     adjacency_spectrum,
@@ -32,7 +33,7 @@ from gcurv.spectral import (
     smallest_positive_laplacian_eigenvalue,
     theta_condition,
 )
-from gcurv.verify import CorpusMember, _check_lichnerowicz_sharpness
+from gcurv.verify import STANDARD_CORPUS, CorpusMember, _check_lichnerowicz_sharpness
 
 
 def test_laplacian_spectrum_triangle():
@@ -211,6 +212,44 @@ def test_lichnerowicz_inequality_random(g):
     res = is_lichnerowicz_sharp(g)
     assert res.holds
     assert res.sharp == (abs(lam - float(mec.value)) < 1e-6)
+
+
+def _full_gap_test(g, r):
+    """_psd_nullity of n q (L - r I) + p J for r = p/q, the full-size matrix.
+
+    It has 1 in its kernel on top of the eigenvalues n q (lambda_i - r)
+    that _gap_test's reduced matrix keeps.
+    """
+    n, p, q = g.n, r.numerator, r.denominator
+    rows = [[p] * n for _ in range(n)]
+    for v, row in enumerate(rows):
+        for w in g.neighbors[v]:
+            row[w] -= n * q
+        row[v] += n * (q * g.degree(v) - p)
+    return _psd_nullity(rows)
+
+
+def _assert_gap_test_matches_full_matrix(g, r):
+    psd, nullity = _gap_test(g, r)
+    assert _full_gap_test(g, r) == (psd, None if nullity is None else nullity + 1)
+
+
+@pytest.mark.parametrize("expr", STANDARD_CORPUS)
+def test_gap_test_matches_the_full_matrix_on_the_standard_corpus(expr):
+    g = parse_family(expr).build()
+    near = Fraction(round(smallest_positive_laplacian_eigenvalue(g)))
+    for r in {near, near + Fraction(1, 2), Fraction(1, 3)} - {0}:
+        _assert_gap_test_matches_full_matrix(g, r)
+
+
+@given(connected_graphs(min_n=2, max_n=9),
+       st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4))
+@settings(max_examples=60, deadline=None)
+def test_gap_test_matches_the_full_matrix_on_random_graphs(g, r):
+    _assert_gap_test_matches_full_matrix(g, r)
+    near = Fraction(round(smallest_positive_laplacian_eigenvalue(g)))
+    if near:
+        _assert_gap_test_matches_full_matrix(g, near)
 
 
 @st.composite
