@@ -386,6 +386,31 @@ def test_orbit_values_match_per_pair_lp(expr):
         assert verify_optimality_certificate(g, cv)
 
 
+# SHA-256 over (x, y, value, optimizer, certificate) of every pair in
+# lexicographic order, after min_edge_curvature and then
+# long_range_curvatures on a fresh graph: pins the carried optimizers and
+# certificates of the orbit route, not just its values.
+CARRIED_DIGESTS = {
+    "gosset": "379df1dc837112d5620372dbc1213612de627d7bb56ff3e15c5b506488274580",
+    "HQ 6": "8c11a43b035054de7a6970077da60691f49e25169491197af85bd96ffea5285d",
+    "( Q 2 x CP 3 )": "cc807e60c6dc843e127ae24667defee91f68a2aac808234cf15824c257c50eca",
+}
+
+
+@pytest.mark.parametrize("expr", sorted(CARRIED_DIGESTS))
+def test_pinned_digest_of_every_carried_pair(expr):
+    g = parse_family(expr).build()
+    min_edge_curvature(g)
+    long_range_curvatures(g)
+    digest = hashlib.sha256()
+    for (x, y) in _all_pairs(g):
+        solve = edge_curvature if g.adjacent(x, y) else long_range_curvature
+        cv = solve(g, x, y)
+        optimizer = sorted((v, str(f)) for v, f in cv.optimizer.items())
+        digest.update(repr((cv.x, cv.y, str(cv.value), optimizer, cv.certificate)).encode())
+    assert digest.hexdigest() == CARRIED_DIGESTS[expr]
+
+
 @given(connected_graphs(min_n=2, max_n=8))
 @settings(max_examples=60, deadline=None)
 def test_orbit_route_matches_per_pair_lp_on_random_graphs(g):
