@@ -28,20 +28,29 @@ free vertex stationary into a lower bound on the objective (weak duality).
 
 Reflective graphs are solved once per orbit.  min_edge_curvature (for the
 edges) and long_range_curvatures (for the non-adjacent pairs) compute the
-is_reflective verdict first.  On a reflective graph they take the pairs in
-lexicographic order and solve the first unsolved one by the LP.  A
-breadth-first search then maps each solved pair through the reflection of
-every edge at either of its ends; an automorphism preserves the program,
-so each new image gets the optimizer and certificate carried along
-(v -> sigma(v), turned to x < y).  Each carried certificate is replayed
-with verify_optimality_certificate before it is cached, and a failed
-replay is an InternalCheckError, so every value is proven for its own pair
-whatever the mapping.  The curvature value is the optimum of the program
-and so is unique; the optimizer and certificate are not, and for a pair
-that is not an orbit representative they are the carried ones.
-Single-pair requests (edge_curvature, long_range_curvature) compute no
-reflections: they take the orbit route only when an all-pairs call has
-already filled the cache.
+is_reflective verdict first.  On a reflective graph the orbit route reads
+the reflection mappings once and checks each distinct one: it must be an
+involution and an automorphism (reflective._automorphism_witness), or the
+route raises InternalCheckError.  It then takes the pairs in lexicographic
+order and solves the first unreached one by the LP.  A breadth-first
+search maps each reached pair through the reflection of every edge at
+either of its ends, and records for each new image its parent pair, the
+map sigma, whether the image turns over (sigma(x) > sigma(y)) and the
+orbit's value.  An automorphism preserves the program, so the value is
+the image's own; min_edge_curvature reads it from the record, and nothing
+else is built.  edge_curvature, long_range_curvature and
+long_range_curvatures build a pair's CurvatureValue only when it is asked
+for: the parent chain is walked up to a built ancestor and the optimizer
+and certificate are carried down it (v -> sigma(v), turned to x < y),
+each built pair cached on the way.  A certificate carried by a proven
+automorphism is feasible and optimal by construction, so it is not
+replayed here; verify's optimizer_certificates check replays every edge
+and far-pair certificate of its corpus.  The curvature value is the
+optimum of the program and so is unique; the optimizer and certificate
+are not, and for a pair that is not an orbit representative they are the
+carried ones.  Single-pair requests (edge_curvature, long_range_curvature)
+compute no reflections: they take the orbit route only when an all-pairs
+call has already reached the pair.
 
 On a graph that is not reflective, long_range_curvatures gives every pair
 its own LP, and min_edge_curvature bounds every edge first: a greedy
@@ -49,7 +58,8 @@ transport plan (_edge_bound) gives rows that _dual_bound turns into an
 integer lower bound, equal to the curvature on most edges.  The edges are
 solved in increasing (bound, index) order until the next bound exceeds the
 least value found; an edge left unsolved lies above the minimum, so the
-value and both witnesses are those of a full scan.
+value and both witnesses are those of a full scan.  Each edge's program is
+built once, for its bound, and a solved edge reuses it.
 
 The independent oracle below works from the primal side instead: the
 curvature is (D+1) - W/d(x, y), with D the larger degree and W the integer
@@ -76,7 +86,7 @@ from .errors import (
     check_vertex,
 )
 from .graphs import Graph
-from .reflective import reflection_maps
+from .reflective import _automorphism_witness, reflection_maps
 
 _MAX_PIVOTS = 200_000
 
@@ -326,13 +336,30 @@ def solve_lipschitz_lp(g: Graph, lp: LipschitzLP) -> CurvatureValue:
     )
 
 
-def _pair_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
+def _pair_curvature(g: Graph, x: int, y: int, lp: LipschitzLP | None = None) -> CurvatureValue:
+    """Curvature of (x, y): cached, carried along its orbit records, or solved.
+
+    A pair the orbit route has reached but nobody has asked for yet is
+    built here: its parent chain is walked up to a built ancestor, and the
+    certificate is carried down the chain, each pair cached as it is built.
+    A pair with neither is solved, from lp (the program of (min, max)) when
+    it is given.
+    """
     a, b = (x, y) if x < y else (y, x)
-    key = ("kappa", a, b)
-    cv = g.cache.get(key)
+    cache = g.cache
+    cv = cache.get(("kappa", a, b))
     if cv is None:
-        cv = solve_lipschitz_lp(g, build_lipschitz_lp(g, a, b))
-        g.cache[key] = cv
+        reach = cache["orbits"][1] if "orbits" in cache else {}
+        chain, pair = [], (a, b)
+        while cv is None and pair in reach:
+            chain.append(pair)
+            pair = reach[pair][0]
+            cv = cache.get(("kappa",) + pair)
+        for pair in reversed(chain):
+            _, sigma, turn, _ = reach[pair]
+            cv = cache[("kappa",) + pair] = _carry(cv, sigma, turn)
+        if cv is None:
+            cv = cache["kappa", a, b] = solve_lipschitz_lp(g, lp or build_lipschitz_lp(g, a, b))
     return cv if (x, y) == (a, b) else _carry(cv, range(g.n), True)
 
 
@@ -357,43 +384,71 @@ def _carry(cv: CurvatureValue, sigma, turn: bool) -> CurvatureValue:
     )
 
 
-def _solve_by_orbits(g: Graph, pairs) -> bool:
-    """Fill the curvature cache for pairs (x < y), one LP per orbit.
+def _orbit_generators(g: Graph):
+    """Per vertex, the reflections of its edges, or None if g is not reflective.
 
-    Computes the reflections first and returns False, doing nothing, on a
-    graph that is not reflective; the module docstring describes the search
-    and the replay.
+    Each distinct mapping is checked once, as it is read: it must be an
+    involution and an automorphism, so that everything the orbit route
+    carries with it is proven; anything else is an InternalCheckError.
     """
     maps = reflection_maps(g)
     if maps is None:
-        return False
-    cache = g.cache
-    at = [[maps[(z, w) if z < w else (w, z)] for w in g.neighbors[z]] for z in range(g.n)]
-    for (a, b) in pairs:
-        if ("kappa", a, b) in cache:
+        return None
+    n = g.n
+    identity = tuple(range(n))
+    seen = set()
+    for e, sigma in maps.items():
+        if sigma in seen:
             continue
-        cv = solve_lipschitz_lp(g, build_lipschitz_lp(g, a, b))
-        cache["kappa", a, b] = cv
-        frontier = [cv]
+        seen.add(sigma)
+        # sigma(sigma(v)) = v for every v, read in one pass at C speed
+        if (len(sigma) != n or min(sigma) < 0 or max(sigma) >= n
+                or itemgetter(*sigma)(sigma) != identity
+                or _automorphism_witness(g, sigma) is not None):
+            raise InternalCheckError(f"reflection of {e} is not an involutive automorphism")
+    return [[maps[(z, w) if z < w else (w, z)] for w in g.neighbors[z]] for z in range(n)]
+
+
+def _solve_by_orbits(g: Graph, pairs):
+    """The values of pairs (x < y) in order, one LP per orbit.
+
+    Computes the reflections first and returns None, doing nothing, on a
+    graph that is not reflective.  Every reached pair gets a record
+    (parent pair, sigma, turn, value), None for the parent of a pair that
+    was solved; the module docstring describes the search.
+    """
+    cache = g.cache
+    orbits = cache.get("orbits")
+    if orbits is None:
+        at = _orbit_generators(g)
+        if at is None:
+            return None
+        orbits = cache["orbits"] = (at, {})
+    at, reach = orbits
+    for pair in pairs:
+        if pair in reach:
+            continue
+        cv = cache.get(("kappa",) + pair)
+        if cv is not None:  # solved by a single-pair request: no search from it
+            reach[pair] = (None, None, False, cv.value)
+            continue
+        cv = cache[("kappa",) + pair] = solve_lipschitz_lp(g, build_lipschitz_lp(g, *pair))
+        value = cv.value
+        reach[pair] = (None, None, False, value)
+        frontier = [pair]
         while frontier:
             reached = []
-            for cv in frontier:
-                for z in (cv.x, cv.y):
-                    for sigma in at[z]:
-                        u, v = sigma[cv.x], sigma[cv.y]
-                        turn = u > v
-                        if turn:
-                            u, v = v, u
-                        if ("kappa", u, v) in cache:
-                            continue
-                        moved = _carry(cv, sigma, turn)
-                        if not verify_optimality_certificate(g, moved):
-                            raise InternalCheckError(
-                                f"certificate carried to ({u}, {v}) does not replay")
-                        cache["kappa", u, v] = moved
-                        reached.append(moved)
+            for parent in frontier:
+                x, y = parent
+                for sigma in at[x] + at[y]:
+                    u, v = sigma[x], sigma[y]
+                    image = (u, v) if u < v else (v, u)
+                    if image in reach or ("kappa",) + image in cache:
+                        continue
+                    reach[image] = (parent, sigma, u > v, value)
+                    reached.append(image)
             frontier = reached
-    return True
+    return [reach[pair][3] for pair in pairs]
 
 
 def edge_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
@@ -416,7 +471,7 @@ def long_range_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
     return _pair_curvature(g, x, y)
 
 
-def _edge_bound(g: Graph, x: int, y: int) -> int:
+def _edge_bound(g: Graph, x: int, y: int, lp: LipschitzLP | None = None) -> int:
     """Integer lower bound on the curvature of the edge (x, y), certified.
 
     The free support vertices of coefficient +1 are sources and those of -1
@@ -425,9 +480,10 @@ def _edge_bound(g: Graph, x: int, y: int) -> int:
     free at distance 2.  A pair (w, v) gives the row f(w) - f(v) <= d(w, v),
     a lone source v the row f(y) - f(v) <= d(y, v) and a lone sink w the row
     f(w) - f(x) <= d(w, x), each with multiplier 1, so every free vertex is
-    stationary and _dual_bound turns the rows into the bound.
+    stationary and _dual_bound turns the rows into the bound.  lp, the
+    program of (x, y), is built when it is not given.
     """
-    lp = build_lipschitz_lp(g, x, y)
+    lp = lp or build_lipschitz_lp(g, x, y)
     dist = g.dist_rows()
     free = [v for v in lp.support if v != x and v != y]
     sources = [v for v in free if lp.coeffs[v] == 1]
@@ -473,15 +529,16 @@ def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
     if hit is not None:
         return hit
     edges = g.edges
-    if _solve_by_orbits(g, edges):
-        values = [edge_curvature(g, u, v).value for (u, v) in edges]
-    else:  # an edge left at None has a bound, so a value, above the minimum
+    values = _solve_by_orbits(g, edges)
+    if values is None:  # an edge left at None has a bound, so a value, above the minimum
+        lps = [build_lipschitz_lp(g, x, y) for (x, y) in edges]
         values = [None] * len(edges)
         best = None
-        for bound, i in sorted((_edge_bound(g, x, y), i) for i, (x, y) in enumerate(edges)):
+        for bound, i in sorted((_edge_bound(g, *e, lp), i)
+                               for i, (e, lp) in enumerate(zip(edges, lps))):
             if best is not None and bound > best:
                 break
-            values[i] = edge_curvature(g, *edges[i]).value
+            values[i] = _pair_curvature(g, *edges[i], lps[i]).value
             best = values[i] if best is None else min(best, values[i])
     best = min(v for v in values if v is not None)
     other = next((e for e, v in zip(edges, values) if v != best), None)

@@ -461,11 +461,17 @@ def _check_distance_regular_recount(corpus):
 # --- ollivier invariants ---
 
 def _check_optimizer_certificates(corpus):
+    """Replays the certificate of every edge and every far pair.
+
+    On a reflective member most of them were carried by reflections and
+    never replayed by the orbit route, so this is their independent check.
+    """
     for mem in corpus:
         g = mem.graph
-        for (x, y) in g.edges:
-            if not verify_optimality_certificate(g, edge_curvature(g, x, y)):
-                return f"{mem.name} ({x},{y}): certificate rejected"
+        far = long_range_curvatures(g)
+        for cv in [edge_curvature(g, x, y) for (x, y) in g.edges] + list(far.values()):
+            if not verify_optimality_certificate(g, cv):
+                return f"{mem.name} ({cv.x},{cv.y}): certificate rejected"
     return None
 
 

@@ -363,7 +363,7 @@ def test_certificate_rejects_lipschitz_violation(q3):
     assert not verify_optimality_certificate(q3, replace(cv, optimizer=optimizer))
 
 
-# --- one LP per reflection orbit, transported certificates replayed ---
+# --- one LP per reflection orbit, certificates carried on request ---
 
 ORBIT_GRAPHS = ("gosset", "schlafli", "HQ 6", "J 7 3", "Q 5", "( Q 2 x CP 3 )")
 
@@ -380,7 +380,7 @@ def test_orbit_values_match_per_pair_lp(expr):
     far = long_range_curvatures(g)
     assert list(far) == [p for p in _all_pairs(g) if not g.adjacent(*p)]
     for (x, y) in _all_pairs(g):
-        cv = g.cache["kappa", x, y]
+        cv = (edge_curvature if g.adjacent(x, y) else long_range_curvature)(g, x, y)
         assert (cv.x, cv.y) == (x, y)
         assert cv.value == long_range_curvature(fresh, x, y).value
         assert verify_optimality_certificate(g, cv)
@@ -442,6 +442,39 @@ def test_gosset_needs_one_edge_lp_and_two_far_pair_lps(monkeypatch):
     assert min_edge_curvature(g).value == 18
     assert len(long_range_curvatures(g)) == 784
     assert solves == {"edge": 1, "far": 2}
+
+
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _fn=getattr(ollivier, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(ollivier, name, counting)
+    return calls
+
+
+def test_gosset_minimum_builds_and_replays_no_carried_pair(monkeypatch):
+    g = parse_family("gosset").build()
+    calls = _count_calls(monkeypatch, "solve_lipschitz_lp",
+                         "verify_optimality_certificate", "_carry")
+    assert min_edge_curvature(g) == (18, True, (0, 1), None)
+    assert calls == {"solve_lipschitz_lp": 1, "verify_optimality_certificate": 0, "_carry": 0}
+    # an edge asked for is built along its parent chain, each link cached
+    edge_curvature(g, *g.edges[-1])
+    built = sum(1 for k in g.cache if isinstance(k, tuple) and k[0] == "kappa")
+    assert calls["_carry"] == built - 1 > 0
+    assert [edge_curvature(g, *e).value for e in g.edges] == [18] * 756
+    assert calls["_carry"] == 755 and calls["solve_lipschitz_lp"] == 1
+
+
+def test_bound_first_minimum_builds_each_edge_program_once(monkeypatch):
+    n, edges = PINNED_EDGE_LISTS[1]
+    g = build_graph(n, edges)
+    calls = _count_calls(monkeypatch, "build_lipschitz_lp", "solve_lipschitz_lp")
+    min_edge_curvature(g)
+    assert calls["build_lipschitz_lp"] <= g.m
+    assert 0 < calls["solve_lipschitz_lp"] < g.m
 
 
 # edges solved for the minimum: the edge bounds leave unsolved every edge
@@ -558,6 +591,6 @@ def test_corrupted_reflection_is_an_internal_error(corrupt):
         mapping[1] = 0
         image = ("kappa", 0, 0)
     g.cache["refl", 0, 1] = (tuple(mapping), None, None)
-    with pytest.raises(InternalCheckError, match="does not replay"):
+    with pytest.raises(InternalCheckError, match="not an involutive automorphism"):
         min_edge_curvature(g)
     assert image not in g.cache
