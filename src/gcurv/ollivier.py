@@ -29,18 +29,18 @@ free vertex stationary into a lower bound on the objective (weak duality).
 Reflective graphs are solved once per orbit.  min_edge_curvature (for the
 edges) and long_range_curvatures (for the non-adjacent pairs) compute the
 is_reflective verdict first.  On a reflective graph the orbit route reads
-the reflection mappings once and checks each distinct one: it must be an
-involution and an automorphism (reflective._automorphism_witness), or the
-route raises InternalCheckError.  It then takes the pairs in lexicographic
-order and solves the first unreached one by the LP.  A breadth-first
-search maps each reached pair through the reflection of every edge at
-either of its ends, and records for each new image its parent pair, the
-map sigma, whether the image turns over (sigma(x) > sigma(y)) and the
-orbit's value.  An automorphism preserves the program, so the value is
-the image's own; min_edge_curvature reads it from the record, and nothing
-else is built.  edge_curvature, long_range_curvature and
-long_range_curvatures build a pair's CurvatureValue only when it is asked
-for: the parent chain is walked up to a built ancestor and the optimizer
+the reflection mappings once, from reflection_maps, which returns only
+mappings that find_reflection proved to be involutive automorphisms and
+raises InternalCheckError on any other.  It then takes the pairs in
+lexicographic order and solves the first unreached one by the LP.  A
+breadth-first search maps each reached pair through the reflection of
+every edge at either of its ends, and records for each new image its
+parent pair, the map sigma, whether the image turns over
+(sigma(x) > sigma(y)) and the orbit's value.  An automorphism preserves
+the program, so the value is the image's own; min_edge_curvature reads it
+from the record, and nothing else is built.  edge_curvature,
+long_range_curvature and long_range_curvatures build a pair's
+CurvatureValue only when it is asked for: the parent chain is walked up to a built ancestor and the optimizer
 and certificate are carried down it (v -> sigma(v), turned to x < y),
 each built pair cached on the way.  A certificate carried by a proven
 automorphism is feasible and optimal by construction, so it is not
@@ -49,8 +49,13 @@ and far-pair certificate of its corpus.  The curvature value is the
 optimum of the program and so is unique; the optimizer and certificate
 are not, and for a pair that is not an orbit representative they are the
 carried ones.  Single-pair requests (edge_curvature, long_range_curvature)
-compute no reflections: they take the orbit route only when an all-pairs
-call has already reached the pair.
+compute no reflections: before an all-pairs call has recorded orbits they
+solve their pair alone.  Once the orbit records exist, a pair they have not
+reached is handed to the orbit route, which solves one LP for the pair's
+orbit and records its other pairs, so later requests in that orbit are
+carries.  The first request of an orbit pays for the search on top of the
+LP, about three times a lone solve on Gosset and four times on HQ 6, so
+the route is ahead from the fourth or fifth request in an orbit there.
 
 On a graph that is not reflective, long_range_curvatures gives every pair
 its own LP, and min_edge_curvature bounds every edge first: a greedy
@@ -86,7 +91,7 @@ from .errors import (
     check_vertex,
 )
 from .graphs import Graph
-from .reflective import _automorphism_witness, reflection_maps
+from .reflective import reflection_maps
 
 _MAX_PIVOTS = 200_000
 
@@ -339,27 +344,30 @@ def solve_lipschitz_lp(g: Graph, lp: LipschitzLP) -> CurvatureValue:
 def _pair_curvature(g: Graph, x: int, y: int, lp: LipschitzLP | None = None) -> CurvatureValue:
     """Curvature of (x, y): cached, carried along its orbit records, or solved.
 
-    A pair the orbit route has reached but nobody has asked for yet is
-    built here: its parent chain is walked up to a built ancestor, and the
-    certificate is carried down the chain, each pair cached as it is built.
-    A pair with neither is solved, from lp (the program of (min, max)) when
-    it is given.
+    On a graph with orbit records, a pair the orbit route has not reached
+    yet is handed to it first (one LP for the pair's orbit).  A reached
+    pair that nobody has asked for yet is built here: its parent chain is
+    walked up to a built ancestor, and the certificate is carried down the
+    chain, each pair cached as it is built.  On any other graph the pair is
+    solved alone, from lp (the program of (min, max)) when it is given.
     """
     a, b = (x, y) if x < y else (y, x)
     cache = g.cache
     cv = cache.get(("kappa", a, b))
-    if cv is None:
-        reach = cache["orbits"][1] if "orbits" in cache else {}
+    if cv is None and "orbits" in cache:
+        _solve_by_orbits(g, [(a, b)])
+        reach = cache["orbits"][1]
         chain, pair = [], (a, b)
-        while cv is None and pair in reach:
+        cv = cache.get(("kappa", a, b))  # set when the pair was its orbit's first
+        while cv is None:
             chain.append(pair)
             pair = reach[pair][0]
             cv = cache.get(("kappa",) + pair)
         for pair in reversed(chain):
             _, sigma, turn, _ = reach[pair]
             cv = cache[("kappa",) + pair] = _carry(cv, sigma, turn)
-        if cv is None:
-            cv = cache["kappa", a, b] = solve_lipschitz_lp(g, lp or build_lipschitz_lp(g, a, b))
+    if cv is None:
+        cv = cache["kappa", a, b] = solve_lipschitz_lp(g, lp or build_lipschitz_lp(g, a, b))
     return cv if (x, y) == (a, b) else _carry(cv, range(g.n), True)
 
 
@@ -387,26 +395,14 @@ def _carry(cv: CurvatureValue, sigma, turn: bool) -> CurvatureValue:
 def _orbit_generators(g: Graph):
     """Per vertex, the reflections of its edges, or None if g is not reflective.
 
-    Each distinct mapping is checked once, as it is read: it must be an
-    involution and an automorphism, so that everything the orbit route
-    carries with it is proven; anything else is an InternalCheckError.
+    reflection_maps returns only mappings that find_reflection proved to be
+    involutive automorphisms (anything else is an InternalCheckError), so
+    everything the orbit route carries with them is proven.
     """
     maps = reflection_maps(g)
     if maps is None:
         return None
-    n = g.n
-    identity = tuple(range(n))
-    seen = set()
-    for e, sigma in maps.items():
-        if sigma in seen:
-            continue
-        seen.add(sigma)
-        # sigma(sigma(v)) = v for every v, read in one pass at C speed
-        if (len(sigma) != n or min(sigma) < 0 or max(sigma) >= n
-                or itemgetter(*sigma)(sigma) != identity
-                or _automorphism_witness(g, sigma) is not None):
-            raise InternalCheckError(f"reflection of {e} is not an involutive automorphism")
-    return [[maps[(z, w) if z < w else (w, z)] for w in g.neighbors[z]] for z in range(n)]
+    return [[maps[(z, w) if z < w else (w, z)] for w in g.neighbors[z]] for z in range(g.n)]
 
 
 def _solve_by_orbits(g: Graph, pairs):

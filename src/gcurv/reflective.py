@@ -25,6 +25,22 @@ edge's sides run once per class from that index: the matching structure,
 the side structure (vxy_convex_reflective_check: the side is convex and
 reflective as a subgraph) and the gradient identity of parallel edges.
 
+Vertex 0 speaks for a connected graph.  For any automorphism t, the
+conjugate t s t^-1 of the reflection s of (x, y) meets every axiom for
+(t x, t y), so it is the reflection of that edge, the only one.  Let every
+edge at w have a reflection and let s be that of (w, z): s maps w's edges
+onto z's, so conjugating by s gives every edge at z a reflection.  Along
+the paths from vertex 0, every edge has a reflection as soon as the edges
+at vertex 0 do.  The same conjugation shows that the reflections at vertex
+0 generate all the others: their group moves 0 onto each neighbor, so it
+holds the reflections at each neighbor, and so on outward; it is
+vertex-transitive.  So is_reflective searches only the edges at vertex 0
+(a disconnected graph scans every edge), pair_orbit_certificate closes the
+pairs under those reflections alone, and spectral.is_distance_regular
+reads vertex 0's row alone on a reflective graph.  verify's
+reflection_axioms check still finds and checks the reflection of every
+side class of its corpus.
+
 The rigidity proof also needs every unit sphere, and every cap of a sphere
 away from a far vertex, to be isometric.  Those conditions read no side,
 so sphere_isometry_witness checks them once per graph.
@@ -162,7 +178,8 @@ def find_reflection(g: Graph, x: int, y: int) -> ReflectionSearch:
     same mapping and shares the outcome (Q 6: 6 searches for 192 edges;
     Gosset: 63 for 756).  A failed candidate is stored for its own
     orientation only, because its violator depends on which side is
-    scanned first.
+    scanned first.  Each mapping it proves joins g.cache["refl_proven"],
+    which reflection_maps reads so that it returns proven mappings only.
     """
     if not g.adjacent(x, y):
         raise NotAdjacentError(x, y)
@@ -180,7 +197,11 @@ def find_reflection(g: Graph, x: int, y: int) -> ReflectionSearch:
             else:
                 mapping = cand.reflection.mapping
                 pair = _automorphism_witness(g, mapping)
-                hit = (mapping, None, None) if pair is None else (None, "automorphism", pair)
+                if pair is None:
+                    hit = (mapping, None, None)
+                    g.cache.setdefault("refl_proven", set()).add(mapping)
+                else:
+                    hit = (None, "automorphism", pair)
                 g.cache["refl_sides", sp.side_y, sp.side_x] = hit
             g.cache[sides] = hit
         g.cache[key] = hit
@@ -194,14 +215,18 @@ def is_reflective(g: Graph) -> ReflectiveVerdict:
     """True iff every edge admits a reflection; first failing edge otherwise.
 
     One orientation per edge is enough: a reflection for (x, y) is one for
-    (y, x), and find_reflection shares the search between them.
+    (y, x), and find_reflection shares the search between them.  A
+    connected graph is reflective when the edges at vertex 0 are (module
+    docstring); they lead g.edges, so the first failing edge is the one a
+    scan of every edge finds.  A disconnected graph scans every edge.
     """
     key = "reflective"
     hit = g.cache.get(key)
     if hit is not None:
         return hit
     verdict = ReflectiveVerdict(True, None)
-    for (u, v) in g.edges:
+    edges = g.edges[:g.degree(0)] if g.connected else g.edges
+    for (u, v) in edges:
         if find_reflection(g, u, v).reflection is None:
             verdict = ReflectiveVerdict(False, (u, v))
             break
@@ -230,11 +255,21 @@ def side_classes(g: Graph) -> dict:
 def reflection_maps(g: Graph):
     """Edge -> reflection mapping when g is reflective, else None.
 
-    Computes the is_reflective verdict when it is not cached yet.
+    Computes the is_reflective verdict when it is not cached yet, then
+    searches every edge.  Every mapping returned is one that find_reflection
+    proved to be an involutive automorphism; an edge without such a mapping
+    on a reflective graph is an InternalCheckError.
     """
     if not is_reflective(g).reflective:
         return None
-    return {e: g.cache[("refl",) + e][0] for e in g.edges}
+    maps = {}
+    for e in g.edges:
+        found = find_reflection(g, *e).reflection
+        if found is None or found.mapping not in g.cache.get("refl_proven", ()):
+            raise InternalCheckError(
+                f"reflection of {e} is not an involutive automorphism proven by find_reflection")
+        maps[e] = found.mapping
+    return maps
 
 
 def _reflection_map(g: Graph, x: int, y: int):
@@ -318,9 +353,10 @@ def parallel_in_ball(g: Graph, e, z: int):
 def pair_orbit_certificate(g: Graph) -> bool:
     """Do the edge reflections act transitively on each distance class?
 
-    Breadth-first closure of ordered vertex pairs under the distinct edge
-    reflections, one seed per distance; certifies distance transitivity
-    of the generated group when every class is a single orbit.
+    Breadth-first closure of ordered vertex pairs under the reflections of
+    the edges at vertex 0, which generate every edge reflection (module
+    docstring), one seed per distance; certifies distance transitivity of
+    that group when every class is a single orbit.
     """
     verdict = is_reflective(g)
     if not verdict.reflective:
@@ -332,7 +368,7 @@ def pair_orbit_certificate(g: Graph) -> bool:
         )
     n = g.n
     dist = g.dist_rows()
-    gens = list(dict.fromkeys(reflection_maps(g).values()))
+    gens = [_reflection_map(g, 0, w) for w in g.neighbors[0]]
     class_size = {}
     for u in range(n):
         for v in range(n):

@@ -19,6 +19,7 @@ from .errors import (
     NotDistanceRegularError,
 )
 from .graphs import Graph
+from .reflective import is_reflective
 
 
 def _jacobi_eigenvalues(mat):
@@ -143,7 +144,14 @@ class DistanceRegularity(NamedTuple):
 
 
 def is_distance_regular(g: Graph) -> DistanceRegularity:
-    """Check constant sphere-to-sphere neighbor counts over all pairs."""
+    """Check constant sphere-to-sphere neighbor counts, rows in vertex order.
+
+    Row x holds the counts b and c at every y, read against x's spheres;
+    the witness is the first pair (x, y) whose counts differ from those first
+    seen at y's distance.  A reflective graph is vertex-transitive (reflective
+    module docstring), so every row repeats vertex 0's and that row alone is
+    read: the verdict, the array and the witness are those of all rows.
+    """
     key = "dist_reg"
     hit = g.cache.get(key)
     if hit is not None:
@@ -159,7 +167,7 @@ def is_distance_regular(g: Graph) -> DistanceRegularity:
     expected = {}
     witness = None
     diam = max(max(row) for row in dist)
-    for x in range(g.n):
+    for x in [0] if is_reflective(g).reflective else range(g.n):
         row = dist[x]
         for y in range(g.n):
             i = row[y]

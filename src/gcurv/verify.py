@@ -512,7 +512,10 @@ def _check_reflection_axioms(corpus):
         # the class's first member, then map every member onto that reflection
         for (side_x, side_y), members in side_classes(g).items():
             x, y = members[0]
-            m = find_reflection(g, x, y).reflection.mapping
+            found = find_reflection(g, x, y).reflection
+            if found is None:
+                return f"{mem.name} ({x},{y}): no reflection"
+            m = found.mapping
             if any(m[m[v]] != v for v in range(g.n)):
                 return f"{mem.name} ({x},{y}): not an involution"
             image = {tuple(sorted((m[u], m[v]))) for (u, v) in g.edges}
@@ -532,7 +535,8 @@ def _check_reflection_axioms(corpus):
             if cross != swaps:
                 return f"{mem.name} ({x},{y}): cross edges differ from swaps"
             for (u, v) in members:
-                if find_reflection(g, u, v).reflection.mapping != m:
+                found = find_reflection(g, u, v).reflection
+                if found is None or found.mapping != m:
                     return f"{mem.name} ({u},{v}): mapping differs from its class's"
                 if m[u] != v or m[v] != u:
                     return f"{mem.name} ({u},{v}): endpoints not exchanged"

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from gcurv.ollivier import (
     long_range_curvatures,
     min_assignment_cost,
     min_edge_curvature,
+    solve_lipschitz_lp,
     verify_optimality_certificate,
 )
 from gcurv.reflective import is_reflective
@@ -442,6 +444,25 @@ def test_gosset_needs_one_edge_lp_and_two_far_pair_lps(monkeypatch):
     assert min_edge_curvature(g).value == 18
     assert len(long_range_curvatures(g)) == 784
     assert solves == {"edge": 1, "far": 2}
+
+
+def test_single_pairs_after_the_minimum_solve_one_lp_per_orbit(monkeypatch):
+    # Gosset's far pairs form two orbits, 756 pairs at distance 2 and 28 at 3
+    g = parse_family("gosset").build()
+    min_edge_curvature(g)
+    rng = random.Random(22)
+    far = [[(x, y) for x in range(g.n) for y in range(x + 1, g.n) if g.distance(x, y) == d]
+           for d in (2, 3)]
+    asked = rng.sample(far[0], 12) + rng.sample(far[1], 12)
+    rng.shuffle(asked)
+    fresh = parse_family("gosset").build()
+    per_pair = {p: solve_lipschitz_lp(fresh, build_lipschitz_lp(fresh, *p)).value for p in asked}
+    solves = _count_solves(monkeypatch)
+    for (x, y) in asked:
+        cv = long_range_curvature(g, x, y)
+        assert (cv.x, cv.y, cv.value) == (x, y, per_pair[x, y])
+        assert verify_optimality_certificate(g, cv)
+    assert solves == {"edge": 0, "far": 2}
 
 
 def _count_calls(monkeypatch, *names):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import connected_graphs
 from gcurv import reflective
-from gcurv.errors import NotAdjacentError, NotReflectiveError
+from gcurv.errors import DisconnectedError, NotAdjacentError, NotReflectiveError
 from gcurv.families import (
     cartesian_product,
     cocktail_party,
@@ -15,10 +15,12 @@ from gcurv.families import (
     gosset,
     hypercube,
     johnson,
+    parse_family,
     path_graph,
     schlafli,
 )
-from gcurv.graphs import build_graph, side_partition
+from gcurv.graphs import build_graph, induced_subgraph, is_locally_connected, side_partition
+from gcurv.ollivier import min_edge_curvature
 from gcurv.reflective import (
     _automorphism_witness,
     are_parallel,
@@ -30,11 +32,13 @@ from gcurv.reflective import (
     pair_orbit_certificate,
     parallel_gradient_identity,
     parallel_in_ball,
+    reflection_maps,
     side_classes,
     sphere_isometry_witness,
     triangle_matching_check,
     vxy_convex_reflective_check,
 )
+from gcurv.verify import STANDARD_CORPUS
 
 
 def test_octahedron_is_reflective(octahedron):
@@ -335,7 +339,13 @@ def test_gosset_validates_each_mapping_once(monkeypatch):
         return verdicts[-1]
 
     monkeypatch.setattr(reflective, "_automorphism_witness", counting)
-    assert is_reflective(gosset()).reflective
+    g = gosset()
+    assert is_reflective(g).reflective
+    assert verdicts == [None] * 27  # the edges at vertex 0 decide the verdict
+    reflection_maps(g)
+    assert verdicts == [None] * 63
+    # the orbit route accepts the proven mappings without testing them again
+    min_edge_curvature(g)
     assert verdicts == [None] * 63
 
 
@@ -380,7 +390,67 @@ def test_one_candidate_per_side_class(monkeypatch, build, searches):
     monkeypatch.setattr(reflective, "candidate_reflection", counting)
     g = build()
     assert is_reflective(g).reflective
-    assert len(calls) == searches
+    assert len(calls) == g.degree(0)  # Q 6: 6; Gosset: 27
     for (x, y) in g.edges:
         find_reflection(g, y, x)
     assert len(calls) == searches
+
+
+# --- vertex 0 speaks for a connected graph ---
+
+def _every_edge_verdict(g):
+    """is_reflective by a search of every edge, on a fresh graph."""
+    fresh = build_graph(g.n, g.edges)
+    first = next((e for e in fresh.edges if find_reflection(fresh, *e).reflection is None), None)
+    return (first is None, first)
+
+
+@pytest.mark.parametrize("expr", STANDARD_CORPUS + ("( P 3 x K 2 )",))
+def test_vertex_zero_verdict_matches_every_edge_search(expr):
+    g = parse_family(expr).build()
+    assert is_reflective(g) == _every_edge_verdict(g)
+
+
+def test_disconnected_graph_searches_every_edge():
+    # vertex 0 is isolated in P 4 restricted to {0, 2, 3}, so its edges say
+    # nothing about the edge (1, 2); only the edgeless {0, 3} is reflective
+    g, _ = induced_subgraph(path_graph(4), [0, 2, 3])
+    assert not g.connected and g.edges == ((1, 2),)
+    with pytest.raises(DisconnectedError):
+        is_reflective(g)
+    edgeless, _ = induced_subgraph(path_graph(4), [0, 3])
+    assert is_reflective(edgeless) == (True, None)
+
+
+def _orbit_sizes(g, gens):
+    """Per distance, how many ordered pairs the closure of its first pair reaches."""
+    n, dist = g.n, g.dist_rows()
+    sizes = {}
+    for k in sorted({d for row in dist for d in row}):
+        seed = next((u, v) for u in range(n) for v in range(n) if dist[u][v] == k)
+        seen, frontier = {seed}, [seed]
+        while frontier:
+            images = {(mp[u], mp[v]) for (u, v) in frontier for mp in gens}
+            frontier = list(images - seen)
+            seen |= images
+        sizes[k] = len(seen)
+    return sizes
+
+
+def _reflective_locally_connected(expr):
+    g = parse_family(expr).build()
+    return is_reflective(g).reflective and is_locally_connected(g)[0]
+
+
+ORBIT_MEMBERS = [e for e in STANDARD_CORPUS if _reflective_locally_connected(e)] + ["K 12"]
+
+
+@pytest.mark.parametrize("expr", ORBIT_MEMBERS)
+def test_vertex_zero_reflections_close_pairs_like_every_reflection(expr):
+    g = parse_family(expr).build()
+    every = list(dict.fromkeys(reflection_maps(g).values()))
+    at_zero = [find_reflection(g, 0, w).reflection.mapping for w in g.neighbors[0]]
+    orbits = _orbit_sizes(g, every)
+    assert _orbit_sizes(g, at_zero) == orbits
+    classes = {k: sum(row.count(k) for row in g.dist_rows()) for k in orbits}
+    assert pair_orbit_certificate(g) == (orbits == classes)

@@ -20,8 +20,11 @@ from gcurv.families import (
     path_graph,
     schlafli,
 )
+from gcurv.graphs import build_graph
 from gcurv.ollivier import min_edge_curvature
 from gcurv.spectral import (
+    DistanceRegularity,
+    IntersectionArray,
     _gap_test,
     _psd_nullity,
     adjacency_matrix,
@@ -302,3 +305,51 @@ def test_psd_nullity_matches_principal_minors(mat):
         assert nullity == n - _echelon(mat)[0]
     else:
         assert nullity is None
+
+
+# --- distance regularity: vertex 0's row on a reflective graph ---
+
+def _every_row_distance_regular(g):
+    """is_distance_regular by the scan of every row, uncached."""
+    if not g.is_regular():
+        degs = [g.degree(v) for v in range(g.n)]
+        return DistanceRegularity(None, (degs.index(max(degs)), degs.index(min(degs))))
+    dist = g.dist_rows()
+    expected = {}
+    for x in range(g.n):
+        for y in range(g.n):
+            i = dist[x][y]
+            if i == 0:
+                continue
+            counts = (sum(1 for w in g.neighbors[y] if dist[x][w] == i + 1),
+                      sum(1 for w in g.neighbors[y] if dist[x][w] == i - 1))
+            if expected.setdefault(i, counts) != counts:
+                return DistanceRegularity(None, (x, y))
+    diam = max(max(row) for row in dist)
+    if len(expected) != diam:
+        return DistanceRegularity(None, None)
+    b = (g.degree(0),) + tuple(expected[i][0] for i in range(1, diam))
+    c = tuple(expected[i][1] for i in range(1, diam + 1))
+    return DistanceRegularity(IntersectionArray(b, c), None)
+
+
+@pytest.mark.parametrize("expr", STANDARD_CORPUS)
+def test_distance_regularity_matches_every_row_on_the_standard_corpus(expr):
+    g = parse_family(expr).build()
+    assert is_distance_regular(g) == _every_row_distance_regular(g)
+
+
+@given(connected_graphs(min_n=2, max_n=9))
+@settings(max_examples=80, deadline=None)
+def test_distance_regularity_matches_every_row_on_random_graphs(g):
+    assert is_distance_regular(g) == _every_row_distance_regular(build_graph(g.n, g.edges))
+
+
+def test_regular_graph_without_reflections_reads_every_row():
+    # 4-regular on 10 vertices: vertex 0's row alone has the counts of a
+    # distance-regular graph, and the pair (1, 0) breaks them
+    g = build_graph(10, [(0, 3), (0, 4), (0, 6), (0, 8), (1, 2), (1, 3), (1, 7), (1, 8),
+                         (2, 5), (2, 7), (2, 9), (3, 4), (3, 5), (4, 7), (4, 9), (5, 6),
+                         (5, 9), (6, 8), (6, 9), (7, 8)])
+    assert is_distance_regular(g) == DistanceRegularity(None, (1, 0))
+    assert _every_row_distance_regular(g) == DistanceRegularity(None, (1, 0))
