@@ -29,33 +29,37 @@ free vertex stationary into a lower bound on the objective (weak duality).
 Reflective graphs are solved once per orbit.  min_edge_curvature (for the
 edges) and long_range_curvatures (for the non-adjacent pairs) compute the
 is_reflective verdict first.  On a reflective graph the orbit route reads
-the reflection mappings once, from reflection_maps, which returns only
-mappings that find_reflection proved to be involutive automorphisms and
-raises InternalCheckError on any other.  It then takes the pairs in
-lexicographic order and solves the first unreached one by the LP.  A
-breadth-first search maps each reached pair through the reflection of
-every edge at either of its ends, and records for each new image its
-parent pair, the map sigma, whether the image turns over
-(sigma(x) > sigma(y)) and the orbit's value.  An automorphism preserves
-the program, so the value is the image's own; min_edge_curvature reads it
-from the record, and nothing else is built.  edge_curvature,
-long_range_curvature and long_range_curvatures build a pair's
-CurvatureValue only when it is asked for: the parent chain is walked up to a built ancestor and the optimizer
+its generators once, from reflective.reflection_generators: the
+reflections of the edges at vertex 0, which generate every reflection of
+the connected graphs build_graph returns, each a mapping that
+find_reflection proved to be an involutive automorphism (any other is an
+InternalCheckError).  pair_orbit_certificate closes its pairs under the
+same set.  The route takes the pairs in lexicographic order; the first
+unreached one is solved by the LP, or read from the cache when a
+single-pair request solved it.  A breadth-first search maps each reached
+pair through every generator and records for each new image its parent
+pair, the map sigma, whether the image turns over (sigma(x) > sigma(y))
+and the orbit's value.  Closing under proven automorphisms never leaves
+an orbit, and an automorphism preserves the program, so the value is the
+image's own; min_edge_curvature reads it from the record, and nothing
+else is built.  edge_curvature, long_range_curvature and
+long_range_curvatures build a pair's CurvatureValue only when it is asked
+for: the parent chain is walked up to a built ancestor and the optimizer
 and certificate are carried down it (v -> sigma(v), turned to x < y),
 each built pair cached on the way.  A certificate carried by a proven
 automorphism is feasible and optimal by construction, so it is not
 replayed here; verify's optimizer_certificates check replays every edge
 and far-pair certificate of its corpus.  The curvature value is the
 optimum of the program and so is unique; the optimizer and certificate
-are not, and for a pair that is not an orbit representative they are the
-carried ones.  Single-pair requests (edge_curvature, long_range_curvature)
-compute no reflections: before an all-pairs call has recorded orbits they
-solve their pair alone.  Once the orbit records exist, a pair they have not
+are not, and for a pair that is not an orbit's first they are the carried
+ones.  Single-pair requests (edge_curvature, long_range_curvature) compute
+no reflections: before an all-pairs call has recorded orbits they solve
+their pair alone.  Once the orbit records exist, a pair they have not
 reached is handed to the orbit route, which solves one LP for the pair's
 orbit and records its other pairs, so later requests in that orbit are
 carries.  The first request of an orbit pays for the search on top of the
-LP, about three times a lone solve on Gosset and four times on HQ 6, so
-the route is ahead from the fourth or fifth request in an orbit there.
+LP, about twice a lone solve on Gosset and three times on HQ 6, so the
+route is ahead from the third or fourth request in an orbit there.
 
 On a graph that is not reflective, long_range_curvatures gives every pair
 its own LP, and min_edge_curvature bounds every edge first: a greedy
@@ -91,7 +95,7 @@ from .errors import (
     check_vertex,
 )
 from .graphs import Graph
-from .reflective import reflection_maps
+from .reflective import reflection_generators
 
 _MAX_PIVOTS = 200_000
 
@@ -392,43 +396,28 @@ def _carry(cv: CurvatureValue, sigma, turn: bool) -> CurvatureValue:
     )
 
 
-def _orbit_generators(g: Graph):
-    """Per vertex, the reflections of its edges, or None if g is not reflective.
-
-    reflection_maps returns only mappings that find_reflection proved to be
-    involutive automorphisms (anything else is an InternalCheckError), so
-    everything the orbit route carries with them is proven.
-    """
-    maps = reflection_maps(g)
-    if maps is None:
-        return None
-    return [[maps[(z, w) if z < w else (w, z)] for w in g.neighbors[z]] for z in range(g.n)]
-
-
 def _solve_by_orbits(g: Graph, pairs):
     """The values of pairs (x < y) in order, one LP per orbit.
 
-    Computes the reflections first and returns None, doing nothing, on a
+    Reads reflection_generators first and returns None, doing nothing, on a
     graph that is not reflective.  Every reached pair gets a record
-    (parent pair, sigma, turn, value), None for the parent of a pair that
-    was solved; the module docstring describes the search.
+    (parent pair, sigma, turn, value), None for the parent of an orbit's
+    first pair; the module docstring describes the search.
     """
     cache = g.cache
     orbits = cache.get("orbits")
     if orbits is None:
-        at = _orbit_generators(g)
-        if at is None:
+        gens = reflection_generators(g)
+        if gens is None:
             return None
-        orbits = cache["orbits"] = (at, {})
-    at, reach = orbits
+        orbits = cache["orbits"] = (gens, {})
+    gens, reach = orbits
     for pair in pairs:
         if pair in reach:
             continue
-        cv = cache.get(("kappa",) + pair)
-        if cv is not None:  # solved by a single-pair request: no search from it
-            reach[pair] = (None, None, False, cv.value)
-            continue
-        cv = cache[("kappa",) + pair] = solve_lipschitz_lp(g, build_lipschitz_lp(g, *pair))
+        cv = cache.get(("kappa",) + pair)  # set when a single-pair request solved it
+        if cv is None:
+            cv = cache[("kappa",) + pair] = solve_lipschitz_lp(g, build_lipschitz_lp(g, *pair))
         value = cv.value
         reach[pair] = (None, None, False, value)
         frontier = [pair]
@@ -436,10 +425,10 @@ def _solve_by_orbits(g: Graph, pairs):
             reached = []
             for parent in frontier:
                 x, y = parent
-                for sigma in at[x] + at[y]:
+                for sigma in gens:
                     u, v = sigma[x], sigma[y]
                     image = (u, v) if u < v else (v, u)
-                    if image in reach or ("kappa",) + image in cache:
+                    if image in reach:
                         continue
                     reach[image] = (parent, sigma, u > v, value)
                     reached.append(image)

@@ -35,8 +35,10 @@ at vertex 0 do.  The same conjugation shows that the reflections at vertex
 0 generate all the others: their group moves 0 onto each neighbor, so it
 holds the reflections at each neighbor, and so on outward; it is
 vertex-transitive.  So is_reflective searches only the edges at vertex 0
-(a disconnected graph scans every edge), pair_orbit_certificate closes the
-pairs under those reflections alone, and spectral.is_distance_regular
+(a disconnected graph scans every edge); reflection_generators returns
+their reflections, the one generating set under which both
+pair_orbit_certificate and the Ollivier orbit route
+(ollivier._solve_by_orbits) close pairs; and spectral.is_distance_regular
 reads vertex 0's row alone on a reflective graph.  verify's
 reflection_axioms check still finds and checks the reflection of every
 side class of its corpus.
@@ -179,7 +181,7 @@ def find_reflection(g: Graph, x: int, y: int) -> ReflectionSearch:
     Gosset: 63 for 756).  A failed candidate is stored for its own
     orientation only, because its violator depends on which side is
     scanned first.  Each mapping it proves joins g.cache["refl_proven"],
-    which reflection_maps reads so that it returns proven mappings only.
+    which reflection_generators reads so that it returns proven mappings only.
     """
     if not g.adjacent(x, y):
         raise NotAdjacentError(x, y)
@@ -252,24 +254,24 @@ def side_classes(g: Graph) -> dict:
     return hit
 
 
-def reflection_maps(g: Graph):
-    """Edge -> reflection mapping when g is reflective, else None.
+def reflection_generators(g: Graph):
+    """The reflections of the edges at vertex 0, or None if g is not reflective.
 
-    Computes the is_reflective verdict when it is not cached yet, then
-    searches every edge.  Every mapping returned is one that find_reflection
-    proved to be an involutive automorphism; an edge without such a mapping
-    on a reflective graph is an InternalCheckError.
+    On a connected graph they generate every edge reflection (module
+    docstring).  Each is a mapping that find_reflection proved to be an
+    involutive automorphism; any other is an InternalCheckError, so whatever
+    a caller closes or carries under them stays inside one orbit.
     """
     if not is_reflective(g).reflective:
         return None
-    maps = {}
-    for e in g.edges:
-        found = find_reflection(g, *e).reflection
+    gens = []
+    for w in g.neighbors[0]:
+        found = find_reflection(g, 0, w).reflection
         if found is None or found.mapping not in g.cache.get("refl_proven", ()):
             raise InternalCheckError(
-                f"reflection of {e} is not an involutive automorphism proven by find_reflection")
-        maps[e] = found.mapping
-    return maps
+                f"reflection of (0, {w}) is not an involutive automorphism proven by find_reflection")
+        gens.append(found.mapping)
+    return gens
 
 
 def _reflection_map(g: Graph, x: int, y: int):
@@ -353,14 +355,13 @@ def parallel_in_ball(g: Graph, e, z: int):
 def pair_orbit_certificate(g: Graph) -> bool:
     """Do the edge reflections act transitively on each distance class?
 
-    Breadth-first closure of ordered vertex pairs under the reflections of
-    the edges at vertex 0, which generate every edge reflection (module
-    docstring), one seed per distance; certifies distance transitivity of
-    that group when every class is a single orbit.
+    Breadth-first closure of ordered vertex pairs under
+    reflection_generators, one seed per distance; certifies distance
+    transitivity of the reflection group when every class is a single orbit.
     """
-    verdict = is_reflective(g)
-    if not verdict.reflective:
-        raise NotReflectiveError(verdict.counterexample)
+    gens = reflection_generators(g)
+    if gens is None:
+        raise NotReflectiveError(is_reflective(g).counterexample)
     connected, witness = is_locally_connected(g)
     if not connected:
         raise InvalidParameterError(
@@ -368,7 +369,6 @@ def pair_orbit_certificate(g: Graph) -> bool:
         )
     n = g.n
     dist = g.dist_rows()
-    gens = [_reflection_map(g, 0, w) for w in g.neighbors[0]]
     class_size = {}
     for u in range(n):
         for v in range(n):

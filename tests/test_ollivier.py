@@ -446,6 +446,21 @@ def test_gosset_needs_one_edge_lp_and_two_far_pair_lps(monkeypatch):
     assert solves == {"edge": 1, "far": 2}
 
 
+@pytest.mark.parametrize("expr, orbits", [("Q 3", {"edge": 3, "far": 4}),
+                                          ("gosset", {"edge": 1, "far": 2})])
+def test_pairs_solved_alone_lead_their_orbits(monkeypatch, expr, orbits):
+    # a pair solved before the orbit records exist is searched from like any
+    # orbit's first pair, so neither it nor its images need another LP
+    g = parse_family(expr).build()
+    far = next((0, v) for v in range(1, g.n) if not g.adjacent(0, v))
+    solves = _count_solves(monkeypatch)
+    edge_curvature(g, *g.edges[0])
+    long_range_curvature(g, *far)
+    min_edge_curvature(g)
+    long_range_curvatures(g)
+    assert solves == orbits
+
+
 def test_single_pairs_after_the_minimum_solve_one_lp_per_orbit(monkeypatch):
     # Gosset's far pairs form two orbits, 756 pairs at distance 2 and 28 at 3
     g = parse_family("gosset").build()

@@ -5,8 +5,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs
-from gcurv import reflective
-from gcurv.errors import DisconnectedError, NotAdjacentError, NotReflectiveError
+from gcurv import ollivier, reflective
+from gcurv.errors import (
+    DisconnectedError,
+    InternalCheckError,
+    NotAdjacentError,
+    NotReflectiveError,
+)
 from gcurv.families import (
     cartesian_product,
     cocktail_party,
@@ -20,7 +25,7 @@ from gcurv.families import (
     schlafli,
 )
 from gcurv.graphs import build_graph, induced_subgraph, is_locally_connected, side_partition
-from gcurv.ollivier import min_edge_curvature
+from gcurv.ollivier import long_range_curvatures, min_edge_curvature
 from gcurv.reflective import (
     _automorphism_witness,
     are_parallel,
@@ -32,7 +37,7 @@ from gcurv.reflective import (
     pair_orbit_certificate,
     parallel_gradient_identity,
     parallel_in_ball,
-    reflection_maps,
+    reflection_generators,
     side_classes,
     sphere_isometry_witness,
     triangle_matching_check,
@@ -342,11 +347,10 @@ def test_gosset_validates_each_mapping_once(monkeypatch):
     g = gosset()
     assert is_reflective(g).reflective
     assert verdicts == [None] * 27  # the edges at vertex 0 decide the verdict
-    reflection_maps(g)
-    assert verdicts == [None] * 63
-    # the orbit route accepts the proven mappings without testing them again
+    # the orbit route closes pairs under the same 27 proven mappings and
+    # tests none of them again
     min_edge_curvature(g)
-    assert verdicts == [None] * 63
+    assert verdicts == [None] * 27
 
 
 def _memo_free_search(g, x, y):
@@ -422,6 +426,14 @@ def test_disconnected_graph_searches_every_edge():
     assert is_reflective(edgeless) == (True, None)
 
 
+def _every_reflection(g):
+    """The distinct reflections of every edge, found on a fresh graph."""
+    fresh = build_graph(g.n, g.edges)
+    maps = [find_reflection(fresh, *e).reflection for e in fresh.edges]
+    assert all(found is not None for found in maps)
+    return list(dict.fromkeys(found.mapping for found in maps))
+
+
 def _orbit_sizes(g, gens):
     """Per distance, how many ordered pairs the closure of its first pair reaches."""
     n, dist = g.n, g.dist_rows()
@@ -448,9 +460,58 @@ ORBIT_MEMBERS = [e for e in STANDARD_CORPUS if _reflective_locally_connected(e)]
 @pytest.mark.parametrize("expr", ORBIT_MEMBERS)
 def test_vertex_zero_reflections_close_pairs_like_every_reflection(expr):
     g = parse_family(expr).build()
-    every = list(dict.fromkeys(reflection_maps(g).values()))
-    at_zero = [find_reflection(g, 0, w).reflection.mapping for w in g.neighbors[0]]
+    every = _every_reflection(g)
+    at_zero = reflection_generators(g)
+    assert at_zero == [find_reflection(g, 0, w).reflection.mapping for w in g.neighbors[0]]
     orbits = _orbit_sizes(g, every)
     assert _orbit_sizes(g, at_zero) == orbits
     classes = {k: sum(row.count(k) for row in g.dist_rows()) for k in orbits}
     assert pair_orbit_certificate(g) == (orbits == classes)
+
+
+def _unordered_pair_orbits(g, gens):
+    """How many orbits the group generated by gens has on pairs x < y."""
+    seen, orbits = set(), 0
+    for seed in ((x, y) for x in range(g.n) for y in range(x + 1, g.n)):
+        if seed in seen:
+            continue
+        orbits += 1
+        seen.add(seed)
+        frontier = [seed]
+        while frontier:
+            images = {tuple(sorted((mp[u], mp[v]))) for (u, v) in frontier for mp in gens}
+            frontier = list(images - seen)
+            seen |= images
+    return orbits
+
+
+REFLECTIVE_MEMBERS = [e for e in STANDARD_CORPUS
+                      if is_reflective(parse_family(e).build()).reflective] + ["K 12"]
+
+
+@pytest.mark.parametrize("expr", REFLECTIVE_MEMBERS)
+def test_orbit_route_solves_one_lp_per_orbit_of_every_reflection(monkeypatch, expr):
+    # vertex 0's reflections split no orbit of the group of every reflection,
+    # locally connected or not
+    solves = []
+    solve = ollivier.solve_lipschitz_lp
+    monkeypatch.setattr(ollivier, "solve_lipschitz_lp",
+                        lambda g, lp: solves.append(lp) or solve(g, lp))
+    g = parse_family(expr).build()
+    min_edge_curvature(g)
+    long_range_curvatures(g)
+    assert len(solves) == _unordered_pair_orbits(g, _every_reflection(g))
+
+
+def test_both_orbit_consumers_refuse_an_unproven_generator():
+    g = parse_family("J 5 2").build()
+    assert is_reflective(g).reflective and is_locally_connected(g)[0]
+    w = g.neighbors[0][0]
+    far = next(v for v in range(g.n) if g.distance(0, v) == 2)
+    mapping = list(range(g.n))
+    mapping[w], mapping[far] = far, w  # sends the edge (0, w) to a far pair
+    g.cache["refl", 0, w] = (tuple(mapping), None, None)
+    with pytest.raises(InternalCheckError, match="not an involutive automorphism"):
+        pair_orbit_certificate(g)
+    with pytest.raises(InternalCheckError, match="not an involutive automorphism"):
+        min_edge_curvature(g)
