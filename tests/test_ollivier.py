@@ -391,11 +391,12 @@ def test_orbit_values_match_per_pair_lp(expr):
 # SHA-256 over (x, y, value, optimizer, certificate) of every pair in
 # lexicographic order, after min_edge_curvature and then
 # long_range_curvatures on a fresh graph: pins the carried optimizers and
-# certificates of the orbit route, not just its values.
+# certificates of the orbit route, not just its values, and each hashed
+# certificate is replayed.
 CARRIED_DIGESTS = {
-    "gosset": "379df1dc837112d5620372dbc1213612de627d7bb56ff3e15c5b506488274580",
-    "HQ 6": "8c11a43b035054de7a6970077da60691f49e25169491197af85bd96ffea5285d",
-    "( Q 2 x CP 3 )": "cc807e60c6dc843e127ae24667defee91f68a2aac808234cf15824c257c50eca",
+    "gosset": "64d5d755e276e5f53cea24e57ce2af5899cb8f47eb3e4e9cbb6d0481f8e0b1b1",
+    "HQ 6": "702fc5a794cae86a5a31444aa9ede09b2ad36368f87ed6c78407c7db8c7e891d",
+    "( Q 2 x CP 3 )": "05374b9805196ec9bb4e464596bcbe7820d2c2d68307368d3884d1c916778803",
 }
 
 
@@ -408,6 +409,7 @@ def test_pinned_digest_of_every_carried_pair(expr):
     for (x, y) in _all_pairs(g):
         solve = edge_curvature if g.adjacent(x, y) else long_range_curvature
         cv = solve(g, x, y)
+        assert verify_optimality_certificate(g, cv)
         optimizer = sorted((v, str(f)) for v, f in cv.optimizer.items())
         digest.update(repr((cv.x, cv.y, str(cv.value), optimizer, cv.certificate)).encode())
     assert digest.hexdigest() == CARRIED_DIGESTS[expr]
