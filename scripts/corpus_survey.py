@@ -20,13 +20,13 @@ from gcurv import (
     standard_corpus,
 )
 from gcurv.errors import GcurvError
+from gcurv.graphs import read_text
 
 
 def load_members(corpus_path):
     if corpus_path is None:
         return standard_corpus()
-    with open(corpus_path, encoding="utf-8") as handle:
-        return load_corpus(handle)
+    return load_corpus(read_text(corpus_path).split("\n"))
 
 
 def survey_row(name: str, g) -> dict:

@@ -15,17 +15,9 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from gcurv import build_graph, classify, effective_diameter, min_edge_curvature
-
-
-@dataclass
-class SearchConfig:
-    samples: int = 200
-    min_n: int = 4
-    max_n: int = 9
-    seed: int = 20250821
+from gcurv.graphs import MAX_VERTICES
 
 
 def random_connected_graph(rng: random.Random, n: int):
@@ -48,15 +40,17 @@ def main(argv=None) -> int:
     ap.add_argument("--max-n", type=int, default=9)
     ap.add_argument("--seed", type=int, default=20250821)
     args = ap.parse_args(argv)
-    cfg = SearchConfig(args.samples, args.min_n, args.max_n, args.seed)
+    # refused before the O(n^2) pair pool of any sample is built
+    if not 2 <= args.min_n <= args.max_n <= MAX_VERTICES:
+        ap.error(f"need 2 <= --min-n <= --max-n <= {MAX_VERTICES}")
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     start = time.monotonic()
     hits = 0
     unrecognized = 0
     seen_positive = 0
-    for i in range(cfg.samples):
-        g = random_connected_graph(rng, rng.randint(cfg.min_n, cfg.max_n))
+    for i in range(args.samples):
+        g = random_connected_graph(rng, rng.randint(args.min_n, args.max_n))
         mec = min_edge_curvature(g)
         if mec.value <= 0:
             continue
@@ -81,7 +75,7 @@ def main(argv=None) -> int:
 
     elapsed = time.monotonic() - start
     print(
-        f"# {cfg.samples} samples, {seen_positive} positively curved, "
+        f"# {args.samples} samples, {seen_positive} positively curved, "
         f"{hits} sharp, {unrecognized} with unrecognized factors, "
         f"{elapsed:.1f}s"
     )

@@ -18,19 +18,12 @@ class DuplicateEdgeError(GcurvError):
 
 
 class DisconnectedError(GcurvError):
-    """Raised when a connected graph is required.
+    """Raised for a disconnected graph; carries two components as a witness."""
 
-    Carries two vertex components as a witness when available.
-    """
-
-    def __init__(self, components=None):
+    def __init__(self, components):
         self.components = components
-        if components:
-            a, b = components[0], components[1]
-            msg = f"graph is disconnected: component {sorted(a)[:8]}... vs {sorted(b)[:8]}..."
-        else:
-            msg = "graph is disconnected"
-        super().__init__(msg)
+        a, b = components
+        super().__init__(f"graph is disconnected: component {sorted(a)[:8]}... vs {sorted(b)[:8]}...")
 
 
 class NotAdjacentError(GcurvError):
@@ -47,12 +40,6 @@ class SameVertexError(GcurvError):
 
 class NoConvergenceError(GcurvError):
     pass
-
-
-class NotDistanceRegularError(GcurvError):
-    def __init__(self, witness=None):
-        self.witness = witness
-        super().__init__(f"graph is not distance regular (witness {witness})")
 
 
 class NotParallelError(GcurvError):

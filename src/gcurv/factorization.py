@@ -15,6 +15,7 @@ any claim about which components go together.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import FactorizationFailedError, TrivialGraphError
 from .graphs import Graph, build_graph
@@ -97,7 +98,7 @@ def is_prime(g: Graph) -> bool:
     return edge_relation_components(g).count == 1
 
 
-def _axis_component(n: int, axis_edges, base: int):
+def _axis_component(axis_edges, base: int):
     """Connected component of base in the subgraph keeping only axis_edges."""
     nbrs = {}
     for (u, v) in axis_edges:
@@ -161,8 +162,8 @@ def _try_split(g: Graph, part: EdgeRelationPartition, chosen) -> tuple | None:
     f1_edges = [e for e, c in zip(part.edges, part.component_of) if c in chosen]
     f2_edges = [e for e, c in zip(part.edges, part.component_of) if c not in chosen]
     base = 0
-    v1, sub1 = _axis_component(g.n, f1_edges, base)
-    v2, sub2 = _axis_component(g.n, f2_edges, base)
+    v1, sub1 = _axis_component(f1_edges, base)
+    v2, sub2 = _axis_component(f2_edges, base)
     if len(v1) * len(v2) != g.n:
         return None
     # projection along the complementary bundle fixes the axis coordinate
@@ -195,7 +196,7 @@ def factorize(g: Graph):
     split = None
     # single components first, then pairs, and so on
     for size in range(1, part.count):
-        for chosen in _subsets(comp_ids, size):
+        for chosen in combinations(comp_ids, size):
             split = _try_split(g, part, frozenset(chosen))
             if split is not None:
                 break
@@ -207,9 +208,3 @@ def factorize(g: Graph):
         )
     g1, g2 = split
     return factorize(g1) + factorize(g2)
-
-
-def _subsets(items, size):
-    from itertools import combinations
-
-    return combinations(items, size)

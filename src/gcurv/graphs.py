@@ -1,8 +1,10 @@
 """Finite simple graphs with exact shortest-path metric utilities.
 
-Vertices are integers 0..n-1.  Graphs are immutable once built; expensive
-derived data (the distance matrix, per-edge analysis results) is cached on
-the instance and computed at most once.
+Vertices are integers 0..n-1.  Every Graph is connected: build_graph and
+induced_subgraph refuse a disconnected one with DisconnectedError, so the
+distance matrix is always finite.  Graphs are immutable once built;
+expensive derived data (the distance matrix, per-edge analysis results) is
+cached on the instance and computed at most once.
 """
 
 from collections import deque
@@ -37,11 +39,10 @@ def check_budget(n: int, m: int) -> None:
 class Graph:
     """Simple undirected graph.  Use build_graph to construct a validated one."""
 
-    def __init__(self, n: int, edges: tuple, neighbors: tuple, connected: bool):
+    def __init__(self, n: int, edges: tuple, neighbors: tuple):
         self.n = n
         self.edges = edges          # sorted tuple of (u, v) with u < v
         self.neighbors = neighbors  # tuple of sorted vertex tuples
-        self.connected = connected
         self._nbr_sets = tuple(frozenset(nb) for nb in neighbors)
         self._dist = None
         self.cache: dict = {}       # publish-once memo space for analysis modules
@@ -66,8 +67,6 @@ class Graph:
     def dist_rows(self):
         """Distance matrix as a list of rows; treat as read only."""
         if self._dist is None:
-            if not self.connected:
-                raise DisconnectedError()
             self._dist = [_bfs_row(self, s) for s in range(self.n)]
         return self._dist
 
@@ -92,27 +91,12 @@ def _bfs_row(g: Graph, source: int) -> list:
     return row
 
 
-def _components(n: int, neighbors) -> list:
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = []
-        q = deque([s])
-        seen[s] = True
-        while q:
-            u = q.popleft()
-            comp.append(u)
-            for w in neighbors[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    q.append(w)
-        comps.append(comp)
-    return comps
+def _assemble(n: int, edge_list) -> Graph:
+    """The graph on 0..n-1 with these edges; DisconnectedError unless connected.
 
-
-def _assemble(n: int, edge_list, require_connected: bool) -> Graph:
+    The witness is the component of vertex 0 and that of the first vertex
+    it misses.
+    """
     nbrs = [[] for _ in range(n)]
     seen = set()
     norm = []
@@ -128,23 +112,19 @@ def _assemble(n: int, edge_list, require_connected: bool) -> Graph:
         norm.append((a, b))
         nbrs[a].append(b)
         nbrs[b].append(a)
-    comps = _components(n, nbrs)
-    connected = len(comps) == 1
-    if require_connected and not connected:
-        raise DisconnectedError(components=(comps[0], comps[1]))
-    return Graph(
-        n,
-        tuple(sorted(norm)),
-        tuple(tuple(sorted(nb)) for nb in nbrs),
-        connected,
-    )
+    g = Graph(n, tuple(sorted(norm)), tuple(tuple(sorted(nb)) for nb in nbrs))
+    row = _bfs_row(g, 0)
+    if -1 in row:
+        rows = (row, _bfs_row(g, row.index(-1)))
+        raise DisconnectedError(tuple([v for v, d in enumerate(r) if d >= 0] for r in rows))
+    return g
 
 
 def build_graph(n: int, edge_list) -> Graph:
     """Validated constructor: rejects self loops, duplicates, and disconnection."""
     if n < 1:
         raise InvalidParameterError("graph needs at least one vertex")
-    return _assemble(n, edge_list, require_connected=True)
+    return _assemble(n, edge_list)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -319,8 +299,8 @@ def induced_subgraph(g: Graph, s):
     """Induced subgraph on vertex subset s.
 
     Returns (subgraph, vertices) where vertices[i] is the original label of
-    subgraph vertex i.  The result may be disconnected; metric operations on
-    a disconnected graph raise DisconnectedError.
+    subgraph vertex i.  Like build_graph it raises DisconnectedError when the
+    subgraph is disconnected, so every Graph is connected.
     """
     vs = sorted(set(s))
     if not vs:
@@ -333,21 +313,29 @@ def induced_subgraph(g: Graph, s):
         for (u, v) in g.edges
         if u in index and v in index
     ]
-    return _assemble(len(vs), sub_edges, require_connected=False), tuple(vs)
+    return _assemble(len(vs), sub_edges), tuple(vs)
 
 
 def is_isometric_subset(g: Graph, s) -> bool:
-    """True iff induced-subgraph distances agree with ambient distances on s."""
-    vs = sorted(set(s))
-    if len(vs) <= 1:
-        return True
-    sub, verts = induced_subgraph(g, vs)
+    """True iff induced-subgraph distances agree with ambient distances on s.
+
+    A breadth-first search from each member steps only inside s, so no
+    subgraph is built; a disconnected s is not isometric.
+    """
+    inside = frozenset(s)
     dist = g.dist_rows()
-    for i, u in enumerate(verts):
-        row = _bfs_row(sub, i)
-        for j in range(i + 1, len(verts)):
-            if row[j] != dist[u][verts[j]]:
-                return False
+    for u in inside:
+        row = {u: 0}
+        q = deque([u])
+        while q:
+            a = q.popleft()
+            for w in g._nbr_sets[a] & inside:
+                if w not in row:
+                    row[w] = row[a] + 1
+                    q.append(w)
+        du = dist[u]
+        if len(row) != len(inside) or any(du[v] != d for v, d in row.items()):
+            return False
     return True
 
 

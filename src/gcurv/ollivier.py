@@ -31,7 +31,7 @@ edges) and long_range_curvatures (for the non-adjacent pairs) compute the
 is_reflective verdict first.  On a reflective graph the orbit route reads
 its generators once, from reflective.reflection_generators: the
 reflections of the edges at vertex 0, which generate every reflection of
-the connected graphs build_graph returns, each a mapping that
+a Graph (every Graph is connected), each a mapping that
 find_reflection proved to be an involutive automorphism (any other is an
 InternalCheckError).  pair_orbit_certificate closes its pairs under the
 same set.  The route takes the pairs in lexicographic order; the first

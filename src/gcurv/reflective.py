@@ -25,23 +25,22 @@ edge's sides run once per class from that index: the matching structure,
 the side structure (vxy_convex_reflective_check: the side is convex and
 reflective as a subgraph) and the gradient identity of parallel edges.
 
-Vertex 0 speaks for a connected graph.  For any automorphism t, the
-conjugate t s t^-1 of the reflection s of (x, y) meets every axiom for
-(t x, t y), so it is the reflection of that edge, the only one.  Let every
-edge at w have a reflection and let s be that of (w, z): s maps w's edges
-onto z's, so conjugating by s gives every edge at z a reflection.  Along
-the paths from vertex 0, every edge has a reflection as soon as the edges
-at vertex 0 do.  The same conjugation shows that the reflections at vertex
-0 generate all the others: their group moves 0 onto each neighbor, so it
-holds the reflections at each neighbor, and so on outward; it is
-vertex-transitive.  So is_reflective searches only the edges at vertex 0
-(a disconnected graph scans every edge); reflection_generators returns
-their reflections, the one generating set under which both
-pair_orbit_certificate and the Ollivier orbit route
-(ollivier._solve_by_orbits) close pairs; and spectral.is_distance_regular
-reads vertex 0's row alone on a reflective graph.  verify's
-reflection_axioms check still finds and checks the reflection of every
-side class of its corpus.
+Vertex 0 speaks for every graph, since every Graph is connected.  For any
+automorphism t, the conjugate t s t^-1 of the reflection s of (x, y) meets
+every axiom for (t x, t y), so it is the reflection of that edge, the only
+one.  Let every edge at w have a reflection and let s be that of (w, z): s
+maps w's edges onto z's, so conjugating by s gives every edge at z a
+reflection.  Along the paths from vertex 0, every edge has a reflection as
+soon as the edges at vertex 0 do.  The same conjugation shows that the
+reflections at vertex 0 generate all the others: their group moves 0 onto
+each neighbor, so it holds the reflections at each neighbor, and so on
+outward; it is vertex-transitive.  So is_reflective searches only the
+edges at vertex 0; reflection_generators returns their reflections, the
+one generating set under which both pair_orbit_certificate and the
+Ollivier orbit route (ollivier._solve_by_orbits) close pairs; and
+spectral.is_distance_regular reads vertex 0's row alone on a reflective
+graph.  verify's reflection_axioms check still finds and checks the
+reflection of every side class of its corpus.
 
 The rigidity proof also needs every unit sphere, and every cap of a sphere
 away from a far vertex, to be isometric.  Those conditions read no side,
@@ -76,12 +75,6 @@ class Reflection:
 
     mapping: tuple
     edge: tuple
-
-    def apply(self, v: int) -> int:
-        return self.mapping[v]
-
-    def one_line(self) -> str:
-        return " ".join(str(v) for v in self.mapping)
 
 
 class CandidateOutcome(NamedTuple):
@@ -217,18 +210,17 @@ def is_reflective(g: Graph) -> ReflectiveVerdict:
     """True iff every edge admits a reflection; first failing edge otherwise.
 
     One orientation per edge is enough: a reflection for (x, y) is one for
-    (y, x), and find_reflection shares the search between them.  A
-    connected graph is reflective when the edges at vertex 0 are (module
-    docstring); they lead g.edges, so the first failing edge is the one a
-    scan of every edge finds.  A disconnected graph scans every edge.
+    (y, x), and find_reflection shares the search between them.  A graph
+    is reflective when the edges at vertex 0 are (module docstring); they
+    lead g.edges, so the first failing edge is the one a scan of every edge
+    finds.
     """
     key = "reflective"
     hit = g.cache.get(key)
     if hit is not None:
         return hit
     verdict = ReflectiveVerdict(True, None)
-    edges = g.edges[:g.degree(0)] if g.connected else g.edges
-    for (u, v) in edges:
+    for (u, v) in g.edges[:g.degree(0)]:
         if find_reflection(g, u, v).reflection is None:
             verdict = ReflectiveVerdict(False, (u, v))
             break
@@ -257,10 +249,10 @@ def side_classes(g: Graph) -> dict:
 def reflection_generators(g: Graph):
     """The reflections of the edges at vertex 0, or None if g is not reflective.
 
-    On a connected graph they generate every edge reflection (module
-    docstring).  Each is a mapping that find_reflection proved to be an
-    involutive automorphism; any other is an InternalCheckError, so whatever
-    a caller closes or carries under them stays inside one orbit.
+    They generate every edge reflection (module docstring).  Each is a
+    mapping that find_reflection proved to be an involutive automorphism;
+    any other is an InternalCheckError, so whatever a caller closes or
+    carries under them stays inside one orbit.
     """
     if not is_reflective(g).reflective:
         return None
@@ -500,5 +492,7 @@ def vxy_convex_reflective_check(g: Graph, x: int, y: int) -> bool:
     side = side_partition(g, x, y).side_x
     if not is_convex_subset(g, side):
         return False
+    # a convex side holds a geodesic between any two of its vertices, so it
+    # is connected and induced_subgraph accepts it
     sub, _ = induced_subgraph(g, side)
     return is_reflective(sub).reflective

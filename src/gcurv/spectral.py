@@ -13,11 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InvalidParameterError,
-    NoConvergenceError,
-    NotDistanceRegularError,
-)
+from .errors import InvalidParameterError, NoConvergenceError
 from .graphs import Graph
 from .reflective import is_reflective
 
@@ -240,24 +236,3 @@ def is_lichnerowicz_sharp(g: Graph) -> LichnerowiczResult:
             holds and nullity >= 1, smallest_positive_laplacian_eigenvalue(g),
             kappa, holds)
     return g.cache["lichnerowicz"]
-
-
-class ThetaResult(NamedTuple):
-    theta: float
-    matches_b1_minus_1: bool
-
-
-def theta_condition(g: Graph, ia: IntersectionArray) -> ThetaResult:
-    """Second largest adjacency eigenvalue theta_1 against t = b_1 - 1, exactly.
-
-    The graph is k-regular, so theta_1 = k - lambda_1 and theta_1 == t
-    exactly when lambda_1 == k - t, which _gap_test decides.
-    """
-    if ia is None:
-        raise NotDistanceRegularError(None)
-    spec = adjacency_spectrum(g)
-    if len(spec.values) < 2:
-        raise InvalidParameterError("need at least two eigenvalues")
-    t = (ia.b[1] if len(ia.b) > 1 else 0) - 1
-    psd, nullity = _gap_test(g, Fraction(ia.b[0] - t))
-    return ThetaResult(spec.values[1], psd and nullity >= 1)

@@ -23,7 +23,6 @@ from gcurv.spectral import (
     is_distance_regular,
     is_lichnerowicz_sharp,
     smallest_positive_laplacian_eigenvalue,
-    theta_condition,
 )
 
 
@@ -72,11 +71,9 @@ def test_trivial_graph_rejected():
     lambda g, tol: classify(g, tol=tol),
     lambda g, tol: smallest_positive_laplacian_eigenvalue(g, tol=tol),
     lambda g, tol: is_lichnerowicz_sharp(g, tol=tol),
-    lambda g, tol: theta_condition(g, is_distance_regular(g).array, tol=tol),
     lambda g, tol: be_effective_bound_report(g, tol=tol),
     lambda g, tol: bakry_emery_curvature(g, 0, tol=tol),
-], ids=["classify", "spectral_gap", "lichnerowicz", "theta",
-        "be_bound", "be_curvature"])
+], ids=["classify", "spectral_gap", "lichnerowicz", "be_bound", "be_curvature"])
 def test_library_rejects_bad_tolerance(call, tol):
     # the verdicts are exact, so no function takes a tolerance any more
     with pytest.raises(TypeError, match="tol"):

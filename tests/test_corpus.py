@@ -16,7 +16,7 @@ import pytest
 from gcurv import bakry_emery, ollivier, reflective, verify
 from gcurv.classify import identify_family
 from gcurv.factorization import factorize
-from gcurv.graphs import effective_diameter, side_partition, sphere
+from gcurv.graphs import MAX_VERTICES, effective_diameter, side_partition, sphere
 from gcurv.ollivier import min_edge_curvature
 from gcurv.reflective import (
     ReflectiveVerdict,
@@ -112,6 +112,17 @@ def test_criterion_01_checks_a_user_member(monkeypatch):
     assert verify._check_curvature_constants(load_corpus(["CP 3"])) == "CP 3: kappa 5 != 4"
 
 
+def test_criterion_01_holds_a_one_prime_product_to_its_array(monkeypatch):
+    # K 1 factors leave one prime: locally connected members are such, and
+    # criterion_01 is where every edge of them meets 1 + b0 - b1
+    corpus = load_corpus(["( K 1 x J 5 2 )"])
+    assert verify._check_curvature_constants(corpus) is None
+    real = verify.curvature_from_intersection_array
+    monkeypatch.setattr(verify, "curvature_from_intersection_array", lambda ia: real(ia) + 1)
+    assert (verify._check_curvature_constants(corpus)
+            == "( K 1 x J 5 2 ): 1+b0-b1 = 6 != kappa 5")
+
+
 def test_criterion_01_solves_one_lp_per_edge_orbit(monkeypatch):
     calls = []
     real = ollivier.solve_lipschitz_lp
@@ -158,6 +169,13 @@ def test_criterion_05_checks_a_user_member(monkeypatch):
     monkeypatch.setattr(verify, "factorize", lambda g: [g, g])
     witness = verify._check_factorization_round_trip(load_corpus(["CP 3"]))
     assert witness == "CP 3: factor sizes [(6, 12), (6, 12)] != [(6, 12)]"
+
+
+def test_criterion_05_tests_the_self_isomorphism_of_a_prime_member(monkeypatch):
+    # a prime member is its own factor product: are_isomorphic(g, g)
+    monkeypatch.setattr(verify, "are_isomorphic", lambda g, h: None)
+    witness = verify._check_factorization_round_trip(load_corpus(["petersen"]))
+    assert witness == "petersen: factor product differs from the original"
 
 
 def _pairwise_parallel_structure(name, g):
@@ -275,6 +293,17 @@ def test_vertex_transitive_consistency_names_a_vertex_below_float_noise(monkeypa
             == "J 5 2: vertex 3: curvature is not 7/2, vertex 0's")
 
 
+def test_vertex_transitive_consistency_holds_a_hypercube_to_curvature_2(monkeypatch):
+    # criterion_09 decides K = 2 at vertex 0 only; this check reaches the rest
+    real = verify._pencil_psd_nullity
+    monkeypatch.setattr(verify, "_pencil_psd_nullity",
+                        lambda g, x, r: (False, None) if x == 5 else real(g, x, r))
+    corpus = load_corpus(["Q 3"])
+    assert verify._check_bakry_emery(corpus) is None
+    assert (verify._check_vertex_transitive_consistency(corpus)
+            == "Q 3: vertex 5: curvature is not 2, vertex 0's")
+
+
 def test_vertex_transitive_consistency_leaves_an_irrational_curvature_undecided(monkeypatch):
     _plant(monkeypatch, 0)
     assert (verify._check_vertex_transitive_consistency(load_corpus(["J 5 2"]))
@@ -321,16 +350,16 @@ def test_reflection_axioms_reject_a_wrong_mapping_of_a_later_member():
     }
 
 
-def _load_survey():
-    path = ROOT / "scripts" / "corpus_survey.py"
-    spec = importlib.util.spec_from_file_location("corpus_survey", path)
+def _load_script(name):
+    path = ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_corpus_survey_uses_the_corpus_loader(tmp_path, capsys):
-    survey = _load_survey()
+    survey = _load_script("corpus_survey")
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("K 3\n# a comment\nC 5\n")
     assert survey.main(["--corpus", str(corpus)]) == 0
@@ -339,3 +368,26 @@ def test_corpus_survey_uses_the_corpus_loader(tmp_path, capsys):
     corpus.write_text("K 1\n")
     assert survey.main(["--corpus", str(corpus)]) == 2
     assert "corpus line 1: K 1 needs at least two vertices" in capsys.readouterr().err
+    corpus.write_bytes(b"K 3\n\xff\n")
+    assert survey.main(["--corpus", str(corpus)]) == 2
+    assert f"{corpus}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--min-n", "1"],
+    ["--min-n", "0"],
+    ["--min-n", "9", "--max-n", "4"],
+    ["--min-n", str(MAX_VERTICES + 1), "--max-n", str(MAX_VERTICES + 1), "--samples", "0"],
+], ids=["trivial", "empty", "crossed", "over_budget"])
+def test_sharpness_search_refuses_bad_sizes(args, capsys):
+    search = _load_script("sharpness_search")
+    with pytest.raises(SystemExit) as exc:
+        search.main(["--samples", "1"] + args)
+    assert exc.value.code == 2
+    assert f"need 2 <= --min-n <= --max-n <= {MAX_VERTICES}" in capsys.readouterr().err
+
+
+def test_sharpness_search_runs(capsys):
+    search = _load_script("sharpness_search")
+    assert search.main(["--samples", "3", "--min-n", "4", "--max-n", "5"]) == 0
+    assert "# 3 samples" in capsys.readouterr().out

@@ -166,6 +166,7 @@ def test_induced_subgraph_tracks_vertices(octahedron):
 def test_convex_and_isometric_subsets():
     g = cycle(6)
     assert is_isometric_subset(g, (0, 1, 2, 3))
+    assert not is_isometric_subset(g, (0, 3))  # disconnected inside the pair
     assert not is_convex_subset(g, (0, 3))  # both geodesics leave the pair
     assert is_convex_subset(g, (0, 1))
 

@@ -415,15 +415,13 @@ def test_vertex_zero_verdict_matches_every_edge_search(expr):
     assert is_reflective(g) == _every_edge_verdict(g)
 
 
-def test_disconnected_graph_searches_every_edge():
-    # vertex 0 is isolated in P 4 restricted to {0, 2, 3}, so its edges say
-    # nothing about the edge (1, 2); only the edgeless {0, 3} is reflective
-    g, _ = induced_subgraph(path_graph(4), [0, 2, 3])
-    assert not g.connected and g.edges == ((1, 2),)
+def test_induced_subgraph_refuses_a_disconnected_subset():
+    # every Graph is connected, so vertex 0's edges speak for every graph;
+    # vertex 0 would be isolated in P 4 restricted to {0, 2, 3}
+    with pytest.raises(DisconnectedError, match=r"component \[0\]\.\.\. vs \[1, 2\]\.\.\."):
+        induced_subgraph(path_graph(4), [0, 2, 3])
     with pytest.raises(DisconnectedError):
-        is_reflective(g)
-    edgeless, _ = induced_subgraph(path_graph(4), [0, 3])
-    assert is_reflective(edgeless) == (True, None)
+        induced_subgraph(path_graph(4), [0, 3])
 
 
 def _every_reflection(g):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs
-from gcurv.errors import NotDistanceRegularError
 from gcurv.families import (
     cocktail_party,
     complete_graph,
@@ -34,7 +33,6 @@ from gcurv.spectral import (
     laplacian_matrix,
     laplacian_spectrum,
     smallest_positive_laplacian_eigenvalue,
-    theta_condition,
 )
 from gcurv.verify import STANDARD_CORPUS, CorpusMember, _check_lichnerowicz_sharpness
 
@@ -116,18 +114,6 @@ def test_lichnerowicz_not_sharp_on_even_cycle():
     res = is_lichnerowicz_sharp(cycle(6))
     assert not res.sharp
     assert res.kappa_min == 0
-
-
-def test_theta_condition_johnson(j52):
-    ia = is_distance_regular(j52).array
-    th = theta_condition(j52, ia)
-    assert abs(th.theta - 1) < 1e-6
-    assert th.matches_b1_minus_1
-
-
-def test_theta_condition_requires_array():
-    with pytest.raises(NotDistanceRegularError):
-        theta_condition(path_graph(4), None)
 
 
 def test_matrices_are_consistent(q3):
