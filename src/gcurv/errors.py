@@ -71,10 +71,6 @@ class TrivialGraphError(GcurvError):
     pass
 
 
-class FactorizationFailedError(GcurvError):
-    """Internal inconsistency: no grouping of relation components verified."""
-
-
 class NonpositiveCurvatureError(GcurvError):
     def __init__(self, value):
         self.value = value

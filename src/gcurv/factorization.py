@@ -6,18 +6,22 @@ common neighborhood of the other two (checked in all four end
 orientations).  A graph is a nontrivial Cartesian product exactly when
 this relation on the edge set is disconnected.
 
-Extraction groups relation components into two bundles, projects every
-vertex onto the two axis subgraphs through a base vertex, and accepts a
-grouping only if rebuilding the product from the projected factors gives
-back the graph through the coordinate map.  Groupings are retried in
-order, so correctness rests on the reconstruction check rather than on
-any claim about which components go together.
+By Feder's theorem the classes of this relation are exactly the fibre
+classes of the prime factorization (T. Feder, "Product graph
+representations", J. Graph Theory 1992), so each class gives one prime
+factor, in class-id order: the component of vertex 0 in that class's
+edges.  A vertex's coordinate on it is its projection along the other
+classes' edges.  The whole factorization is still certified once: the
+orders multiply to the graph's, the coordinate map carries the edges onto
+the product's, and every factor is prime; a failure is an
+InternalCheckError.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from math import prod
 
-from .errors import FactorizationFailedError, TrivialGraphError
+from .errors import InternalCheckError, TrivialGraphError
 from .graphs import Graph, build_graph
 from .families import cartesian_product
 
@@ -127,7 +131,7 @@ def _projection(n: int, bundle_edges, axis_verts):
 
     Moving along the complementary bundle keeps the axis coordinate, so
     each complementary component must meet the axis exactly once; if not,
-    the grouping is wrong and None is returned.
+    the class is not a factor and None is returned.
     """
     nbrs = {}
     for (u, v) in bundle_edges:
@@ -157,54 +161,32 @@ def _projection(n: int, bundle_edges, axis_verts):
     return proj
 
 
-def _try_split(g: Graph, part: EdgeRelationPartition, chosen) -> tuple | None:
-    """Build and verify the two factors for one component grouping."""
-    f1_edges = [e for e, c in zip(part.edges, part.component_of) if c in chosen]
-    f2_edges = [e for e, c in zip(part.edges, part.component_of) if c not in chosen]
-    base = 0
-    v1, sub1 = _axis_component(f1_edges, base)
-    v2, sub2 = _axis_component(f2_edges, base)
-    if len(v1) * len(v2) != g.n:
-        return None
-    # projection along the complementary bundle fixes the axis coordinate
-    p1 = _projection(g.n, f2_edges, v1)
-    p2 = _projection(g.n, f1_edges, v2)
-    if p1 is None or p2 is None:
-        return None
-    g1 = build_graph(len(v1), sub1)
-    g2 = build_graph(len(v2), sub2)
-    i1 = {v: i for i, v in enumerate(v1)}
-    i2 = {v: i for i, v in enumerate(v2)}
-    coord = [i1[p1[v]] * g2.n + i2[p2[v]] for v in range(g.n)]
-    if len(set(coord)) != g.n:
-        return None
-    product = cartesian_product(g1, g2)
-    mapped = {tuple(sorted((coord[u], coord[v]))) for (u, v) in g.edges}
-    if mapped != set(product.edges):
-        return None
-    return g1, g2
-
-
 def factorize(g: Graph):
-    """Prime factor list, each split certified by product reconstruction."""
+    """Prime factor list, one per relation class, certified by reconstruction."""
     if g.n < 2:
         raise TrivialGraphError("factorization needs at least two vertices")
     part = edge_relation_components(g)
     if part.count == 1:
         return [g]
-    comp_ids = list(range(part.count))
-    split = None
-    # single components first, then pairs, and so on
-    for size in range(1, part.count):
-        for chosen in combinations(comp_ids, size):
-            split = _try_split(g, part, frozenset(chosen))
-            if split is not None:
-                break
-        if split is not None:
-            break
-    if split is None:
-        raise FactorizationFailedError(
-            "edge relation is disconnected but no grouping reconstructs the graph"
-        )
-    g1, g2 = split
-    return factorize(g1) + factorize(g2)
+    factors, coord = [], [0] * g.n
+    for c in range(part.count):
+        axis = [e for e, k in zip(part.edges, part.component_of) if k == c]
+        rest = [e for e, k in zip(part.edges, part.component_of) if k != c]
+        verts, sub = _axis_component(axis, 0)
+        # moving along the other classes keeps this factor's coordinate
+        proj = _projection(g.n, rest, verts)
+        if proj is None:
+            raise InternalCheckError(f"relation class {c} is not a factor")
+        index = {v: i for i, v in enumerate(verts)}
+        # mixed radix, in the order reduce(cartesian_product, factors) labels
+        coord = [x * len(verts) + index[p] for x, p in zip(coord, proj)]
+        factors.append(build_graph(len(verts), sub))
+    # the order check comes first, so a wrong partition builds no large product
+    if prod(f.n for f in factors) != g.n:
+        raise InternalCheckError("the factor orders do not multiply to the graph's")
+    mapped = {tuple(sorted((coord[u], coord[v]))) for (u, v) in g.edges}
+    if mapped != set(reduce(cartesian_product, factors).edges):
+        raise InternalCheckError("the relation classes do not rebuild the graph")
+    if not all(is_prime(f) for f in factors):
+        raise InternalCheckError("a relation class spans a composite factor")
+    return factors

@@ -39,8 +39,9 @@ edges at vertex 0; reflection_generators returns their reflections, the
 one generating set under which both pair_orbit_certificate and the
 Ollivier orbit route (ollivier._solve_by_orbits) close pairs; and
 spectral.is_distance_regular reads vertex 0's row alone on a reflective
-graph.  verify's reflection_axioms check still finds and checks the
-reflection of every side class of its corpus.
+graph, and sphere_isometry_witness reads vertex 0's sphere and caps alone.
+verify's reflection_axioms check still finds and checks the reflection of
+every side class of its corpus.
 
 The rigidity proof also needs every unit sphere, and every cap of a sphere
 away from a far vertex, to be isometric.  Those conditions read no side,
@@ -463,9 +464,10 @@ def sphere_isometry_witness(g: Graph):
     The cap of v away from w holds the neighbors of v one step farther from
     w than v.  Returns None when every sphere and every cap of at least two
     vertices is isometric, else (v, None) for a sphere and (v, w) for a cap.
+    A reflective graph is vertex-transitive, so vertex 0 alone is read.
     """
     dist = g.dist_rows()
-    for v in range(g.n):
+    for v in [0] if is_reflective(g).reflective else range(g.n):
         if not is_isometric_subset(g, sphere(g, v, 1)):
             return (v, None)
         for w in range(g.n):

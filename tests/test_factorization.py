@@ -1,10 +1,15 @@
+import hashlib
+import importlib.util
+import pathlib
+import random
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcurv.errors import TrivialGraphError
+from gcurv import cli, factorization
+from gcurv.errors import InternalCheckError, TrivialGraphError
 from gcurv.families import (
     cartesian_product,
     cocktail_party,
@@ -14,11 +19,17 @@ from gcurv.families import (
     hamming,
     hypercube,
     johnson,
+    parse_family,
     path_graph,
     schlafli,
 )
-from gcurv.factorization import edge_relation_components, factorize, is_prime
-from gcurv.graphs import are_isomorphic, effective_diameter
+from gcurv.factorization import (
+    EdgeRelationPartition,
+    edge_relation_components,
+    factorize,
+    is_prime,
+)
+from gcurv.graphs import are_isomorphic, build_graph, effective_diameter, parse_edge_list
 
 
 def test_cube_splits_into_three_edges(q3):
@@ -57,8 +68,6 @@ def test_gosset_prime(gosset_graph):
 
 
 def test_factorize_rejects_single_vertex():
-    from gcurv.graphs import build_graph
-
     with pytest.raises(TrivialGraphError):
         factorize(build_graph(1, []))
 
@@ -90,6 +99,18 @@ _PRIME_POOL = [complete_graph(2), complete_graph(3), cycle(5), path_graph(3),
                cocktail_party(3)]
 
 
+def _same_up_to_isomorphism(factors, expected):
+    """True iff the two factor lists match one to one up to isomorphism."""
+    remaining = list(expected)
+    for f in factors:
+        hit = next((i for i, c in enumerate(remaining) if are_isomorphic(f, c) is not None),
+                   None)
+        if hit is None:
+            return False
+        remaining.pop(hit)
+    return not remaining
+
+
 @given(st.lists(st.sampled_from(range(len(_PRIME_POOL))), min_size=2,
                 max_size=3))
 @settings(max_examples=25, deadline=None)
@@ -101,14 +122,86 @@ def test_random_products_round_trip(indices):
     if size > 40:
         return
     prod = reduce(cartesian_product, chosen)
-    factors = factorize(prod)
-    assert len(factors) == len(chosen)
-    remaining = list(chosen)
-    for f in factors:
-        hit = next(
-            (i for i, c in enumerate(remaining)
-             if are_isomorphic(f, c) is not None),
-            None,
-        )
-        assert hit is not None
-        remaining.pop(hit)
+    assert _same_up_to_isomorphism(factorize(prod), chosen)
+
+
+def _random_connected(rng, n):
+    """Random spanning tree plus random chords, as analyze-random's inputs are made."""
+    edges = {(rng.randrange(i), i) for i in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4}
+    return build_graph(n, sorted(edges))
+
+
+def test_irregular_products_factor_uniquely():
+    rng = random.Random(2024)
+    for _ in range(100):
+        a = _random_connected(rng, rng.randint(2, 6))
+        b = _random_connected(rng, rng.randint(2, 6))
+        factors = factorize(cartesian_product(a, b))
+        assert all(is_prime(f) for f in factors)
+        assert _same_up_to_isomorphism(factors, factorize(a) + factorize(b))
+
+
+def test_one_class_per_edge_is_an_internal_inconsistency(monkeypatch, capsys):
+    # on C 5, class 0's edge has no projection along the other four
+    monkeypatch.setattr(factorization, "edge_relation_components",
+                        lambda h: EdgeRelationPartition(h.edges, tuple(range(h.m)), h.m))
+    assert cli.main(["factorize", "--family", "C 5"]) == 3
+    assert "internal inconsistency" in capsys.readouterr().err
+
+
+def test_merged_classes_fail_the_primality_certificate(monkeypatch):
+    # two of Q 3's classes merged rebuild Q 3 as K 2 x C 4, and C 4 is not prime
+    g = hypercube(3)
+    real = factorization.edge_relation_components
+    merged = tuple(min(c, 1) for c in real(g).component_of)
+    part = EdgeRelationPartition(g.edges, merged, 2)
+    monkeypatch.setattr(factorization, "edge_relation_components",
+                        lambda h: part if h is g else real(h))
+    with pytest.raises(InternalCheckError, match="composite factor"):
+        factorize(g)
+
+
+def _load_workloads():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# SHA-256 (first 16 hex digits) of repr([(f.n, f.edges) for f in factorize(g)]):
+# factors come in relation-class order, not in the order the expression names them
+FAMILY_DIGESTS = {
+    "( Q 2 x CP 3 )": "0e408dac1c4bffb0",
+    "( C 5 x ( P 4 x K 3 ) )": "77a936cdb65b3d48",
+    "( petersen x ( KB 2 3 x C 6 ) )": "a9f469eee5e980d4",
+    "H 3 4": "487166bceeffcc20",
+}
+# the product inputs of analyze-random, seed 1
+RANDOM_PRODUCT_DIGESTS = {
+    "input-02": "854065ccef573e78",
+    "input-05": "f3eed4ce05082d50",
+    "input-08": "47058343521a80b2",
+    "input-11": "6e8c199280e861ae",
+    "input-14": "7f5c5c50deaffefd",
+    "input-17": "8ae33d19510d203c",
+    "input-20": "15386aaf1c8df818",
+    "input-23": "cfbf7dfd1d6965e5",
+}
+
+
+def _factor_digest(g):
+    text = repr([(f.n, f.edges) for f in factorize(g)])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_factor_order_and_labels_are_pinned():
+    assert {e: _factor_digest(parse_family(e).build()) for e in FAMILY_DIGESTS} \
+        == FAMILY_DIGESTS
+    products = [(name, text) for name, text, product
+                in _load_workloads().random_inputs(1, 24) if product]
+    assert {name: _factor_digest(parse_edge_list(text)) for name, text in products} \
+        == RANDOM_PRODUCT_DIGESTS
+    q2cp3 = factorize(parse_family("( Q 2 x CP 3 )").build())
+    assert [f.n for f in q2cp3] == [6, 2, 2]

@@ -176,6 +176,41 @@ def test_sphere_isometry_witness_names_a_sphere_or_a_cap(octahedron):
     assert sphere_isometry_witness(g) == (1, 0)
 
 
+def _every_vertex_sphere_witness(g):
+    """sphere_isometry_witness by a scan of every vertex."""
+    dist = g.dist_rows()
+    for v in range(g.n):
+        if not reflective.is_isometric_subset(g, g.neighbors[v]):
+            return (v, None)
+        for w in range(g.n):
+            # w == v gives the sphere itself, already found isometric
+            cap = [u for u in g.neighbors[v] if dist[u][w] == dist[v][w] + 1]
+            if len(cap) >= 2 and not reflective.is_isometric_subset(g, cap):
+                return (v, w)
+    return None
+
+
+def test_sphere_witness_of_vertex_zero_matches_every_vertex_scan():
+    graphs = [parse_family(e).build() for e in STANDARD_CORPUS]
+    reflective_graphs = [g for g in graphs if is_reflective(g).reflective]
+    witnesses = [sphere_isometry_witness(g) for g in reflective_graphs]
+    assert witnesses == [_every_vertex_sphere_witness(g) for g in reflective_graphs]
+    # the corpus exercises both verdicts
+    assert None in witnesses and (0, None) in witnesses
+
+
+def test_sphere_witness_reads_vertex_zero_alone_on_gosset(gosset_graph, monkeypatch):
+    seen = []
+    real = reflective.is_isometric_subset
+    monkeypatch.setattr(reflective, "is_isometric_subset",
+                        lambda g, s: seen.append(set(s)) or real(g, s))
+    assert sphere_isometry_witness(gosset_graph) is None
+    ball = set(gosset_graph.neighbors[0])
+    # the unit sphere first, then caps, all inside vertex 0's neighborhood
+    assert seen[0] == ball and len(seen) > 1
+    assert all(s <= ball for s in seen)
+
+
 def test_products_of_reflective_factors_are_reflective():
     prod = cartesian_product(complete_graph(2), johnson(4, 2))
     assert is_reflective(prod).reflective
