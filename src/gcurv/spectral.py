@@ -5,6 +5,13 @@ on the dense matrix and are reported as floats.  Yes/no questions about
 them never compare floats: an eigenvalue bound such as lambda_1 >= kappa is
 restated as positive semidefiniteness of an integer matrix and decided by
 fraction-free elimination (``_psd_nullity``).
+
+The Lichnerowicz verdict has two routes to that matrix.  A distance-regular
+graph of diameter d uses the d x d congruence of its intersection matrix
+(``_quotient_gap_test``): its distinct eigenvalues are those of the
+(d+1) x (d+1) intersection matrix (Brouwer-Cohen-Neumaier, *Distance-Regular
+Graphs*, 1989, 4.1).  Every other graph uses the (n-1) x (n-1) gap matrix of
+its Laplacian (``_gap_test``).
 """
 
 from dataclasses import dataclass
@@ -13,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, NoConvergenceError
+from .errors import InternalCheckError, InvalidParameterError, NoConvergenceError
 from .graphs import Graph
 from .reflective import is_reflective
 
@@ -214,6 +221,40 @@ def _gap_test(g: Graph, r: Fraction):
     return _psd_nullity(rows)
 
 
+def _quotient_gap_test(g: Graph, ia: IntersectionArray, r: Fraction):
+    """_gap_test's verdict for a distance-regular g, from a d x d matrix.
+
+    With B the intersection matrix (rows c_i, a_i, b_i) and K = diag(k_i)
+    the sphere sizes of vertex 0, the spheres' indicator vectors span a
+    subspace that L keeps, on which q L - p I has the Gram matrix
+    S = K (q (k I - B) - p I), symmetric because k_i b_i = k_{i+1} c_{i+1}.
+    The columns k_d e_i - k_i e_d (i < d) span the part orthogonal to 1,
+    and L has there each nonzero eigenvalue once (BCN 4.1).  By Sylvester's
+    law of inertia P^T S P is positive semidefinite exactly when
+    lambda_1 >= r, and singular exactly when r is an eigenvalue, so its
+    nullity is at most 1 where _gap_test's is the multiplicity.
+
+    The sizes are counted on vertex 0's distance row, not derived from the
+    array, so an array that disagrees with the graph is an InternalCheckError.
+    """
+    p, q, d = r.numerator, r.denominator, ia.diameter
+    row = g.dist_rows()[0]
+    k = [row.count(i) for i in range(d + 1)]
+    b, c = ia.b + (0,), (0,) + ia.c
+    if sum(k) != g.n or any(k[i] * b[i] != k[i + 1] * c[i + 1] for i in range(d)):
+        raise InternalCheckError(
+            f"intersection array {ia.b}; {ia.c} disagrees with the sphere sizes {k}")
+    s = [[0] * (d + 1) for _ in range(d + 1)]
+    for i in range(d + 1):
+        s[i][i] = k[i] * (q * (b[i] + c[i]) - p)
+        if i < d:
+            s[i][i + 1] = s[i + 1][i] = -q * k[i] * b[i]
+    kd, sd = k[d], s[d]
+    rows = [[kd * kd * si[j] - kd * k[j] * si[d] - kd * k[i] * sd[j] + k[i] * k[j] * sd[d]
+             for j in range(d)] for i, si in enumerate(s[:d])]
+    return _psd_nullity(rows)
+
+
 class LichnerowiczResult(NamedTuple):
     sharp: bool  # lambda_1 == kappa_min > 0
     lam: float
@@ -225,13 +266,24 @@ def is_lichnerowicz_sharp(g: Graph) -> LichnerowiczResult:
     """The spectral gap against the minimum edge curvature, decided exactly.
 
     A curvature minimum of at most 0 lies below the positive gap of a
-    connected graph and needs no elimination.
+    connected graph and needs no elimination.  Otherwise a distance-regular
+    graph is decided on its intersection array (_quotient_gap_test, d x d
+    for diameter d, BCN 4.1) and every other graph on its Laplacian
+    (_gap_test, (n-1) x (n-1)).  Each restates lambda_1 >= kappa as its
+    matrix being positive semidefinite and lambda_1 == kappa as its also
+    being singular; only nullity >= 1 is read, so the routes agree although
+    their nullities differ.
     """
     from .ollivier import min_edge_curvature
 
     if "lichnerowicz" not in g.cache:
         kappa = min_edge_curvature(g).value
-        holds, nullity = _gap_test(g, kappa) if kappa > 0 else (True, 0)
+        if kappa <= 0:
+            holds, nullity = True, 0
+        else:
+            ia = is_distance_regular(g).array
+            holds, nullity = (_gap_test(g, kappa) if ia is None
+                              else _quotient_gap_test(g, ia, kappa))
         g.cache["lichnerowicz"] = LichnerowiczResult(
             holds and nullity >= 1, smallest_positive_laplacian_eigenvalue(g),
             kappa, holds)

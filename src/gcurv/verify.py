@@ -61,6 +61,7 @@ from .reflective import (
     vxy_convex_reflective_check,
 )
 from .spectral import (
+    _gap_test,
     adjacency_matrix,
     adjacency_spectrum,
     is_distance_regular,
@@ -221,6 +222,14 @@ def _check_lichnerowicz_sharpness(corpus):
     for mem in corpus:
         g = mem.graph
         lich = is_lichnerowicz_sharp(g)
+        # a distance-regular graph's verdict came from its intersection
+        # array; the full gap matrix decides the same question independently
+        if lich.kappa_min > 0 and is_distance_regular(g).array is not None:
+            psd, nullity = _gap_test(g, lich.kappa_min)
+            if (psd, psd and nullity >= 1) != (lich.holds, lich.sharp):
+                return (f"{mem.name}: intersection array gives holds {lich.holds}, "
+                        f"sharp {lich.sharp}; the gap matrix gives {psd}, "
+                        f"{psd and nullity >= 1}")
         if _predict(mem).sharp and _lc(g) and not lich.sharp:
             return f"{mem.name}: lam {lich.lam} vs kappa {lich.kappa_min}"
         # the spectral gap must never undercut the curvature minimum

@@ -19,6 +19,7 @@ from gcurv.families import (
     path_graph,
     schlafli,
 )
+from gcurv.errors import InternalCheckError
 from gcurv.graphs import build_graph
 from gcurv.ollivier import min_edge_curvature
 from gcurv.spectral import (
@@ -26,6 +27,7 @@ from gcurv.spectral import (
     IntersectionArray,
     _gap_test,
     _psd_nullity,
+    _quotient_gap_test,
     adjacency_matrix,
     adjacency_spectrum,
     is_distance_regular,
@@ -108,6 +110,48 @@ def test_lichnerowicz_violation_is_reported_with_its_witness(monkeypatch):
     witness = _check_lichnerowicz_sharpness((CorpusMember(parse_family("Q 3"), hypercube(3)),))
     assert witness.startswith("Q 3: Lichnerowicz violation, lam ")
     assert witness.endswith("< kappa 3")
+
+
+def test_criterion_04_reports_an_array_verdict_the_gap_matrix_refutes(monkeypatch):
+    # the array route calls J 5 2 not sharp; the full gap matrix says sharp
+    import gcurv.spectral
+
+    monkeypatch.setattr(gcurv.spectral, "_quotient_gap_test", lambda g, ia, r: (True, 0))
+    witness = _check_lichnerowicz_sharpness((CorpusMember(parse_family("J 5 2"), johnson(5, 2)),))
+    assert witness == ("J 5 2: intersection array gives holds True, sharp False; "
+                       "the gap matrix gives True, True")
+
+
+@pytest.mark.parametrize("b,c", [((6, 3), (1, 4)), ((6,), (1,))],
+                         ids=["sizes_disagree", "diameter_too_small"])
+def test_inconsistent_intersection_array_is_an_internal_error(b, c):
+    g = johnson(5, 2)
+    g.cache["dist_reg"] = DistanceRegularity(IntersectionArray(b, c), None)
+    with pytest.raises(InternalCheckError, match="disagrees with the sphere sizes"):
+        is_lichnerowicz_sharp(g)
+
+
+def test_distance_regular_graph_skips_the_gap_matrix(monkeypatch):
+    import gcurv.spectral
+
+    def refuse(g, r):
+        raise AssertionError("the gap matrix ran on a distance-regular graph")
+
+    monkeypatch.setattr(gcurv.spectral, "_gap_test", refuse)
+    res = is_lichnerowicz_sharp(parse_family("HQ 8").build())
+    assert (res.sharp, res.holds, res.kappa_min) == (True, True, 14)
+
+
+def test_graph_off_the_array_route_runs_the_gap_matrix_once(monkeypatch):
+    import gcurv.spectral
+
+    calls = []
+    monkeypatch.setattr(gcurv.spectral, "_gap_test",
+                        lambda g, r: calls.append(r) or _gap_test(g, r))
+    g = parse_family("( Q 2 x CP 3 )").build()
+    assert is_distance_regular(g).array is None
+    assert is_lichnerowicz_sharp(g).sharp
+    assert calls == [2]
 
 
 def test_lichnerowicz_not_sharp_on_even_cycle():
@@ -226,9 +270,15 @@ def _assert_gap_test_matches_full_matrix(g, r):
 @pytest.mark.parametrize("expr", STANDARD_CORPUS)
 def test_gap_test_matches_the_full_matrix_on_the_standard_corpus(expr):
     g = parse_family(expr).build()
+    ia = is_distance_regular(g).array
     near = Fraction(round(smallest_positive_laplacian_eigenvalue(g)))
     for r in {near, near + Fraction(1, 2), Fraction(1, 3)} - {0}:
         _assert_gap_test_matches_full_matrix(g, r)
+        if ia is not None:
+            # the array route decides the same psd and singularity
+            psd, nullity = _gap_test(g, r)
+            q_psd, q_nullity = _quotient_gap_test(g, ia, r)
+            assert (q_psd, q_psd and q_nullity >= 1) == (psd, psd and nullity >= 1)
 
 
 @given(connected_graphs(min_n=2, max_n=9),
