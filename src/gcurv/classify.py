@@ -11,6 +11,7 @@ import json
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import TrivialGraphError
 from .factorization import factorize
@@ -67,13 +68,17 @@ def _candidates(n: int):
 
     Precedence CP > J > HQ > Schläfli > Gosset > K settles graphs with
     several names (the octahedron is CP(3) rather than J(4,2), K4 is HQ(3)
-    before it is complete).  Johnson parameters are canonical, 2 <= b <= a - b.
-    Parameters are clamped to valid ones; a clamped spec never has n vertices.
+    before it is complete).  Johnson parameters are canonical, 2 <= b <= a - b,
+    and stop at the first b with C(a, b) > n, since C(a, b) grows with b up to
+    a/2.  Parameters are clamped to valid ones; a clamped spec never has n
+    vertices.
     """
     yield FamilySpec("CP", (max(2, n // 2),))
     a = 4
     while a * (a - 1) // 2 <= n:
         for b in range(2, a // 2 + 1):
+            if comb(a, b) > n:
+                break
             yield FamilySpec("J", (a, b))
         a += 1
     yield FamilySpec("HQ", (max(3, n.bit_length()),))

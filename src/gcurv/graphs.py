@@ -5,11 +5,16 @@ induced_subgraph refuse a disconnected one with DisconnectedError, so the
 distance matrix is always finite.  Graphs are immutable once built;
 expensive derived data (the distance matrix, per-edge analysis results) is
 cached on the instance and computed at most once.
+
+are_isomorphic decides isomorphism exactly by individualization-refinement
+(McKay 1981) on the disjoint union of the two graphs; the comment opening
+that section gives the argument.
 """
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import (
     DisconnectedError,
@@ -356,69 +361,87 @@ def is_convex_subset(g: Graph, s) -> bool:
     return True
 
 
-# --- isomorphism via color refinement plus individualization ---
+# --- isomorphism by splitter-driven individualization-refinement ---
+#
+# McKay, "Practical graph isomorphism", Congr. Numer. 30 (1981); McKay and
+# Piperno, J. Symbolic Comput. 60 (2014).  One partition of the disjoint
+# union, g1 on 0..n1-1 and g2 on n1..2n1-1, is refined to the coarsest
+# equitable partition finer than it: a queued cell W splits each cell by its
+# members' neighbour counts in W, and a split cell queues its fragments, or
+# all but the largest when it was not queued (counts into that one follow).
+# That partition does not depend on the order of splits, and an isomorphism
+# respecting the pinned pairs maps each cell's g1 part onto its g2 part, so a
+# cell with unequal parts ends the branch and loses no isomorphism.  The
+# search pins the least g1 vertex of the smallest cell to each of its g2
+# vertices in turn and queues only that pair (counts into the rest of the
+# equitable cell follow), so the verdict is exact.  It keeps its own stack of
+# levels, so no recursion limit bounds the number of pinned pairs.  A
+# discrete equitable partition pairs adjacent pairs with adjacent pairs; the
+# mapping is still re-checked edge by edge in are_isomorphic.
 
-def _refine(neighbors, colors):
-    n = len(colors)
+
+def _refine(nbrs, cells, cell_of, queue, n1) -> bool:
+    """Refine cells in place until equitable; False once a cell is unbalanced."""
+    queued = set(queue)
+    while queue:
+        w = queue.popleft()
+        queued.discard(w)
+        counts = Counter(chain.from_iterable([nbrs[v] for v in cells[w]]))
+        touched = {}
+        for v, k in counts.items():
+            touched.setdefault(cell_of[v], {}).setdefault(k, []).append(v)
+        for c in sorted(touched):
+            groups = touched[c]
+            members = cells[c]
+            if sum(map(len, groups.values())) < len(members):
+                groups[0] = [v for v in members if v not in counts]
+            if len(groups) == 1:
+                continue
+            frags = [groups[k] for k in sorted(groups)]
+            if any(2 * sum(v < n1 for v in f) != len(f) for f in frags):
+                return False
+            ids = [c]
+            cells[c] = frags[0]
+            for f in frags[1:]:
+                ids.append(len(cells))
+                for v in f:
+                    cell_of[v] = len(cells)
+                cells.append(f)
+            if c in queued:
+                del ids[0]
+            else:
+                del ids[max(range(len(frags)), key=lambda i: len(frags[i]))]
+            queue.extend(ids)
+            queued.update(ids)
+    return True
+
+
+def _search(nbrs, n1):
+    """A bijection g1 -> g2 keeping every refined cell, or None; depth first."""
+    cells, cell_of, queue = [list(range(2 * n1))], [0] * (2 * n1), deque([0])
+    levels = []  # per pinned pair: the partition, its target cell, v1, untried images
     while True:
-        sig = [
-            (colors[v], tuple(sorted(colors[w] for w in neighbors[v])))
-            for v in range(n)
-        ]
-        palette = {s: c for c, s in enumerate(sorted(set(sig)))}
-        new = [palette[s] for s in sig]
-        if new == colors:
-            return colors
-        colors = new
-
-
-def _joint_colors(g1: Graph, g2: Graph, pinned):
-    """Stable refinement colors on the disjoint union, with optional pins.
-
-    pinned maps (side, vertex) to a distinct negative seed color so that an
-    individualized pair stays matched during refinement.
-    """
-    n1 = g1.n
-    union_nbrs = [list(nb) for nb in g1.neighbors] + [
-        [w + n1 for w in nb] for nb in g2.neighbors
-    ]
-    colors = [0] * (n1 + g2.n)
-    for (side, v), c in pinned.items():
-        colors[v + (0 if side == 0 else n1)] = c
-    colors = _refine(union_nbrs, colors)
-    return colors[:n1], colors[n1:]
-
-
-def _class_histogram(cols):
-    hist = {}
-    for c in cols:
-        hist[c] = hist.get(c, 0) + 1
-    return hist
-
-
-def _iso_search(g1, g2, pinned, depth):
-    c1, c2 = _joint_colors(g1, g2, pinned)
-    if _class_histogram(c1) != _class_histogram(c2):
-        return None
-    if len(set(c1)) == g1.n:
-        mapping = [-1] * g1.n
-        pos2 = {c: v for v, c in enumerate(c2)}
-        for v, c in enumerate(c1):
-            mapping[v] = pos2[c]
-        return mapping
-    # smallest non-singleton class, then individualize
-    sizes = _class_histogram(c1)
-    target = min((sz, c) for c, sz in sizes.items() if sz > 1)[1]
-    v1 = min(v for v in range(g1.n) if c1[v] == target)
-    for v2 in (v for v in range(g2.n) if c2[v] == target):
-        pins = dict(pinned)
-        seed = -1 - depth
-        pins[(0, v1)] = seed
-        pins[(1, v2)] = seed
-        found = _iso_search(g1, g2, pins, depth + 1)
-        if found is not None:
-            return found
-    return None
+        if _refine(nbrs, cells, cell_of, queue, n1):
+            wide = [(len(members), c) for c, members in enumerate(cells) if len(members) > 2]
+            if not wide:
+                mapping = [0] * n1
+                for a, b in map(sorted, cells):
+                    mapping[a] = b - n1
+                return mapping
+            t = min(wide)[1]
+            v1 = min(cells[t])
+            levels.append((cells, cell_of, t, v1, iter(sorted(v for v in cells[t] if v >= n1))))
+        while levels and (v2 := next(levels[-1][4], None)) is None:
+            levels.pop()
+        if not levels:
+            return None
+        parent, parent_of, t, v1, _ = levels[-1]
+        cells = parent.copy()
+        cells[t] = [v for v in parent[t] if v != v1 and v != v2]
+        cells.append([v1, v2])
+        cell_of = parent_of.copy()
+        cell_of[v1] = cell_of[v2] = len(parent)
+        queue = deque([len(parent)])
 
 
 def are_isomorphic(g1: Graph, g2: Graph):
@@ -430,7 +453,8 @@ def are_isomorphic(g1: Graph, g2: Graph):
         return None
     if sorted(map(len, g1.neighbors)) != sorted(map(len, g2.neighbors)):
         return None
-    mapping = _iso_search(g1, g2, {}, 0)
+    n1 = g1.n
+    mapping = _search(g1.neighbors + tuple(tuple(w + n1 for w in nb) for nb in g2.neighbors), n1)
     if mapping is None:
         return None
     if sorted(mapping) != list(range(g1.n)):

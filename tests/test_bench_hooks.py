@@ -58,3 +58,19 @@ def test_tracer_charges_form_assembly_to_the_forms_layer():
     # 3 neighbors in the gradient form, 6 in the punctured two-ball
     assert summary["bakry_emery.form_vars_sum"] == 9
     assert tracing.wrapped_names() == []
+
+
+def test_tracer_times_the_isomorphism_search_of_identify_family(gosset_graph):
+    tracing = _load_tracing()
+    gc = types.SimpleNamespace(
+        **{name: importlib.import_module(f"gcurv.{name}") for name in MODULES})
+    tracer = tracing.Tracer()
+    tracer.install(gc)
+    try:
+        # classify's own binding of are_isomorphic must carry the span
+        assert gc.classify.identify_family(gosset_graph) is not None
+        summary = tracer.summary()
+    finally:
+        tracer.uninstall()
+    assert summary["graphs.isomorphism_s"] > 0
+    assert tracing.wrapped_names() == []

@@ -1,12 +1,13 @@
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from gcurv import ollivier
 from gcurv.bakry_emery import bakry_emery_curvature, be_effective_bound_report
-from gcurv.classify import classify, family_name, identify_family, report_to_json
+from gcurv.classify import _candidates, classify, family_name, identify_family, report_to_json
 from gcurv.errors import TrivialGraphError
 from gcurv.families import (
     FamilySpec,
@@ -117,6 +118,27 @@ def cube():
 )
 def test_identify_family_precedence(build, expected):
     assert identify_family(build()) == expected
+
+
+def _specs_of_order(n, johnson_orders):
+    """Every spec on the paper's list with n vertices, in precedence order, by scan."""
+    specs = [FamilySpec("CP", (n // 2,))] if n >= 4 and n % 2 == 0 else []
+    specs += [FamilySpec("J", ab) for ab in johnson_orders.get(n, [])]
+    specs += [FamilySpec("HQ", (k,)) for k in range(3, n.bit_length() + 1) if 2 ** (k - 1) == n]
+    specs += [FamilySpec(kind) for kind, order in (("schlafli", 27), ("gosset", 56)) if order == n]
+    return specs + [FamilySpec("K", (n,))]
+
+
+def test_candidate_scan_stops_each_johnson_row_past_n():
+    top = 600
+    johnson_orders = {}  # every canonical (a, b) with a <= top + 1, by order
+    for a in range(4, top + 2):
+        for b in range(2, a // 2 + 1):
+            johnson_orders.setdefault(comb(a, b), []).append((a, b))
+    for n in range(2, top + 1):
+        yielded = list(_candidates(n))
+        assert [s for s in yielded if s.size()[0] == n] == _specs_of_order(n, johnson_orders)
+        assert all(comb(*s.params) <= n for s in yielded if s.kind == "J")
 
 
 def test_cospectral_mate_is_not_named():

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from gcurv.families import (
     complete_bipartite,
     complete_graph,
     cycle,
+    hamming,
     path_graph,
 )
 from gcurv.graphs import (
@@ -184,6 +187,93 @@ def test_not_isomorphic_same_degree_sequence():
     )) is None
     # six vertices each, both bipartite and vertex transitive
     assert are_isomorphic(complete_bipartite(3, 3), cycle(6)) is None
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _is_isomorphism(mapping, g, h):
+    image = {tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges}
+    return sorted(mapping) == list(range(g.n)) and image == set(h.edges)
+
+
+@st.composite
+def _same_order_and_size(draw, g):
+    """A connected graph with g's n and m: a random tree plus random chords."""
+    tree = {tuple(sorted((draw(st.integers(0, i - 1)), i))) for i in range(1, g.n)}
+    rest = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in tree]
+    k = g.m - len(tree)
+    chords = draw(st.lists(st.sampled_from(rest), unique=True, min_size=k, max_size=k)) if k else []
+    return build_graph(g.n, sorted(tree) + chords)
+
+
+@given(st.data(), connected_graphs(max_n=6), st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_isomorphism_verdict_matches_brute_force(data, g, seed):
+    for h in (_relabelled(g, seed), data.draw(_same_order_and_size(g))):
+        mapping = are_isomorphic(g, h)
+        exists = any(_is_isomorphism(p, g, h) for p in permutations(range(g.n)))
+        assert (mapping is not None) == exists
+        assert mapping is None or _is_isomorphism(mapping, g, h)
+
+
+def _record_results(monkeypatch, name):
+    """The list of every result graphs.<name> returns from now on."""
+    results = []
+    original = getattr(graphs, name)
+
+    def recorded(*args):
+        results.append(original(*args))
+        return results[-1]
+    monkeypatch.setattr(graphs, name, recorded)
+    return results
+
+
+def test_asymmetric_cubic_graph_backs_out_of_failed_branches(monkeypatch):
+    # the Frucht graph: cubic, trivial automorphism group, LCF notation
+    lcf = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+    ring = {(i, (i + 1) % 12) for i in range(12)}
+    chords = {(i, (i + s) % 12) for i, s in enumerate(lcf)}
+    frucht = build_graph(12, {tuple(sorted(e)) for e in ring | chords})
+    assert frucht.m == 18 and frucht.is_regular()
+    h = _relabelled(frucht, 1)
+    refined = _record_results(monkeypatch, "_refine")
+    mapping = are_isomorphic(frucht, h)
+    assert mapping is not None and _is_isomorphism(mapping, frucht, h)
+    # refinement alone cannot split a regular graph; some pinned pair failed
+    assert False in refined
+
+
+def test_shrikhande_graph_is_not_the_rook_graph():
+    # both strongly regular with intersection array {6,3;1,2}
+    steps = ((1, 0), (0, 1), (1, 1))
+    shrikhande = build_graph(16, {
+        tuple(sorted((4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)))
+        for a in range(4) for b in range(4) for da, db in steps})
+    rook = hamming(2, 4)
+    assert are_isomorphic(shrikhande, rook) is None
+    assert are_isomorphic(shrikhande, _relabelled(shrikhande, 3)) is not None
+
+
+def test_complete_graph_needs_one_pinned_pair_per_level(monkeypatch):
+    g = complete_graph(30)
+    h = _relabelled(g, 7)
+    refined = _record_results(monkeypatch, "_refine")
+    mapping = are_isomorphic(g, h)
+    assert mapping is not None and _is_isomorphism(mapping, g, h)
+    # every pinned pair of K 30 extends: the root and 29 nested pins, one refinement each
+    assert refined == [True] * 30
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # each pinned leaf pair of a star leaves the other leaves in one cell
+    star = complete_bipartite(1, 1200)
+    h = _relabelled(star, 5)
+    mapping = are_isomorphic(star, h)
+    assert mapping is not None and _is_isomorphism(mapping, star, h)
 
 
 @given(connected_graphs())
