@@ -42,12 +42,6 @@ class NoConvergenceError(GcurvError):
     pass
 
 
-class NotParallelError(GcurvError):
-    def __init__(self, e1, e2):
-        self.pair = (e1, e2)
-        super().__init__(f"edges {e1} and {e2} are not parallel")
-
-
 class NotReflectiveError(GcurvError):
     def __init__(self, edge=None):
         self.edge = edge

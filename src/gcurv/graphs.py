@@ -174,11 +174,16 @@ def parse_edge_list(text: str) -> Graph:
     try:
         return build_graph(n, [(u, v) for u, v, _ in edges])
     except (SelfLoopError, DuplicateEdgeError, InvalidParameterError) as exc:
-        bad = _locate_bad_edge(exc, edges)
+        bad = _locate_bad_edge(exc, edges, n)
         raise ParseError(str(exc), line=bad) from exc
 
 
-def _locate_bad_edge(exc, edges):
+def _locate_bad_edge(exc, edges, n):
+    """Line of the edge that build_graph refused, or None when no edge is at fault."""
+    if isinstance(exc, InvalidParameterError) and n >= 1:
+        for u, v, ln in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                return ln
     if isinstance(exc, SelfLoopError):
         for u, v, ln in edges:
             if u == v == exc.vertex:

@@ -12,9 +12,12 @@ verify's reflection_axioms check is the independent test of all five.
 
 Two directed edges are parallel when the second's tail lies on the first
 tail's side and its head on the head's side.  On graphs where every edge
-has a reflection this relation is an equivalence, parallel edges induce
-identical distance gradients, and a representative can be found inside
-any unit ball by walking reflections along a geodesic.
+has a reflection this relation is equality of sides, so it is an
+equivalence.  For an edge (x, y), d(., x) - d(., y) is -1 on x's side, 0 on
+the middle and +1 on y's side, so edges with equal sides induce the same
+distance gradient.  Every unit ball holds a parallel copy of every edge:
+for each side class, every vertex z lies in N[u] and N[v] for some member
+(u, v) (uncovered_vertex).
 
 Because parallel edges share their sides, a sharp graph has far fewer
 side classes than directed edges (Gosset: 126 classes, 1,512 directed
@@ -23,7 +26,7 @@ two sides, so it is memoized per side partition.  side_classes indexes the
 directed edges by their sides, and the checks in verify that read only an
 edge's sides run once per class from that index: the matching structure,
 the side structure (vxy_convex_reflective_check: the side is convex and
-reflective as a subgraph) and the gradient identity of parallel edges.
+reflective as a subgraph) and the unit-ball cover of parallel edges.
 
 Vertex 0 speaks for every graph, since every Graph is connected.  For any
 automorphism t, the conjugate t s t^-1 of the reflection s of (x, y) meets
@@ -56,7 +59,6 @@ from .errors import (
     InternalCheckError,
     InvalidParameterError,
     NotAdjacentError,
-    NotParallelError,
     NotReflectiveError,
 )
 from .graphs import (
@@ -267,13 +269,6 @@ def reflection_generators(g: Graph):
     return gens
 
 
-def _reflection_map(g: Graph, x: int, y: int):
-    found = find_reflection(g, x, y)
-    if found.reflection is None:
-        raise NotReflectiveError((x, y))
-    return found.reflection.mapping
-
-
 def are_parallel(g: Graph, e1, e2) -> bool:
     """Ordered relation: e2's tail on e1's tail side, head on head side."""
     x, y = e1
@@ -286,63 +281,20 @@ def are_parallel(g: Graph, e1, e2) -> bool:
     return dist[xp][x] < dist[xp][y] and dist[yp][y] < dist[yp][x]
 
 
-def parallel_gradient_identity(g: Graph, e1, e2) -> bool:
-    """Parallel edges see the same distance gradient and the same sides."""
-    if not are_parallel(g, e1, e2):
-        raise NotParallelError(e1, e2)
-    x, y = e1
-    xp, yp = e2
-    dist = g.dist_rows()
-    dx, dy, dxp, dyp = dist[x], dist[y], dist[xp], dist[yp]
-    for z in range(g.n):
-        if dx[z] - dy[z] != dxp[z] - dyp[z]:
-            return False
-    s1 = side_partition(g, x, y)
-    s2 = side_partition(g, xp, yp)
-    return s1.side_x == s2.side_x and s1.side_y == s2.side_y
+def uncovered_vertex(g: Graph, members):
+    """Least vertex z with no member (u, v) inside its unit ball, or None.
 
-
-def parallel_in_ball(g: Graph, e, z: int):
-    """A parallel representative of e with both ends within distance 1 of z.
-
-    Walks toward z: when z sits strictly on one side, the reflection swap
-    pair at z is the answer.  When z is equidistant, step to a neighbor p
-    of z one closer to the tail; either p is already strictly on the tail
-    side (its swap partner closes the edge), or reflecting the edge
-    through (p, z) gives a parallel edge strictly nearer z and the walk
-    repeats.
+    members is one side class: z is covered when both ends of some member
+    lie within distance 1 of z, that is z in N[u] and N[v].  On a reflective
+    graph every class covers every vertex.
     """
-    verdict = is_reflective(g)
-    if not verdict.reflective:
-        raise NotReflectiveError(verdict.counterexample)
-    x, y = e
-    if not g.adjacent(x, y):
-        raise NotAdjacentError(x, y)
-    dist = g.dist_rows()
-    cx, cy = x, y
-    result = None
-    while result is None:
-        dzx = dist[z][cx]
-        dzy = dist[z][cy]
-        if dzx <= 1 and dzy <= 1:
-            result = (cx, cy)
-        elif dzx < dzy:
-            result = (z, _reflection_map(g, cx, cy)[z])
-        elif dzy < dzx:
-            result = (_reflection_map(g, cx, cy)[z], z)
-        else:
-            p = min(w for w in g.neighbors[z] if dist[w][cx] == dzx - 1)
-            if dist[p][cy] == dzx - 1:
-                x1 = _reflection_map(g, p, z)[cx]
-                if dist[x1][cx] >= dist[x1][cy] or dist[x1][z] != dzx - 1:
-                    raise InternalCheckError("reflected tail did not move toward z")
-                cx, cy = x1, _reflection_map(g, cx, cy)[x1]
-            else:
-                result = (p, _reflection_map(g, cx, cy)[p])
-    rx, ry = result
-    if dist[z][rx] > 1 or dist[z][ry] > 1 or not are_parallel(g, (x, y), result):
-        raise InternalCheckError(f"ball representative for {e} at {z} is invalid")
-    return result
+    nbr = g._nbr_sets
+    covered = set()
+    for (u, v) in members:
+        covered |= nbr[u] & nbr[v]
+        covered.add(u)
+        covered.add(v)
+    return next((z for z in range(g.n) if z not in covered), None)
 
 
 def pair_orbit_certificate(g: Graph) -> bool:

@@ -8,7 +8,6 @@ show that a check fails on a user member when a computed value is wrong.
 import dataclasses
 import importlib.util
 import pathlib
-import random
 from fractions import Fraction
 
 import pytest
@@ -23,8 +22,8 @@ from gcurv.reflective import (
     are_parallel,
     find_reflection,
     is_reflective,
-    parallel_gradient_identity,
     side_classes,
+    uncovered_vertex,
 )
 from gcurv.verify import STANDARD_CORPUS, CorpusMember, load_corpus
 
@@ -179,11 +178,14 @@ def test_criterion_05_tests_the_self_isomorphism_of_a_prime_member(monkeypatch):
 
 
 def _pairwise_parallel_structure(name, g):
-    """All-pairs reference: equivalence, reflection-pairing remark, gradient.
+    """All-pairs reference: equivalence, reflection-pairing remark, cover.
 
     Scans every directed-edge pair.  The suite checks the equivalence once
-    per side class (reflective.parallel_equivalence) and the gradient in
-    criterion_06; the remark is the cross-edge axiom of reflection_axioms.
+    per side class (reflective.parallel_equivalence) and the cover of every
+    unit ball once per side class in criterion_06; the remark is the
+    cross-edge axiom of reflection_axioms.  The cover is found here by
+    brute force: for every edge e and vertex z, some directed e' with
+    are_parallel(e, e') has both ends within distance 1 of z.
     """
     dirs = [e for (x, y) in g.edges for e in ((x, y), (y, x))]
     sx, sy, keys = {}, {}, {}
@@ -193,7 +195,7 @@ def _pairwise_parallel_structure(name, g):
         a, b = frozenset(sp.side_x), frozenset(sp.side_y)
         sx[e], sy[e] = a, b
         keys[e] = interned.setdefault((a, b), len(interned))
-    out = {"equivalence": None, "remark": None, "gradient": None}
+    out = {"equivalence": None, "remark": None, "cover": None}
     partners = {e: [] for e in dirs}
     for e1 in dirs:
         for e2 in dirs:
@@ -204,23 +206,25 @@ def _pairwise_parallel_structure(name, g):
                 return out
             if related:
                 partners[e1].append(e2)
-    rng = random.Random(len(dirs))
-    for _ in range(min(2000, len(dirs) ** 2)):
-        e1, e2 = rng.choice(dirs), rng.choice(dirs)
-        if are_parallel(g, e1, e2) != (keys[e1] == keys[e2]):
-            out["equivalence"] = f"{name}: are_parallel({e1},{e2}) odd"
-            return out
     for e in dirs:
         m = find_reflection(g, *e).reflection.mapping
         if set(partners[e]) != {(v, m[v]) for v in sx[e]}:
             out["remark"] = f"{name}: partners of {e} differ from the reflection pairing"
             break
-    for e1 in dirs:
-        for e2 in partners[e1]:
-            if not parallel_gradient_identity(g, e1, e2):
-                out["gradient"] = f"{name}: gradient identity fails for {e1} and {e2}"
-                return out
+    out["cover"] = _uncovered_ball(name, g)
     return out
+
+
+def _uncovered_ball(name, g):
+    """First edge e and vertex z with no copy parallel to e inside N[z], or None."""
+    dist = g.dist_rows()
+    dirs = [e for (x, y) in g.edges for e in ((x, y), (y, x))]
+    for e in g.edges:
+        copies = [e2 for e2 in dirs if are_parallel(g, e, e2)]
+        for z in range(g.n):
+            if not any(dist[z][u] <= 1 and dist[z][v] <= 1 for (u, v) in copies):
+                return f"{name} {e}: no parallel copy in the unit ball of {z}"
+    return None
 
 
 def test_parallel_structure_per_class_matches_the_pairwise_scan(monkeypatch):
@@ -229,7 +233,10 @@ def test_parallel_structure_per_class_matches_the_pairwise_scan(monkeypatch):
         corpus = (mem,)
         ref = _pairwise_parallel_structure(mem.name, mem.graph)
         assert verify._check_parallel_equivalence(corpus) == ref["equivalence"]
-        assert verify._check_structural_suite(corpus) == ref["gradient"]
+        assert ref["cover"] is None
+        assert all(uncovered_vertex(mem.graph, ms) is None
+                   for ms in side_classes(mem.graph).values())
+        assert verify._check_structural_suite(corpus) is None
         # the remark the suite no longer checks follows from the reflection axioms
         if verify._check_reflection_axioms(corpus) is None:
             assert ref["remark"] is None
@@ -271,6 +278,22 @@ def test_criterion_06_reports_a_bad_cap_at_its_vertex(monkeypatch):
     _refuse(monkeypatch, cap)
     assert (verify._check_structural_suite(corpus)
             == f"J 5 2: vertex 0: cap away from {w} not isometric")
+
+
+def test_criterion_06_reports_a_class_that_misses_a_unit_ball():
+    # (0, 1) is the only member of its class inside the unit ball of vertex 0
+    corpus = load_corpus(["Q 3"])
+    classes = side_classes(corpus[0].graph)
+    key = next(k for k, members in classes.items() if members[0] == (0, 1))
+    classes[key] = classes[key][1:]
+    assert (verify._check_structural_suite(corpus)
+            == "Q 3 (2,3): no parallel edge in the unit ball of 0")
+
+
+def test_the_cover_fails_at_the_same_vertex_on_a_graph_that_is_not_reflective():
+    g = load_corpus(["C 6"])[0].graph
+    assert uncovered_vertex(g, side_classes(g)[(0, 4, 5), (1, 2, 3)]) == 2
+    assert _uncovered_ball("C 6", g) == "C 6 (0, 1): no parallel copy in the unit ball of 2"
 
 
 def _plant(monkeypatch, vertex):

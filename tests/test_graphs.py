@@ -72,6 +72,20 @@ def test_parse_edge_list_reports_line():
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("edge", ["1 5", "1 3", "-1 2"])
+def test_parse_edge_list_reports_the_line_of_an_out_of_range_edge(edge):
+    with pytest.raises(ParseError, match="out of range for n=3") as exc:
+        parse_edge_list(f"3 2\n0 1\n{edge}\n")
+    assert exc.value.line == 3
+
+
+def test_parse_edge_list_blames_no_edge_for_an_empty_vertex_set():
+    # with n = 0 every label is out of range, but the header is at fault
+    with pytest.raises(ParseError, match="at least one vertex") as exc:
+        parse_edge_list("0 1\n0 1\n")
+    assert exc.value.line is None
+
+
 @pytest.mark.parametrize("text,line", [
     ("1000000000 0\n", 1),
     (f"# big\n{MAX_VERTICES + 1} {MAX_VERTICES}\n", 2),

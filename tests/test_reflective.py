@@ -35,8 +35,6 @@ from gcurv.reflective import (
     is_reflective,
     matching_structure_check,
     pair_orbit_certificate,
-    parallel_gradient_identity,
-    parallel_in_ball,
     reflection_generators,
     side_classes,
     sphere_isometry_witness,
@@ -105,20 +103,15 @@ def test_parallel_relation_octahedron(octahedron):
         assert are_parallel(octahedron, (0, 2), (v, m[v]))
 
 
-def test_parallel_gradient_identity_hypercube(q3):
-    e1 = q3.edges[0]
-    m = find_reflection(q3, *e1).reflection.mapping
-    for v in side_partition(q3, *e1).side_x:
-        e2 = (v, m[v])
-        assert are_parallel(q3, e1, e2)
-        assert parallel_gradient_identity(q3, e1, e2)
-
-
-def test_parallel_in_ball_covers_hypercube(q3):
-    for e in q3.edges:
-        for z in range(q3.n):
-            partner = parallel_in_ball(q3, e, z)
-            assert are_parallel(q3, e, partner)
+@pytest.mark.parametrize("text", ["Q 3", "J 5 2", "KB 2 3", "petersen", "( C 5 x K 2 )"])
+def test_are_parallel_reads_the_first_edge_through_its_sides(text):
+    # every ordered pair of directed edges, reflective or not
+    g = parse_family(text).build()
+    dirs = [e for (x, y) in g.edges for e in ((x, y), (y, x))]
+    for e1 in dirs:
+        sp = side_partition(g, *e1)
+        for e2 in dirs:
+            assert are_parallel(g, e1, e2) == (e2[0] in sp.side_x and e2[1] in sp.side_y)
 
 
 def test_pair_orbit_certificate(octahedron, j52):
