@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the parameter checks."""
 
+from operator import index
+
 
 class GcurvError(Exception):
     """Base class for all package specific errors."""
@@ -55,8 +57,14 @@ class InvalidParameterError(GcurvError):
 def check_vertex(n: int, x: int) -> None:
     """Raise InvalidParameterError unless x is a vertex of an n-vertex graph.
 
-    Python's negative indexing would otherwise turn -1 into vertex n - 1.
+    A vertex is an integer: operator.index accepts numpy integers and
+    refuses floats and strings.  Python's negative indexing would otherwise
+    turn -1 into vertex n - 1.
     """
+    try:
+        index(x)
+    except TypeError:
+        raise InvalidParameterError(f"vertex {x!r} is not an integer") from None
     if not 0 <= x < n:
         raise InvalidParameterError(f"vertex {x} out of range for n={n}")
 

@@ -62,13 +62,26 @@ LP, about twice a lone solve on Gosset and three times on HQ 6, so the
 route is ahead from the third or fourth request in an orbit there.
 
 On a graph that is not reflective, long_range_curvatures gives every pair
-its own LP, and min_edge_curvature bounds every edge first: a greedy
-transport plan (_edge_bound) gives rows that _dual_bound turns into an
-integer lower bound, equal to the curvature on most edges.  The edges are
-solved in increasing (bound, index) order until the next bound exceeds the
-least value found; an edge left unsolved lies above the minimum, so the
-value and both witnesses are those of a full scan.  Each edge's program is
-built once, for its bound, and a solved edge reuses it.
+its own LP, and min_edge_curvature bounds the edges from below in two
+tiers, driven from one heap keyed (bound, edge index).  Tier 0 builds no
+program.  With S = N(x) minus N[y], T = N(y) minus N[x] and k the number
+of common neighbours (triangles on the edge), the lone rows f(y) - f(s) <= 2 for s in S and
+f(t) - f(x) <= 2 for t in T leave every free vertex stationary, and
+_dual_bound turns them into d_y + 1 - |S| - 2|T| = 4 - d_x - d_y + 3k, a
+triangle-count bound in the spirit of Jost and Liu (Discrete Comput. Geom.
+2014), read with one popcount from per-vertex adjacency bitmasks.  An edge
+popped with its tier-0 key gets its program and a greedy transport plan
+(_edge_bound), whose rows _dual_bound certifies, and goes back with that
+integer bound, equal to the curvature on most edges; an edge popped with
+its tier-1 key is solved from the same program.  The greedy plan trades a
+lone source and a lone sink for one pair row, which adds 2 to the bound at
+distance 1 and 1 at distance 2, so tier 0 <= tier 1 <= curvature, and the
+refined edges pop in increasing (greedy bound, index) order.  The loop
+stops at the first popped key above the least value found: an edge left
+unsolved lies above the minimum, the solved edges are those that the
+greedy bounds alone would pick, and the value and both witnesses are those
+of a full scan.  An edge's program is built only when its tier-0 key is
+popped, and a solved edge reuses it.
 
 The independent oracle below works from the primal side instead: the
 curvature is (D+1) - W/d(x, y), with D the larger degree and W the integer
@@ -82,8 +95,9 @@ theorem covers.
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heapreplace
 from numbers import Rational
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -456,41 +470,72 @@ def long_range_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
     return _pair_curvature(g, x, y)
 
 
+def _adjacency_bits(g: Graph) -> list:
+    """One int per vertex with bit v set for each neighbour v, cached."""
+    bits = g.cache.get("adj_bits")
+    if bits is None:
+        bits = g.cache["adj_bits"] = [sum(1 << v for v in nb) for nb in g.neighbors]
+    return bits
+
+
 def _edge_bound(g: Graph, x: int, y: int, lp: LipschitzLP | None = None) -> int:
     """Integer lower bound on the curvature of the edge (x, y), certified.
 
-    The free support vertices of coefficient +1 are sources and those of -1
-    sinks.  A maximum matching pairs sources with sinks at distance 1 (by
-    augmenting paths), and each source left over takes the first sink still
-    free at distance 2.  A pair (w, v) gives the row f(w) - f(v) <= d(w, v),
-    a lone source v the row f(y) - f(v) <= d(y, v) and a lone sink w the row
-    f(w) - f(x) <= d(w, x), each with multiplier 1, so every free vertex is
-    stationary and _dual_bound turns the rows into the bound.  lp, the
-    program of (x, y), is built when it is not given.
+    The free support vertices of coefficient +1 are sources (S, the
+    neighbours of x outside N[y]) and those of -1 sinks (T, the neighbours
+    of y outside N[x]).  A maximum matching pairs sources with adjacent
+    sinks (augmenting paths over the sinks in increasing order), and each
+    source left over takes the first sink still free at distance 2: not
+    adjacent, with a common neighbour.  Adjacency is read from the
+    per-vertex bitmasks of _adjacency_bits.  A pair (w, v) gives the row
+    f(w) - f(v) <= d(w, v), a lone source v the row f(y) - f(v) <= d(y, v)
+    and a lone sink w the row f(w) - f(x) <= d(w, x), each with multiplier
+    1, so every free vertex is stationary and _dual_bound turns the rows
+    into the bound.  lp, the program of (x, y), is built when it is not
+    given.
     """
     lp = lp or build_lipschitz_lp(g, x, y)
     dist = g.dist_rows()
+    adj = _adjacency_bits(g)
     free = [v for v in lp.support if v != x and v != y]
     sources = [v for v in free if lp.coeffs[v] == 1]
     sinks = [v for v in free if lp.coeffs[v] == -1]
-    owner = {}  # sink -> the source matched to it at distance 1
+    sink_bits = adj[y] & ~adj[x] & ~(1 << x)
+    owner = {}  # sink -> the source paired with it
 
-    def augment(s, seen):
-        for t in sinks:
-            if t not in seen and dist[s][t] == 1:
-                seen.add(t)
-                if t not in owner or augment(owner[t], seen):
+    def augment(s):
+        nonlocal seen
+        near = adj[s] & sink_bits
+        while near:
+            bit = near & -near
+            near ^= bit
+            if not seen & bit:
+                seen |= bit
+                t = bit.bit_length() - 1
+                if t not in owner or augment(owner[t]):
                     owner[t] = s
                     return True
         return False
 
+    left = []
+    for s in sources:
+        seen = 0
+        if not augment(s):
+            left.append(s)
+    open_sinks = sink_bits & ~sum(1 << t for t in owner)
     rows = []
-    for s in [s for s in sources if not augment(s, set())]:
-        t = next((t for t in sinks if t not in owner and dist[s][t] == 2), None)
-        if t is None:
-            rows.append((y, s, dist[y][s], 1))
+    for s in left:
+        far = open_sinks & ~adj[s]
+        while far:
+            bit = far & -far
+            far ^= bit
+            t = bit.bit_length() - 1
+            if adj[t] & adj[s]:
+                owner[t] = s
+                open_sinks ^= bit
+                break
         else:
-            owner[t] = s
+            rows.append((y, s, dist[y][s], 1))
     rows += [(t, s, dist[t][s], 1) for t, s in owner.items()]
     rows += [(t, x, dist[t][x], 1) for t in sinks if t not in owner]
     bound = _dual_bound(dist, lp, rows)
@@ -516,15 +561,26 @@ def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
     edges = g.edges
     values = _solve_by_orbits(g, edges)
     if values is None:  # an edge left at None has a bound, so a value, above the minimum
-        lps = [build_lipschitz_lp(g, x, y) for (x, y) in edges]
+        adj = _adjacency_bits(g)
+        deg = [len(nb) for nb in g.neighbors]
+        # heap entries (bound, edge index, program): the triangle bound with
+        # no program, then the greedy bound with the program it was read from
+        heap = [(4 - deg[x] - deg[y] + 3 * (adj[x] & adj[y]).bit_count(), i, None)
+                for i, (x, y) in enumerate(edges)]
+        heapify(heap)
         values = [None] * len(edges)
         best = None
-        for bound, i in sorted((_edge_bound(g, *e, lp), i)
-                               for i, (e, lp) in enumerate(zip(edges, lps))):
+        while heap:
+            bound, i, lp = heap[0]
             if best is not None and bound > best:
                 break
-            values[i] = _pair_curvature(g, *edges[i], lps[i]).value
-            best = values[i] if best is None else min(best, values[i])
+            if lp is None:
+                lp = build_lipschitz_lp(g, *edges[i])
+                heapreplace(heap, (_edge_bound(g, *edges[i], lp), i, lp))
+            else:
+                heappop(heap)
+                values[i] = _pair_curvature(g, *edges[i], lp).value
+                best = values[i] if best is None else min(best, values[i])
     best = min(v for v in values if v is not None)
     other = next((e for e, v in zip(edges, values) if v != best), None)
     hit = g.cache["min_edge"] = MinEdgeCurvature(
@@ -597,10 +653,11 @@ def verify_optimality_certificate(g: Graph, cv: CurvatureValue) -> bool:
 
     The optimizer and multipliers must be integers, as the solver's always
     are, the optimizer must cover the support exactly and the value must be
-    the objective at the optimizer; anything else is rejected, a pair
-    whose ends coincide or lie outside the graph included.  _certified then
-    checks primal feasibility and the dual certificate, which together
-    prove optimality without re-solving.
+    the objective at the optimizer, and every certificate row must hold
+    four entries, its ends integers; anything else is rejected, a pair
+    whose ends coincide, lie outside the graph or are not integers
+    included.  _certified then checks primal feasibility and the dual
+    certificate, which together prove optimality without re-solving.
     """
     try:
         lp = build_lipschitz_lp(g, cv.x, cv.y)
@@ -619,7 +676,12 @@ def verify_optimality_certificate(g: Graph, cv: CurvatureValue) -> bool:
     if not isinstance(value, Rational) or obj * value.denominator != value.numerator * lp.gap:
         return False
     rows = []
-    for (u, v, rhs, l) in cv.certificate:
+    for row in cv.certificate:
+        try:
+            u, v, rhs, l = row
+            u, v = index(u), index(v)
+        except (TypeError, ValueError):
+            return False
         if u not in f or v not in f or getattr(l, "denominator", None) != 1:
             return False
         rows.append((u, v, rhs, l.numerator))

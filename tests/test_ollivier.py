@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +135,25 @@ def test_certificate_rejects_a_pair_that_is_not_one(bad):
     # an end equal to the other, or outside the graph, is a failed check
     g = cycle(5)
     assert not verify_optimality_certificate(g, replace(edge_curvature(g, 0, 1), y=bad))
+
+
+def test_non_integer_vertex_rejected():
+    g = cycle(5)
+    for call, x, y in ((edge_curvature, 0.0, 1), (edge_curvature, 0, 1.0),
+                       (long_range_curvature, "0", 1), (brute_force_curvature_oracle, 0, 1.0)):
+        with pytest.raises(InvalidParameterError, match="not an integer"):
+            call(g, x, y)
+    assert edge_curvature(g, np.int64(0), np.int64(1)).value == 1
+
+
+def test_certificate_rejects_non_integer_end_and_short_row():
+    g = cycle(5)
+    cv = edge_curvature(g, 0, 1)
+    assert not verify_optimality_certificate(g, replace(cv, x=0.0))
+    assert not verify_optimality_certificate(g, replace(cv, certificate=cv.certificate + ((0, 1),)))
+    (u, v, rhs, lam), = cv.certificate
+    assert not verify_optimality_certificate(g, replace(cv, certificate=((float(u), v, rhs, lam),)))
+    assert verify_optimality_certificate(g, replace(cv, certificate=((np.int64(u), v, rhs, lam),)))
 
 
 def test_certificate_rejects_non_integer_optimizer(q3):
@@ -511,8 +531,8 @@ def test_bound_first_minimum_builds_each_edge_program_once(monkeypatch):
     g = build_graph(n, edges)
     calls = _count_calls(monkeypatch, "build_lipschitz_lp", "solve_lipschitz_lp")
     min_edge_curvature(g)
-    assert calls["build_lipschitz_lp"] <= g.m
-    assert 0 < calls["solve_lipschitz_lp"] < g.m
+    # the triangle bound leaves 15 of the 32 edges without a program
+    assert calls == {"build_lipschitz_lp": 17, "solve_lipschitz_lp": 1}
 
 
 # edges solved for the minimum: the edge bounds leave unsolved every edge
@@ -574,6 +594,92 @@ def test_bound_first_minimum_on_random_graphs(g):
     assert tuple(min_edge_curvature(g)) == _scan_min_edge(build_graph(g.n, g.edges))
     for (x, y) in g.edges:
         assert ollivier._edge_bound(g, x, y) <= edge_curvature(g, x, y).value
+
+
+def _triangle_bound_checks(g):
+    """The triangle bound 4 - d_x - d_y + 3|N(x) & N(y)| is _dual_bound of
+    the lone rows (every source to y, every sink to x), at most _edge_bound."""
+    dist = g.dist_rows()
+    for (x, y) in g.edges:
+        lp = build_lipschitz_lp(g, x, y)
+        free = [v for v in lp.support if v != x and v != y]
+        rows = [(y, v, dist[y][v], 1) for v in free if lp.coeffs[v] == 1]
+        rows += [(v, x, dist[v][x], 1) for v in free if lp.coeffs[v] == -1]
+        common = len(set(g.neighbors[x]) & set(g.neighbors[y]))
+        triangle = 4 - g.degree(x) - g.degree(y) + 3 * common
+        assert ollivier._dual_bound(dist, lp, rows) == triangle
+        assert triangle <= ollivier._edge_bound(g, x, y)
+
+
+@pytest.mark.parametrize("expr", BOUND_GRAPHS)
+def test_triangle_bound_is_the_lone_rows_plan_on_named_graphs(expr):
+    _triangle_bound_checks(parse_family(expr).build())
+
+
+@given(connected_graphs(min_n=2, max_n=10))
+@settings(max_examples=60, deadline=None)
+def test_triangle_bound_is_the_lone_rows_plan_on_random_graphs(g):
+    _triangle_bound_checks(g)
+
+
+@given(connected_graphs(min_n=2, max_n=10))
+@settings(max_examples=60, deadline=None)
+def test_two_tiers_solve_the_edges_that_one_tier_solves(g):
+    # the greedy bounds alone, in (bound, index) order up to the first bound
+    # above the running minimum, name the edges that must be solved
+    fresh = build_graph(g.n, g.edges)
+    if is_reflective(fresh).reflective:
+        return
+    expected, best = [], None
+    for bound, i in sorted((ollivier._edge_bound(fresh, *e), i) for i, e in enumerate(g.edges)):
+        if best is not None and bound > best:
+            break
+        value = edge_curvature(fresh, *g.edges[i]).value
+        best = value if best is None else min(best, value)
+        expected.append(g.edges[i])
+    with pytest.MonkeyPatch.context() as patch:
+        solves = _count_solves(patch)
+        min_edge_curvature(g)
+    assert solves == {"edge": len(expected), "far": 0}
+    assert sorted(k[1:] for k in g.cache if isinstance(k, tuple) and k[0] == "kappa") \
+        == sorted(expected)
+
+
+def _greedy_bound_on_distance_rows(g, x, y):
+    """_edge_bound's plan read from the distance rows instead of the bitmasks."""
+    lp = build_lipschitz_lp(g, x, y)
+    dist = g.dist_rows()
+    free = [v for v in lp.support if v != x and v != y]
+    sources = [v for v in free if lp.coeffs[v] == 1]
+    sinks = [v for v in free if lp.coeffs[v] == -1]
+    owner = {}
+
+    def augment(s, seen):
+        for t in sinks:
+            if t not in seen and dist[s][t] == 1:
+                seen.add(t)
+                if t not in owner or augment(owner[t], seen):
+                    owner[t] = s
+                    return True
+        return False
+
+    rows = []
+    for s in [s for s in sources if not augment(s, set())]:
+        t = next((t for t in sinks if t not in owner and dist[s][t] == 2), None)
+        if t is None:
+            rows.append((y, s, dist[y][s], 1))
+        else:
+            owner[t] = s
+    rows += [(t, s, dist[t][s], 1) for t, s in owner.items()]
+    rows += [(t, x, dist[t][x], 1) for t in sinks if t not in owner]
+    return ollivier._dual_bound(dist, lp, rows)
+
+
+@given(connected_graphs(min_n=2, max_n=12))
+@settings(max_examples=60, deadline=None)
+def test_edge_bound_matches_the_greedy_plan_on_distance_rows(g):
+    for (x, y) in g.edges:
+        assert ollivier._edge_bound(g, x, y) == _greedy_bound_on_distance_rows(g, x, y)
 
 
 def test_dual_bound_refuses_malformed_rows():
