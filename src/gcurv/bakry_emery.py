@@ -27,7 +27,7 @@ from .errors import (
     NonpositiveCurvatureError,
     check_vertex,
 )
-from .graphs import Graph, effective_diameter
+from .graphs import Graph, effective_diameter, memo
 from .spectral import _jacobi_eigenvalues, _psd_nullity
 
 
@@ -234,13 +234,10 @@ def _schur_to_inner(g: Graph, x: int, form: LocalForm):
     return reduced, scale * form.denominator
 
 
+@memo("be_inner")
 def _inner_gamma2(g: Graph, x: int):
     """The Schur-reduced iterated form at x as (numerators, denominator), cached."""
-    key = ("be_inner", x)
-    hit = g.cache.get(key)
-    if hit is None:
-        hit = g.cache[key] = _schur_to_inner(g, x, gamma2_form(g, x))
-    return hit
+    return _schur_to_inner(g, x, gamma2_form(g, x))
 
 
 def _least_quotient(gamma: LocalForm, a_num, a_den: int) -> float:
@@ -269,16 +266,16 @@ def curvature_from_forms(g: Graph, x: int, gamma: LocalForm, gamma2: LocalForm) 
 
 
 def bakry_emery_curvature(g: Graph, x: int) -> float:
-    """Minimum of the iterated form against the gradient form at x."""
-    check_vertex(g.n, x)
+    """Minimum of the iterated form against the gradient form at x, cached."""
+    check_vertex(g.n, x)  # ahead of the memo, which would hand 1.0 the value of 1
     if g.degree(x) < 1:
         raise InvalidParameterError(f"vertex {x} has no neighbors")
-    key = ("be", x)
-    hit = g.cache.get(key)
-    if hit is not None:
-        return hit
-    value = g.cache[key] = _least_quotient(gamma_form(g, x), *_inner_gamma2(g, x))
-    return value
+    return _vertex_curvature(g, x)
+
+
+@memo("be")
+def _vertex_curvature(g: Graph, x: int) -> float:
+    return _least_quotient(gamma_form(g, x), *_inner_gamma2(g, x))
 
 
 def _pencil_psd_nullity(g: Graph, x: int, r: Fraction):
@@ -303,6 +300,7 @@ class BEBoundReport(NamedTuple):
     bound_holds: bool
 
 
+@memo("be_bound")
 def be_effective_bound_report(g: Graph) -> BEBoundReport:
     """Effective diameter against max degree over the vertex curvature minimum.
 
@@ -314,9 +312,6 @@ def be_effective_bound_report(g: Graph) -> BEBoundReport:
     some pencil is singular.  k_min and bound are floats, only reported.
     A report is cached on the graph; the nonpositive case raises each time.
     """
-    hit = g.cache.get("be_bound")
-    if hit is not None:
-        return hit
     k_min = min(bakry_emery_curvature(g, x) for x in range(g.n))
     diam_eff = effective_diameter(g)
     r = g.max_degree() / diam_eff
@@ -330,10 +325,9 @@ def be_effective_bound_report(g: Graph) -> BEBoundReport:
     if strict and any(_psd_nullity(_inner_gamma2(g, x)[0]) != (True, 0) for x in range(g.n)):
         raise NonpositiveCurvatureError(k_min)
     equality = singular and not strict
-    report = g.cache["be_bound"] = BEBoundReport(
+    return BEBoundReport(
         k_min, diam_eff, g.max_degree() / k_min, equality, r if equality else None,
         strict or equality)
-    return report
 
 
 class RigidityEntry(NamedTuple):

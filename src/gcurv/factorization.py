@@ -22,7 +22,7 @@ from functools import reduce
 from math import prod
 
 from .errors import InternalCheckError, TrivialGraphError
-from .graphs import Graph, build_graph
+from .graphs import Graph, build_graph, memo
 from .families import cartesian_product
 
 
@@ -66,11 +66,8 @@ def _related(g: Graph, dist, e1, e2) -> bool:
     return False
 
 
+@memo("edge_relation")
 def edge_relation_components(g: Graph) -> EdgeRelationPartition:
-    key = "edge_relation"
-    hit = g.cache.get(key)
-    if hit is not None:
-        return hit
     edges = g.edges
     m = len(edges)
     dist = g.dist_rows()
@@ -90,9 +87,7 @@ def edge_relation_components(g: Graph) -> EdgeRelationPartition:
         if root not in rename:
             rename[root] = len(rename)
         comp.append(rename[root])
-    part = EdgeRelationPartition(edges, tuple(comp), len(rename))
-    g.cache[key] = part
-    return part
+    return EdgeRelationPartition(edges, tuple(comp), len(rename))
 
 
 def is_prime(g: Graph) -> bool:

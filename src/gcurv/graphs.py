@@ -3,8 +3,10 @@
 Vertices are integers 0..n-1.  Every Graph is connected: build_graph and
 induced_subgraph refuse a disconnected one with DisconnectedError, so the
 distance matrix is always finite.  Graphs are immutable once built;
-expensive derived data (the distance matrix, per-edge analysis results) is
-cached on the instance and computed at most once.
+expensive derived data is cached on the instance and computed at most
+once.  The analysis modules cache through memo(name), which publishes
+f(g, *args) in g.cache once, under name or (name, *args), and hands back
+that same object after; a call that raises stores nothing.
 
 are_isomorphic decides isomorphism exactly by individualization-refinement
 (McKay 1981) on the disjoint union of the two graphs; the comment opening
@@ -14,6 +16,7 @@ that section gives the argument.
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import chain
 
 from .errors import (
@@ -80,6 +83,19 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def memo(name: str):
+    """Decorator: publish f(g, *args) once in g.cache; a raise caches nothing."""
+    def decorate(f):
+        @wraps(f)
+        def cached(g: Graph, *args):
+            key = (name, *args) if args else name
+            if key not in g.cache:
+                g.cache[key] = f(g, *args)
+            return g.cache[key]
+        return cached
+    return decorate
 
 
 def _bfs_row(g: Graph, source: int) -> list:
@@ -277,13 +293,9 @@ def effective_diameter(g: Graph) -> Fraction:
     return Fraction(total, g.n * g.n)
 
 
+@memo("locally_connected")
 def is_locally_connected(g: Graph):
     """(True, None) if every punctured neighborhood is connected, else (False, witness)."""
-    key = "locally_connected"
-    hit = g.cache.get(key)
-    if hit is not None:
-        return hit
-    hit = (True, None)
     for v in range(g.n):
         nb = g.neighbors[v]
         if len(nb) <= 1:
@@ -299,10 +311,8 @@ def is_locally_connected(g: Graph):
                     seen.add(w)
                     q.append(w)
         if len(seen) != len(inside):
-            hit = (False, v)
-            break
-    g.cache[key] = hit
-    return hit
+            return (False, v)
+    return (True, None)
 
 
 def induced_subgraph(g: Graph, s):

@@ -108,7 +108,7 @@ from .errors import (
     TrivialGraphError,
     check_vertex,
 )
-from .graphs import Graph
+from .graphs import Graph, memo
 from .reflective import reflection_generators
 
 _MAX_PIVOTS = 200_000
@@ -470,12 +470,10 @@ def long_range_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
     return _pair_curvature(g, x, y)
 
 
+@memo("adj_bits")
 def _adjacency_bits(g: Graph) -> list:
     """One int per vertex with bit v set for each neighbour v, cached."""
-    bits = g.cache.get("adj_bits")
-    if bits is None:
-        bits = g.cache["adj_bits"] = [sum(1 << v for v in nb) for nb in g.neighbors]
-    return bits
+    return [sum(1 << v for v in nb) for nb in g.neighbors]
 
 
 def _edge_bound(g: Graph, x: int, y: int, lp: LipschitzLP | None = None) -> int:
@@ -544,6 +542,7 @@ def _edge_bound(g: Graph, x: int, y: int, lp: LipschitzLP | None = None) -> int:
     return bound
 
 
+@memo("min_edge")
 def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
     """Minimum edge curvature with constancy information, cached.
 
@@ -555,9 +554,6 @@ def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
     """
     if not g.edges:
         raise TrivialGraphError("edge curvature needs at least one edge")
-    hit = g.cache.get("min_edge")
-    if hit is not None:
-        return hit
     edges = g.edges
     values = _solve_by_orbits(g, edges)
     if values is None:  # an edge left at None has a bound, so a value, above the minimum
@@ -583,9 +579,7 @@ def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
                 best = values[i] if best is None else min(best, values[i])
     best = min(v for v in values if v is not None)
     other = next((e for e, v in zip(edges, values) if v != best), None)
-    hit = g.cache["min_edge"] = MinEdgeCurvature(
-        best, other is None, edges[values.index(best)], other)
-    return hit
+    return MinEdgeCurvature(best, other is None, edges[values.index(best)], other)
 
 
 def long_range_curvatures(g: Graph) -> dict:
@@ -652,12 +646,13 @@ def verify_optimality_certificate(g: Graph, cv: CurvatureValue) -> bool:
     """Integer-only recheck that cv is optimal for its pair.
 
     The optimizer and multipliers must be integers, as the solver's always
-    are, the optimizer must cover the support exactly and the value must be
-    the objective at the optimizer, and every certificate row must hold
-    four entries, its ends integers; anything else is rejected, a pair
-    whose ends coincide, lie outside the graph or are not integers
-    included.  _certified then checks primal feasibility and the dual
-    certificate, which together prove optimality without re-solving.
+    are, the optimizer must cover the support exactly, keyed by integer
+    vertices, the value must be the objective at the optimizer, and every
+    certificate row must hold four entries, its ends integers; anything
+    else is rejected, a pair whose ends coincide, lie outside the graph or
+    are not integers included.  _certified then checks primal feasibility
+    and the dual certificate, which together prove optimality without
+    re-solving.
     """
     try:
         lp = build_lipschitz_lp(g, cv.x, cv.y)
@@ -666,6 +661,10 @@ def verify_optimality_certificate(g: Graph, cv: CurvatureValue) -> bool:
     support, coeffs = lp.support, lp.coeffs
     f = {}
     for v, val in cv.optimizer.items():
+        try:
+            v = index(v)
+        except TypeError:
+            return False
         if getattr(val, "denominator", None) != 1:
             return False
         f[v] = val.numerator

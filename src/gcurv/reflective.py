@@ -21,12 +21,13 @@ for each side class, every vertex z lies in N[u] and N[v] for some member
 
 Because parallel edges share their sides, a sharp graph has far fewer
 side classes than directed edges (Gosset: 126 classes, 1,512 directed
-edges).  The reflection search depends on nothing but the graph and the
-two sides, so it is memoized per side partition.  side_classes indexes the
-directed edges by their sides, and the checks in verify that read only an
-edge's sides run once per class from that index: the matching structure,
-the side structure (vxy_convex_reflective_check: the side is convex and
-reflective as a subgraph) and the unit-ball cover of parallel edges.
+edges).  side_classes indexes the directed edges by their sides, and the
+checks in verify that read only an edge's sides run once per class from
+that index: the reflection axioms, the matching structure, the side
+structure (vxy_convex_reflective_check: the side is convex and reflective
+as a subgraph) and the unit-ball cover of parallel edges.  The reflection
+search itself is memoized per edge; its production callers search only
+the edges at vertex 0 (below).
 
 Vertex 0 speaks for every graph, since every Graph is connected.  For any
 automorphism t, the conjugate t s t^-1 of the reflection s of (x, y) meets
@@ -67,6 +68,7 @@ from .graphs import (
     is_convex_subset,
     is_isometric_subset,
     is_locally_connected,
+    memo,
     side_partition,
     sphere,
 )
@@ -169,46 +171,36 @@ def find_reflection(g: Graph, x: int, y: int) -> ReflectionSearch:
     cross edges and the middle stays fixed.  So failed_axiom is
     "cross-edges" (no candidate; the witness is the violator) or
     "automorphism" (the witness is the first pair whose adjacency the
-    mapping changes).  The search runs on (a, b) = (min, max) and is
-    memoized per side partition, since the candidate and both witnesses
-    depend only on the two sides.  A built candidate is symmetric in the
-    sides, so the reversed partition (the edge read as (b, a)) builds the
-    same mapping and shares the outcome (Q 6: 6 searches for 192 edges;
-    Gosset: 63 for 756).  A failed candidate is stored for its own
-    orientation only, because its violator depends on which side is
-    scanned first.  Each mapping it proves joins g.cache["refl_proven"],
-    which reflection_generators reads so that it returns proven mappings only.
+    mapping changes).  The search runs once per edge, on (a, b) = (min, max),
+    and (b, a) reads its outcome.
     """
     if not g.adjacent(x, y):
         raise NotAdjacentError(x, y)
-    a, b = (x, y) if x < y else (y, x)
-    key = ("refl", a, b)
-    hit = g.cache.get(key)
-    if hit is None:
-        sp = side_partition(g, a, b)
-        sides = ("refl_sides", sp.side_x, sp.side_y)
-        hit = g.cache.get(sides)
-        if hit is None:
-            cand = candidate_reflection(g, a, b)
-            if cand.reflection is None:
-                hit = (None, "cross-edges", cand.violator)
-            else:
-                mapping = cand.reflection.mapping
-                pair = _automorphism_witness(g, mapping)
-                if pair is None:
-                    hit = (mapping, None, None)
-                    g.cache.setdefault("refl_proven", set()).add(mapping)
-                else:
-                    hit = (None, "automorphism", pair)
-                g.cache["refl_sides", sp.side_y, sp.side_x] = hit
-            g.cache[sides] = hit
-        g.cache[key] = hit
-    mapping, axiom, witness = hit
+    mapping, axiom, witness = _search(g, *((x, y) if x < y else (y, x)))
     if mapping is None:
         return ReflectionSearch(None, axiom, witness)
     return ReflectionSearch(Reflection(mapping, (x, y)), None, None)
 
 
+@memo("refl")
+def _search(g: Graph, a: int, b: int):
+    """(mapping, failed axiom, witness) for the edge (a, b), a < b.
+
+    A proven mapping joins g.cache["refl_proven"], the only mappings that
+    reflection_generators hands out.
+    """
+    cand = candidate_reflection(g, a, b)
+    if cand.reflection is None:
+        return (None, "cross-edges", cand.violator)
+    mapping = cand.reflection.mapping
+    pair = _automorphism_witness(g, mapping)
+    if pair is not None:
+        return (None, "automorphism", pair)
+    g.cache.setdefault("refl_proven", set()).add(mapping)
+    return (mapping, None, None)
+
+
+@memo("reflective")
 def is_reflective(g: Graph) -> ReflectiveVerdict:
     """True iff every edge admits a reflection; first failing edge otherwise.
 
@@ -218,19 +210,13 @@ def is_reflective(g: Graph) -> ReflectiveVerdict:
     lead g.edges, so the first failing edge is the one a scan of every edge
     finds.
     """
-    key = "reflective"
-    hit = g.cache.get(key)
-    if hit is not None:
-        return hit
-    verdict = ReflectiveVerdict(True, None)
     for (u, v) in g.edges[:g.degree(0)]:
         if find_reflection(g, u, v).reflection is None:
-            verdict = ReflectiveVerdict(False, (u, v))
-            break
-    g.cache[key] = verdict
-    return verdict
+            return ReflectiveVerdict(False, (u, v))
+    return ReflectiveVerdict(True, None)
 
 
+@memo("side_classes")
 def side_classes(g: Graph) -> dict:
     """(side_x, side_y) -> the directed edges with those sides, cached.
 
@@ -238,15 +224,12 @@ def side_classes(g: Graph) -> dict:
     builds the index: a graph that is not reflective usually fails at its
     first edge.
     """
-    hit = g.cache.get("side_classes")
-    if hit is None:
-        hit = {}
-        for (x, y) in g.edges:
-            for e in ((x, y), (y, x)):
-                sp = side_partition(g, *e)
-                hit.setdefault((sp.side_x, sp.side_y), []).append(e)
-        g.cache["side_classes"] = hit
-    return hit
+    classes = {}
+    for (x, y) in g.edges:
+        for e in ((x, y), (y, x)):
+            sp = side_partition(g, *e)
+            classes.setdefault((sp.side_x, sp.side_y), []).append(e)
+    return classes
 
 
 def reflection_generators(g: Graph):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InternalCheckError, InvalidParameterError, NoConvergenceError
-from .graphs import Graph
+from .graphs import Graph, memo
 from .reflective import is_reflective
 
 
@@ -63,21 +63,16 @@ def adjacency_matrix(g: Graph):
     return a
 
 
+@memo("lap_spec")
 def laplacian_spectrum(g: Graph) -> Spectrum:
     """Laplacian eigenvalues sorted ascending."""
-    key = "lap_spec"
-    if key not in g.cache:
-        g.cache[key] = Spectrum(tuple(_jacobi_eigenvalues(laplacian_matrix(g))))
-    return g.cache[key]
+    return Spectrum(tuple(_jacobi_eigenvalues(laplacian_matrix(g))))
 
 
+@memo("adj_spec")
 def adjacency_spectrum(g: Graph) -> Spectrum:
     """Adjacency eigenvalues sorted descending."""
-    key = "adj_spec"
-    if key not in g.cache:
-        vals = _jacobi_eigenvalues(adjacency_matrix(g))
-        g.cache[key] = Spectrum(tuple(reversed(vals)))
-    return g.cache[key]
+    return Spectrum(tuple(reversed(_jacobi_eigenvalues(adjacency_matrix(g)))))
 
 
 def smallest_positive_laplacian_eigenvalue(g: Graph) -> float:
@@ -146,6 +141,7 @@ class DistanceRegularity(NamedTuple):
     witness: tuple | None  # (x, y) for which counts deviate
 
 
+@memo("dist_reg")
 def is_distance_regular(g: Graph) -> DistanceRegularity:
     """Check constant sphere-to-sphere neighbor counts, rows in vertex order.
 
@@ -155,18 +151,10 @@ def is_distance_regular(g: Graph) -> DistanceRegularity:
     module docstring), so every row repeats vertex 0's and that row alone is
     read: the verdict, the array and the witness are those of all rows.
     """
-    key = "dist_reg"
-    hit = g.cache.get(key)
-    if hit is not None:
-        return hit
     dist = g.dist_rows()
     if not g.is_regular():
         degs = [g.degree(v) for v in range(g.n)]
-        u = degs.index(max(degs))
-        w = degs.index(min(degs))
-        res = DistanceRegularity(None, (u, w))
-        g.cache[key] = res
-        return res
+        return DistanceRegularity(None, (degs.index(max(degs)), degs.index(min(degs))))
     expected = {}
     witness = None
     diam = max(max(row) for row in dist)
@@ -186,15 +174,10 @@ def is_distance_regular(g: Graph) -> DistanceRegularity:
         if witness:
             break
     if witness is not None or len(expected) != diam:
-        res = DistanceRegularity(None, witness)
-        g.cache[key] = res
-        return res
-    b0 = g.degree(0)
-    barr = [b0] + [expected[i][0] for i in range(1, diam)]
+        return DistanceRegularity(None, witness)
+    barr = [g.degree(0)] + [expected[i][0] for i in range(1, diam)]
     carr = [expected[i][1] for i in range(1, diam + 1)]
-    res = DistanceRegularity(IntersectionArray(tuple(barr), tuple(carr)), None)
-    g.cache[key] = res
-    return res
+    return DistanceRegularity(IntersectionArray(tuple(barr), tuple(carr)), None)
 
 
 # --- sharpness conditions ---
@@ -262,6 +245,7 @@ class LichnerowiczResult(NamedTuple):
     holds: bool  # lambda_1 >= kappa_min
 
 
+@memo("lichnerowicz")
 def is_lichnerowicz_sharp(g: Graph) -> LichnerowiczResult:
     """The spectral gap against the minimum edge curvature, decided exactly.
 
@@ -276,15 +260,12 @@ def is_lichnerowicz_sharp(g: Graph) -> LichnerowiczResult:
     """
     from .ollivier import min_edge_curvature
 
-    if "lichnerowicz" not in g.cache:
-        kappa = min_edge_curvature(g).value
-        if kappa <= 0:
-            holds, nullity = True, 0
-        else:
-            ia = is_distance_regular(g).array
-            holds, nullity = (_gap_test(g, kappa) if ia is None
-                              else _quotient_gap_test(g, ia, kappa))
-        g.cache["lichnerowicz"] = LichnerowiczResult(
-            holds and nullity >= 1, smallest_positive_laplacian_eigenvalue(g),
-            kappa, holds)
-    return g.cache["lichnerowicz"]
+    kappa = min_edge_curvature(g).value
+    if kappa <= 0:
+        holds, nullity = True, 0
+    else:
+        ia = is_distance_regular(g).array
+        holds, nullity = (_gap_test(g, kappa) if ia is None
+                          else _quotient_gap_test(g, ia, kappa))
+    return LichnerowiczResult(
+        holds and nullity >= 1, smallest_positive_laplacian_eigenvalue(g), kappa, holds)

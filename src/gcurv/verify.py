@@ -482,7 +482,8 @@ def _check_reflection_axioms(corpus):
         g = mem.graph
         edge_set = set(g.edges)
         # all axioms but the endpoint one read only the sides: check them on
-        # the class's first member, then map every member onto that reflection
+        # the class's first member; a mapping meeting them that also swaps a
+        # member's ends is that member's reflection, the only one
         for (side_x, side_y), members in side_classes(g).items():
             x, y = members[0]
             found = find_reflection(g, x, y).reflection
@@ -508,9 +509,6 @@ def _check_reflection_axioms(corpus):
             if cross != swaps:
                 return f"{mem.name} ({x},{y}): cross edges differ from swaps"
             for (u, v) in members:
-                found = find_reflection(g, u, v).reflection
-                if found is None or found.mapping != m:
-                    return f"{mem.name} ({u},{v}): mapping differs from its class's"
                 if m[u] != v or m[v] != u:
                     return f"{mem.name} ({u},{v}): endpoints not exchanged"
     return None

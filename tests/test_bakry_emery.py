@@ -107,6 +107,15 @@ def test_vertex_out_of_range_rejected(x):
             call(g, x)
 
 
+def test_cached_vertex_curvature_still_refuses_a_float_vertex():
+    from gcurv.errors import InvalidParameterError
+
+    g = hypercube(3)
+    bakry_emery_curvature(g, 1)
+    with pytest.raises(InvalidParameterError, match="not an integer"):
+        bakry_emery_curvature(g, 1.0)
+
+
 def test_gamma2_matches_symbolic_small():
     for g in [complete_graph(2), path_graph(3), cycle(4), cocktail_party(3)]:
         for x in range(g.n):

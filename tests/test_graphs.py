@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import connected_graphs
 from gcurv import graphs
+from gcurv.bakry_emery import be_effective_bound_report
 from gcurv.errors import (
     DisconnectedError,
     DuplicateEdgeError,
     GcurvError,
+    NonpositiveCurvatureError,
     ParseError,
     SelfLoopError,
 )
@@ -348,3 +350,32 @@ def test_convex_subset_implies_isometric_examples(octahedron):
     for s in [(0, 3), (1, 2), (0,)]:
         if is_convex_subset(octahedron, s):
             assert is_isometric_subset(octahedron, s)
+
+
+def test_memo_publishes_once_and_caches_no_raise():
+    calls = []
+
+    @graphs.memo("probe")
+    def probe(g, *args):
+        calls.append(args)
+        if args == (-1,):
+            raise GcurvError("refused")
+        return [len(args)]
+
+    g = cycle(5)
+    first = probe(g)
+    assert probe(g) is first is g.cache["probe"]
+    pair = probe(g, 2, 3)
+    assert probe(g, 2, 3) is pair is g.cache["probe", 2, 3]
+    assert (first, pair) == ([0], [2])
+    assert calls == [(), (2, 3)]
+    for _ in range(2):
+        with pytest.raises(GcurvError, match="refused"):
+            probe(g, -1)
+    assert calls[2:] == [(-1,), (-1,)]
+    assert ("probe", -1) not in g.cache
+    flat = cycle(6)
+    for _ in range(2):
+        with pytest.raises(NonpositiveCurvatureError):
+            be_effective_bound_report(flat)
+    assert "be_bound" not in flat.cache

@@ -6,6 +6,7 @@ module (a call, an attribute base, an annotation, a default value).
 A module-level ``_private`` function counts as used when some gcurv module
 names it (as a name, an attribute or an import) outside its own ``def``,
 and a class of ``errors.py`` counts as used when another module names it.
+Only ``graphs.memo`` and the functions in ``CACHE_KEEPERS`` name ``.cache``.
 """
 
 import ast
@@ -96,3 +97,42 @@ def test_every_error_class_is_named_by_another_module():
     others = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))
               if p.name != "errors.py"]
     assert unnamed_error_classes((SRC / "errors.py").read_text(encoding="utf-8"), others) == []
+
+
+# Besides graphs.memo, only these functions may read or write a graph's
+# .cache: Graph.__init__ makes the memo space, and the others keep values
+# that are not one call's result (reversed side partitions, the Ollivier
+# orbit records and their carried pairs, the registry of proven reflections).
+CACHE_KEEPERS = {
+    "graphs.Graph.__init__", "graphs.memo", "graphs.side_partition",
+    "ollivier._pair_curvature", "ollivier._solve_by_orbits",
+    "reflective._search", "reflective.reflection_generators",
+}
+
+
+def cache_touchers(module: str, source: str):
+    """module.function (module.Class.method) of every definition naming .cache."""
+    found = []
+    for stmt in ast.parse(source).body:
+        members = ([(f"{stmt.name}.", s) for s in stmt.body] if isinstance(stmt, ast.ClassDef)
+                   else [("", stmt)])
+        for prefix, node in members:
+            if any(isinstance(a, ast.Attribute) and a.attr == "cache" for a in ast.walk(node)):
+                found.append(f"{module}.{prefix}{getattr(node, 'name', '<module>')}")
+    return found
+
+
+def test_cache_touchers_are_found():
+    source = ("class G:\n    def __init__(self):\n        self.cache = {}\n\n"
+              "def f(g):\n    return g.cache.get('k')\n\n"
+              "def h(g):\n    return g.n  # g.cache in a comment\n\n"
+              "X = G().cache\n")
+    assert cache_touchers("m", source) == ["m.G.__init__", "m.f", "m.<module>"]
+
+
+def test_only_memo_and_the_listed_keepers_touch_the_cache():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(cache_touchers(path.stem, path.read_text(encoding="utf-8")))
+    assert "graphs.memo" in found
+    assert sorted(found - CACHE_KEEPERS) == []

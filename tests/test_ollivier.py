@@ -154,6 +154,12 @@ def test_certificate_rejects_non_integer_end_and_short_row():
     (u, v, rhs, lam), = cv.certificate
     assert not verify_optimality_certificate(g, replace(cv, certificate=((float(u), v, rhs, lam),)))
     assert verify_optimality_certificate(g, replace(cv, certificate=((np.int64(u), v, rhs, lam),)))
+    # an optimizer key equal to a support vertex but not an integer
+    for key in (float, lambda k: k + 0j):
+        optimizer = {key(k): f for k, f in cv.optimizer.items()}
+        assert not verify_optimality_certificate(g, replace(cv, optimizer=optimizer))
+    optimizer = {np.int64(k): f for k, f in cv.optimizer.items()}
+    assert verify_optimality_certificate(g, replace(cv, optimizer=optimizer))
 
 
 def test_certificate_rejects_non_integer_optimizer(q3):

@@ -410,8 +410,8 @@ def test_side_class_memo_matches_a_memo_free_search(g):
     assert is_reflective(g) == verdict
 
 
-@pytest.mark.parametrize("build, searches", [(lambda: hypercube(6), 6), (gosset, 63)])
-def test_one_candidate_per_side_class(monkeypatch, build, searches):
+@pytest.mark.parametrize("build, searches", [(lambda: hypercube(6), 192), (gosset, 756)])
+def test_one_candidate_per_edge(monkeypatch, build, searches):
     calls = []
     build_candidate = reflective.candidate_reflection
 
@@ -425,7 +425,12 @@ def test_one_candidate_per_side_class(monkeypatch, build, searches):
     assert len(calls) == g.degree(0)  # Q 6: 6; Gosset: 27
     for (x, y) in g.edges:
         find_reflection(g, y, x)
-    assert len(calls) == searches
+    assert len(calls) == searches == g.m
+    assert len(set(calls)) == g.m
+    for (x, y) in g.edges:  # both orientations read the one search
+        find_reflection(g, x, y)
+        find_reflection(g, y, x)
+    assert len(calls) == g.m
 
 
 # --- vertex 0 speaks for a connected graph ---
