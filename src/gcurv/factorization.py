@@ -1,28 +1,61 @@
 """Cartesian product recognition and prime factor extraction.
 
-Two edges are related when their endpoint distances break the additive
-rectangle identity, or when one endpoint coincides and is the entire
-common neighborhood of the other two (checked in all four end
-orientations).  A graph is a nontrivial Cartesian product exactly when
-this relation on the edge set is disconnected.
+The prime factors of a connected graph are read off Feder's relation
+sigma on its edges: the transitive closure of Theta (the endpoint
+distances break the rectangle identity d(x,x') + d(y,y') =
+d(x,y') + d(y,x')) and tau (two edges vx, vy whose far ends have v as
+their only common neighbour).  Its classes are exactly the fibre classes
+of the prime factorization, so a graph is prime when there is one class
+(T. Feder, "Product graph representations", J. Graph Theory 1992).  Each
+class gives one prime factor, in class-id order (classes numbered by
+their first edge): the component of vertex 0 in that class's edges.  A
+vertex's coordinate on it is its projection along the other classes'
+edges.
 
-By Feder's theorem the classes of this relation are exactly the fibre
-classes of the prime factorization (T. Feder, "Product graph
-representations", J. Graph Theory 1992), so each class gives one prime
-factor, in class-id order: the component of vertex 0 in that class's
-edges.  A vertex's coordinate on it is its projection along the other
-classes' edges.  The whole factorization is still certified once: the
-orders multiply to the graph's, the coordinate map carries the edges onto
-the product's, and every factor is prime; a failure is an
-InternalCheckError.
+The classes are found in two stages.
+
+1. The local relation delta, read from adjacency bitmasks without any
+   distance row.  At each vertex v, the edges to one component of the
+   neighbourhood N(v) are related (a chain of triangles).  For neighbours
+   a and b in different components, each common neighbour w other than v
+   lies outside N[v] and closes an induced square v a w b: relate va with
+   bw and vb with aw.  When a and b have no such w, relate va with vb.
+   Triangles and the opposite sides of an induced square are Theta
+   related, and the last case is tau, so every delta class lies inside
+   one sigma class; and every tau pair is a delta pair.  On a locally
+   connected graph delta is one class (each star is one class, and the
+   stars of adjacent vertices share their edge), so nothing more is read.
+2. delta's classes are rebuilt into a product (below).  When that
+   succeeds, g is the product of one factor per delta class, with each
+   class as the layers of its factor.  sigma is finer than the layers of
+   any factorization (a Theta or tau pair never joins two factors), so
+   delta = sigma.  Only when the rebuild fails is the Theta test run, on
+   pairs of edges in different classes of delta's union-find; since
+   delta holds tau and lies inside sigma, the closure it reaches is
+   sigma.  On the Moebius ladder C(8; 1, 4), for instance, delta has two
+   classes (rungs and ring edges) but the graph is prime.
+
+The rebuild certifies the factorization, and factorize shares it: the
+orders multiply to the graph's (checked before the product is built),
+the coordinate map carries the edges onto the product's, and every
+factor is prime.  A class whose factor had one vertex would send its
+edges to loops, so the edge check also ensures every factor has two or
+more vertices.  A failure on sigma's classes is an InternalCheckError.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from math import prod
 
 from .errors import InternalCheckError, TrivialGraphError
-from .graphs import Graph, build_graph, memo
+from .graphs import (
+    Graph,
+    adjacency_bits,
+    build_graph,
+    is_locally_connected,
+    local_components,
+    memo,
+)
 from .families import cartesian_product
 
 
@@ -31,11 +64,13 @@ class EdgeRelationPartition:
     edges: tuple
     component_of: tuple  # component id per edge, ids numbered by first edge
     count: int
+    factors: tuple = ()  # one factor graph per class once rebuilt, when count > 1
 
 
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
+        self.count = n
 
     def find(self, a: int) -> int:
         p = self.parent
@@ -44,50 +79,86 @@ class _UnionFind:
             a = p[a]
         return a
 
-    def union(self, a: int, b: int) -> bool:
+    def union(self, a: int, b: int) -> None:
         ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+        if ra != rb:
+            self.parent[rb] = ra
+            self.count -= 1
 
 
-def _related(g: Graph, dist, e1, e2) -> bool:
-    x, y = e1
-    xp, yp = e2
-    if dist[x][xp] + dist[y][yp] != dist[x][yp] + dist[y][xp]:
-        return True
-    # one shared endpoint that is the whole common neighborhood of the heads
-    nbr = g._nbr_sets
-    for a, b in ((x, y), (y, x)):
-        for c, d in ((xp, yp), (yp, xp)):
-            if a == c and nbr[b] & nbr[d] == {a}:
-                return True
-    return False
+def _relate_locally(g: Graph, uf: _UnionFind) -> None:
+    """Union the delta pairs at every vertex; stop once one class is left."""
+    adj = adjacency_bits(g)
+    at = [{} for _ in range(g.n)]  # at[u][w]: index of the edge uw
+    for i, (u, w) in enumerate(g.edges):
+        at[u][w] = at[w][u] = i
+    for v, comps in enumerate(local_components(g)):
+        if uf.count == 1:
+            return
+        here = at[v]
+        stars = [[a for a in g.neighbors[v] if comp >> a & 1] for comp in comps]
+        for star in stars:
+            for a in star[1:]:
+                uf.union(here[star[0]], here[a])
+        off_v = ~(1 << v)
+        for i, star in enumerate(stars):
+            for other in stars[i + 1:]:
+                for a in star:
+                    near_a = adj[a] & off_v
+                    for b in other:
+                        common = near_a & adj[b]
+                        if not common:
+                            uf.union(here[a], here[b])
+                        while common:
+                            bit = common & -common
+                            common ^= bit
+                            w = bit.bit_length() - 1
+                            uf.union(here[a], at[b][w])
+                            uf.union(here[b], at[a][w])
+
+
+def _relate_by_distance(g: Graph, uf: _UnionFind) -> None:
+    """Union every Theta pair of edges in different classes."""
+    edges = g.edges
+    dist = g.dist_rows()
+    for i, (x, y) in enumerate(edges):
+        if uf.count == 1:
+            return
+        dx, dy = dist[x], dist[y]
+        for j in range(i + 1, len(edges)):
+            if uf.find(i) != uf.find(j):
+                xp, yp = edges[j]
+                if dx[xp] + dy[yp] != dx[yp] + dy[xp]:
+                    uf.union(i, j)
+
+
+def _partition(edges, uf: _UnionFind) -> EdgeRelationPartition:
+    rename = {}
+    comp = tuple(rename.setdefault(uf.find(i), len(rename)) for i in range(len(edges)))
+    return EdgeRelationPartition(edges, comp, len(rename))
 
 
 @memo("edge_relation")
 def edge_relation_components(g: Graph) -> EdgeRelationPartition:
-    edges = g.edges
-    m = len(edges)
-    dist = g.dist_rows()
-    uf = _UnionFind(m)
-    remaining = m - 1
-    for i in range(m):
-        if remaining == 0:
-            break
-        for j in range(i + 1, m):
-            if uf.find(i) != uf.find(j) and _related(g, dist, edges[i], edges[j]):
-                uf.union(i, j)
-                remaining -= 1
-    rename = {}
-    comp = []
-    for i in range(m):
-        root = uf.find(i)
-        if root not in rename:
-            rename[root] = len(rename)
-        comp.append(rename[root])
-    return EdgeRelationPartition(edges, tuple(comp), len(rename))
+    """Feder's relation classes, with the factors they rebuild when there are two or more.
+
+    delta first; the Theta scan only when delta's classes fail to rebuild g
+    (the module docstring gives the argument).
+    """
+    if g.m and is_locally_connected(g)[0]:
+        # each star is one delta class, and adjacent vertices' stars share an edge
+        return EdgeRelationPartition(g.edges, (0,) * g.m, 1)
+    uf = _UnionFind(g.m)
+    _relate_locally(g, uf)
+    part = _partition(g.edges, uf)
+    if part.count <= 1:  # prime, or one vertex and no edge
+        return part
+    try:
+        return replace(part, factors=_rebuild(g, part))
+    except InternalCheckError:  # delta is finer than sigma
+        _relate_by_distance(g, uf)
+    part = _partition(g.edges, uf)
+    return part if part.count == 1 else replace(part, factors=_rebuild(g, part))
 
 
 def is_prime(g: Graph) -> bool:
@@ -156,13 +227,8 @@ def _projection(n: int, bundle_edges, axis_verts):
     return proj
 
 
-def factorize(g: Graph):
-    """Prime factor list, one per relation class, certified by reconstruction."""
-    if g.n < 2:
-        raise TrivialGraphError("factorization needs at least two vertices")
-    part = edge_relation_components(g)
-    if part.count == 1:
-        return [g]
+def _rebuild(g: Graph, part: EdgeRelationPartition) -> tuple:
+    """One factor per class, certified to multiply back to g; else InternalCheckError."""
     factors, coord = [], [0] * g.n
     for c in range(part.count):
         axis = [e for e, k in zip(part.edges, part.component_of) if k == c]
@@ -182,6 +248,17 @@ def factorize(g: Graph):
     mapped = {tuple(sorted((coord[u], coord[v]))) for (u, v) in g.edges}
     if mapped != set(reduce(cartesian_product, factors).edges):
         raise InternalCheckError("the relation classes do not rebuild the graph")
+    return tuple(factors)
+
+
+def factorize(g: Graph):
+    """Prime factor list, one per relation class, certified by reconstruction."""
+    if g.n < 2:
+        raise TrivialGraphError("factorization needs at least two vertices")
+    part = edge_relation_components(g)
+    if part.count == 1:
+        return [g]
+    factors = part.factors or _rebuild(g, part)  # a partition given without its factors
     if not all(is_prime(f) for f in factors):
         raise InternalCheckError("a relation class spans a composite factor")
-    return factors
+    return list(factors)

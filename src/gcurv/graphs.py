@@ -8,6 +8,11 @@ once.  The analysis modules cache through memo(name), which publishes
 f(g, *args) in g.cache once, under name or (name, *args), and hands back
 that same object after; a call that raises stores nothing.
 
+adjacency_bits holds each neighbourhood as one int bitmask, and
+local_components splits each neighbourhood N(v) into the components of
+the subgraph it induces, as bitmasks; is_locally_connected, the
+factorization's local relation and the Ollivier edge bounds read them.
+
 are_isomorphic decides isomorphism exactly by individualization-refinement
 (McKay 1981) on the disjoint union of the two graphs; the comment opening
 that section gives the argument.
@@ -27,6 +32,7 @@ from .errors import (
     NotAdjacentError,
     ParseError,
     SelfLoopError,
+    check_vertex,
 )
 
 # Input budget.  Every graph is eventually held as all-pairs distance rows
@@ -229,6 +235,7 @@ def read_edge_list(path: str) -> Graph:
 
 def sphere(g: Graph, x: int, r: int) -> tuple:
     """Vertices at distance exactly r from x, sorted."""
+    check_vertex(g.n, x)
     if r < 0:
         raise InvalidParameterError("radius must be nonnegative")
     row = g.dist_rows()[x]
@@ -237,6 +244,7 @@ def sphere(g: Graph, x: int, r: int) -> tuple:
 
 def ball(g: Graph, x: int, r: int) -> tuple:
     """Vertices at distance at most r from x, sorted."""
+    check_vertex(g.n, x)
     if r < 0:
         raise InvalidParameterError("radius must be nonnegative")
     row = g.dist_rows()[x]
@@ -261,6 +269,8 @@ class SidePartition:
 
 def side_partition(g: Graph, x: int, y: int) -> SidePartition:
     """The split by the edge (x, y), cached; (y, x) reuses it with the sides swapped."""
+    check_vertex(g.n, x)
+    check_vertex(g.n, y)
     if not g.adjacent(x, y):
         raise NotAdjacentError(x, y)
     key = ("side", x, y)
@@ -293,24 +303,49 @@ def effective_diameter(g: Graph) -> Fraction:
     return Fraction(total, g.n * g.n)
 
 
+@memo("adj_bits")
+def adjacency_bits(g: Graph) -> list:
+    """One int per vertex with bit v set for each neighbour v, cached."""
+    return [sum(1 << v for v in nb) for nb in g.neighbors]
+
+
+@memo("local_components")
+def local_components(g: Graph) -> tuple:
+    """Per vertex v, the components of the subgraph induced on N(v), as bitmasks.
+
+    Each component is grown from the lowest vertex not yet reached by a
+    breadth-first search on adjacency_bits, one frontier mask per step, so
+    components come in order of their least vertex.
+    """
+    adj = adjacency_bits(g)
+    out = []
+    for v in range(g.n):
+        left, comps = adj[v], []
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                reach = 0
+                while frontier:
+                    bit = frontier & -frontier
+                    frontier ^= bit
+                    reach |= adj[bit.bit_length() - 1]
+                frontier = reach & left & ~comp
+                comp |= frontier
+            comps.append(comp)
+            left &= ~comp
+        out.append(tuple(comps))
+    return tuple(out)
+
+
 @memo("locally_connected")
 def is_locally_connected(g: Graph):
-    """(True, None) if every punctured neighborhood is connected, else (False, witness)."""
-    for v in range(g.n):
-        nb = g.neighbors[v]
-        if len(nb) <= 1:
-            continue
-        inside = set(nb)
-        start = nb[0]
-        seen = {start}
-        q = deque([start])
-        while q:
-            u = q.popleft()
-            for w in g._nbr_sets[u] & inside:
-                if w not in seen:
-                    seen.add(w)
-                    q.append(w)
-        if len(seen) != len(inside):
+    """(True, None) if every punctured neighborhood is connected, else (False, witness).
+
+    The witness is the first vertex whose neighborhood has more than one
+    component in local_components.
+    """
+    for v, comps in enumerate(local_components(g)):
+        if len(comps) > 1:
             return (False, v)
     return (True, None)
 

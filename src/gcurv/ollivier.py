@@ -108,7 +108,7 @@ from .errors import (
     TrivialGraphError,
     check_vertex,
 )
-from .graphs import Graph, memo
+from .graphs import Graph, adjacency_bits, memo
 from .reflective import reflection_generators
 
 _MAX_PIVOTS = 200_000
@@ -470,12 +470,6 @@ def long_range_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
     return _pair_curvature(g, x, y)
 
 
-@memo("adj_bits")
-def _adjacency_bits(g: Graph) -> list:
-    """One int per vertex with bit v set for each neighbour v, cached."""
-    return [sum(1 << v for v in nb) for nb in g.neighbors]
-
-
 def _edge_bound(g: Graph, x: int, y: int, lp: LipschitzLP | None = None) -> int:
     """Integer lower bound on the curvature of the edge (x, y), certified.
 
@@ -485,7 +479,7 @@ def _edge_bound(g: Graph, x: int, y: int, lp: LipschitzLP | None = None) -> int:
     sinks (augmenting paths over the sinks in increasing order), and each
     source left over takes the first sink still free at distance 2: not
     adjacent, with a common neighbour.  Adjacency is read from the
-    per-vertex bitmasks of _adjacency_bits.  A pair (w, v) gives the row
+    per-vertex bitmasks of adjacency_bits.  A pair (w, v) gives the row
     f(w) - f(v) <= d(w, v), a lone source v the row f(y) - f(v) <= d(y, v)
     and a lone sink w the row f(w) - f(x) <= d(w, x), each with multiplier
     1, so every free vertex is stationary and _dual_bound turns the rows
@@ -494,7 +488,7 @@ def _edge_bound(g: Graph, x: int, y: int, lp: LipschitzLP | None = None) -> int:
     """
     lp = lp or build_lipschitz_lp(g, x, y)
     dist = g.dist_rows()
-    adj = _adjacency_bits(g)
+    adj = adjacency_bits(g)
     free = [v for v in lp.support if v != x and v != y]
     sources = [v for v in free if lp.coeffs[v] == 1]
     sinks = [v for v in free if lp.coeffs[v] == -1]
@@ -557,7 +551,7 @@ def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
     edges = g.edges
     values = _solve_by_orbits(g, edges)
     if values is None:  # an edge left at None has a bound, so a value, above the minimum
-        adj = _adjacency_bits(g)
+        adj = adjacency_bits(g)
         deg = [len(nb) for nb in g.neighbors]
         # heap entries (bound, edge index, program): the triangle bound with
         # no program, then the greedy bound with the program it was read from

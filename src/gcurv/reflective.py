@@ -61,6 +61,7 @@ from .errors import (
     InvalidParameterError,
     NotAdjacentError,
     NotReflectiveError,
+    check_vertex,
 )
 from .graphs import (
     Graph,
@@ -111,6 +112,8 @@ def candidate_reflection(g: Graph, x: int, y: int) -> CandidateOutcome:
     vertex breaks the unique-neighbor rule, or the pairing is not
     mutual, no candidate exists and the violator is reported.
     """
+    check_vertex(g.n, x)
+    check_vertex(g.n, y)
     if not g.adjacent(x, y):
         raise NotAdjacentError(x, y)
     sp = side_partition(g, x, y)
@@ -174,6 +177,8 @@ def find_reflection(g: Graph, x: int, y: int) -> ReflectionSearch:
     mapping changes).  The search runs once per edge, on (a, b) = (min, max),
     and (b, a) reads its outcome.
     """
+    check_vertex(g.n, x)  # ahead of the memo, which would store -1 as its own edge end
+    check_vertex(g.n, y)
     if not g.adjacent(x, y):
         raise NotAdjacentError(x, y)
     mapping, axiom, witness = _search(g, *((x, y) if x < y else (y, x)))

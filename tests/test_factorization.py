@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import itertools
 import pathlib
 import random
 from functools import reduce
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import connected_graphs
 from gcurv import cli, factorization
 from gcurv.errors import InternalCheckError, TrivialGraphError
 from gcurv.families import (
@@ -29,7 +31,14 @@ from gcurv.factorization import (
     factorize,
     is_prime,
 )
-from gcurv.graphs import are_isomorphic, build_graph, effective_diameter, parse_edge_list
+from gcurv.graphs import (
+    Graph,
+    are_isomorphic,
+    build_graph,
+    effective_diameter,
+    parse_edge_list,
+)
+from gcurv.verify import standard_corpus
 
 
 def test_cube_splits_into_three_edges(q3):
@@ -205,3 +214,106 @@ def test_factor_order_and_labels_are_pinned():
         == RANDOM_PRODUCT_DIGESTS
     q2cp3 = factorize(parse_family("( Q 2 x CP 3 )").build())
     assert [f.n for f in q2cp3] == [6, 2, 2]
+
+
+def _scan_components(g):
+    """Feder's relation by the unseeded O(m^2) scan over every pair of edges.
+
+    Two edges are related when their endpoint distances break the rectangle
+    identity, or when they share an endpoint that is the whole common
+    neighbourhood of their other ends; classes are numbered by first edge.
+    """
+    edges = g.edges
+    dist = g.dist_rows()
+    nbr = g._nbr_sets
+    parent = list(range(len(edges)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def related(e1, e2):
+        (x, y), (xp, yp) = e1, e2
+        if dist[x][xp] + dist[y][yp] != dist[x][yp] + dist[y][xp]:
+            return True
+        return any(a == c and nbr[b] & nbr[d] == {a}
+                   for a, b in ((x, y), (y, x)) for c, d in ((xp, yp), (yp, xp)))
+
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            if find(i) != find(j) and related(edges[i], edges[j]):
+                parent[find(j)] = find(i)
+    rename = {}
+    return tuple(rename.setdefault(find(i), len(rename)) for i in range(len(edges)))
+
+
+def _circulant(n, jumps):
+    return build_graph(n, sorted({tuple(sorted((i, (i + s) % n))) for i in range(n)
+                                  for s in jumps}))
+
+
+def _circulants(max_n):
+    """Every C(n; S) with 3 <= n <= max_n and 1 in S subset of 1..n/2, keyed by (n, S)."""
+    return {(n, (1,) + rest): _circulant(n, (1,) + rest)
+            for n in range(3, max_n + 1) for r in range(n // 2)
+            for rest in itertools.combinations(range(2, n // 2 + 1), r)}
+
+
+def _local_count(g):
+    """Number of classes of the local relation alone."""
+    uf = factorization._UnionFind(g.m)
+    factorization._relate_locally(g, uf)
+    return uf.count
+
+
+# the circulants with n <= 16 whose local classes do not rebuild them: all prime
+NEED_THE_DISTANCE_TEST = [
+    (8, (1, 4)), (10, (1, 5)), (12, (1, 4)), (12, (1, 6)), (13, (1, 5)), (14, (1, 4)),
+    (14, (1, 7)), (14, (1, 2, 7)), (15, (1, 4)), (15, (1, 5)), (15, (1, 6)), (16, (1, 4)),
+    (16, (1, 6)), (16, (1, 8)), (16, (1, 2, 8)), (16, (1, 3, 8)), (16, (1, 4, 8)),
+    (16, (1, 5, 8)),
+]
+
+
+def test_relation_classes_match_the_pairwise_scan():
+    graphs = [mem.graph for mem in standard_corpus()]
+    graphs += [parse_edge_list(text) for _, text, _ in _load_workloads().random_inputs(1, 24)]
+    circulants = _circulants(16)
+    assert len(circulants) == 381  # 378 with n >= 5
+    graphs += circulants.values()
+    for g in graphs:
+        assert edge_relation_components(g).component_of == _scan_components(g)
+    need = [key for key, g in circulants.items()
+            if _local_count(g) != edge_relation_components(g).count]
+    assert need == NEED_THE_DISTANCE_TEST
+    for key in need:
+        g = circulants[key]
+        assert factorize(g) == [g]
+
+
+@given(connected_graphs(max_n=5), connected_graphs(max_n=5))
+@settings(max_examples=40, deadline=None)
+def test_product_relation_classes_match_the_pairwise_scan(a, b):
+    g = cartesian_product(a, b)
+    assert edge_relation_components(g).component_of == _scan_components(g)
+
+
+def test_moebius_ladder_has_two_local_classes_but_is_prime():
+    # C(8; 1, 4): rungs and ring edges stay apart locally, yet the rung (0, 4)
+    # and the ring edge (1, 2) break the rectangle identity: 1 + 2 against 2 + 2
+    g = _circulant(8, (1, 4))
+    assert _local_count(g) == 2
+    assert edge_relation_components(g).count == 1
+    assert is_prime(g)
+    assert factorize(g) == [g]
+
+
+def test_product_factors_without_distance_rows(monkeypatch):
+    def refuse(self):
+        raise AssertionError("distance rows read")
+
+    g = parse_family("( Q 2 x gosset )").build()
+    monkeypatch.setattr(Graph, "dist_rows", refuse)
+    assert sorted(f.n for f in factorize(g)) == [2, 2, 56]

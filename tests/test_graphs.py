@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import permutations
 
@@ -13,6 +14,7 @@ from gcurv.errors import (
     DisconnectedError,
     DuplicateEdgeError,
     GcurvError,
+    InvalidParameterError,
     NonpositiveCurvatureError,
     ParseError,
     SelfLoopError,
@@ -23,6 +25,7 @@ from gcurv.families import (
     complete_graph,
     cycle,
     hamming,
+    hypercube,
     path_graph,
 )
 from gcurv.graphs import (
@@ -37,10 +40,12 @@ from gcurv.graphs import (
     is_convex_subset,
     is_isometric_subset,
     is_locally_connected,
+    local_components,
     parse_edge_list,
     side_partition,
     sphere,
 )
+from gcurv.verify import standard_corpus
 
 
 def test_build_rejects_self_loop():
@@ -174,6 +179,72 @@ def test_locally_connected_verdicts(octahedron):
     assert is_locally_connected(octahedron) == (True, None)
     ok, witness = is_locally_connected(cycle(5))
     assert not ok and witness is not None
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: sphere(g, -1, 1),
+    lambda g: sphere(g, 8, 1),
+    lambda g: sphere(g, 1.0, 1),
+    lambda g: ball(g, -1, 1),
+    lambda g: ball(g, 8, 0),
+    lambda g: side_partition(g, -1, 3),
+    lambda g: side_partition(g, 3, -1),
+    lambda g: side_partition(g, 0.0, 1),
+])
+def test_vertex_arguments_are_checked(call):
+    # sphere(Q 3, -1, 1) used to read vertex 7 and sphere(Q 3, 8, 1) to raise IndexError
+    g = hypercube(3)
+    with pytest.raises(InvalidParameterError):
+        call(g)
+    assert g.cache == {}
+
+
+def _locally_connected_by_bfs(g):
+    """The per-vertex breadth-first search that is_locally_connected once ran."""
+    for v in range(g.n):
+        nb = g.neighbors[v]
+        if len(nb) <= 1:
+            continue
+        inside = set(nb)
+        seen = {nb[0]}
+        q = deque([nb[0]])
+        while q:
+            u = q.popleft()
+            for w in g._nbr_sets[u] & inside:
+                if w not in seen:
+                    seen.add(w)
+                    q.append(w)
+        if len(seen) != len(inside):
+            return (False, v)
+    return (True, None)
+
+
+def _local_test_graphs():
+    rng = random.Random(31)
+    seeded = []
+    for _ in range(60):
+        n = rng.randint(2, 14)
+        edges = {(rng.randrange(i), i) for i in range(1, n)}
+        edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3}
+        seeded.append(build_graph(n, sorted(edges)))
+    return [mem.graph for mem in standard_corpus()] + seeded
+
+
+def test_local_components_match_the_per_vertex_search():
+    for g in _local_test_graphs():
+        assert is_locally_connected(g) == _locally_connected_by_bfs(g)
+        for v, comps in enumerate(local_components(g)):
+            # the components partition N(v), in order of their least vertex,
+            # and no edge joins two of them
+            assert sum(comps) == sum(1 << a for a in g.neighbors[v])
+            assert all(c & d == 0 for i, c in enumerate(comps) for d in comps[i + 1:])
+            assert [c & -c for c in comps] == sorted(c & -c for c in comps)
+            members = [[a for a in g.neighbors[v] if c >> a & 1] for c in comps]
+            for i, comp in enumerate(members):
+                assert not any(g.adjacent(a, b) for other in members[i + 1:]
+                               for a in comp for b in other)
+                sub, _ = induced_subgraph(g, comp)  # raises unless connected
+                assert sub.n == len(comp)
 
 
 def test_induced_subgraph_tracks_vertices(octahedron):

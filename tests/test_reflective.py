@@ -9,6 +9,7 @@ from gcurv import ollivier, reflective
 from gcurv.errors import (
     DisconnectedError,
     InternalCheckError,
+    InvalidParameterError,
     NotAdjacentError,
     NotReflectiveError,
 )
@@ -42,6 +43,16 @@ from gcurv.reflective import (
     vxy_convex_reflective_check,
 )
 from gcurv.verify import STANDARD_CORPUS
+
+
+@pytest.mark.parametrize("search", [find_reflection, candidate_reflection])
+@pytest.mark.parametrize("x, y", [(-1, 3), (3, -1), (0.0, 1), (0, 8)])
+def test_reflection_search_refuses_a_non_vertex(search, x, y):
+    # -1 would read vertex 7 of Q 3 and 0.0 would fail inside the adjacency test
+    g = hypercube(3)
+    with pytest.raises(InvalidParameterError):
+        search(g, x, y)
+    assert not any(isinstance(k, tuple) and k[0] == "refl" for k in g.cache)
 
 
 def test_octahedron_is_reflective(octahedron):
