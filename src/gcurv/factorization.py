@@ -87,32 +87,47 @@ class _UnionFind:
 
 
 def _relate_locally(g: Graph, uf: _UnionFind) -> None:
-    """Union the delta pairs at every vertex; stop once one class is left."""
+    """Union the delta pairs at every vertex; stop once one class is left.
+
+    Every corner of an induced square whose two square neighbours lie in
+    different local components relates the same two pairs, so only the
+    least such corner unions them.  Corners are taken in increasing order,
+    so the local components of a lesser corner are already labelled.
+    """
     adj = adjacency_bits(g)
     at = [{} for _ in range(g.n)]  # at[u][w]: index of the edge uw
     for i, (u, w) in enumerate(g.edges):
         at[u][w] = at[w][u] = i
+    label = [None] * g.n  # label[u][a]: the local component of u holding a
     for v, comps in enumerate(local_components(g)):
         if uf.count == 1:
             return
         here = at[v]
         stars = [[a for a in g.neighbors[v] if comp >> a & 1] for comp in comps]
+        label[v] = {a: comp for comp, star in zip(comps, stars) for a in star}
         for star in stars:
             for a in star[1:]:
                 uf.union(here[star[0]], here[a])
         off_v = ~(1 << v)
+        below_v = (1 << v) - 1
         for i, star in enumerate(stars):
             for other in stars[i + 1:]:
                 for a in star:
                     near_a = adj[a] & off_v
+                    # a corner a < v relates the squares whose w lies outside v's component there
+                    kept_a = label[a][v] if a < v else -1
                     for b in other:
                         common = near_a & adj[b]
                         if not common:
                             uf.union(here[a], here[b])
+                            continue
+                        common &= kept_a & (label[b][v] if b < v else -1)
                         while common:
                             bit = common & -common
                             common ^= bit
                             w = bit.bit_length() - 1
+                            if bit & below_v and not label[w][a] >> b & 1:
+                                continue  # the corner w < v relates this square
                             uf.union(here[a], at[b][w])
                             uf.union(here[b], at[a][w])
 

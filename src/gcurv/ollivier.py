@@ -63,25 +63,28 @@ route is ahead from the third or fourth request in an orbit there.
 
 On a graph that is not reflective, long_range_curvatures gives every pair
 its own LP, and min_edge_curvature bounds the edges from below in two
-tiers, driven from one heap keyed (bound, edge index).  Tier 0 builds no
-program.  With S = N(x) minus N[y], T = N(y) minus N[x] and k the number
-of common neighbours (triangles on the edge), the lone rows f(y) - f(s) <= 2 for s in S and
-f(t) - f(x) <= 2 for t in T leave every free vertex stationary, and
-_dual_bound turns them into d_y + 1 - |S| - 2|T| = 4 - d_x - d_y + 3k, a
-triangle-count bound in the spirit of Jost and Liu (Discrete Comput. Geom.
-2014), read with one popcount from per-vertex adjacency bitmasks.  An edge
-popped with its tier-0 key gets its program and a greedy transport plan
-(_edge_bound), whose rows _dual_bound certifies, and goes back with that
-integer bound, equal to the curvature on most edges; an edge popped with
-its tier-1 key is solved from the same program.  The greedy plan trades a
-lone source and a lone sink for one pair row, which adds 2 to the bound at
-distance 1 and 1 at distance 2, so tier 0 <= tier 1 <= curvature, and the
-refined edges pop in increasing (greedy bound, index) order.  The loop
-stops at the first popped key above the least value found: an edge left
-unsolved lies above the minimum, the solved edges are those that the
-greedy bounds alone would pick, and the value and both witnesses are those
-of a full scan.  An edge's program is built only when its tier-0 key is
-popped, and a solved edge reuses it.
+tiers, driven from one heap keyed (bound, edge index).  Neither tier
+builds a program.  With S = N(x) minus N[y], T = N(y) minus N[x] and k
+the number of common neighbours (triangles on the edge), the lone rows
+f(y) - f(s) <= 2 for s in S and f(t) - f(x) <= 2 for t in T leave every
+free vertex stationary, and weak duality turns them into
+d_y + 1 - |S| - 2|T| = 4 - d_x - d_y + 3k, a triangle-count bound in the
+spirit of Jost and Liu (Discrete Comput. Geom. 2014), read with one
+popcount from per-vertex adjacency bitmasks.  An edge popped with its
+tier-0 key gets a greedy transport plan (_edge_bound), built on the same
+bitmasks, and goes back with that integer bound, equal to the curvature
+on most edges; an edge popped with its tier-1 key is solved, and only
+then is its program built.  The greedy plan trades a lone source and a
+lone sink for one pair row, which adds 2 to the bound at distance 1 and 1
+at distance 2, so tier 0 <= tier 1 <= curvature.  A plan check stands in
+for _dual_bound on these rows: each pair's distance is read from the
+distance rows and must be the one its step claims, its ends must lie in
+T and S, and no source or sink may be used twice, so every free vertex
+stays stationary.  The refined edges pop in increasing (greedy bound,
+index) order, and the loop stops at the first popped key above the least
+value found: an edge left unsolved lies above the minimum, the solved
+edges are those that the greedy bounds alone would pick, and the value
+and both witnesses are those of a full scan.
 
 The independent oracle below works from the primal side instead: the
 curvature is (D+1) - W/d(x, y), with D the larger degree and W the integer
@@ -359,7 +362,7 @@ def solve_lipschitz_lp(g: Graph, lp: LipschitzLP) -> CurvatureValue:
     )
 
 
-def _pair_curvature(g: Graph, x: int, y: int, lp: LipschitzLP | None = None) -> CurvatureValue:
+def _pair_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
     """Curvature of (x, y): cached, carried along its orbit records, or solved.
 
     On a graph with orbit records, a pair the orbit route has not reached
@@ -367,7 +370,7 @@ def _pair_curvature(g: Graph, x: int, y: int, lp: LipschitzLP | None = None) -> 
     pair that nobody has asked for yet is built here: its parent chain is
     walked up to a built ancestor, and the certificate is carried down the
     chain, each pair cached as it is built.  On any other graph the pair is
-    solved alone, from lp (the program of (min, max)) when it is given.
+    solved alone.
     """
     a, b = (x, y) if x < y else (y, x)
     cache = g.cache
@@ -385,7 +388,7 @@ def _pair_curvature(g: Graph, x: int, y: int, lp: LipschitzLP | None = None) -> 
             _, sigma, turn, _ = reach[pair]
             cv = cache[("kappa",) + pair] = _carry(cv, sigma, turn)
     if cv is None:
-        cv = cache["kappa", a, b] = solve_lipschitz_lp(g, lp or build_lipschitz_lp(g, a, b))
+        cv = cache["kappa", a, b] = solve_lipschitz_lp(g, build_lipschitz_lp(g, a, b))
     return cv if (x, y) == (a, b) else _carry(cv, range(g.n), True)
 
 
@@ -470,34 +473,34 @@ def long_range_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
     return _pair_curvature(g, x, y)
 
 
-def _edge_bound(g: Graph, x: int, y: int, lp: LipschitzLP | None = None) -> int:
+def _edge_bound(g: Graph, x: int, y: int) -> int:
     """Integer lower bound on the curvature of the edge (x, y), certified.
 
-    The free support vertices of coefficient +1 are sources (S, the
-    neighbours of x outside N[y]) and those of -1 sinks (T, the neighbours
-    of y outside N[x]).  A maximum matching pairs sources with adjacent
+    Builds no program: everything is read from the per-vertex bitmasks of
+    adjacency_bits and the distance rows.  The sources S = N(x) minus N[y]
+    are the support vertices of coefficient +1 and the sinks T = N(y)
+    minus N[x] those of -1.  A maximum matching pairs sources with adjacent
     sinks (augmenting paths over the sinks in increasing order), and each
     source left over takes the first sink still free at distance 2: not
-    adjacent, with a common neighbour.  Adjacency is read from the
-    per-vertex bitmasks of adjacency_bits.  A pair (w, v) gives the row
-    f(w) - f(v) <= d(w, v), a lone source v the row f(y) - f(v) <= d(y, v)
-    and a lone sink w the row f(w) - f(x) <= d(w, x), each with multiplier
-    1, so every free vertex is stationary and _dual_bound turns the rows
-    into the bound.  lp, the program of (x, y), is built when it is not
-    given.
+    adjacent, with a common neighbour.  With every source and sink alone
+    the dual rows give the triangle bound d_y + 1 - |S| - 2|T| (the module
+    docstring), and a pair (t, s) at distance d adds 3 - d to it.  The plan
+    check replaces _dual_bound here: each pair's distance, read from the
+    distance rows, is the one its step claims (1 or 2), its ends lie in T
+    and S, and no source or sink is used twice, so every free vertex stays
+    stationary; any failure is an InternalCheckError.
     """
-    lp = lp or build_lipschitz_lp(g, x, y)
-    dist = g.dist_rows()
     adj = adjacency_bits(g)
-    free = [v for v in lp.support if v != x and v != y]
-    sources = [v for v in free if lp.coeffs[v] == 1]
-    sinks = [v for v in free if lp.coeffs[v] == -1]
-    sink_bits = adj[y] & ~adj[x] & ~(1 << x)
+    sources = adj[x] & ~adj[y] & ~(1 << y)
+    sinks = adj[y] & ~adj[x] & ~(1 << x)
+    bound = len(g.neighbors[y]) + 1 - sources.bit_count() - 2 * sinks.bit_count()
+    if not sources or not sinks:
+        return bound
     owner = {}  # sink -> the source paired with it
 
     def augment(s):
         nonlocal seen
-        near = adj[s] & sink_bits
+        near = adj[s] & sinks
         while near:
             bit = near & -near
             near ^= bit
@@ -510,12 +513,18 @@ def _edge_bound(g: Graph, x: int, y: int, lp: LipschitzLP | None = None) -> int:
         return False
 
     left = []
-    for s in sources:
+    rest = sources
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        s = bit.bit_length() - 1
         seen = 0
         if not augment(s):
             left.append(s)
-    open_sinks = sink_bits & ~sum(1 << t for t in owner)
-    rows = []
+    plan = [(t, s, 1) for t, s in owner.items()]
+    open_sinks = sinks
+    for t in owner:
+        open_sinks ^= 1 << t
     for s in left:
         far = open_sinks & ~adj[s]
         while far:
@@ -523,16 +532,18 @@ def _edge_bound(g: Graph, x: int, y: int, lp: LipschitzLP | None = None) -> int:
             far ^= bit
             t = bit.bit_length() - 1
             if adj[t] & adj[s]:
-                owner[t] = s
+                plan.append((t, s, 2))
                 open_sinks ^= bit
                 break
-        else:
-            rows.append((y, s, dist[y][s], 1))
-    rows += [(t, s, dist[t][s], 1) for t, s in owner.items()]
-    rows += [(t, x, dist[t][x], 1) for t in sinks if t not in owner]
-    bound = _dual_bound(dist, lp, rows)
-    if bound is None:
-        raise InternalCheckError(f"edge bound rows of ({x}, {y}) fail the dual check")
+    dist = g.dist_rows()
+    used = 0  # the sources and sinks paired so far
+    for t, s, d in plan:
+        ends = 1 << t | 1 << s
+        if (dist[t][s] != d or not sinks >> t & 1 or not sources >> s & 1
+                or used & ends):
+            raise InternalCheckError(f"edge bound rows of ({x}, {y}) fail the plan check")
+        used |= ends
+        bound += 3 - d
     return bound
 
 
@@ -553,23 +564,22 @@ def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
     if values is None:  # an edge left at None has a bound, so a value, above the minimum
         adj = adjacency_bits(g)
         deg = [len(nb) for nb in g.neighbors]
-        # heap entries (bound, edge index, program): the triangle bound with
-        # no program, then the greedy bound with the program it was read from
-        heap = [(4 - deg[x] - deg[y] + 3 * (adj[x] & adj[y]).bit_count(), i, None)
+        # heap entries (bound, edge index, refined): the triangle bound, then
+        # the greedy bound; neither builds a program
+        heap = [(4 - deg[x] - deg[y] + 3 * (adj[x] & adj[y]).bit_count(), i, False)
                 for i, (x, y) in enumerate(edges)]
         heapify(heap)
         values = [None] * len(edges)
         best = None
         while heap:
-            bound, i, lp = heap[0]
+            bound, i, refined = heap[0]
             if best is not None and bound > best:
                 break
-            if lp is None:
-                lp = build_lipschitz_lp(g, *edges[i])
-                heapreplace(heap, (_edge_bound(g, *edges[i], lp), i, lp))
+            if not refined:
+                heapreplace(heap, (_edge_bound(g, *edges[i]), i, True))
             else:
                 heappop(heap)
-                values[i] = _pair_curvature(g, *edges[i], lp).value
+                values[i] = _pair_curvature(g, *edges[i]).value
                 best = values[i] if best is None else min(best, values[i])
     best = min(v for v in values if v is not None)
     other = next((e for e, v in zip(edges, values) if v != best), None)

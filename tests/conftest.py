@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import pytest
 from hypothesis import strategies as st
 
@@ -23,6 +26,15 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 7):
         else []
     )
     return build_graph(n, sorted(tree_set) + sorted(extra))
+
+
+def load_workloads():
+    """perfbench/workloads.py as a module, for its seeded benchmark inputs."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,5 @@
 import hashlib
-import importlib.util
 import itertools
-import pathlib
 import random
 from functools import reduce
 
@@ -10,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs
+from conftest import load_workloads as _load_workloads
 from gcurv import cli, factorization
 from gcurv.errors import InternalCheckError, TrivialGraphError
 from gcurv.families import (
@@ -36,6 +35,7 @@ from gcurv.graphs import (
     are_isomorphic,
     build_graph,
     effective_diameter,
+    local_components,
     parse_edge_list,
 )
 from gcurv.verify import standard_corpus
@@ -171,14 +171,6 @@ def test_merged_classes_fail_the_primality_certificate(monkeypatch):
         factorize(g)
 
 
-def _load_workloads():
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # SHA-256 (first 16 hex digits) of repr([(f.n, f.edges) for f in factorize(g)]):
 # factors come in relation-class order, not in the order the expression names them
 FAMILY_DIGESTS = {
@@ -308,6 +300,101 @@ def test_moebius_ladder_has_two_local_classes_but_is_prime():
     assert edge_relation_components(g).count == 1
     assert is_prime(g)
     assert factorize(g) == [g]
+
+
+def _local_scan(g):
+    """The local relation from its generators, each found from scratch:
+    triangles vab relate va with vb, induced squares v a w b relate va with
+    bw and vb with aw, and two neighbours a, b of v with N(a) & N(b) = {v}
+    relate va with vb."""
+    nbr = g._nbr_sets
+    index = {e: i for i, e in enumerate(g.edges)}
+    uf = factorization._UnionFind(g.m)
+
+    def edge(u, w):
+        return index[(u, w) if u < w else (w, u)]
+
+    for v in range(g.n):
+        for a, b in itertools.combinations(sorted(nbr[v]), 2):
+            common = nbr[a] & nbr[b]
+            if b in nbr[a] or common == {v}:
+                uf.union(edge(v, a), edge(v, b))
+            else:
+                for w in common - nbr[v] - {v}:
+                    uf.union(edge(v, a), edge(b, w))
+                    uf.union(edge(v, b), edge(a, w))
+    return factorization._partition(g.edges, uf).component_of
+
+
+def _check_local_relation(g):
+    uf = factorization._UnionFind(g.m)
+    factorization._relate_locally(g, uf)
+    assert factorization._partition(g.edges, uf).component_of == _local_scan(g)
+
+
+def test_local_relation_matches_its_generators():
+    graphs = [mem.graph for mem in standard_corpus()]
+    graphs += [parse_edge_list(text) for _, text, _ in _load_workloads().random_inputs(1, 24)]
+    graphs += _circulants(12).values()
+    graphs += [parse_family(e).build() for e in FAMILY_DIGESTS]
+    # the induced squares 4 0 1 5, 4 0 3 5 and 4 2 3 5 are related at corner 4
+    # alone: their lesser corners 0 to 3 have connected neighbourhoods
+    graphs.append(build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 5), (2, 3),
+                                  (2, 4), (3, 5), (4, 5)]))
+    for g in graphs:
+        _check_local_relation(g)
+
+
+@given(connected_graphs(min_n=4, max_n=9))
+@settings(max_examples=100, deadline=None)
+def test_local_relation_matches_its_generators_on_random_graphs(g):
+    _check_local_relation(g)
+
+
+class _CountingUnionFind(factorization._UnionFind):
+    unions = 0
+
+    def union(self, a, b):
+        self.unions += 1
+        super().union(a, b)
+
+
+def _expected_unions(g):
+    """Unions of the local relation when each induced square is related once:
+    size - 1 per local component, one per pair of neighbours in different
+    components with no other common neighbour, two per induced square that
+    some corner sees with its two square neighbours in different components."""
+    nbr = g._nbr_sets
+    part = [{a: comp for comp in comps for a in nbr[v] if comp >> a & 1}
+            for v, comps in enumerate(local_components(g))]
+    unions = sum(comp.bit_count() - 1 for comps in local_components(g) for comp in comps)
+    squares = set()
+    for v in range(g.n):
+        for a, b in itertools.combinations(sorted(nbr[v]), 2):
+            if part[v][a] != part[v][b]:
+                common = nbr[a] & nbr[b] - {v}
+                unions += not common
+                squares.update(frozenset((v, a, w, b)) for w in common)
+    return unions + 2 * len(squares)
+
+
+def test_each_induced_square_is_related_at_one_corner():
+    # Q 3: every star is one edge and the six faces are its induced squares;
+    # each face is related by two unions at its least corner, not at all four
+    g = hypercube(3)
+    uf = _CountingUnionFind(g.m)
+    factorization._relate_locally(g, uf)
+    assert (uf.unions, uf.count) == (12, 3) == (_expected_unions(g), 3)
+
+
+@given(connected_graphs(max_n=5), connected_graphs(max_n=5))
+@settings(max_examples=40, deadline=None)
+def test_product_squares_are_related_once(a, b):
+    # a product has two or more local classes, so no vertex is skipped
+    g = cartesian_product(a, b)
+    uf = _CountingUnionFind(g.m)
+    factorization._relate_locally(g, uf)
+    assert uf.unions == _expected_unions(g)
 
 
 def test_product_factors_without_distance_rows(monkeypatch):

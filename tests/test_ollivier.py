@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs
+from conftest import connected_graphs, load_workloads
 from gcurv import ollivier
+from gcurv.classify import classify
 from gcurv.errors import (
     InternalCheckError,
     InvalidParameterError,
@@ -25,7 +26,7 @@ from gcurv.families import (
     parse_family,
     path_graph,
 )
-from gcurv.graphs import ball, build_graph
+from gcurv.graphs import adjacency_bits, ball, build_graph, parse_edge_list
 from gcurv.ollivier import (
     _is_lipschitz,
     brute_force_curvature_oracle,
@@ -41,6 +42,7 @@ from gcurv.ollivier import (
 )
 from gcurv.reflective import is_reflective
 from gcurv.spectral import is_distance_regular
+from gcurv.verify import standard_corpus
 
 
 # Values below were frozen from the exhaustive Lipschitz-function oracle.
@@ -537,8 +539,17 @@ def test_bound_first_minimum_builds_each_edge_program_once(monkeypatch):
     g = build_graph(n, edges)
     calls = _count_calls(monkeypatch, "build_lipschitz_lp", "solve_lipschitz_lp")
     min_edge_curvature(g)
-    # the triangle bound leaves 15 of the 32 edges without a program
-    assert calls == {"build_lipschitz_lp": 17, "solve_lipschitz_lp": 1}
+    # neither tier of bounds builds a program: only the solved edge gets one
+    assert calls == {"build_lipschitz_lp": 1, "solve_lipschitz_lp": 1}
+
+
+def test_cold_classify_builds_a_program_only_for_a_solved_pair(monkeypatch):
+    # the 24 seed-1 inputs of the analyze-random benchmark, given as edge-list text
+    graphs = [parse_edge_list(text) for _, text, _ in load_workloads().random_inputs(1, 24)]
+    calls = _count_calls(monkeypatch, "build_lipschitz_lp", "solve_lipschitz_lp")
+    for g in graphs:
+        classify(g)
+    assert calls == {"build_lipschitz_lp": 150, "solve_lipschitz_lp": 150}
 
 
 # edges solved for the minimum: the edge bounds leave unsolved every edge
@@ -688,6 +699,17 @@ def test_edge_bound_matches_the_greedy_plan_on_distance_rows(g):
         assert ollivier._edge_bound(g, x, y) == _greedy_bound_on_distance_rows(g, x, y)
 
 
+def test_edge_bound_matches_the_greedy_plan_on_the_corpus_and_random_inputs():
+    graphs = [parse_edge_list(text) for _, text, _ in load_workloads().random_inputs(1, 24)]
+    members = [m for m in standard_corpus() if not is_reflective(m.graph).reflective]
+    assert [m.spec.label() for m in members] == [
+        "C 5", "C 6", "KB 3 3", "petersen", "P 4", "( C 5 x K 2 )", "( P 4 x K 2 )"]
+    graphs += [m.graph for m in members]
+    for g in graphs:
+        for (x, y) in g.edges:
+            assert ollivier._edge_bound(g, x, y) == _greedy_bound_on_distance_rows(g, x, y)
+
+
 def test_dual_bound_refuses_malformed_rows():
     g = cycle(5)
     lp = build_lipschitz_lp(g, 0, 1)
@@ -701,10 +723,14 @@ def test_dual_bound_refuses_malformed_rows():
     assert ollivier._dual_bound(dist, lp, rows[1:]) is None
 
 
-def test_refused_edge_bound_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(ollivier, "_dual_bound", lambda dist, lp, rows: None)
+def test_refused_edge_bound_is_an_internal_error():
+    # a false bit 2 in the adjacency mask of vertex 5 of C 6: the plan of the
+    # edge (0, 1), popped first, pairs source 5 with sink 2 at distance 3
+    g = cycle(6)
+    adjacency_bits(g)[5] |= 1 << 2
+    assert g.cache["adj_bits"][5] >> 2 & 1 and g.distance(2, 5) == 3
     with pytest.raises(InternalCheckError, match="edge bound"):
-        min_edge_curvature(cycle(5))
+        min_edge_curvature(g)
 
 
 def test_min_edge_curvature_computes_its_own_reflections(monkeypatch):
