@@ -80,9 +80,13 @@ class _UnionFind:
         return a
 
     def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+        p = self.parent  # find, inlined for both ends
+        while p[a] != a:
+            p[a] = a = p[p[a]]
+        while p[b] != b:
+            p[b] = b = p[p[b]]
+        if a != b:
+            p[b] = a
             self.count -= 1
 
 
@@ -183,79 +187,33 @@ def is_prime(g: Graph) -> bool:
     return edge_relation_components(g).count == 1
 
 
-def _axis_component(axis_edges, base: int):
-    """Connected component of base in the subgraph keeping only axis_edges."""
-    nbrs = {}
-    for (u, v) in axis_edges:
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    seen = {base}
-    stack = [base]
-    while stack:
-        u = stack.pop()
-        for w in nbrs.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    verts = sorted(seen)
-    index = {v: i for i, v in enumerate(verts)}
-    sub = [
-        (index[u], index[v])
-        for (u, v) in axis_edges
-        if u in index and v in index
-    ]
-    return verts, sub
-
-
-def _projection(n: int, bundle_edges, axis_verts):
-    """Map each vertex to its unique bundle-component representative on the axis.
-
-    Moving along the complementary bundle keeps the axis coordinate, so
-    each complementary component must meet the axis exactly once; if not,
-    the class is not a factor and None is returned.
-    """
-    nbrs = {}
-    for (u, v) in bundle_edges:
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    axis_set = set(axis_verts)
-    proj = [None] * n
-    seen = [False] * n
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in nbrs.get(u, ()):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        anchors = [v for v in comp if v in axis_set]
-        if len(anchors) != 1:
-            return None
-        for v in comp:
-            proj[v] = anchors[0]
-    return proj
-
-
 def _rebuild(g: Graph, part: EdgeRelationPartition) -> tuple:
-    """One factor per class, certified to multiply back to g; else InternalCheckError."""
+    """One factor per class, certified to multiply back to g; else InternalCheckError.
+
+    Class c's factor is the layer of vertex 0: its component in the class's
+    edges.  Moving along the other classes keeps the factor's coordinate,
+    so each component of their edges must meet that layer exactly once,
+    and a vertex's coordinate is the layer vertex of its component.
+    """
     factors, coord = [], [0] * g.n
     for c in range(part.count):
-        axis = [e for e, k in zip(part.edges, part.component_of) if k == c]
-        rest = [e for e, k in zip(part.edges, part.component_of) if k != c]
-        verts, sub = _axis_component(axis, 0)
-        # moving along the other classes keeps this factor's coordinate
-        proj = _projection(g.n, rest, verts)
-        if proj is None:
-            raise InternalCheckError(f"relation class {c} is not a factor")
+        layer, across, axis = _UnionFind(g.n), _UnionFind(g.n), []
+        for e, k in zip(part.edges, part.component_of):
+            if k == c:
+                layer.union(*e)
+                axis.append(e)
+            else:
+                across.union(*e)
+        base = layer.find(0)
+        verts = [v for v in range(g.n) if layer.find(v) == base]
         index = {v: i for i, v in enumerate(verts)}
+        roots = [across.find(v) for v in range(g.n)]
+        anchor = {roots[v]: i for v, i in index.items()}
+        if len(anchor) != len(verts) or across.count != len(verts):
+            raise InternalCheckError(f"relation class {c} is not a factor")
         # mixed radix, in the order reduce(cartesian_product, factors) labels
-        coord = [x * len(verts) + index[p] for x, p in zip(coord, proj)]
+        coord = [x * len(verts) + anchor[r] for x, r in zip(coord, roots)]
+        sub = [(index[u], index[v]) for (u, v) in axis if u in index]
         factors.append(build_graph(len(verts), sub))
     # the order check comes first, so a wrong partition builds no large product
     if prod(f.n for f in factors) != g.n:

@@ -309,6 +309,46 @@ def adjacency_bits(g: Graph) -> list:
     return [sum(1 << v for v in nb) for nb in g.neighbors]
 
 
+def max_matching(adj, sources: int, sinks: int) -> dict:
+    """A maximum matching of sources with adjacent sinks, as {sink: source}.
+
+    adj holds one adjacency bitmask per vertex (adjacency_bits); sources
+    and sinks are bitmasks.  Sources join in increasing order, each along
+    an augmenting path searched depth first, with the sinks of each source
+    tried in increasing order (Kuhn's method).  The path is kept on an
+    explicit stack, so no recursion limit bounds its length.
+    """
+    owner = {}
+    rest = sources
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        u = bit.bit_length() - 1
+        near, seen = adj[u] & sinks, 0  # u's untried sinks; the sinks tried so far
+        path = []  # (source, its untried sinks, the sink it took) for each source above u
+        while True:
+            near &= ~seen
+            if near:
+                tbit = near & -near
+                near ^= tbit
+                seen |= tbit
+                t = tbit.bit_length() - 1
+                w = owner.get(t)
+                if w is None:
+                    # the path augments: each source on it takes its sink, deepest first
+                    owner[t] = u
+                    for u, _, t in reversed(path):
+                        owner[t] = u
+                    break
+                path.append((u, near, t))
+                u, near = w, adj[w] & sinks
+            elif path:
+                u, near, _ = path.pop()
+            else:
+                break
+    return owner
+
+
 @memo("local_components")
 def local_components(g: Graph) -> tuple:
     """Per vertex v, the components of the subgraph induced on N(v), as bitmasks.

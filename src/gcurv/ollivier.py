@@ -26,65 +26,49 @@ verify_optimality_certificate also runs after its type and shape checks.
 Its dual half, _dual_bound, turns any nonnegative rows that leave every
 free vertex stationary into a lower bound on the objective (weak duality).
 
-Reflective graphs are solved once per orbit.  min_edge_curvature (for the
-edges) and long_range_curvatures (for the non-adjacent pairs) compute the
-is_reflective verdict first.  On a reflective graph the orbit route reads
-its generators once, from reflective.reflection_generators: the
+min_edge_curvature (for the edges) and long_range_curvatures (for the
+non-adjacent pairs) take one route on every graph: _orbit_roots closes
+the pairs into orbits, and only an orbit's root is ever solved.  On a
+reflective graph the generators are reflective.reflection_generators: the
 reflections of the edges at vertex 0, which generate every reflection of
-a Graph (every Graph is connected), each a mapping that
-find_reflection proved to be an involutive automorphism (any other is an
-InternalCheckError).  pair_orbit_certificate closes its pairs under the
-same set.  The route takes the pairs in lexicographic order; the first
-unreached one is solved by the LP, or read from the cache when a
-single-pair request solved it.  A breadth-first search maps each reached
-pair through every generator and records for each new image its parent
-pair, the map sigma, whether the image turns over (sigma(x) > sigma(y))
-and the orbit's value.  Closing under proven automorphisms never leaves
-an orbit, and an automorphism preserves the program, so the value is the
-image's own; min_edge_curvature reads it from the record, and nothing
-else is built.  edge_curvature, long_range_curvature and
-long_range_curvatures build a pair's CurvatureValue only when it is asked
-for: the parent chain is walked up to a built ancestor and the optimizer
-and certificate are carried down it (v -> sigma(v), turned to x < y),
-each built pair cached on the way.  A certificate carried by a proven
-automorphism is feasible and optimal by construction, so it is not
-replayed here; verify's optimizer_certificates check replays every edge
-and far-pair certificate of its corpus.  The curvature value is the
-optimum of the program and so is unique; the optimizer and certificate
-are not, and for a pair that is not an orbit's first they are the carried
-ones.  Single-pair requests (edge_curvature, long_range_curvature) compute
-no reflections: before an all-pairs call has recorded orbits they solve
-their pair alone.  Once the orbit records exist, a pair they have not
-reached is handed to the orbit route, which solves one LP for the pair's
-orbit and records its other pairs, so later requests in that orbit are
-carries.  The first request of an orbit pays for the search on top of the
-LP, about twice a lone solve on Gosset and three times on HQ 6, so the
-route is ahead from the third or fourth request in an orbit there.
+a Graph (every Graph is connected), each proven by find_reflection to be
+an involutive automorphism (any other is an InternalCheckError);
+pair_orbit_certificate closes its pairs under the same set.  In
+lexicographic order, the first unreached pair is its orbit's root, and a
+breadth-first search records for each new image of a reached pair under
+a generator sigma its parent pair, sigma, whether it turns over
+(sigma(x) > sigma(y)) and the root.  An automorphism preserves the
+program, so every pair takes its root's value.  On a graph that is not
+reflective every pair is its own root and no record is made.
 
-On a graph that is not reflective, long_range_curvatures gives every pair
-its own LP, and min_edge_curvature bounds the edges from below in two
-tiers, driven from one heap keyed (bound, edge index).  Neither tier
-builds a program.  With S = N(x) minus N[y], T = N(y) minus N[x] and k
-the number of common neighbours (triangles on the edge), the lone rows
-f(y) - f(s) <= 2 for s in S and f(t) - f(x) <= 2 for t in T leave every
-free vertex stationary, and weak duality turns them into
+min_edge_curvature bounds the root edges from below in two tiers, from
+one heap keyed (bound, root); neither tier builds a program.  With
+S = N(x) minus N[y], T = N(y) minus N[x] and k common neighbours, the
+lone rows f(y) - f(s) <= 2 for s in S and f(t) - f(x) <= 2 for t in T
+leave every free vertex stationary, and weak duality turns them into
 d_y + 1 - |S| - 2|T| = 4 - d_x - d_y + 3k, a triangle-count bound in the
-spirit of Jost and Liu (Discrete Comput. Geom. 2014), read with one
-popcount from per-vertex adjacency bitmasks.  An edge popped with its
-tier-0 key gets a greedy transport plan (_edge_bound), built on the same
-bitmasks, and goes back with that integer bound, equal to the curvature
-on most edges; an edge popped with its tier-1 key is solved, and only
-then is its program built.  The greedy plan trades a lone source and a
-lone sink for one pair row, which adds 2 to the bound at distance 1 and 1
-at distance 2, so tier 0 <= tier 1 <= curvature.  A plan check stands in
-for _dual_bound on these rows: each pair's distance is read from the
-distance rows and must be the one its step claims, its ends must lie in
-T and S, and no source or sink may be used twice, so every free vertex
-stays stationary.  The refined edges pop in increasing (greedy bound,
-index) order, and the loop stops at the first popped key above the least
-value found: an edge left unsolved lies above the minimum, the solved
-edges are those that the greedy bounds alone would pick, and the value
-and both witnesses are those of a full scan.
+spirit of Jost and Liu (Discrete Comput. Geom. 2014), one popcount on
+per-vertex adjacency bitmasks.  A root popped with this tier-0 key goes
+back with the greedy transport bound of _edge_bound (tier 1, equal to the
+curvature on most edges; tier 0 <= tier 1 <= curvature), and a root
+popped with its tier-1 key is solved, its program built only then.  The
+loop stops at the first popped key above the least value found: a root
+left unsolved lies above the minimum, each edge takes its root's value,
+and the value and both witnesses are those of a full scan of the edges.
+
+A pair's CurvatureValue is built only when it is asked for
+(edge_curvature, long_range_curvature, long_range_curvatures): its parent
+chain is walked up to a built ancestor, or to the root, which is solved
+only then, and the optimizer and certificate are carried down the chain
+(v -> sigma(v), turned to x < y), each pair cached on the way.  A
+certificate carried by a proven automorphism is feasible and optimal by
+construction, so it is not replayed here; verify's optimizer_certificates
+check replays every edge and far-pair certificate of its corpus.  The
+value is the program's optimum, so it is unique; the optimizer and
+certificate of a pair that is not a root are the carried ones.
+Single-pair requests compute no reflections: before an all-pairs call
+has recorded orbits they solve their pair alone, and afterwards a pair
+the records have not reached closes a new orbit as its root.
 
 The independent oracle below works from the primal side instead: the
 curvature is (D+1) - W/d(x, y), with D the larger degree and W the integer
@@ -111,7 +95,7 @@ from .errors import (
     TrivialGraphError,
     check_vertex,
 )
-from .graphs import Graph, adjacency_bits, memo
+from .graphs import Graph, adjacency_bits, max_matching, memo
 from .reflective import reflection_generators
 
 _MAX_PIVOTS = 200_000
@@ -365,30 +349,30 @@ def solve_lipschitz_lp(g: Graph, lp: LipschitzLP) -> CurvatureValue:
 def _pair_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
     """Curvature of (x, y): cached, carried along its orbit records, or solved.
 
-    On a graph with orbit records, a pair the orbit route has not reached
-    yet is handed to it first (one LP for the pair's orbit).  A reached
-    pair that nobody has asked for yet is built here: its parent chain is
-    walked up to a built ancestor, and the certificate is carried down the
-    chain, each pair cached as it is built.  On any other graph the pair is
-    solved alone.
+    On a graph with orbit records, a pair they have not reached yet closes
+    a new orbit first, as its root.  The pair's parent chain is walked up
+    to a built ancestor or to the root, which is solved only then, and the
+    certificate is carried down the chain, each pair cached as it is
+    built.  On any other graph the pair is solved alone.
     """
     a, b = (x, y) if x < y else (y, x)
     cache = g.cache
     cv = cache.get(("kappa", a, b))
-    if cv is None and "orbits" in cache:
-        _solve_by_orbits(g, [(a, b)])
-        reach = cache["orbits"][1]
+    if cv is None:
+        reach = {}
+        if "orbits" in cache:
+            _orbit_roots(g, [(a, b)])
+            reach = cache["orbits"][1]
         chain, pair = [], (a, b)
-        cv = cache.get(("kappa", a, b))  # set when the pair was its orbit's first
-        while cv is None:
+        while cv is None and reach.get(pair, (None,))[0] is not None:
             chain.append(pair)
             pair = reach[pair][0]
             cv = cache.get(("kappa",) + pair)
+        if cv is None:  # a root, or a pair of a graph without orbit records
+            cv = cache[("kappa",) + pair] = solve_lipschitz_lp(g, build_lipschitz_lp(g, *pair))
         for pair in reversed(chain):
             _, sigma, turn, _ = reach[pair]
             cv = cache[("kappa",) + pair] = _carry(cv, sigma, turn)
-    if cv is None:
-        cv = cache["kappa", a, b] = solve_lipschitz_lp(g, build_lipschitz_lp(g, a, b))
     return cv if (x, y) == (a, b) else _carry(cv, range(g.n), True)
 
 
@@ -413,30 +397,27 @@ def _carry(cv: CurvatureValue, sigma, turn: bool) -> CurvatureValue:
     )
 
 
-def _solve_by_orbits(g: Graph, pairs):
-    """The values of pairs (x < y) in order, one LP per orbit.
+def _orbit_roots(g: Graph, pairs):
+    """The root of each pair (x < y) in order, closing the orbits not yet reached.
 
-    Reads reflection_generators first and returns None, doing nothing, on a
-    graph that is not reflective.  Every reached pair gets a record
-    (parent pair, sigma, turn, value), None for the parent of an orbit's
-    first pair; the module docstring describes the search.
+    Reads reflection_generators first; on a graph that is not reflective
+    every pair is its own root and no record is made.  Otherwise every
+    reached pair gets a record (parent pair, sigma, turn, root), with None
+    for the parent of the root, the first pair of its orbit to be reached;
+    the module docstring describes the search.  Nothing is solved here.
     """
     cache = g.cache
     orbits = cache.get("orbits")
     if orbits is None:
         gens = reflection_generators(g)
         if gens is None:
-            return None
+            return list(pairs)
         orbits = cache["orbits"] = (gens, {})
     gens, reach = orbits
     for pair in pairs:
         if pair in reach:
             continue
-        cv = cache.get(("kappa",) + pair)  # set when a single-pair request solved it
-        if cv is None:
-            cv = cache[("kappa",) + pair] = solve_lipschitz_lp(g, build_lipschitz_lp(g, *pair))
-        value = cv.value
-        reach[pair] = (None, None, False, value)
+        reach[pair] = (None, None, False, pair)
         frontier = [pair]
         while frontier:
             reached = []
@@ -447,7 +428,7 @@ def _solve_by_orbits(g: Graph, pairs):
                     image = (u, v) if u < v else (v, u)
                     if image in reach:
                         continue
-                    reach[image] = (parent, sigma, u > v, value)
+                    reach[image] = (parent, sigma, u > v, pair)
                     reached.append(image)
             frontier = reached
     return [reach[pair][3] for pair in pairs]
@@ -480,9 +461,9 @@ def _edge_bound(g: Graph, x: int, y: int) -> int:
     adjacency_bits and the distance rows.  The sources S = N(x) minus N[y]
     are the support vertices of coefficient +1 and the sinks T = N(y)
     minus N[x] those of -1.  A maximum matching pairs sources with adjacent
-    sinks (augmenting paths over the sinks in increasing order), and each
-    source left over takes the first sink still free at distance 2: not
-    adjacent, with a common neighbour.  With every source and sink alone
+    sinks (graphs.max_matching), and each source left over, in increasing
+    order, takes the first sink still free at distance 2: not adjacent,
+    with a common neighbour.  With every source and sink alone
     the dual rows give the triangle bound d_y + 1 - |S| - 2|T| (the module
     docstring), and a pair (t, s) at distance d adds 3 - d to it.  The plan
     check replaces _dual_bound here: each pair's distance, read from the
@@ -496,36 +477,16 @@ def _edge_bound(g: Graph, x: int, y: int) -> int:
     bound = len(g.neighbors[y]) + 1 - sources.bit_count() - 2 * sinks.bit_count()
     if not sources or not sinks:
         return bound
-    owner = {}  # sink -> the source paired with it
-
-    def augment(s):
-        nonlocal seen
-        near = adj[s] & sinks
-        while near:
-            bit = near & -near
-            near ^= bit
-            if not seen & bit:
-                seen |= bit
-                t = bit.bit_length() - 1
-                if t not in owner or augment(owner[t]):
-                    owner[t] = s
-                    return True
-        return False
-
-    left = []
-    rest = sources
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        s = bit.bit_length() - 1
-        seen = 0
-        if not augment(s):
-            left.append(s)
+    owner = max_matching(adj, sources, sinks)  # sink -> the source paired with it
     plan = [(t, s, 1) for t, s in owner.items()]
-    open_sinks = sinks
-    for t in owner:
+    open_sinks, left = sinks, sources
+    for t, s in owner.items():
         open_sinks ^= 1 << t
-    for s in left:
+        left ^= 1 << s
+    while left:
+        bit = left & -left
+        left ^= bit
+        s = bit.bit_length() - 1
         far = open_sinks & ~adj[s]
         while far:
             bit = far & -far
@@ -554,34 +515,33 @@ def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
     Witnesses are the first edge in lexicographic order attaining the
     minimum and, when values differ, the first edge attaining any other
     value.  Raises TrivialGraphError on a graph without edges.  The module
-    docstring describes the two routes: one LP per edge orbit on a
-    reflective graph, bound-first on any other.
+    docstring describes the route: bound-first over the edge orbits' roots,
+    every edge its own root on a graph that is not reflective.
     """
     if not g.edges:
         raise TrivialGraphError("edge curvature needs at least one edge")
     edges = g.edges
-    values = _solve_by_orbits(g, edges)
-    if values is None:  # an edge left at None has a bound, so a value, above the minimum
-        adj = adjacency_bits(g)
-        deg = [len(nb) for nb in g.neighbors]
-        # heap entries (bound, edge index, refined): the triangle bound, then
-        # the greedy bound; neither builds a program
-        heap = [(4 - deg[x] - deg[y] + 3 * (adj[x] & adj[y]).bit_count(), i, False)
-                for i, (x, y) in enumerate(edges)]
-        heapify(heap)
-        values = [None] * len(edges)
-        best = None
-        while heap:
-            bound, i, refined = heap[0]
-            if best is not None and bound > best:
-                break
-            if not refined:
-                heapreplace(heap, (_edge_bound(g, *edges[i]), i, True))
-            else:
-                heappop(heap)
-                values[i] = _pair_curvature(g, *edges[i]).value
-                best = values[i] if best is None else min(best, values[i])
-    best = min(v for v in values if v is not None)
+    roots = _orbit_roots(g, edges)
+    adj = adjacency_bits(g)
+    deg = [len(nb) for nb in g.neighbors]
+    # heap entries (bound, root, refined): the triangle bound, then the
+    # greedy bound; neither builds a program
+    heap = [(4 - deg[x] - deg[y] + 3 * (adj[x] & adj[y]).bit_count(), (x, y), False)
+            for (x, y) in dict.fromkeys(roots)]
+    heapify(heap)
+    solved = {}  # a root left out has a bound, so a value, above the minimum
+    best = None
+    while heap:
+        bound, root, refined = heap[0]
+        if best is not None and bound > best:
+            break
+        if not refined:
+            heapreplace(heap, (_edge_bound(g, *root), root, True))
+        else:
+            heappop(heap)
+            value = solved[root] = _pair_curvature(g, *root).value
+            best = value if best is None else min(best, value)
+    values = [solved.get(root) for root in roots]  # each edge takes its root's value
     other = next((e for e, v in zip(edges, values) if v != best), None)
     return MinEdgeCurvature(best, other is None, edges[values.index(best)], other)
 
@@ -589,11 +549,10 @@ def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
 def long_range_curvatures(g: Graph) -> dict:
     """Curvature of every non-adjacent pair x < y, keyed in lexicographic order.
 
-    Computes the reflections first, so a reflective graph needs one LP per
-    orbit.
+    Closes the orbits first, so a reflective graph needs one LP per orbit.
     """
     pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n) if not g.adjacent(x, y)]
-    _solve_by_orbits(g, pairs)
+    _orbit_roots(g, pairs)
     return {(x, y): long_range_curvature(g, x, y) for (x, y) in pairs}
 
 

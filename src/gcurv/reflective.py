@@ -41,7 +41,7 @@ each neighbor, so it holds the reflections at each neighbor, and so on
 outward; it is vertex-transitive.  So is_reflective searches only the
 edges at vertex 0; reflection_generators returns their reflections, the
 one generating set under which both pair_orbit_certificate and the
-Ollivier orbit route (ollivier._solve_by_orbits) close pairs; and
+Ollivier orbit records (ollivier._orbit_roots) close pairs; and
 spectral.is_distance_regular reads vertex 0's row alone on a reflective
 graph, and sphere_isometry_witness reads vertex 0's sphere and caps alone.
 verify's reflection_axioms check still finds and checks the reflection of
@@ -65,10 +65,12 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    adjacency_bits,
     induced_subgraph,
     is_convex_subset,
     is_isometric_subset,
     is_locally_connected,
+    max_matching,
     memo,
     side_partition,
     sphere,
@@ -373,27 +375,25 @@ def distance_eigenfunction_check(g: Graph, x: int, K) -> bool:
 def triangle_matching_check(g: Graph, x: int, y: int) -> bool:
     """Triangle count at the edge is at least the curvature minus two.
 
-    At equality the exclusive neighborhoods must additionally admit a
-    perfect matching along graph edges: an assignment of cost 0 when each
-    graph edge costs 0 and each other pair 1.
+    At equality the exclusive neighborhoods N(x) minus N[y] and N(y) minus
+    N[x] must additionally be perfectly matched along graph edges
+    (graphs.max_matching).
     """
-    from .ollivier import edge_curvature, min_assignment_cost
+    from .ollivier import edge_curvature
 
     if not g.adjacent(x, y):
         raise NotAdjacentError(x, y)
     kappa = edge_curvature(g, x, y).value
-    common = sum(1 for w in g.neighbors[x] if g.adjacent(w, y))
-    if Fraction(common) < kappa - 2:
+    adj = adjacency_bits(g)
+    common = (adj[x] & adj[y]).bit_count()
+    if common < kappa - 2:
         return False
-    if Fraction(common) == kappa - 2:
-        bx = g._nbr_sets[x] | {x}
-        by = g._nbr_sets[y] | {y}
-        left = [w for w in g.neighbors[x] if w not in by]
-        right = [w for w in g.neighbors[y] if w not in bx]
-        if len(left) != len(right):
+    if common == kappa - 2:
+        left = adj[x] & ~adj[y] & ~(1 << y)
+        right = adj[y] & ~adj[x] & ~(1 << x)
+        if left.bit_count() != right.bit_count():
             return False
-        cost = [[0 if g.adjacent(a, b) else 1 for b in right] for a in left]
-        if min_assignment_cost(cost):
+        if len(max_matching(adj, left, right)) != left.bit_count():
             return False
     return True
 

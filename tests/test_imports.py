@@ -6,7 +6,8 @@ module (a call, an attribute base, an annotation, a default value).
 A module-level ``_private`` function counts as used when some gcurv module
 names it (as a name, an attribute or an import) outside its own ``def``,
 and a class of ``errors.py`` counts as used when another module names it.
-Only ``graphs.memo`` and the functions in ``CACHE_KEEPERS`` name ``.cache``.
+Only ``graphs.memo`` and the functions in ``CACHE_KEEPERS`` name ``.cache``,
+and only the functions in ``RECURSIVE`` call themselves.
 """
 
 import ast
@@ -105,7 +106,7 @@ def test_every_error_class_is_named_by_another_module():
 # orbit records and their carried pairs, the registry of proven reflections).
 CACHE_KEEPERS = {
     "graphs.Graph.__init__", "graphs.memo", "graphs.side_partition",
-    "ollivier._pair_curvature", "ollivier._solve_by_orbits",
+    "ollivier._pair_curvature", "ollivier._orbit_roots",
     "reflective._search", "reflective.reflection_generators",
 }
 
@@ -136,3 +137,63 @@ def test_only_memo_and_the_listed_keepers_touch_the_cache():
         found.update(cache_touchers(path.stem, path.read_text(encoding="utf-8")))
     assert "graphs.memo" in found
     assert sorted(found - CACHE_KEEPERS) == []
+
+
+# The product-expression recursion of families: MAX_PRODUCT_NESTING bounds
+# its depth before any of it runs.  Any other recursion is one input away
+# from a RecursionError, so it keeps an explicit stack instead.
+RECURSIVE = {
+    "families._parse_expr", "families.FamilySpec.label", "families.FamilySpec.size",
+    "families.FamilySpec.prime_factors", "families.FamilySpec.build",
+}
+
+
+def self_callers(module: str, source: str):
+    """module.name of every function (nested or a method) that calls itself by name.
+
+    A function calls itself through its bare name, and a method through an
+    attribute of its name on any object but super().
+    """
+    found = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix, in_class)
+                continue
+            for call in ast.walk(child):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if in_class:
+                    hit = (isinstance(f, ast.Attribute) and f.attr == child.name
+                           and not (isinstance(f.value, ast.Call)
+                                    and getattr(f.value.func, "id", None) == "super"))
+                else:
+                    hit = isinstance(f, ast.Name) and f.id == child.name
+                if hit:
+                    found.append(f"{module}.{prefix}{child.name}")
+                    break
+            visit(child, f"{prefix}{child.name}.", False)
+
+    visit(ast.parse(source), "", False)
+    return found
+
+
+def test_self_callers_are_found():
+    source = ("def f(n):\n    return f(n - 1)\n\n"
+              "def g(n):\n    def walk(k):\n        return walk(k - 1)\n    return g\n\n"
+              "class E(Exception):\n    def __init__(self):\n        super().__init__('e')\n\n"
+              "class T:\n    def size(self):\n        return sum(c.size() for c in self.kids)\n"
+              "    def other(self):\n        return size(self)\n")
+    assert self_callers("m", source) == ["m.f", "m.g.walk", "m.T.size"]
+
+
+def test_only_the_listed_functions_call_themselves():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(self_callers(path.stem, path.read_text(encoding="utf-8")))
+    assert sorted(found) == sorted(RECURSIVE)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs, load_workloads
@@ -40,7 +40,7 @@ from gcurv.ollivier import (
     solve_lipschitz_lp,
     verify_optimality_certificate,
 )
-from gcurv.reflective import is_reflective
+from gcurv.reflective import is_reflective, reflection_generators
 from gcurv.spectral import is_distance_regular
 from gcurv.verify import standard_corpus
 
@@ -639,27 +639,60 @@ def test_triangle_bound_is_the_lone_rows_plan_on_random_graphs(g):
     _triangle_bound_checks(g)
 
 
+def _edge_orbit_roots(g):
+    """The first edge of each edge orbit under the reflections, in edge
+    order; every edge on a graph that is not reflective."""
+    gens = reflection_generators(g) or []
+    roots, seen = [], set()
+    for e in g.edges:
+        if e in seen:
+            continue
+        roots.append(e)
+        seen.add(e)
+        frontier = [e]
+        while frontier:
+            images = {tuple(sorted((mp[u], mp[v]))) for (u, v) in frontier for mp in gens}
+            frontier = list(images - seen)
+            seen |= images
+    return roots
+
+
 @given(connected_graphs(min_n=2, max_n=10))
 @settings(max_examples=60, deadline=None)
+@example(parse_family("( Q 2 x CP 3 )").build())
+@example(parse_family("( K 2 x J 4 2 )").build())
+@example(parse_family("( K 2 x C 6 )").build())
+@example(parse_family("Q 3").build())
 def test_two_tiers_solve_the_edges_that_one_tier_solves(g):
-    # the greedy bounds alone, in (bound, index) order up to the first bound
-    # above the running minimum, name the edges that must be solved
+    # the greedy bounds alone, in (bound, root) order up to the first bound
+    # above the running minimum, name the edge orbit roots that must be
+    # solved; every edge is its own root on a graph that is not reflective
     fresh = build_graph(g.n, g.edges)
-    if is_reflective(fresh).reflective:
-        return
     expected, best = [], None
-    for bound, i in sorted((ollivier._edge_bound(fresh, *e), i) for i, e in enumerate(g.edges)):
+    for bound, e in sorted((ollivier._edge_bound(fresh, *e), e) for e in _edge_orbit_roots(fresh)):
         if best is not None and bound > best:
             break
-        value = edge_curvature(fresh, *g.edges[i]).value
+        value = edge_curvature(fresh, *e).value
         best = value if best is None else min(best, value)
-        expected.append(g.edges[i])
+        expected.append(e)
+    g = build_graph(g.n, g.edges)
     with pytest.MonkeyPatch.context() as patch:
         solves = _count_solves(patch)
         min_edge_curvature(g)
     assert solves == {"edge": len(expected), "far": 0}
     assert sorted(k[1:] for k in g.cache if isinstance(k, tuple) and k[0] == "kappa") \
         == sorted(expected)
+
+
+@pytest.mark.parametrize("expr, solves", [("( Q 2 x CP 3 )", 2), ("( K 2 x J 4 2 )", 1)])
+def test_bounds_pick_the_edge_orbits_that_are_solved(monkeypatch, expr, solves):
+    # the factors' edges lie in orbits of different curvature, and a root
+    # whose bound exceeds the minimum is never solved
+    counts = _count_solves(monkeypatch)
+    g = parse_family(expr).build()
+    assert is_reflective(g).reflective
+    min_edge_curvature(g)
+    assert counts == {"edge": solves, "far": 0}
 
 
 def _greedy_bound_on_distance_rows(g, x, y):
@@ -708,6 +741,23 @@ def test_edge_bound_matches_the_greedy_plan_on_the_corpus_and_random_inputs():
     for g in graphs:
         for (x, y) in g.edges:
             assert ollivier._edge_bound(g, x, y) == _greedy_bound_on_distance_rows(g, x, y)
+
+
+def test_edge_bound_follows_an_augmenting_path_through_every_source():
+    # x = 0 ~ y = 1; sources a_j = j + 1 and b = L + 2 at x, sinks
+    # t_j = L + 2 + j at y, a_j ~ t_j, a_j ~ t_(j+1) and b ~ t_1: b's
+    # augmenting path passes through all L sources, deeper than the
+    # interpreter's recursion limit
+    L = 1100
+    b = L + 2
+    edges = [(0, 1), (0, b), (b, b + 1)]
+    for j in range(1, L + 1):
+        edges += [(0, j + 1), (j + 1, b + j), (j + 1, b + j + 1), (1, b + j)]
+    edges.append((1, b + L + 1))
+    g = build_graph(2 * L + 4, edges)
+    assert (g.n, g.m) == (2204, 4404)
+    # a perfect matching: each of the L + 1 pairs adds 2 to the triangle bound
+    assert ollivier._edge_bound(g, 0, 1) == 2
 
 
 def test_dual_bound_refuses_malformed_rows():

@@ -26,7 +26,12 @@ from gcurv.families import (
     schlafli,
 )
 from gcurv.graphs import build_graph, induced_subgraph, is_locally_connected, side_partition
-from gcurv.ollivier import long_range_curvatures, min_edge_curvature
+from gcurv.ollivier import (
+    edge_curvature,
+    long_range_curvatures,
+    min_assignment_cost,
+    min_edge_curvature,
+)
 from gcurv.reflective import (
     _automorphism_witness,
     are_parallel,
@@ -158,6 +163,37 @@ def test_triangle_matching(octahedron):
 def test_triangle_matching_requires_adjacency(octahedron):
     with pytest.raises(NotAdjacentError):
         triangle_matching_check(octahedron, 0, 1)
+
+
+def _assignment_triangle_matching(g, x, y):
+    """triangle_matching_check with the matching decided by an assignment:
+    a perfect one along graph edges costs 0 when each edge costs 0 and each
+    other pair 1."""
+    kappa = edge_curvature(g, x, y).value
+    common = sum(1 for w in g.neighbors[x] if g.adjacent(w, y))
+    if common != kappa - 2:
+        return common > kappa - 2
+    left = [w for w in g.neighbors[x] if w != y and not g.adjacent(w, y)]
+    right = [w for w in g.neighbors[y] if w != x and not g.adjacent(w, x)]
+    if len(left) != len(right):
+        return False
+    return min_assignment_cost([[0 if g.adjacent(a, b) else 1 for b in right]
+                                for a in left]) == 0
+
+
+@pytest.mark.parametrize("expr", STANDARD_CORPUS)
+def test_triangle_matching_agrees_with_the_assignment_reference(expr):
+    g = parse_family(expr).build()
+    min_edge_curvature(g)  # orbit records, so each edge's value is carried
+    for (x, y) in g.edges:
+        assert triangle_matching_check(g, x, y) == _assignment_triangle_matching(g, x, y)
+
+
+@given(connected_graphs(min_n=2, max_n=9))
+@settings(max_examples=60, deadline=None)
+def test_triangle_matching_agrees_with_the_assignment_reference_on_random_graphs(g):
+    for (x, y) in g.edges:
+        assert triangle_matching_check(g, x, y) == _assignment_triangle_matching(g, x, y)
 
 
 def test_vxy_check_octahedron(octahedron):
@@ -542,6 +578,10 @@ def test_orbit_route_solves_one_lp_per_orbit_of_every_reflection(monkeypatch, ex
     g = parse_family(expr).build()
     min_edge_curvature(g)
     long_range_curvatures(g)
+    # the minimum solves only the edge roots its bounds pick; asking for
+    # every edge solves the rest, one LP per orbit
+    for (x, y) in g.edges:
+        edge_curvature(g, x, y)
     assert len(solves) == _unordered_pair_orbits(g, _every_reflection(g))
 
 
