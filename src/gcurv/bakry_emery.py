@@ -28,6 +28,7 @@ from .errors import (
     check_vertex,
 )
 from .graphs import Graph, effective_diameter, memo
+from .reflective import is_reflective
 from .spectral import _jacobi_eigenvalues, _psd_nullity
 
 
@@ -310,19 +311,22 @@ def be_effective_bound_report(g: Graph) -> BEBoundReport:
     the reduced iterated form is positive definite everywhere (K_min > 0).
     Otherwise K_min >= r, and equality (k_snapped = r) holds exactly when
     some pencil is singular.  k_min and bound are floats, only reported.
-    A report is cached on the graph; the nonpositive case raises each time.
+    A reflective graph is vertex-transitive (reflective module docstring),
+    so vertex 0 alone is read there.  A report is cached on the graph; the
+    nonpositive case raises each time.
     """
-    k_min = min(bakry_emery_curvature(g, x) for x in range(g.n))
+    vertices = [0] if is_reflective(g).reflective else range(g.n)
+    k_min = min(bakry_emery_curvature(g, x) for x in vertices)
     diam_eff = effective_diameter(g)
     r = g.max_degree() / diam_eff
     strict = singular = False
-    for x in range(g.n):
+    for x in vertices:
         psd, nullity = _pencil_psd_nullity(g, x, r)
         if not psd:
             strict = True
             break
         singular = singular or nullity > 0
-    if strict and any(_psd_nullity(_inner_gamma2(g, x)[0]) != (True, 0) for x in range(g.n)):
+    if strict and any(_psd_nullity(_inner_gamma2(g, x)[0]) != (True, 0) for x in vertices):
         raise NonpositiveCurvatureError(k_min)
     equality = singular and not strict
     return BEBoundReport(

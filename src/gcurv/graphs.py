@@ -268,20 +268,20 @@ class SidePartition:
 
 
 def side_partition(g: Graph, x: int, y: int) -> SidePartition:
-    """The split by the edge (x, y), cached; (y, x) reuses it with the sides swapped."""
+    """The split by the edge (x, y); (y, x) reads the cached split of (x, y), sides swapped."""
     check_vertex(g.n, x)
     check_vertex(g.n, y)
     if not g.adjacent(x, y):
         raise NotAdjacentError(x, y)
-    key = ("side", x, y)
-    hit = g.cache.get(key)
-    if hit is not None:
-        return hit
-    hit = g.cache.get(("side", y, x))
-    if hit is not None:
-        part = SidePartition(x, y, hit.side_y, hit.side_x, hit.middle)
-        g.cache[key] = part
-        return part
+    if x < y:
+        return _split(g, x, y)
+    part = _split(g, y, x)
+    return SidePartition(x, y, part.side_y, part.side_x, part.middle)
+
+
+@memo("side")
+def _split(g: Graph, x: int, y: int) -> SidePartition:
+    """The split by the edge (x, y), x < y."""
     dx = g.dist_rows()[x]
     dy = g.dist_rows()[y]
     sx, sy, mid = [], [], []
@@ -292,9 +292,7 @@ def side_partition(g: Graph, x: int, y: int) -> SidePartition:
             sy.append(v)
         else:
             mid.append(v)
-    part = SidePartition(x, y, tuple(sx), tuple(sy), tuple(mid))
-    g.cache[key] = part
-    return part
+    return SidePartition(x, y, tuple(sx), tuple(sy), tuple(mid))
 
 
 def effective_diameter(g: Graph) -> Fraction:

@@ -27,19 +27,13 @@ Its dual half, _dual_bound, turns any nonnegative rows that leave every
 free vertex stationary into a lower bound on the objective (weak duality).
 
 min_edge_curvature (for the edges) and long_range_curvatures (for the
-non-adjacent pairs) take one route on every graph: _orbit_roots closes
-the pairs into orbits, and only an orbit's root is ever solved.  On a
-reflective graph the generators are reflective.reflection_generators: the
-reflections of the edges at vertex 0, which generate every reflection of
-a Graph (every Graph is connected), each proven by find_reflection to be
-an involutive automorphism (any other is an InternalCheckError);
-pair_orbit_certificate closes its pairs under the same set.  In
-lexicographic order, the first unreached pair is its orbit's root, and a
-breadth-first search records for each new image of a reached pair under
-a generator sigma its parent pair, sigma, whether it turns over
-(sigma(x) > sigma(y)) and the root.  An automorphism preserves the
-program, so every pair takes its root's value.  On a graph that is not
-reflective every pair is its own root and no record is made.
+non-adjacent pairs) take one route on every graph: reflective.orbit_roots
+closes the pairs into orbits under the reflections of the edges at vertex
+0, recording for each pair its parent pair, the generator sigma that
+reached it and its root, and only an orbit's root is ever solved.  An
+automorphism preserves the program, so every pair takes its root's value.
+On a graph that is not reflective every pair is its own root and no
+record is made.
 
 min_edge_curvature bounds the root edges from below in two tiers, from
 one heap keyed (bound, root); neither tier builds a program.  With
@@ -60,15 +54,16 @@ A pair's CurvatureValue is built only when it is asked for
 (edge_curvature, long_range_curvature, long_range_curvatures): its parent
 chain is walked up to a built ancestor, or to the root, which is solved
 only then, and the optimizer and certificate are carried down the chain
-(v -> sigma(v), turned to x < y), each pair cached on the way.  A
-certificate carried by a proven automorphism is feasible and optimal by
-construction, so it is not replayed here; verify's optimizer_certificates
-check replays every edge and far-pair certificate of its corpus.  The
-value is the program's optimum, so it is unique; the optimizer and
-certificate of a pair that is not a root are the carried ones.
-Single-pair requests compute no reflections: before an all-pairs call
-has recorded orbits they solve their pair alone, and afterwards a pair
-the records have not reached closes a new orbit as its root.
+(v -> sigma(v), turned over where sigma(x) > sigma(y) so that x < y), each
+pair cached on the way.  A certificate carried by a proven automorphism is
+feasible and optimal by construction, so it is not replayed here; verify's
+optimizer_certificates check replays every edge and far-pair certificate
+of its corpus.  The value is the program's optimum, so it is unique; the
+optimizer and certificate of a pair that is not a root are the carried
+ones.  Single-pair requests compute no reflections: before an all-pairs
+call or pair_orbit_certificate has recorded orbits they solve their pair
+alone, and afterwards a pair the records have not reached closes a new
+orbit as its root.
 
 The independent oracle below works from the primal side instead: the
 curvature is (D+1) - W/d(x, y), with D the larger degree and W the integer
@@ -96,7 +91,7 @@ from .errors import (
     check_vertex,
 )
 from .graphs import Graph, adjacency_bits, max_matching, memo
-from .reflective import reflection_generators
+from .reflective import orbit_roots
 
 _MAX_PIVOTS = 200_000
 
@@ -361,7 +356,7 @@ def _pair_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
     if cv is None:
         reach = {}
         if "orbits" in cache:
-            _orbit_roots(g, [(a, b)])
+            orbit_roots(g, [(a, b)])
             reach = cache["orbits"][1]
         chain, pair = [], (a, b)
         while cv is None and reach.get(pair, (None,))[0] is not None:
@@ -371,8 +366,8 @@ def _pair_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
         if cv is None:  # a root, or a pair of a graph without orbit records
             cv = cache[("kappa",) + pair] = solve_lipschitz_lp(g, build_lipschitz_lp(g, *pair))
         for pair in reversed(chain):
-            _, sigma, turn, _ = reach[pair]
-            cv = cache[("kappa",) + pair] = _carry(cv, sigma, turn)
+            sigma = reach[pair][1]
+            cv = cache[("kappa",) + pair] = _carry(cv, sigma, sigma[cv.x] > sigma[cv.y])
     return cv if (x, y) == (a, b) else _carry(cv, range(g.n), True)
 
 
@@ -395,43 +390,6 @@ def _carry(cv: CurvatureValue, sigma, turn: bool) -> CurvatureValue:
         {sigma[v]: turned[f.numerator] for v, f in cv.optimizer.items()},
         tuple((sigma[v], sigma[u], rhs, l) for (u, v, rhs, l) in cv.certificate),
     )
-
-
-def _orbit_roots(g: Graph, pairs):
-    """The root of each pair (x < y) in order, closing the orbits not yet reached.
-
-    Reads reflection_generators first; on a graph that is not reflective
-    every pair is its own root and no record is made.  Otherwise every
-    reached pair gets a record (parent pair, sigma, turn, root), with None
-    for the parent of the root, the first pair of its orbit to be reached;
-    the module docstring describes the search.  Nothing is solved here.
-    """
-    cache = g.cache
-    orbits = cache.get("orbits")
-    if orbits is None:
-        gens = reflection_generators(g)
-        if gens is None:
-            return list(pairs)
-        orbits = cache["orbits"] = (gens, {})
-    gens, reach = orbits
-    for pair in pairs:
-        if pair in reach:
-            continue
-        reach[pair] = (None, None, False, pair)
-        frontier = [pair]
-        while frontier:
-            reached = []
-            for parent in frontier:
-                x, y = parent
-                for sigma in gens:
-                    u, v = sigma[x], sigma[y]
-                    image = (u, v) if u < v else (v, u)
-                    if image in reach:
-                        continue
-                    reach[image] = (parent, sigma, u > v, pair)
-                    reached.append(image)
-            frontier = reached
-    return [reach[pair][3] for pair in pairs]
 
 
 def edge_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
@@ -521,7 +479,7 @@ def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
     if not g.edges:
         raise TrivialGraphError("edge curvature needs at least one edge")
     edges = g.edges
-    roots = _orbit_roots(g, edges)
+    roots = orbit_roots(g, edges)[0]
     adj = adjacency_bits(g)
     deg = [len(nb) for nb in g.neighbors]
     # heap entries (bound, root, refined): the triangle bound, then the
@@ -552,7 +510,7 @@ def long_range_curvatures(g: Graph) -> dict:
     Closes the orbits first, so a reflective graph needs one LP per orbit.
     """
     pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n) if not g.adjacent(x, y)]
-    _orbit_roots(g, pairs)
+    orbit_roots(g, pairs)
     return {(x, y): long_range_curvature(g, x, y) for (x, y) in pairs}
 
 

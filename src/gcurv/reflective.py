@@ -40,12 +40,32 @@ reflections at vertex 0 generate all the others: their group moves 0 onto
 each neighbor, so it holds the reflections at each neighbor, and so on
 outward; it is vertex-transitive.  So is_reflective searches only the
 edges at vertex 0; reflection_generators returns their reflections, the
-one generating set under which both pair_orbit_certificate and the
-Ollivier orbit records (ollivier._orbit_roots) close pairs; and
-spectral.is_distance_regular reads vertex 0's row alone on a reflective
-graph, and sphere_isometry_witness reads vertex 0's sphere and caps alone.
+one generating set, and orbit_roots (below) is the one place that closes
+pairs under them.  On a reflective graph spectral.is_distance_regular
+reads vertex 0's row alone, sphere_isometry_witness vertex 0's sphere and
+caps, and bakry_emery.be_effective_bound_report vertex 0's forms.
 verify's reflection_axioms check still finds and checks the reflection of
 every side class of its corpus.
+
+orbit_roots closes vertex pairs x < y into orbits of the group the
+generators make; the Ollivier curvature records (ollivier) and
+pair_orbit_certificate both read it.  Pairs are taken in the order given,
+and the first one not yet reached is its orbit's root.  A breadth-first
+search maps each reached pair through every generator and records each
+new image as (parent pair, sigma, side, root), with side 1 when the chain
+of generators from the root reaches the pair turned over.  An image
+reached a second time with the other side shows two group elements that
+differ by a swap of the root's ends, so the root joins the reversible
+roots.  When every image agrees, the sides pick one order of each pair,
+a set that every generator keeps and so, the group being finite, every
+element: nothing swaps the ends.  So the group is transitive on the
+ordered pairs at each positive distance exactly when each distance class
+has one root and that root is reversible, which is what
+pair_orbit_certificate tests.  Distance 0 needs no test: one reversible
+edge orbit makes the group transitive on directed edges, and every vertex
+of a connected graph with an edge is the tail of one.  The records stay
+on the graph, so whichever of the certificate and the curvature calls
+comes first closes the orbits for the other.
 
 The rigidity proof also needs every unit sphere, and every cap of a sphere
 away from a far vertex, to be isometric.  Those conditions read no side,
@@ -111,8 +131,9 @@ def candidate_reflection(g: Graph, x: int, y: int) -> CandidateOutcome:
 
     Each vertex on x's side must have exactly one neighbor on y's side;
     those pairs are the swaps, the middle stays fixed.  If some side
-    vertex breaks the unique-neighbor rule, or the pairing is not
-    mutual, no candidate exists and the violator is reported.
+    vertex breaks the unique-neighbor rule, no candidate exists and the
+    violator is reported.  Otherwise the pairing is mutual: y' = fwd(x')
+    is a cross neighbor of x', so x' is the one cross neighbor of y'.
     """
     check_vertex(g.n, x)
     check_vertex(g.n, y)
@@ -127,17 +148,8 @@ def candidate_reflection(g: Graph, x: int, y: int) -> CandidateOutcome:
         if len(cross) != 1:
             return CandidateOutcome(None, xp)
         fwd[xp] = cross[0]
-    bwd = {}
     for yp in sp.side_y:
-        cross = [w for w in g.neighbors[yp] if w in sx_set]
-        if len(cross) != 1:
-            return CandidateOutcome(None, yp)
-        bwd[yp] = cross[0]
-    for xp, yp in fwd.items():
-        if bwd[yp] != xp:
-            return CandidateOutcome(None, xp)
-    for yp, xp in bwd.items():
-        if fwd[xp] != yp:
+        if sum(w in sx_set for w in g.neighbors[yp]) != 1:
             return CandidateOutcome(None, yp)
     mapping = list(range(g.n))
     for xp, yp in fwd.items():
@@ -171,7 +183,8 @@ def find_reflection(g: Graph, x: int, y: int) -> ReflectionSearch:
     """Construct the forced candidate and certify that it is an automorphism.
 
     A built candidate already satisfies the other four axioms in both
-    orientations: fwd and bwd are inverse bijections (an involution), y is
+    orientations: the swaps pair each side vertex with its one cross
+    neighbor, mutually (an involution), y is
     x's unique cross neighbor (the ends swap), the swaps are exactly the
     cross edges and the middle stays fixed.  So failed_axiom is
     "cross-edges" (no candidate; the witness is the violator) or
@@ -287,51 +300,68 @@ def uncovered_vertex(g: Graph, members):
     return next((z for z in range(g.n) if z not in covered), None)
 
 
+def orbit_roots(g: Graph, pairs):
+    """(the root of each pair x < y in order, the reversible roots).
+
+    Closes the orbits of reflection_generators not yet reached and records
+    each reached pair as (parent pair, sigma, side, root); the module
+    docstring describes the search.  On a graph that is not reflective
+    every pair is its own root, no record is made and no root is known to
+    be reversible.
+    """
+    cache = g.cache
+    orbits = cache.get("orbits")
+    if orbits is None:
+        gens = reflection_generators(g)
+        if gens is None:
+            return list(pairs), set()
+        orbits = cache["orbits"] = (gens, {}, set())
+    gens, reach, reversible = orbits
+    for pair in pairs:
+        if pair in reach:
+            continue
+        reach[pair] = (None, None, 0, pair)
+        frontier = [(pair, 0)]
+        swapped = False
+        while frontier:
+            reached = []
+            for parent, side in frontier:
+                x, y = parent
+                for sigma in gens:
+                    u, v = sigma[x], sigma[y]
+                    image = (u, v) if u < v else (v, u)
+                    if image not in reach:
+                        at = side ^ (u > v)
+                        reach[image] = (parent, sigma, at, pair)
+                        reached.append((image, at))
+                    elif not swapped and reach[image][2] != side ^ (u > v):
+                        swapped = True
+            frontier = reached
+        if swapped:
+            reversible.add(pair)
+    return [reach[pair][3] for pair in pairs], reversible
+
+
 def pair_orbit_certificate(g: Graph) -> bool:
     """Do the edge reflections act transitively on each distance class?
 
-    Breadth-first closure of ordered vertex pairs under
-    reflection_generators, one seed per distance; certifies distance
-    transitivity of the reflection group when every class is a single orbit.
+    True exactly when orbit_roots gives each distance class of the pairs
+    x < y one root and that root is reversible: then the reflection group
+    is transitive on the ordered pairs of every positive distance, and on
+    the vertices (module docstring).
     """
-    gens = reflection_generators(g)
-    if gens is None:
-        raise NotReflectiveError(is_reflective(g).counterexample)
+    verdict = is_reflective(g)
+    if not verdict.reflective:
+        raise NotReflectiveError(verdict.counterexample)
     connected, witness = is_locally_connected(g)
     if not connected:
         raise InvalidParameterError(
             f"certificate needs connected punctured neighborhoods (vertex {witness})"
         )
-    n = g.n
+    roots, reversible = orbit_roots(g, [(x, y) for x in range(g.n) for y in range(x + 1, g.n)])
     dist = g.dist_rows()
-    class_size = {}
-    for u in range(n):
-        for v in range(n):
-            class_size[dist[u][v]] = class_size.get(dist[u][v], 0) + 1
-    for k in sorted(class_size):
-        seed = next(
-            (u, v) for u in range(n) for v in range(n) if dist[u][v] == k
-        )
-        visited = bytearray(n * n)
-        visited[seed[0] * n + seed[1]] = 1
-        frontier = [seed]
-        reached = 1
-        while frontier:
-            nxt = []
-            for (u, v) in frontier:
-                for mp in gens:
-                    iu, iv = mp[u], mp[v]
-                    slot = iu * n + iv
-                    if not visited[slot]:
-                        if dist[iu][iv] != k:
-                            raise InternalCheckError("orbit left its distance class")
-                        visited[slot] = 1
-                        reached += 1
-                        nxt.append((iu, iv))
-            frontier = nxt
-        if reached != class_size[k]:
-            return False
-    return True
+    roots = set(roots)
+    return roots <= reversible and len(roots) == len({dist[x][y] for x, y in roots})
 
 
 def matching_structure_check(g: Graph, x: int, y: int, K) -> MatchingVerdict:

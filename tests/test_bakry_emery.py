@@ -29,7 +29,9 @@ from gcurv.families import (
     johnson,
     parse_family,
     path_graph,
+    schlafli,
 )
+from gcurv.reflective import ReflectiveVerdict
 
 
 def test_single_edge_curvature():
@@ -288,6 +290,20 @@ def test_symbolic_monomial_outside_the_support_raises(monkeypatch, octahedron):
     monkeypatch.setattr(bakry_emery, "gamma2_form", shrunk)
     with pytest.raises(InternalCheckError, match="outside support"):
         gamma2_matches_symbolic(octahedron, 0)
+
+
+def test_report_on_a_reflective_graph_reads_vertex_zero_alone(monkeypatch):
+    # a reflective graph is vertex-transitive; Schlaefli has 27 vertices
+    g = schlafli()
+    report = be_effective_bound_report(g)
+    assert [k for k in g.cache if isinstance(k, tuple) and k[0] == "be"] == [("be", 0)]
+    monkeypatch.setattr(bakry_emery, "is_reflective", lambda g: ReflectiveVerdict(False, None))
+    every = schlafli()
+    scan = be_effective_bound_report(every)
+    # the exact fields agree; the float K of each vertex rounds differently
+    assert report._replace(k_min=0.0, bound=0.0) == scan._replace(k_min=0.0, bound=0.0)
+    assert report.k_min == pytest.approx(scan.k_min, abs=1e-12)
+    assert sum(isinstance(k, tuple) and k[0] == "be" for k in every.cache) == 27
 
 
 def test_bound_report_is_cached_but_a_nonpositive_graph_is_not(monkeypatch):

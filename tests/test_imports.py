@@ -7,7 +7,8 @@ A module-level ``_private`` function counts as used when some gcurv module
 names it (as a name, an attribute or an import) outside its own ``def``,
 and a class of ``errors.py`` counts as used when another module names it.
 Only ``graphs.memo`` and the functions in ``CACHE_KEEPERS`` name ``.cache``,
-and only the functions in ``RECURSIVE`` call themselves.
+only the functions in ``RECURSIVE`` call themselves, and only ``reflective``
+names ``reflection_generators``.
 """
 
 import ast
@@ -102,11 +103,11 @@ def test_every_error_class_is_named_by_another_module():
 
 # Besides graphs.memo, only these functions may read or write a graph's
 # .cache: Graph.__init__ makes the memo space, and the others keep values
-# that are not one call's result (reversed side partitions, the Ollivier
-# orbit records and their carried pairs, the registry of proven reflections).
+# that are not one call's result (the pair orbit records and their carried
+# pairs, the registry of proven reflections).
 CACHE_KEEPERS = {
-    "graphs.Graph.__init__", "graphs.memo", "graphs.side_partition",
-    "ollivier._pair_curvature", "ollivier._orbit_roots",
+    "graphs.Graph.__init__", "graphs.memo",
+    "ollivier._pair_curvature", "reflective.orbit_roots",
     "reflective._search", "reflective.reflection_generators",
 }
 
@@ -137,6 +138,27 @@ def test_only_memo_and_the_listed_keepers_touch_the_cache():
         found.update(cache_touchers(path.stem, path.read_text(encoding="utf-8")))
     assert "graphs.memo" in found
     assert sorted(found - CACHE_KEEPERS) == []
+
+
+def generator_readers(sources):
+    """The modules, other than reflective, that name reflection_generators."""
+    return sorted(module for module, source in sources.items()
+                  if module != "reflective" and "reflection_generators" in names_in(ast.parse(source)))
+
+
+def test_generator_readers_are_found():
+    sources = {"reflective": "def reflection_generators(g):\n    return []\n",
+               "a": "from .reflective import reflection_generators\n",
+               "b": "from . import reflective\nreflective.reflection_generators(None)\n",
+               "c": "# reflection_generators in a comment\nx = 'reflection_generators'\n"}
+    assert generator_readers(sources) == ["a", "b"]
+
+
+def test_only_reflective_names_the_reflection_generators():
+    # every closure of pairs under the reflections goes through
+    # reflective.orbit_roots
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert generator_readers(sources) == []
 
 
 # The product-expression recursion of families: MAX_PRODUCT_NESTING bounds

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -512,18 +513,23 @@ def _every_reflection(g):
     return list(dict.fromkeys(found.mapping for found in maps))
 
 
+def _ordered_orbit(gens, seed):
+    """The ordered pairs that the forward closure of seed under gens reaches."""
+    seen, frontier = {seed}, [seed]
+    while frontier:
+        images = {(mp[u], mp[v]) for (u, v) in frontier for mp in gens}
+        frontier = list(images - seen)
+        seen |= images
+    return seen
+
+
 def _orbit_sizes(g, gens):
     """Per distance, how many ordered pairs the closure of its first pair reaches."""
     n, dist = g.n, g.dist_rows()
     sizes = {}
     for k in sorted({d for row in dist for d in row}):
         seed = next((u, v) for u in range(n) for v in range(n) if dist[u][v] == k)
-        seen, frontier = {seed}, [seed]
-        while frontier:
-            images = {(mp[u], mp[v]) for (u, v) in frontier for mp in gens}
-            frontier = list(images - seen)
-            seen |= images
-        sizes[k] = len(seen)
+        sizes[k] = len(_ordered_orbit(gens, seed))
     return sizes
 
 
@@ -597,3 +603,87 @@ def test_both_orbit_consumers_refuse_an_unproven_generator():
         pair_orbit_certificate(g)
     with pytest.raises(InternalCheckError, match="not an involutive automorphism"):
         min_edge_curvature(g)
+
+
+# --- one pair closure: orbit_roots and the certificate that reads it ---
+
+def _planted(monkeypatch, gens):
+    monkeypatch.setattr(reflective, "reflection_generators", lambda g: gens)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reversible_roots_match_an_ordered_pair_search(monkeypatch, seed):
+    # every permutation is an automorphism of K n, so any planted set of
+    # them is a valid generating set, involutions or not
+    rng = random.Random(seed)
+    n = rng.randint(2, 11)
+    gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
+    _planted(monkeypatch, gens)
+    g = complete_graph(n)
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    roots, reversible = reflective.orbit_roots(g, pairs)
+    reach = g.cache["orbits"][1]
+    expected_roots = {}
+    for (x, y) in pairs:
+        orbit = _ordered_orbit(gens, (x, y))
+        unordered = {(min(p), max(p)) for p in orbit}
+        expected_roots[x, y] = min(unordered)
+        if (x, y) == min(unordered):
+            assert ((x, y) in reversible) == ((y, x) in orbit)
+    assert roots == [expected_roots[p] for p in pairs]
+    assert reversible <= set(roots)
+    for pair, (parent, sigma, side, root) in reach.items():
+        # side 1: the chain from the root reaches the pair turned over
+        if parent is None:
+            assert (pair, side, root) == (pair, 0, pair)
+            continue
+        px, py = parent
+        image = (sigma[px], sigma[py])
+        assert pair in (image, image[::-1])
+        assert side == reach[parent][2] ^ (image != pair)
+        assert root == reach[parent][3]
+
+
+def _certificate_reference(g, gens):
+    """Is every distance class of ordered pairs one orbit of the group of gens?"""
+    sizes = _orbit_sizes(g, gens)
+    return sizes == {k: sum(row.count(k) for row in g.dist_rows()) for k in sizes}
+
+
+@pytest.mark.parametrize("expr", ["gosset", "schlafli", "J 6 3"])
+def test_certificate_matches_the_ordered_orbits_under_planted_generators(monkeypatch, expr):
+    at_zero = reflection_generators(parse_family(expr).build())
+    rng = random.Random(expr)
+    planted = [at_zero, at_zero[:1], at_zero[:2]]
+    planted += [rng.sample(at_zero, rng.randint(1, len(at_zero))) for _ in range(8)]
+    for _ in range(4):  # products of two reflections: automorphisms, not involutions
+        pairs = [rng.sample(at_zero, 2) for _ in range(rng.randint(1, 6))]
+        planted.append([tuple(s[t[v]] for v in range(len(s))) for s, t in pairs])
+    verdicts = []
+    for gens in planted:
+        _planted(monkeypatch, gens)
+        g = parse_family(expr).build()
+        verdicts.append(pair_orbit_certificate(g))
+        assert verdicts[-1] == _certificate_reference(g, gens)
+    assert verdicts[0] and not verdicts[1] and set(verdicts) == {True, False}
+
+
+def test_certificate_records_every_pair_of_a_fresh_graph():
+    g = gosset()
+    assert pair_orbit_certificate(g)
+    reach = g.cache["orbits"][1]
+    assert len(reach) == 56 * 55 // 2 == 1540
+    roots = {record[3] for record in reach.values()}
+    assert sorted(g.distance(*root) for root in roots) == [1, 2, 3]
+
+
+def test_certificate_reads_the_records_of_the_curvature_calls():
+    g = gosset()
+    min_edge_curvature(g)
+    long_range_curvatures(g)
+    reach = g.cache["orbits"][1]
+    records = dict(reach)
+    assert len(records) == 1540
+    assert pair_orbit_certificate(g)
+    assert reach == records
+    assert all(reach[p] is records[p] for p in records)
