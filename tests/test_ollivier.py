@@ -235,10 +235,11 @@ def test_pinned_halved_cube_distance_three_pair():
 
 
 # Three irregular graphs (degrees 1-6, 3-8 and 1-5; diameters 4, 2 and 4)
-# whose 224 pairs take 795 pivots, 538 of them degenerate.  The digest covers
-# (x, y, value, optimizer, certificate) of every pair in lexicographic
-# order, so a change to the pivot rule or the row order shows up on pairs
-# that the three pinned tests above do not reach.
+# whose 224 pairs take 795 simplex pivots, 538 of them degenerate.  The
+# digest covers (x, y, value, optimizer, certificate) of every pair in
+# lexicographic order, so a change to the pivot rule or the row order shows
+# up on pairs that the three pinned tests above do not reach.  The simplex
+# is hashed on its own, since the plan route answers most edges before it.
 PINNED_EDGE_LISTS = (
     (11, [(0, 1), (0, 2), (0, 4), (0, 6), (0, 7), (1, 3), (1, 4), (1, 5), (1, 9),
           (2, 8), (3, 5), (3, 6), (4, 5), (4, 7), (5, 6), (5, 7), (5, 10), (7, 8),
@@ -253,22 +254,29 @@ PINNED_EDGE_LISTS = (
 )
 
 
-def test_pinned_digest_of_every_pair_on_irregular_graphs():
+def _digest_of_every_pinned_pair(solve):
+    """SHA-256 over solve(g, x, y) of every pair of the pinned graphs, each
+    certificate replayed on the way."""
     digest = hashlib.sha256()
     pairs = 0
     for n, edges in PINNED_EDGE_LISTS:
         g = build_graph(n, edges)
         for x in range(n):
             for y in range(x + 1, n):
-                solve = edge_curvature if g.adjacent(x, y) else long_range_curvature
                 cv = solve(g, x, y)
+                assert verify_optimality_certificate(g, cv)
                 optimizer = sorted((v, str(f)) for v, f in cv.optimizer.items())
                 digest.update(repr((cv.x, cv.y, str(cv.value), optimizer,
                                     cv.certificate)).encode())
                 pairs += 1
     assert pairs == 224
-    assert digest.hexdigest() == (
-        "220b699f838c0a7bc83e67f55684a53610f5471aec6a0b45a647fbdcac8afbaf")
+    return digest.hexdigest()
+
+
+def test_pinned_digest_of_every_pair_on_irregular_graphs():
+    digest = _digest_of_every_pinned_pair(
+        lambda g, x, y: ollivier._simplex(g, build_lipschitz_lp(g, x, y)))
+    assert digest == "220b699f838c0a7bc83e67f55684a53610f5471aec6a0b45a647fbdcac8afbaf"
 
 
 def test_pivot_limit_is_an_internal_error(monkeypatch):
@@ -781,6 +789,61 @@ def test_refused_edge_bound_is_an_internal_error():
     assert g.cache["adj_bits"][5] >> 2 & 1 and g.distance(2, 5) == 3
     with pytest.raises(InternalCheckError, match="edge bound"):
         min_edge_curvature(g)
+
+
+# --- the plan route: an edge answered by the greedy plan's point ---
+
+def test_plan_route_answers_every_edge_of_the_standard_corpus(monkeypatch):
+    def no_simplex(*args):
+        raise AssertionError("the simplex ran")
+
+    monkeypatch.setattr(ollivier, "_solve_core", no_simplex)
+    edges = 0
+    for member in standard_corpus():
+        g = member.graph
+        for (x, y) in g.edges:
+            cv = solve_lipschitz_lp(g, build_lipschitz_lp(g, x, y))
+            assert cv.value == brute_force_curvature_oracle(g, x, y)
+            assert verify_optimality_certificate(g, cv)
+            edges += 1
+    assert edges == 2261
+
+
+# (n, edges, edge, greedy bound, curvature): the greedy bound falls short of
+# the curvature on the first; on the second it is sharp, but neither
+# placement of its plan's pairs is 1-Lipschitz
+PLAN_FALLBACKS = [
+    (7, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 6), (2, 5), (3, 6), (4, 5), (4, 6)],
+     (0, 4), 0, 1),
+    (6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4), (3, 5), (4, 5)],
+     (0, 3), 0, 0),
+]
+
+
+@pytest.mark.parametrize("n, edges, edge, bound, kappa", PLAN_FALLBACKS)
+def test_plan_route_falls_back_to_the_simplex(monkeypatch, n, edges, edge, bound, kappa):
+    g = build_graph(n, edges)
+    assert ollivier._edge_bound(g, *edge) == bound
+    assert ollivier._plan_point(g, build_lipschitz_lp(g, *edge)) is None
+    calls = _count_calls(monkeypatch, "_simplex")
+    cv = edge_curvature(g, *edge)
+    assert calls == {"_simplex": 1}
+    assert cv.value == kappa == brute_force_curvature_oracle(g, *edge)
+    assert verify_optimality_certificate(g, cv)
+
+
+@given(connected_graphs(min_n=2, max_n=8))
+@settings(max_examples=80, deadline=None)
+def test_plan_route_matches_the_simplex_on_random_graphs(g):
+    for (x, y) in g.edges:
+        lp = build_lipschitz_lp(g, x, y)
+        simplex = ollivier._simplex(g, lp)
+        found = ollivier._plan_point(g, lp)
+        if found is not None:
+            cv = ollivier._curvature_value(lp, *found)
+            assert cv.value == simplex.value
+            assert verify_optimality_certificate(g, cv)
+        assert solve_lipschitz_lp(g, lp).value == simplex.value
 
 
 def test_min_edge_curvature_computes_its_own_reflections(monkeypatch):
