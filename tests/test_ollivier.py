@@ -279,6 +279,13 @@ def test_pinned_digest_of_every_pair_on_irregular_graphs():
     assert digest == "220b699f838c0a7bc83e67f55684a53610f5471aec6a0b45a647fbdcac8afbaf"
 
 
+def test_pinned_digest_of_every_pair_through_the_production_route():
+    # the plan route answers most edges, the simplex the rest
+    digest = _digest_of_every_pinned_pair(
+        lambda g, x, y: (edge_curvature if g.adjacent(x, y) else long_range_curvature)(g, x, y))
+    assert digest == "36aedd2f5e03f3c45be7524224143bc8791747ac55030fb635df60311cf485bc"
+
+
 def test_pivot_limit_is_an_internal_error(monkeypatch):
     g = hypercube(3)
     lp = build_lipschitz_lp(g, 0, 7)  # three pivots from the start basis
