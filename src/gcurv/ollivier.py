@@ -387,7 +387,7 @@ def _plan_point(g: Graph, lp: LipschitzLP):
     dist = g.dist_rows()
     adj = adjacency_bits(g)
     common = [z for z, c in lp.coeffs.items() if not c]
-    for high in (False, True) if plan else (False,):
+    for high in (False, True):
         f = dict(lone)
         for t, s, d in plan:
             f[t], f[s] = (2, 2 - d) if high else (d - 1, -1)
