@@ -494,7 +494,7 @@ def _greedy_plan(g: Graph, x: int, y: int):
     source left over, in increasing order, takes the first sink still free
     at distance 2: not adjacent, with a common neighbour.
     """
-    x, y = index(x), index(y)  # a numpy integer label cannot shift a Python int
+    x, y = index(x), index(y)  # numpy labels would turn the bitmasks into numpy integers
     adj = adjacency_bits(g)
     sources = adj[x] & ~adj[y] & ~(1 << y)
     sinks = adj[y] & ~adj[x] & ~(1 << x)
