@@ -26,15 +26,25 @@ verify_optimality_certificate also runs after its type and shape checks.
 Its dual half, _dual_bound, turns any nonnegative rows that leave every
 free vertex stationary into a lower bound on the objective (weak duality).
 
-An edge's program is first offered the point of its greedy transport plan
-(_plan_point, from _greedy_plan below): each row of the plan has
+Every pair's program is first offered the point of its greedy transport
+plan (_plan_point, from _greedy_plan below).  With d = d(x, y), sources
+S = N(x) minus N[y] and sinks T = N(y) minus N[x], the dual rows
+(y, s, d(y, s), 1) for a lone source and (t, x, d(t, x), 1) for a lone
+sink leave every free vertex stationary, and pairing t with s on the row
+(t, s, d(t, s), 1) instead gains w = (d(y, s) - d) + d(t, x) - d(t, s),
+at most 2 by the triangle inequality (d(y, s) <= 1 + d(t, s) and
+d(t, x) <= d + 1).  The plan matches the pairs of gain 2, then pairs the
+leftover sources greedily at gain 1; at d = 1, w = 3 - d(t, s) and this
+is the plan of the edge bounds below.  Each row of the plan has
 multiplier 1 and each free vertex of nonzero coefficient lies on one row,
 so the rows are stationary and the point is optimal wherever it is
 1-Lipschitz.  _certified decides, and the simplex runs only where it
 refuses both placements of the plan's pairs.  The plan answers 3,551 of
 the 3,774 edges of the seed 1-2 analyze-random benchmark inputs and all
-2,261 of the standard corpus.  The value is unique; only an edge's
-optimizer and certificate depend on the route that answered it.
+2,261 of the standard corpus, and 3,512 of the 3,975 far pairs of the
+seed-1 inputs (seed 2: 3,557 of 3,975) and 2,812 of the 3,148 of the
+standard corpus.  The value is unique; only a pair's optimizer and
+certificate depend on the route that answered it.
 
 min_edge_curvature (for the edges) and long_range_curvatures (for the
 non-adjacent pairs) take one route on every graph: reflective.orbit_roots
@@ -55,11 +65,11 @@ spirit of Jost and Liu (Discrete Comput. Geom. 2014), one popcount on
 per-vertex adjacency bitmasks.  A root popped with this tier-0 key goes
 back with the greedy transport bound of _edge_bound (tier 1, equal to the
 curvature on 3,728 of those 3,774 benchmark edges; tier 0 <= tier 1 <=
-curvature), and a root popped with its tier-1 key is solved, its program
-built only then.  The loop stops at the first popped key above the least
-value found: a root left unsolved lies above the minimum, each edge takes
-its root's value, and the value and both witnesses are those of a full
-scan of the edges.
+curvature), and a root popped with its tier-1 key is solved from the plan
+of that bound, its program built only then.  The loop stops at the first
+popped key above the least value found: a root left unsolved lies above
+the minimum, each edge takes its root's value, and the value and both
+witnesses are those of a full scan of the edges.
 
 A pair's CurvatureValue is built only when it is asked for
 (edge_curvature, long_range_curvature, long_range_curvatures): its parent
@@ -316,13 +326,14 @@ def _solve_core(dist, f, ix, iy, cvec):
     return [(up[nd], lam[nd]) for nd in sorted(free, key=key.__getitem__)]
 
 
-def solve_lipschitz_lp(g: Graph, lp: LipschitzLP) -> CurvatureValue:
+def solve_lipschitz_lp(g: Graph, lp: LipschitzLP, plan=None) -> CurvatureValue:
     """Exact optimum of the curvature program, verified before returning.
 
-    An edge takes the point of its greedy plan where _certified accepts it
-    (_plan_point); the simplex runs only where it does not.
+    The pair takes the point of its greedy plan where _certified accepts it
+    (_plan_point); the simplex runs only where it does not.  plan is the
+    _greedy_plan of (lp.x, lp.y) where the caller already has it.
     """
-    found = _plan_point(g, lp) if lp.gap == 1 else None
+    found = _plan_point(g, lp, plan)
     if found is None:
         return _simplex(g, lp)
     return _curvature_value(lp, *found)
@@ -353,44 +364,48 @@ def _simplex(g: Graph, lp: LipschitzLP) -> CurvatureValue:
     return _curvature_value(lp, f_full, certificate)
 
 
-def _plan_point(g: Graph, lp: LipschitzLP):
-    """An optimal point of an edge's program read off _greedy_plan, or None.
+def _plan_point(g: Graph, lp: LipschitzLP, plan=None):
+    """An optimal point of lp read off its greedy plan (_greedy_plan), or None.
 
-    Each source left unpaired gets -1 on its row (y, s, 2, 1), each sink
-    left unpaired 2 on its row (t, x, 2, 1), and each pair (t, s, d) sits
-    on its row (t, s, d, 1), placed low (f(s) = -1, f(t) = d - 1) or high
-    (f(t) = 2, f(s) = 2 - d).  The common neighbours, of coefficient 0,
-    take min_w f(w) + d(w, z): no value is below -1 and z ~ x, so that is
-    0 next to a vertex at -1 and 1 elsewhere.  Every multiplier is 1 and
-    every free vertex of nonzero coefficient lies on exactly one row, so
-    the rows are stationary and a feasible point tight on them is optimal;
-    _certified decides.  Returns (f, rows sorted by _order) for the first
-    placement, every pair low and then every pair high, that it accepts.
+    With d the gap, each source s left unpaired gets d - d(y, s) on its row
+    (y, s, d(y, s), 1), each sink t left unpaired d(t, x) on its row
+    (t, x, d(t, x), 1), and each pair (t, s, c) sits on its row (t, s, c, 1),
+    placed low (f(s) = d - d(y, s), f(t) = f(s) + c) or high
+    (f(t) = d(t, x), f(s) = f(t) - c).  The vertices of coefficient 0 are
+    common neighbours of x and y and take min_w f(w) + d(w, z): that is 0
+    next to a vertex at -1 and 1 elsewhere, since z ~ x and a value below
+    -1 can only sit on a source, next to x, where no point certifies.
+    Every multiplier is 1 and every free vertex of nonzero coefficient lies
+    on exactly one row, so the rows are stationary and a feasible point
+    tight on them is optimal; _certified decides.  Returns (f, rows sorted
+    by _order) for the first placement, every pair low and then every pair
+    high, that it accepts.
     """
-    x, y = lp.x, lp.y
-    sources, sinks, plan = _greedy_plan(g, x, y)
-    rows = [(t, s, d, 1) for t, s, d in plan]
-    lone = {x: 0, y: 1}
-    for t, s, _ in plan:
+    x, y, d = lp.x, lp.y, lp.gap
+    sources, sinks, pairs = plan or _greedy_plan(g, x, y)
+    dist = g.dist_rows()
+    dx, dy = dist[x], dist[y]
+    rows = [(t, s, c, 1) for t, s, c in pairs]
+    lone = {x: 0, y: d}
+    for t, s, _ in pairs:
         sources ^= 1 << s
         sinks ^= 1 << t
     for s in g.neighbors[x]:
         if sources >> s & 1:
-            lone[s] = -1
-            rows.append((y, s, 2, 1))
+            lone[s] = d - dy[s]
+            rows.append((y, s, dy[s], 1))
     for t in g.neighbors[y]:
         if sinks >> t & 1:
-            lone[t] = 2
-            rows.append((t, x, 2, 1))
+            lone[t] = dx[t]
+            rows.append((t, x, dx[t], 1))
     n = g.n
     rows.sort(key=lambda r: _order(r[0], r[1], n))
-    dist = g.dist_rows()
     adj = adjacency_bits(g)
     common = [z for z, c in lp.coeffs.items() if not c]
     for high in (False, True):
         f = dict(lone)
-        for t, s, d in plan:
-            f[t], f[s] = (2, 2 - d) if high else (d - 1, -1)
+        for t, s, c in pairs:
+            f[t], f[s] = (dx[t], dx[t] - c) if high else (d - dy[s] + c, d - dy[s])
         low = sum(1 << w for w, fw in f.items() if fw == -1)
         for z in common:
             f[z] = 0 if adj[z] & low else 1
@@ -412,14 +427,15 @@ def _curvature_value(lp: LipschitzLP, f, certificate) -> CurvatureValue:
     )
 
 
-def _pair_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
+def _pair_curvature(g: Graph, x: int, y: int, plan=None) -> CurvatureValue:
     """Curvature of (x, y): cached, carried along its orbit records, or solved.
 
     On a graph with orbit records, a pair they have not reached yet closes
     a new orbit first, as its root.  The pair's parent chain is walked up
     to a built ancestor or to the root, which is solved only then, and the
     certificate is carried down the chain, each pair cached as it is
-    built.  On any other graph the pair is solved alone.
+    built.  On any other graph the pair is solved alone.  plan, the
+    _greedy_plan of (x, y), serves only where (x, y) itself is solved.
     """
     a, b = (x, y) if x < y else (y, x)
     cache = g.cache
@@ -435,7 +451,9 @@ def _pair_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
             pair = reach[pair][0]
             cv = cache.get(("kappa",) + pair)
         if cv is None:  # a root, or a pair of a graph without orbit records
-            cv = cache[("kappa",) + pair] = solve_lipschitz_lp(g, build_lipschitz_lp(g, *pair))
+            lp = build_lipschitz_lp(g, *pair)
+            cv = cache[("kappa",) + pair] = solve_lipschitz_lp(
+                g, lp, plan if pair == (x, y) else None)
         for pair in reversed(chain):
             sigma = reach[pair][1]
             cv = cache[("kappa",) + pair] = _carry(cv, sigma, sigma[cv.x] > sigma[cv.y])
@@ -484,15 +502,17 @@ def long_range_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
 
 
 def _greedy_plan(g: Graph, x: int, y: int):
-    """The greedy transport plan of the edge (x, y), on adjacency bitmasks.
+    """The greedy transport plan of the pair (x, y), on adjacency bitmasks.
 
     Returns (sources, sinks, plan): the bitmasks of the sources
     S = N(x) minus N[y], the support vertices of coefficient +1, and of
-    the sinks T = N(y) minus N[x], those of -1, and the pairs (t, s, d) of
-    a sink t and a source s at distance d.  A maximum matching pairs
-    sources with adjacent sinks (graphs.max_matching, d = 1), and each
-    source left over, in increasing order, takes the first sink still free
-    at distance 2: not adjacent, with a common neighbour.
+    the sinks T = N(y) minus N[x], those of -1, and the pairs (t, s, c) of
+    a sink t and a source s with the distance c that their step claims:
+    with d = d(x, y) and w the pair's gain (the module docstring),
+    c = d(y, s) - d + d(t, x) - w.  A maximum matching pairs sources with
+    sinks at w = 2 (graphs.max_matching, on per-source bitmasks of those
+    sinks; at d = 1 they are the adjacent ones), and each source left over,
+    in increasing order, takes the first sink still free at w = 1.
     """
     x, y = index(x), index(y)  # numpy labels would turn the bitmasks into numpy integers
     adj = adjacency_bits(g)
@@ -500,29 +520,46 @@ def _greedy_plan(g: Graph, x: int, y: int):
     sinks = adj[y] & ~adj[x] & ~(1 << x)
     if not sources or not sinks:
         return sources, sinks, []
-    owner = max_matching(adj, sources, sinks)  # sink -> the source paired with it
-    plan = [(t, s, 1) for t, s in owner.items()]
+    dist = g.dist_rows()
+    dx, dy = dist[x], dist[y]
+    d = dx[y]
+    # loops, not comprehensions: in CPython 3.11 a comprehension would make
+    # dist, dx, dy and d cell variables and slow every edge bound by a tenth
+    near = adj  # at d = 1 the sinks at w = 2 are the adjacent ones
+    if d > 1:
+        near = {}
+        for s in g.neighbors[x]:
+            if sources >> s & 1:
+                ds, want, mask = dist[s], dy[s] - d - 2, 0
+                for t in g.neighbors[y]:
+                    if sinks >> t & 1 and ds[t] == want + dx[t]:
+                        mask |= 1 << t
+                near[s] = mask
+    owner = max_matching(near, sources, sinks)  # sink -> the source paired with it
+    plan = []
     open_sinks, left = sinks, sources
     for t, s in owner.items():
+        plan.append((t, s, dy[s] + dx[t] - d - 2))
         open_sinks ^= 1 << t
         left ^= 1 << s
     while left:
         bit = left & -left
         left ^= bit
         s = bit.bit_length() - 1
-        far = open_sinks & ~adj[s]
-        while far:
-            bit = far & -far
-            far ^= bit
+        ds, want = dist[s], dy[s] - d - 1
+        free = open_sinks
+        while free:
+            bit = free & -free
+            free ^= bit
             t = bit.bit_length() - 1
-            if adj[t] & adj[s]:
-                plan.append((t, s, 2))
+            if ds[t] == want + dx[t]:
+                plan.append((t, s, want + dx[t]))
                 open_sinks ^= bit
                 break
     return sources, sinks, plan
 
 
-def _edge_bound(g: Graph, x: int, y: int) -> int:
+def _edge_bound(g: Graph, x: int, y: int, plan=None) -> int:
     """Integer lower bound on the curvature of the edge (x, y), certified.
 
     Builds no program: _greedy_plan reads the per-vertex bitmasks of
@@ -532,9 +569,10 @@ def _edge_bound(g: Graph, x: int, y: int) -> int:
     check replaces _dual_bound here: each pair's distance, read from the
     distance rows, is the one its step claims (1 or 2), its ends lie in T
     and S, and no source or sink is used twice, so every free vertex stays
-    stationary; any failure is an InternalCheckError.
+    stationary; any failure is an InternalCheckError.  plan is the
+    _greedy_plan of (x, y) where the caller already has it.
     """
-    sources, sinks, plan = _greedy_plan(g, x, y)
+    sources, sinks, plan = plan or _greedy_plan(g, x, y)
     bound = len(g.neighbors[y]) + 1 - sources.bit_count() - 2 * sinks.bit_count()
     dist = g.dist_rows()
     used = 0  # the sources and sinks paired so far
@@ -564,22 +602,24 @@ def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
     roots = orbit_roots(g, edges)[0]
     adj = adjacency_bits(g)
     deg = [len(nb) for nb in g.neighbors]
-    # heap entries (bound, root, refined): the triangle bound, then the
-    # greedy bound; neither builds a program
-    heap = [(4 - deg[x] - deg[y] + 3 * (adj[x] & adj[y]).bit_count(), (x, y), False)
+    # heap entries (bound, root, plan): the triangle bound with no plan,
+    # then the greedy bound with the plan that the solve reuses; neither
+    # builds a program
+    heap = [(4 - deg[x] - deg[y] + 3 * (adj[x] & adj[y]).bit_count(), (x, y), None)
             for (x, y) in dict.fromkeys(roots)]
     heapify(heap)
     solved = {}  # a root left out has a bound, so a value, above the minimum
     best = None
     while heap:
-        bound, root, refined = heap[0]
+        bound, root, plan = heap[0]
         if best is not None and bound > best:
             break
-        if not refined:
-            heapreplace(heap, (_edge_bound(g, *root), root, True))
+        if plan is None:
+            plan = _greedy_plan(g, *root)
+            heapreplace(heap, (_edge_bound(g, *root, plan), root, plan))
         else:
             heappop(heap)
-            value = solved[root] = _pair_curvature(g, *root).value
+            value = solved[root] = _pair_curvature(g, *root, plan).value
             best = value if best is None else min(best, value)
     values = [solved.get(root) for root in roots]  # each edge takes its root's value
     other = next((e for e, v in zip(edges, values) if v != best), None)
