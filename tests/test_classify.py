@@ -177,7 +177,7 @@ def test_factor_curvatures_use_the_reflection_orbits(monkeypatch):
     calls = []
     real = ollivier.solve_lipschitz_lp
     monkeypatch.setattr(ollivier, "solve_lipschitz_lp",
-                        lambda g, lp: calls.append(lp) or real(g, lp))
+                        lambda g, lp, *plan: calls.append(lp) or real(g, lp, *plan))
     rep = classify(parse_family("( K 2 x J 4 2 )").build())
     assert rep.theorem_verdicts["E1_sharp_iff_reflective_constant"].passed
     # one edge orbit in each factor, and of the product's two edge orbits

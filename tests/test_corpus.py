@@ -126,7 +126,7 @@ def test_criterion_01_solves_one_lp_per_edge_orbit(monkeypatch):
     calls = []
     real = ollivier.solve_lipschitz_lp
     monkeypatch.setattr(ollivier, "solve_lipschitz_lp",
-                        lambda g, lp: calls.append(lp) or real(g, lp))
+                        lambda g, lp, *plan: calls.append(lp) or real(g, lp, *plan))
     assert verify._check_curvature_constants(load_corpus(["CP 4"])) is None
     # the 24 edges of CP 4 form one orbit of its reflections
     assert len(calls) == 1

@@ -182,10 +182,10 @@ def test_vertex_out_of_range_rejected(q3, bad):
             call(q3, 3, bad)
 
 
-# Exact outputs of the simplex, pinned so that a change to its pivot rule
-# (leaving: first active row with a negative multiplier; entering: the
-# least slack, ties to the lowest row) shows up even when the value does not
-# move.
+# Exact outputs of the production route, pinned so that a change to the
+# greedy plan or to the simplex's pivot rule (leaving: first active row
+# with a negative multiplier; entering: the least slack, ties to the lowest
+# row) shows up even when the value does not move.
 def test_pinned_gosset_edge(gosset_graph):
     cv = edge_curvature(gosset_graph, 0, 1)
     assert cv.value == 18
@@ -211,8 +211,8 @@ def test_pinned_johnson_distance_two_pair():
         31: 1, 32: 1,
     }
     assert cv.certificate == (
-        (12, 3, 1, 1), (13, 4, 1, 1), (10, 7, 1, 1), (11, 8, 1, 1),
-        (25, 15, 1, 1), (19, 16, 1, 1), (31, 17, 2, 1), (32, 18, 2, 1),
+        (10, 3, 1, 1), (11, 4, 1, 1), (12, 7, 1, 1), (13, 8, 1, 1),
+        (19, 15, 1, 1), (25, 16, 1, 1), (31, 17, 2, 1), (32, 18, 2, 1),
     )
 
 
@@ -224,13 +224,16 @@ def test_pinned_halved_cube_distance_three_pair():
     ones = (2, 4, 6, 7, 8, 10, 11, 12, 13, 15, 22, 26, 28, 30, 31)
     assert cv.optimizer == {v: 0 if v == 14 else 3 if v == 17 else 1 if v in ones else 2
                             for v in range(g.n)}
+    # the plan pairs nothing: each source sits on its row to y, each sink
+    # on its row to x
     assert cv.certificate == (
-        (0, 2, 1, 1), (1, 7, 1, 1), (3, 2, 1, 1), (2, 14, 1, 4), (16, 2, 1, 1),
-        (18, 2, 1, 1), (19, 2, 1, 1), (5, 4, 1, 1), (4, 14, 1, 2), (20, 4, 1, 1),
-        (21, 4, 1, 1), (23, 6, 1, 1), (9, 8, 1, 1), (8, 14, 1, 2), (24, 8, 1, 1),
-        (25, 8, 1, 1), (27, 10, 1, 1), (17, 11, 2, 1), (29, 12, 1, 1),
-        (17, 13, 2, 1), (17, 15, 2, 1), (17, 22, 2, 1), (17, 26, 2, 1),
-        (17, 28, 2, 1), (17, 30, 2, 1), (17, 31, 2, 1),
+        (0, 14, 2, 1), (1, 14, 2, 1), (17, 2, 2, 1), (3, 14, 2, 1), (17, 4, 2, 1),
+        (5, 14, 2, 1), (17, 6, 2, 1), (17, 7, 2, 1), (17, 8, 2, 1), (9, 14, 2, 1),
+        (17, 10, 2, 1), (17, 11, 2, 1), (17, 12, 2, 1), (17, 13, 2, 1),
+        (16, 14, 2, 1), (18, 14, 2, 1), (19, 14, 2, 1), (20, 14, 2, 1),
+        (21, 14, 2, 1), (23, 14, 2, 1), (24, 14, 2, 1), (25, 14, 2, 1),
+        (27, 14, 2, 1), (29, 14, 2, 1), (17, 15, 2, 1), (17, 22, 2, 1),
+        (17, 26, 2, 1), (17, 28, 2, 1), (17, 30, 2, 1), (17, 31, 2, 1),
     )
 
 
@@ -239,7 +242,9 @@ def test_pinned_halved_cube_distance_three_pair():
 # digest covers (x, y, value, optimizer, certificate) of every pair in
 # lexicographic order, so a change to the pivot rule or the row order shows
 # up on pairs that the three pinned tests above do not reach.  The simplex
-# is hashed on its own, since the plan route answers most edges before it.
+# is hashed on its own, since the plan route answers most pairs before it;
+# the production route is hashed on the 73 edges and the 151 far pairs
+# apart, so that a change to one route cannot hide behind the other.
 PINNED_EDGE_LISTS = (
     (11, [(0, 1), (0, 2), (0, 4), (0, 6), (0, 7), (1, 3), (1, 4), (1, 5), (1, 9),
           (2, 8), (3, 5), (3, 6), (4, 5), (4, 7), (5, 6), (5, 7), (5, 10), (7, 8),
@@ -254,8 +259,9 @@ PINNED_EDGE_LISTS = (
 )
 
 
-def _digest_of_every_pinned_pair(solve):
-    """SHA-256 over solve(g, x, y) of every pair of the pinned graphs, each
+def _digest_of_every_pinned_pair(solve, adjacent=None):
+    """SHA-256 over solve(g, x, y) of every pair of the pinned graphs, or of
+    their edges or far pairs alone where adjacent is True or False, each
     certificate replayed on the way."""
     digest = hashlib.sha256()
     pairs = 0
@@ -263,13 +269,15 @@ def _digest_of_every_pinned_pair(solve):
         g = build_graph(n, edges)
         for x in range(n):
             for y in range(x + 1, n):
+                if adjacent is not None and g.adjacent(x, y) != adjacent:
+                    continue
                 cv = solve(g, x, y)
                 assert verify_optimality_certificate(g, cv)
                 optimizer = sorted((v, str(f)) for v, f in cv.optimizer.items())
                 digest.update(repr((cv.x, cv.y, str(cv.value), optimizer,
                                     cv.certificate)).encode())
                 pairs += 1
-    assert pairs == 224
+    assert pairs == {None: 224, True: 73, False: 151}[adjacent]
     return digest.hexdigest()
 
 
@@ -279,30 +287,36 @@ def test_pinned_digest_of_every_pair_on_irregular_graphs():
     assert digest == "220b699f838c0a7bc83e67f55684a53610f5471aec6a0b45a647fbdcac8afbaf"
 
 
-def test_pinned_digest_of_every_pair_through_the_production_route():
+def test_pinned_digest_of_every_edge_through_the_production_route():
     # the plan route answers most edges, the simplex the rest
-    digest = _digest_of_every_pinned_pair(
-        lambda g, x, y: (edge_curvature if g.adjacent(x, y) else long_range_curvature)(g, x, y))
-    assert digest == "36aedd2f5e03f3c45be7524224143bc8791747ac55030fb635df60311cf485bc"
+    digest = _digest_of_every_pinned_pair(edge_curvature, adjacent=True)
+    assert digest == "b279ec02ee04989fe3f9bd833d6ff8fe7c5431f40ba2e016029875636fc9ef5f"
 
 
+def test_pinned_digest_of_every_far_pair_through_the_production_route():
+    # the plan route answers most far pairs, the simplex the rest
+    digest = _digest_of_every_pinned_pair(long_range_curvature, adjacent=False)
+    assert digest == "ae5f33e1df250a653bf9aca1601e053c97c6b85ac0aa3224630b1a65992484e5"
+
+
+# the plan route answers Q 3's pair (0, 7), so these call the simplex itself
 def test_pivot_limit_is_an_internal_error(monkeypatch):
     g = hypercube(3)
     lp = build_lipschitz_lp(g, 0, 7)  # three pivots from the start basis
     monkeypatch.setattr(ollivier, "_MAX_PIVOTS", 1)
     with pytest.raises(InternalCheckError, match="pivot limit exceeded"):
-        ollivier.solve_lipschitz_lp(g, lp)
+        ollivier._simplex(g, lp)
 
 
 def test_pivot_limit_admits_a_solve_that_needs_exactly_the_limit(monkeypatch):
     g = hypercube(3)
     lp = build_lipschitz_lp(g, 0, 7)  # three pivots from the start basis
-    free = ollivier.solve_lipschitz_lp(g, lp)
+    free = ollivier._simplex(g, lp)
     monkeypatch.setattr(ollivier, "_MAX_PIVOTS", 3)
-    assert ollivier.solve_lipschitz_lp(g, lp) == free
+    assert ollivier._simplex(g, lp) == free
     monkeypatch.setattr(ollivier, "_MAX_PIVOTS", 2)
     with pytest.raises(InternalCheckError, match="pivot limit exceeded"):
-        ollivier.solve_lipschitz_lp(g, lp)
+        ollivier._simplex(g, lp)
 
 
 def test_optimizer_is_lipschitz_with_unit_gap(j52):
@@ -437,8 +451,8 @@ def test_orbit_values_match_per_pair_lp(expr):
 # certificates of the orbit route, not just its values, and each hashed
 # certificate is replayed.
 CARRIED_DIGESTS = {
-    "gosset": "64d5d755e276e5f53cea24e57ce2af5899cb8f47eb3e4e9cbb6d0481f8e0b1b1",
-    "HQ 6": "702fc5a794cae86a5a31444aa9ede09b2ad36368f87ed6c78407c7db8c7e891d",
+    "gosset": "9d1fcc0396397cca109f6e1ed19a14807792cd40ca4d1331e29adc529cac85cf",
+    "HQ 6": "64a26c9012e8409db1a1c92f76b73c4a44f3c828c5c576e07683069bd55e49c5",
     "( Q 2 x CP 3 )": "05374b9805196ec9bb4e464596bcbe7820d2c2d68307368d3884d1c916778803",
 }
 
@@ -474,9 +488,9 @@ def _count_solves(monkeypatch):
     solves = {"edge": 0, "far": 0}
     solve = ollivier.solve_lipschitz_lp
 
-    def counting(g, lp):
+    def counting(g, lp, *plan):
         solves["edge" if lp.gap == 1 else "far"] += 1
-        return solve(g, lp)
+        return solve(g, lp, *plan)
 
     monkeypatch.setattr(ollivier, "solve_lipschitz_lp", counting)
     return solves

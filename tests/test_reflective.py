@@ -580,7 +580,7 @@ def test_orbit_route_solves_one_lp_per_orbit_of_every_reflection(monkeypatch, ex
     solves = []
     solve = ollivier.solve_lipschitz_lp
     monkeypatch.setattr(ollivier, "solve_lipschitz_lp",
-                        lambda g, lp: solves.append(lp) or solve(g, lp))
+                        lambda g, lp, *plan: solves.append(lp) or solve(g, lp, *plan))
     g = parse_family(expr).build()
     min_edge_curvature(g)
     long_range_curvatures(g)
