@@ -97,3 +97,26 @@ def test_tracer_charges_a_plan_answered_edge_to_the_edge_lp_layer(monkeypatch):
     assert summary["ollivier.longrange_lp_solves"] == 0
     assert summary["ollivier.edge_lp_s"] > 0
     assert tracing.wrapped_names() == []
+
+
+def test_tracer_charges_a_plan_answered_far_pair_to_the_long_range_layer(monkeypatch):
+    tracing = _load_tracing()
+    gc = types.SimpleNamespace(
+        **{name: importlib.import_module(f"gcurv.{name}") for name in MODULES})
+
+    def no_simplex(*args):
+        raise AssertionError("the simplex ran")
+
+    monkeypatch.setattr(gc.ollivier, "_solve_core", no_simplex)
+    tracer = tracing.Tracer()
+    tracer.install(gc)
+    try:
+        # the greedy plan's point answers the pair at distance 3: no pivot runs
+        assert gc.ollivier.long_range_curvature(hypercube(3), 0, 7).value == 2
+        summary = tracer.summary()
+    finally:
+        tracer.uninstall()
+    assert summary["ollivier.longrange_lp_solves"] == 1
+    assert summary["ollivier.edge_lp_solves"] == 0
+    assert summary["ollivier.longrange_lp_s"] > 0
+    assert tracing.wrapped_names() == []

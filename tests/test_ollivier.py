@@ -581,6 +581,15 @@ def test_cold_classify_builds_a_program_only_for_a_solved_pair(monkeypatch):
     assert calls == {"build_lipschitz_lp": 150, "solve_lipschitz_lp": 150}
 
 
+def test_cold_classify_builds_each_greedy_plan_once(monkeypatch):
+    # an edge solved for the minimum reuses the plan of its bound
+    graphs = [parse_edge_list(text) for _, text, _ in load_workloads().random_inputs(1, 24)]
+    calls = _count_calls(monkeypatch, "_greedy_plan", "_edge_bound")
+    for g in graphs:
+        classify(g)
+    assert calls == {"_greedy_plan": 1294, "_edge_bound": 1294}
+
+
 # edges solved for the minimum: the edge bounds leave unsolved every edge
 # whose bound exceeds it
 BOUND_FIRST_EDGE_SOLVES = {"C 5": 5, "( C 5 x K 2 )": 10, "P 4": 1}
@@ -865,6 +874,60 @@ def test_plan_route_matches_the_simplex_on_random_graphs(g):
             assert cv.value == simplex.value
             assert verify_optimality_certificate(g, cv)
         assert solve_lipschitz_lp(g, lp).value == simplex.value
+
+
+# --- the plan route on far pairs ---
+
+def test_plan_route_answers_most_far_pairs_of_the_standard_corpus(monkeypatch):
+    calls = _count_calls(monkeypatch, "_simplex")
+    pairs = 0
+    for member in standard_corpus():
+        g = member.graph
+        for x in range(g.n):
+            for y in range(x + 1, g.n):
+                if g.adjacent(x, y):
+                    continue
+                cv = solve_lipschitz_lp(g, build_lipschitz_lp(g, x, y))
+                assert cv.value == brute_force_curvature_oracle(g, x, y)
+                assert verify_optimality_certificate(g, cv)
+                pairs += 1
+    assert pairs == 3148
+    assert pairs - calls["_simplex"] == 2812
+
+
+# its pair (1, 4), at distance 2, has a plan whose point certifies in
+# neither placement
+FAR_FALLBACK_EDGES = [(0, 1), (0, 5), (0, 6), (1, 2), (1, 3), (2, 3), (2, 4), (3, 5),
+                      (4, 5), (4, 6)]
+
+
+def test_far_plan_route_falls_back_to_the_simplex(monkeypatch):
+    g = build_graph(7, FAR_FALLBACK_EDGES)
+    assert g.distance(1, 4) == 2
+    assert ollivier._plan_point(g, build_lipschitz_lp(g, 1, 4)) is None
+    calls = _count_calls(monkeypatch, "_simplex")
+    cv = long_range_curvature(g, 1, 4)
+    assert calls == {"_simplex": 1}
+    assert cv.value == 2 == brute_force_curvature_oracle(g, 1, 4)
+    assert verify_optimality_certificate(g, cv)
+
+
+@given(connected_graphs(min_n=3, max_n=8))
+@example(build_graph(7, FAR_FALLBACK_EDGES))
+@settings(max_examples=80, deadline=None)
+def test_far_plan_route_matches_the_simplex_on_random_graphs(g):
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            if g.adjacent(x, y):
+                continue
+            lp = build_lipschitz_lp(g, x, y)
+            simplex = ollivier._simplex(g, lp)
+            found = ollivier._plan_point(g, lp)
+            if found is not None:
+                cv = ollivier._curvature_value(lp, *found)
+                assert cv.value == simplex.value
+                assert verify_optimality_certificate(g, cv)
+            assert solve_lipschitz_lp(g, lp).value == simplex.value
 
 
 def test_min_edge_curvature_computes_its_own_reflections(monkeypatch):
