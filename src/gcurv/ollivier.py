@@ -434,8 +434,8 @@ def _pair_curvature(g: Graph, x: int, y: int, plan=None) -> CurvatureValue:
     a new orbit first, as its root.  The pair's parent chain is walked up
     to a built ancestor or to the root, which is solved only then, and the
     certificate is carried down the chain, each pair cached as it is
-    built.  On any other graph the pair is solved alone.  plan, the
-    _greedy_plan of (x, y), serves only where (x, y) itself is solved.
+    built.  On any other graph the pair is solved alone.  A caller that
+    has the _greedy_plan of a root (x, y), x < y, passes it as plan.
     """
     a, b = (x, y) if x < y else (y, x)
     cache = g.cache
@@ -452,8 +452,7 @@ def _pair_curvature(g: Graph, x: int, y: int, plan=None) -> CurvatureValue:
             cv = cache.get(("kappa",) + pair)
         if cv is None:  # a root, or a pair of a graph without orbit records
             lp = build_lipschitz_lp(g, *pair)
-            cv = cache[("kappa",) + pair] = solve_lipschitz_lp(
-                g, lp, plan if pair == (x, y) else None)
+            cv = cache[("kappa",) + pair] = solve_lipschitz_lp(g, lp, plan)
         for pair in reversed(chain):
             sigma = reach[pair][1]
             cv = cache[("kappa",) + pair] = _carry(cv, sigma, sigma[cv.x] > sigma[cv.y])
