@@ -7,44 +7,37 @@ restriction to B1(x) union B1(y); a 1-Lipschitz function on that support
 extends to the whole graph by z -> min_w f(w) + d(z, w) without changing
 the objective, so nothing is lost.
 
-The solver is an exact simplex on the constraint polytope.  The pairwise
-difference system is totally unimodular, so every vertex of the polytope is
-integral and the whole pivot loop runs in plain integer arithmetic.  No
-constraint list is built: the tight rows form a spanning tree, kept in
-arrays indexed by the child node of each row (its parent, the row, the
-row's multiplier, sign and rank, and the node's children).  Each pivot
-drops the tight row of least rank (_order) with a negative multiplier,
-which cuts one subtree off, and scans only the rows across that cut,
-reading each slack d(u, v) - (f(u) - f(v)) from the distance rows and the
-current values; the row of least slack enters, ties going to the least
-(lower end, upper end).  The multipliers are subtree sums updated along
-the paths the pivot changes, and a degenerate pivot (slack 0) moves no
-value.  The final rows are sorted by rank once, so every certificate lists
-its rows in one fixed order.  Each solve finishes by checking its
-optimizer and certificate with _certified, the integer core that
-verify_optimality_certificate also runs after its type and shape checks.
-Its dual half, _dual_bound, turns any nonnegative rows that leave every
-free vertex stationary into a lower bound on the objective (weak duality).
-
-Every pair's program is first offered the point of its greedy transport
-plan (_plan_point, from _greedy_plan below).  With d = d(x, y), sources
-S = N(x) minus N[y] and sinks T = N(y) minus N[x], the dual rows
-(y, s, d(y, s), 1) for a lone source and (t, x, d(t, x), 1) for a lone
-sink leave every free vertex stationary, and pairing t with s on the row
-(t, s, d(t, s), 1) instead gains w = (d(y, s) - d) + d(t, x) - d(t, s),
-at most 2 by the triangle inequality (d(y, s) <= 1 + d(t, s) and
-d(t, x) <= d + 1).  The plan matches the pairs of gain 2, then pairs the
-leftover sources greedily at gain 1; at d = 1, w = 3 - d(t, s) and this
-is the plan of the edge bounds below.  Each row of the plan has
-multiplier 1 and each free vertex of nonzero coefficient lies on one row,
-so the rows are stationary and the point is optimal wherever it is
-1-Lipschitz.  _certified decides, and the simplex runs only where it
-refuses both placements of the plan's pairs.  The plan answers 3,551 of
-the 3,774 edges of the seed 1-2 analyze-random benchmark inputs and all
-2,261 of the standard corpus, and 3,512 of the 3,975 far pairs of the
-seed-1 inputs (seed 2: 3,557 of 3,975) and 2,812 of the 3,148 of the
-standard corpus.  The value is unique; only a pair's optimizer and
-certificate depend on the route that answered it.
+The pairwise difference system is totally unimodular, so the optimum is
+attained at an integer point and every route below runs in plain integer
+arithmetic.  Every pair is answered from a transport plan.  With
+d = d(x, y), sources S = N(x) minus N[y] and sinks T = N(y) minus N[x],
+the dual rows (y, s, d(y, s), 1) for a lone source and (t, x, d(t, x), 1)
+for a lone sink leave every free vertex stationary, and pairing t with s
+on the row (t, s, d(t, s), 1) instead gains
+w = (d(y, s) - d) + d(t, x) - d(t, s), at most 2 by the triangle
+inequality (d(y, s) <= 1 + d(t, s) and d(t, x) <= d + 1).  The optimum is
+the lone rows' bound plus the greatest total gain of a matching of sources
+to sinks.  The greedy plan (_greedy_plan) matches the pairs of gain 2,
+then pairs the leftover sources greedily at gain 1; at d = 1,
+w = 3 - d(t, s) and this is the plan of the edge bounds below.  Each row
+of a plan has multiplier 1 and each free vertex of nonzero coefficient
+lies on one row, so the rows are stationary and a feasible point tight on
+them is optimal.  _plan_point reads the least such point off a plan,
+raising f = d - d(y, .) along its rows and closing it under the metric,
+and _certified, the integer core that verify_optimality_certificate also
+runs after its type and shape checks, decides.  Its dual half,
+_dual_bound, turns any nonnegative rows that leave every free vertex
+stationary into a lower bound on the objective (weak duality).  Where the
+greedy plan is refused, _optimal_plan finds a matching of greatest gain
+as a k x k assignment, k = max(|S|, |T|), at costs 2 - max(w, 0), by the
+Hungarian method, and the same _plan_point answers the pair; a refusal
+there is an InternalCheckError.  The greedy plan answers 3,728 of the
+3,774 edges of the seed 1-2 analyze-random benchmark inputs and all 2,261
+of the standard corpus, and 3,622 of the 3,975 far pairs of the seed-1
+inputs (seed 2: 3,636 of 3,975) and 2,812 of the 3,148 of the standard
+corpus.  The value is unique; only a pair's optimizer and certificate
+depend on the plan that answered it, and every certificate lists its rows
+sorted by _order.
 
 min_edge_curvature (for the edges) and long_range_curvatures (for the
 non-adjacent pairs) take one route on every graph: reflective.orbit_roots
@@ -89,18 +82,21 @@ orbit as its root.
 The independent oracle below works from the primal side instead: the
 curvature is (D+1) - W/d(x, y), with D the larger degree and W the integer
 transport cost between the lazy measures of x and y scaled by D+1.  W is
-the optimum of a unit-slot assignment, solved by an integer Hungarian
-method (min_assignment_cost) on the distance rows, which is all the
-oracle shares with the simplex.  Its docstring says which pairs the cited
+the optimum of a unit-slot assignment on the distance rows, solved by the
+integer Hungarian method (_hungarian) that also finds the optimal plan.
+Sharing it is safe: a production answer is accepted only by _certified,
+an integer primal and dual check, so a fault of the method there is an
+InternalCheckError, not a wrong value; and the oracle solves a different
+program, on the lazy measures at idleness 1/(D+1), so a fault there shows
+as a criterion_08 disagreement.  Its docstring says which pairs the cited
 theorem covers.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
 from numbers import Rational
-from operator import index, itemgetter
+from operator import index
 from typing import NamedTuple
 
 from .errors import (
@@ -113,9 +109,6 @@ from .errors import (
 )
 from .graphs import Graph, adjacency_bits, max_matching, memo
 from .reflective import orbit_roots
-
-_MAX_PIVOTS = 200_000
-
 
 @dataclass(frozen=True)
 class LipschitzLP:
@@ -204,214 +197,74 @@ def _order(a, b, n):
     return (a * n + b) * 2 if a < b else (b * n + a) * 2 + 1
 
 
-def _entering_row(dist, fs, side, other):
-    """The row that goes tight first as the cut moves: least slack, then _order.
-
-    side and other are the two sides of the cut in increasing order, side
-    the smaller.  With su = +1 or -1 the rate at which f(u) - f(v) grows
-    for u in side and v in other, fs holds su * f.  Only rows across the
-    cut have a rate, each in one direction, and the slack of the pair
-    {u, v} reads d(u, v) + fs(v) - fs(u).  Each u of side, in increasing
-    order, takes its first best partner v (the lowest of its ties in
-    _order) and the least (slack, lower end, upper end) wins; once the best
-    slack is zero, a later u can only win with a partner below the best
-    pair's lower end.  Returns (slack, u, v).
-    """
-    best = None
-    for u in side:
-        du = dist[u]
-        ts = [du[v] + fs[v] for v in other]
-        if not ts:
-            break
-        low = min(ts)
-        v = other[ts.index(low)]
-        low -= fs[u]
-        cand = (low, u, v, u, v) if u < v else (low, v, u, u, v)
-        if best is None or cand < best:
-            best = cand
-            if low == 0:
-                other = other[:bisect_left(other, cand[1])]
-    return best[0], best[3], best[4]
-
-
-def _solve_core(dist, f, ix, iy, cvec):
-    """Exact minimization of sum cvec[i] * f_i over the difference polytope.
-
-    Members are numbered in support order; dist is their distance matrix
-    and f their integer values (updated in place, nf mirrors -f), starting
-    on the rows f(y) - f(v) <= d(y, v), one per free member v, all tight.
-    The tight rows always form a spanning tree of the free members and the
-    ground (x and y merged, numbered ix).  Each free node keeps, indexed by
-    itself, its parent par, the row up to it, that row's multiplier lam,
-    its sign sg (+1 where the node is the row's first end), the row's rank
-    key (_order) and the list of its children.
-    Stationarity at a free node n reads c(n) + sum(sigma * lam) = 0 over
-    its rows; summed over the subtree below a row it leaves that row alone,
-    so lam = -sg * S with S the sum of c over that subtree.  Each pivot
-    drops the row of least _order with a negative multiplier, moves the
-    subtree M below it until a row crossing the cut goes tight (the least
-    slack, ties to the least (lower end, upper end)), and hangs M from that
-    row: only the sums S on the two paths to the ground and on the path in
-    M that turns over change.  A degenerate pivot (slack 0) moves nothing.
-    Returns the final rows [(row, multiplier)] sorted by _order.
-    """
-    n = len(f)
-    free = [i for i in range(n) if i != ix and i != iy]
-
-    par = [ix] * n
-    up = [(iy, i) for i in range(n)]
-    sg = [-1] * n
-    lam = list(cvec)
-    key = [_order(iy, i, n) for i in range(n)]
-    kids = [[] for _ in range(n)]
-    kids[ix] = list(free)
-    lam[ix] = lam[iy] = 0  # not rows: never negative, never read
-    key[ix] = key[iy] = -1
-    nf = [-v for v in f]
-    for pivots in range(_MAX_PIVOTS + 1):
-        neg = [k for k, l in zip(key, lam) if l < 0]
-        if not neg:
-            break
-        if pivots == _MAX_PIVOTS:
-            raise InternalCheckError("pivot limit exceeded")
-        root = key.index(min(neg))
-        top = par[root]
-        sub = [root]
-        for nd in sub:
-            sub.extend(kids[nd])
-        stride = -sg[root]  # opens the leaving row
-        ins = sorted(sub)
-        outs = list(range(n))
-        for nd in reversed(ins):
-            del outs[nd]
-        if len(ins) <= len(outs):
-            step, m, w = _entering_row(dist, f if stride > 0 else nf, ins, outs)
-        else:
-            step, w, m = _entering_row(dist, nf if stride > 0 else f, outs, ins)
-        entering = (m, w) if stride > 0 else (w, m)
-        if step:
-            ds = step * stride
-            for nd in sub:
-                f[nd] += ds
-                nf[nd] -= ds
-        s_m = -sg[root] * lam[root]
-        if w == iy:  # y is part of the ground
-            w = ix
-        nd = top
-        while nd != ix:
-            lam[nd] += sg[nd] * s_m
-            nd = par[nd]
-        nd = w
-        while nd != ix:
-            lam[nd] -= sg[nd] * s_m
-            nd = par[nd]
-        kids[top].remove(root)
-        kids[w].append(m)
-        # re-root M at m: each row on the path from m up to root turns over
-        # and moves to the node that was its parent
-        row, k, s, l = entering, _order(*entering, n), stride, -stride * s_m
-        below, nd = w, m
-        while True:
-            up[nd], row = row, up[nd]
-            key[nd], k = k, key[nd]
-            sg[nd], s = s, sg[nd]
-            lam[nd], l = l, lam[nd]
-            par[nd], below, nd = below, nd, par[nd]
-            if below == root:
-                break
-            kids[nd].remove(below)
-            kids[below].append(nd)
-            l += s * s_m
-            s = -s
-    return [(up[nd], lam[nd]) for nd in sorted(free, key=key.__getitem__)]
-
-
 def solve_lipschitz_lp(g: Graph, lp: LipschitzLP, plan=None) -> CurvatureValue:
     """Exact optimum of the curvature program, verified before returning.
 
     The pair takes the point of its greedy plan where _certified accepts it
-    (_plan_point); the simplex runs only where it does not.  plan is the
+    (_plan_point), and otherwise the point of an optimal plan
+    (_optimal_plan), which _certified must accept.  plan is the
     _greedy_plan of (lp.x, lp.y) where the caller already has it.
     """
     found = _plan_point(g, lp, plan)
     if found is None:
-        return _simplex(g, lp)
+        found = _plan_point(g, lp, _optimal_plan(g, lp.x, lp.y))
+        if found is None:
+            raise InternalCheckError("optimizer and certificate fail the optimality check")
     return _curvature_value(lp, *found)
 
 
-def _simplex(g: Graph, lp: LipschitzLP) -> CurvatureValue:
-    """The program solved by _solve_core from its start point, certified."""
-    dist = g.dist_rows()
-    x, y, gap = lp.x, lp.y, lp.gap
-    fixed = {x: 0, y: gap}
-    members = sorted(v for v in lp.support if v in fixed or lp.coeffs[v] != 0)
-    pick = itemgetter(*members)
-    mdist = [pick(dist[u]) for u in members]
-    # the start point sits on each row f(y) - f(v) <= d(y, v)
-    f = [gap - dist[v][y] for v in members]
-    rows = _solve_core(mdist, f, members.index(x), members.index(y),
-                       [lp.coeffs[v] for v in members])
-
-    f_full = dict(zip(members, f))
-    # the support left out of members has coefficient 0
-    for z in lp.support:
-        if z not in f_full:
-            dz = dist[z]
-            f_full[z] = min(fw + dz[w] for w, fw in zip(members, f))
-    certificate = tuple((members[a], members[b], mdist[a][b], l) for (a, b), l in rows if l)
-    if not _certified(dist, lp, f_full, certificate):
-        raise InternalCheckError("optimizer and certificate fail the optimality check")
-    return _curvature_value(lp, f_full, certificate)
-
-
 def _plan_point(g: Graph, lp: LipschitzLP, plan=None):
-    """An optimal point of lp read off its greedy plan (_greedy_plan), or None.
+    """The least point of lp tight on the rows of a transport plan, or None.
 
-    With d the gap, each source s left unpaired gets d - d(y, s) on its row
-    (y, s, d(y, s), 1), each sink t left unpaired d(t, x) on its row
-    (t, x, d(t, x), 1), and each pair (t, s, c) sits on its row (t, s, c, 1),
-    placed low (f(s) = d - d(y, s), f(t) = f(s) + c) or high
-    (f(t) = d(t, x), f(s) = f(t) - c).  The vertices of coefficient 0 are
-    common neighbours of x and y and take min_w f(w) + d(w, z): that is 0
-    next to a vertex at -1 and 1 elsewhere, since z ~ x and a value below
-    -1 can only sit on a source, next to x, where no point certifies.
-    Every multiplier is 1 and every free vertex of nonzero coefficient lies
-    on exactly one row, so the rows are stationary and a feasible point
-    tight on them is optimal; _certified decides.  Returns (f, rows sorted
-    by _order) for the first placement, every pair low and then every pair
-    high, that it accepts.
+    plan is (sources, sinks, pairs) as _greedy_plan returns it, by default
+    the greedy plan of (lp.x, lp.y).  With d the gap, its rows are
+    (t, s, c, 1) for each pair, (y, s, d(y, s), 1) for each source left
+    unpaired and (t, x, d(t, x), 1) for each sink left unpaired.  Every
+    multiplier is 1 and every free vertex of nonzero coefficient lies on
+    exactly one row, so the rows are stationary and a feasible point tight
+    on them is optimal.  The point starts from f = d - d(y, .), the least
+    1-Lipschitz function with f(y) = d; each row (u, v, rhs, 1) raises f(u)
+    to f(v) + rhs, and the metric closes f from below after each raise
+    (f(z) >= f(u) - d(u, z)), until every row is tight.  Values only grow
+    and never pass a feasible point tight on the rows, so f(y) > d proves
+    that there is none: the plan is not optimal, and the loop stops there.
+    Otherwise f(z) <= d + d(y, z) bounds the raises.  _certified decides.
+    Returns (f, rows sorted by _order) where it accepts.
     """
     x, y, d = lp.x, lp.y, lp.gap
     sources, sinks, pairs = plan or _greedy_plan(g, x, y)
     dist = g.dist_rows()
     dx, dy = dist[x], dist[y]
     rows = [(t, s, c, 1) for t, s, c in pairs]
-    lone = {x: 0, y: d}
     for t, s, _ in pairs:
         sources ^= 1 << s
         sinks ^= 1 << t
     for s in g.neighbors[x]:
         if sources >> s & 1:
-            lone[s] = d - dy[s]
             rows.append((y, s, dy[s], 1))
     for t in g.neighbors[y]:
         if sinks >> t & 1:
-            lone[t] = dx[t]
             rows.append((t, x, dx[t], 1))
+    support = lp.support
+    f = {z: d - dy[z] for z in support}
+    raised = True
+    while raised:
+        raised = False
+        for u, v, rhs, _ in rows:
+            top = f[v] + rhs
+            if top > f[u]:
+                du = dist[u]
+                if top - du[y] > d:
+                    return None
+                for z in support:
+                    if top - du[z] > f[z]:
+                        f[z] = top - du[z]
+                raised = True
+    if not _certified(dist, lp, f, rows):
+        return None
     n = g.n
     rows.sort(key=lambda r: _order(r[0], r[1], n))
-    adj = adjacency_bits(g)
-    common = [z for z, c in lp.coeffs.items() if not c]
-    for high in (False, True):
-        f = dict(lone)
-        for t, s, c in pairs:
-            f[t], f[s] = (dx[t], dx[t] - c) if high else (d - dy[s] + c, d - dy[s])
-        low = sum(1 << w for w, fw in f.items() if fw == -1)
-        for z in common:
-            f[z] = 0 if adj[z] & low else 1
-        if _certified(dist, lp, f, rows):
-            return f, rows
-    return None
+    return f, rows
 
 
 def _curvature_value(lp: LipschitzLP, f, certificate) -> CurvatureValue:
@@ -555,6 +408,35 @@ def _greedy_plan(g: Graph, x: int, y: int):
                 plan.append((t, s, want + dx[t]))
                 open_sinks ^= bit
                 break
+    return sources, sinks, plan
+
+
+def _optimal_plan(g: Graph, x: int, y: int):
+    """A transport plan of greatest total gain for the pair (x, y).
+
+    Returned as _greedy_plan returns its plan.  The sources, padded to
+    k = max(|S|, |T|) rows, are assigned to the sinks, padded to k columns,
+    at cost 2 - max(w, 0), with w a pair's gain (the module docstring) and
+    2 on the padding, by the Hungarian method (_hungarian): the least cost
+    is 2k less the greatest total gain.  The pairs of positive gain form
+    the plan.
+    """
+    x, y = index(x), index(y)
+    adj = adjacency_bits(g)
+    sources = adj[x] & ~adj[y] & ~(1 << y)
+    sinks = adj[y] & ~adj[x] & ~(1 << x)
+    dist = g.dist_rows()
+    dx, dy = dist[x], dist[y]
+    d = dx[y]
+    ss = [s for s in g.neighbors[x] if sources >> s & 1]
+    ts = [t for t in g.neighbors[y] if sinks >> t & 1]
+    k = max(len(ss), len(ts))
+    cost = [[2 - max(dy[s] - d + dx[t] - dist[s][t], 0) for t in ts] + [2] * (k - len(ts))
+            for s in ss]
+    cost += [[2] * k] * (k - len(ss))
+    owner = _hungarian(cost)[1]
+    plan = [(t, ss[i], dist[t][ss[i]]) for j, (t, i) in enumerate(zip(ts, owner))
+            if cost[i][j] < 2]
     return sources, sinks, plan
 
 
@@ -732,7 +614,13 @@ def verify_optimality_certificate(g: Graph, cv: CurvatureValue) -> bool:
 # --- independent oracle: optimal transport between the lazy measures ---
 
 def min_assignment_cost(cost) -> int:
-    """Least total cost of a perfect assignment in a square integer matrix.
+    """Least total cost of a perfect assignment in a square integer matrix."""
+    return _hungarian(cost)[0]
+
+
+def _hungarian(cost):
+    """Least total cost of a perfect assignment in a square integer matrix,
+    and the row assigned to each column (from 0).
 
     The Hungarian method with potentials (Kuhn-Munkres, O(k^3) for k rows),
     in plain integers: rows join one at a time, each along a shortest
@@ -743,7 +631,7 @@ def min_assignment_cost(cost) -> int:
     """
     k = len(cost)
     if k == 0:
-        return 0
+        return 0, []
     inf = (k + 1) * max(max(row) for row in cost) + 1
     u = [0] * (k + 1)
     v = [0] * (k + 1)
@@ -777,7 +665,7 @@ def min_assignment_cost(cost) -> int:
             j1 = way[j0]
             owner[j0] = owner[j1]
             j0 = j1
-    return -v[0]
+    return -v[0], [i - 1 for i in owner[1:]]
 
 
 def brute_force_curvature_oracle(g: Graph, x: int, y: int) -> Fraction:
@@ -802,8 +690,12 @@ def brute_force_curvature_oracle(g: Graph, x: int, y: int) -> Fraction:
     W depends only on m_x - m_y, so the shared mass cancels first; the rest
     is split into unit slots and W is the least cost of assigning the
     slots of x's side to those of y's on the distance rows
-    (min_assignment_cost).  Only the distance matrix is shared with the
-    simplex, and no Fraction is built before the final division.
+    (min_assignment_cost).  Its Hungarian method also finds the production
+    route's optimal plan (_optimal_plan).  That is safe: a production answer
+    is accepted only by _certified, and this formula solves a different
+    program (the lazy measures at idleness 1/(D+1)), so a fault of the
+    shared method shows as a criterion_08 disagreement, not as an agreeing
+    pair of wrong values.  No Fraction is built before the final division.
     """
     check_vertex(g.n, x)
     check_vertex(g.n, y)

@@ -81,14 +81,14 @@ def test_tracer_charges_a_plan_answered_edge_to_the_edge_lp_layer(monkeypatch):
     gc = types.SimpleNamespace(
         **{name: importlib.import_module(f"gcurv.{name}") for name in MODULES})
 
-    def no_simplex(*args):
-        raise AssertionError("the simplex ran")
+    def no_fallback(*args):
+        raise AssertionError("the optimal plan was built")
 
-    monkeypatch.setattr(gc.ollivier, "_solve_core", no_simplex)
+    monkeypatch.setattr(gc.ollivier, "_optimal_plan", no_fallback)
     tracer = tracing.Tracer()
     tracer.install(gc)
     try:
-        # the greedy plan's point answers the edge: no pivot runs
+        # the greedy plan's point answers the edge: no optimal plan is built
         assert gc.ollivier.edge_curvature(hypercube(3), 0, 1).value == 2
         summary = tracer.summary()
     finally:
@@ -104,14 +104,15 @@ def test_tracer_charges_a_plan_answered_far_pair_to_the_long_range_layer(monkeyp
     gc = types.SimpleNamespace(
         **{name: importlib.import_module(f"gcurv.{name}") for name in MODULES})
 
-    def no_simplex(*args):
-        raise AssertionError("the simplex ran")
+    def no_fallback(*args):
+        raise AssertionError("the optimal plan was built")
 
-    monkeypatch.setattr(gc.ollivier, "_solve_core", no_simplex)
+    monkeypatch.setattr(gc.ollivier, "_optimal_plan", no_fallback)
     tracer = tracing.Tracer()
     tracer.install(gc)
     try:
-        # the greedy plan's point answers the pair at distance 3: no pivot runs
+        # the greedy plan's point answers the pair at distance 3: no optimal
+        # plan is built
         assert gc.ollivier.long_range_curvature(hypercube(3), 0, 7).value == 2
         summary = tracer.summary()
     finally:

@@ -2,6 +2,7 @@ import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -183,9 +184,8 @@ def test_vertex_out_of_range_rejected(q3, bad):
 
 
 # Exact outputs of the production route, pinned so that a change to the
-# greedy plan or to the simplex's pivot rule (leaving: first active row
-# with a negative multiplier; entering: the least slack, ties to the lowest
-# row) shows up even when the value does not move.
+# greedy plan, the optimal plan or the point read off a plan shows up even
+# when the value does not move.
 def test_pinned_gosset_edge(gosset_graph):
     cv = edge_curvature(gosset_graph, 0, 1)
     assert cv.value == 18
@@ -238,13 +238,13 @@ def test_pinned_halved_cube_distance_three_pair():
 
 
 # Three irregular graphs (degrees 1-6, 3-8 and 1-5; diameters 4, 2 and 4)
-# whose 224 pairs take 795 simplex pivots, 538 of them degenerate.  The
-# digest covers (x, y, value, optimizer, certificate) of every pair in
-# lexicographic order, so a change to the pivot rule or the row order shows
-# up on pairs that the three pinned tests above do not reach.  The simplex
-# is hashed on its own, since the plan route answers most pairs before it;
-# the production route is hashed on the 73 edges and the 151 far pairs
-# apart, so that a change to one route cannot hide behind the other.
+# with 224 pairs.  The digest covers (x, y, value, optimizer, certificate)
+# of every pair in lexicographic order, so a change to a plan, its point or
+# the row order shows up on pairs that the three pinned tests above do not
+# reach.  The optimal plan is hashed on its own, forced on every pair, since
+# the greedy plan answers most pairs before it; the production route is
+# hashed on the 73 edges and the 151 far pairs apart, so that a change to
+# one route cannot hide behind the other.
 PINNED_EDGE_LISTS = (
     (11, [(0, 1), (0, 2), (0, 4), (0, 6), (0, 7), (1, 3), (1, 4), (1, 5), (1, 9),
           (2, 8), (3, 5), (3, 6), (4, 5), (4, 7), (5, 6), (5, 7), (5, 10), (7, 8),
@@ -281,42 +281,28 @@ def _digest_of_every_pinned_pair(solve, adjacent=None):
     return digest.hexdigest()
 
 
+def _optimal_plan_route(g, x, y):
+    """The pair answered by the point of its optimal plan: the fallback,
+    forced whether or not the greedy plan's point certifies."""
+    lp = build_lipschitz_lp(g, x, y)
+    return ollivier._curvature_value(lp, *ollivier._plan_point(g, lp, ollivier._optimal_plan(g, x, y)))
+
+
 def test_pinned_digest_of_every_pair_on_irregular_graphs():
-    digest = _digest_of_every_pinned_pair(
-        lambda g, x, y: ollivier._simplex(g, build_lipschitz_lp(g, x, y)))
-    assert digest == "220b699f838c0a7bc83e67f55684a53610f5471aec6a0b45a647fbdcac8afbaf"
+    digest = _digest_of_every_pinned_pair(_optimal_plan_route)
+    assert digest == "4582f2fa743ce880342215fa924e3acde9cec01074218ce6a59d886a8aa73ea8"
 
 
 def test_pinned_digest_of_every_edge_through_the_production_route():
-    # the plan route answers most edges, the simplex the rest
+    # the greedy plan answers most edges, the optimal plan the rest
     digest = _digest_of_every_pinned_pair(edge_curvature, adjacent=True)
     assert digest == "b279ec02ee04989fe3f9bd833d6ff8fe7c5431f40ba2e016029875636fc9ef5f"
 
 
 def test_pinned_digest_of_every_far_pair_through_the_production_route():
-    # the plan route answers most far pairs, the simplex the rest
+    # the greedy plan answers most far pairs, the optimal plan the rest
     digest = _digest_of_every_pinned_pair(long_range_curvature, adjacent=False)
     assert digest == "ae5f33e1df250a653bf9aca1601e053c97c6b85ac0aa3224630b1a65992484e5"
-
-
-# the plan route answers Q 3's pair (0, 7), so these call the simplex itself
-def test_pivot_limit_is_an_internal_error(monkeypatch):
-    g = hypercube(3)
-    lp = build_lipschitz_lp(g, 0, 7)  # three pivots from the start basis
-    monkeypatch.setattr(ollivier, "_MAX_PIVOTS", 1)
-    with pytest.raises(InternalCheckError, match="pivot limit exceeded"):
-        ollivier._simplex(g, lp)
-
-
-def test_pivot_limit_admits_a_solve_that_needs_exactly_the_limit(monkeypatch):
-    g = hypercube(3)
-    lp = build_lipschitz_lp(g, 0, 7)  # three pivots from the start basis
-    free = ollivier._simplex(g, lp)
-    monkeypatch.setattr(ollivier, "_MAX_PIVOTS", 3)
-    assert ollivier._simplex(g, lp) == free
-    monkeypatch.setattr(ollivier, "_MAX_PIVOTS", 2)
-    with pytest.raises(InternalCheckError, match="pivot limit exceeded"):
-        ollivier._simplex(g, lp)
 
 
 def test_optimizer_is_lipschitz_with_unit_gap(j52):
@@ -821,13 +807,13 @@ def test_refused_edge_bound_is_an_internal_error():
         min_edge_curvature(g)
 
 
-# --- the plan route: an edge answered by the greedy plan's point ---
+# --- the plan route: a pair answered by the point of a transport plan ---
 
 def test_plan_route_answers_every_edge_of_the_standard_corpus(monkeypatch):
-    def no_simplex(*args):
-        raise AssertionError("the simplex ran")
+    def no_fallback(*args):
+        raise AssertionError("the optimal plan was built")
 
-    monkeypatch.setattr(ollivier, "_solve_core", no_simplex)
+    monkeypatch.setattr(ollivier, "_optimal_plan", no_fallback)
     edges = 0
     for member in standard_corpus():
         g = member.graph
@@ -839,47 +825,114 @@ def test_plan_route_answers_every_edge_of_the_standard_corpus(monkeypatch):
     assert edges == 2261
 
 
-# (n, edges, edge, greedy bound, curvature): the greedy bound falls short of
-# the curvature on the first; on the second it is sharp, but neither
-# placement of its plan's pairs is 1-Lipschitz
+# (n, edges, edge, greedy bound, curvature, optimal plans built): the greedy
+# bound falls short of the curvature on the first, so its plan is not
+# optimal; on the second it is sharp, and the least point of the greedy
+# plan certifies, although placing every pair at its source's lone value,
+# or every pair at its sink's, gives no 1-Lipschitz point
 PLAN_FALLBACKS = [
     (7, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 6), (2, 5), (3, 6), (4, 5), (4, 6)],
-     (0, 4), 0, 1),
+     (0, 4), 0, 1, 1),
     (6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4), (3, 5), (4, 5)],
-     (0, 3), 0, 0),
+     (0, 3), 0, 0, 0),
 ]
 
 
-@pytest.mark.parametrize("n, edges, edge, bound, kappa", PLAN_FALLBACKS)
-def test_plan_route_falls_back_to_the_simplex(monkeypatch, n, edges, edge, bound, kappa):
+@pytest.mark.parametrize("n, edges, edge, bound, kappa, fallbacks", PLAN_FALLBACKS)
+def test_plan_route_falls_back_to_the_optimal_plan(monkeypatch, n, edges, edge, bound, kappa,
+                                                   fallbacks):
     g = build_graph(n, edges)
     assert ollivier._edge_bound(g, *edge) == bound
-    assert ollivier._plan_point(g, build_lipschitz_lp(g, *edge)) is None
-    calls = _count_calls(monkeypatch, "_simplex")
+    assert (ollivier._plan_point(g, build_lipschitz_lp(g, *edge)) is None) == bool(fallbacks)
+    calls = _count_calls(monkeypatch, "_optimal_plan")
     cv = edge_curvature(g, *edge)
-    assert calls == {"_simplex": 1}
+    assert calls == {"_optimal_plan": fallbacks}
     assert cv.value == kappa == brute_force_curvature_oracle(g, *edge)
     assert verify_optimality_certificate(g, cv)
 
 
+def test_plan_point_stops_on_a_plan_that_is_not_optimal():
+    # the greedy plan of the first fallback edge proves only 0 < 1, so no
+    # feasible point is tight on its rows: raising along them pushes f(y)
+    # past the gap, and the loop ends there
+    n, edges, edge, bound, kappa, _ = PLAN_FALLBACKS[0]
+    g = build_graph(n, edges)
+    plan = ollivier._greedy_plan(g, *edge)
+    assert ollivier._edge_bound(g, *edge, plan) == bound < kappa
+    assert ollivier._plan_point(g, build_lipschitz_lp(g, *edge), plan) is None
+
+
+def test_refused_optimal_plan_is_an_internal_error(monkeypatch):
+    # a planted fallback that returns the greedy plan, which is not optimal
+    n, edges, edge, *_ = PLAN_FALLBACKS[0]
+    g = build_graph(n, edges)
+    monkeypatch.setattr(ollivier, "_optimal_plan", ollivier._greedy_plan)
+    with pytest.raises(InternalCheckError, match="optimality check"):
+        edge_curvature(g, *edge)
+    assert ("kappa",) + edge not in g.cache
+
+
+def test_greedy_plan_answers_most_pairs_of_the_seed_one_inputs(monkeypatch):
+    # the 24 seed-1 inputs of the analyze-random benchmark, each pair solved
+    # alone: [pairs the greedy plan answers, pairs] for edges and far pairs
+    graphs = [parse_edge_list(text) for _, text, _ in load_workloads().random_inputs(1, 24)]
+    calls = _count_calls(monkeypatch, "_optimal_plan")
+    answered = {"edge": [0, 0], "far": [0, 0]}
+    for g in graphs:
+        for x in range(g.n):
+            for y in range(x + 1, g.n):
+                before = calls["_optimal_plan"]
+                solve_lipschitz_lp(g, build_lipschitz_lp(g, x, y))
+                tally = answered["edge" if g.adjacent(x, y) else "far"]
+                tally[0] += calls["_optimal_plan"] == before
+                tally[1] += 1
+    assert answered == {"edge": [1858, 1887], "far": [3622, 3975]}
+
+
+def _exhaustive_value(g, x, y):
+    """The curvature of (x, y) as the lone-row sum plus the greatest total
+    gain over every injective map of the sources into the sinks and one
+    lone slot per source; shares no code with the Hungarian method."""
+    lp = build_lipschitz_lp(g, x, y)
+    dist = g.dist_rows()
+    d = lp.gap
+    free = [v for v in lp.support if v != x and v != y]
+    sources = [v for v in free if lp.coeffs[v] == 1]
+    sinks = [v for v in free if lp.coeffs[v] == -1]
+    # weak duality on the rows (y, s) and (t, x): each source row adds 1 to
+    # the multiplier sum at y
+    lone = ((lp.coeffs[y] + len(sources)) * d - sum(dist[y][s] for s in sources)
+            - sum(dist[t][x] for t in sinks))
+    gain = [[dist[y][s] - d + dist[t][x] - dist[t][s] for t in sinks] + [0] * len(sources)
+            for s in sources]
+    best = max(sum(row[j] for row, j in zip(gain, cols))
+               for cols in permutations(range(len(sinks) + len(sources)), len(sources)))
+    return Fraction(lone + best, d)
+
+
+def _check_every_route(g, x, y):
+    """The greedy route, the optimal plan forced, the transport oracle and
+    the exhaustive reference agree, and both certificates replay."""
+    greedy = solve_lipschitz_lp(g, build_lipschitz_lp(g, x, y))
+    forced = _optimal_plan_route(g, x, y)
+    assert greedy.value == forced.value == brute_force_curvature_oracle(g, x, y) \
+        == _exhaustive_value(g, x, y)
+    assert verify_optimality_certificate(g, greedy)
+    assert verify_optimality_certificate(g, forced)
+
+
 @given(connected_graphs(min_n=2, max_n=8))
+@example(build_graph(*PLAN_FALLBACKS[0][:2]))
 @settings(max_examples=80, deadline=None)
-def test_plan_route_matches_the_simplex_on_random_graphs(g):
+def test_plan_routes_match_the_exhaustive_reference_on_random_graphs(g):
     for (x, y) in g.edges:
-        lp = build_lipschitz_lp(g, x, y)
-        simplex = ollivier._simplex(g, lp)
-        found = ollivier._plan_point(g, lp)
-        if found is not None:
-            cv = ollivier._curvature_value(lp, *found)
-            assert cv.value == simplex.value
-            assert verify_optimality_certificate(g, cv)
-        assert solve_lipschitz_lp(g, lp).value == simplex.value
+        _check_every_route(g, x, y)
 
 
 # --- the plan route on far pairs ---
 
 def test_plan_route_answers_most_far_pairs_of_the_standard_corpus(monkeypatch):
-    calls = _count_calls(monkeypatch, "_simplex")
+    calls = _count_calls(monkeypatch, "_optimal_plan")
     pairs = 0
     for member in standard_corpus():
         g = member.graph
@@ -892,22 +945,21 @@ def test_plan_route_answers_most_far_pairs_of_the_standard_corpus(monkeypatch):
                 assert verify_optimality_certificate(g, cv)
                 pairs += 1
     assert pairs == 3148
-    assert pairs - calls["_simplex"] == 2812
+    assert pairs - calls["_optimal_plan"] == 2812
 
 
-# its pair (1, 4), at distance 2, has a plan whose point certifies in
-# neither placement
+# its pair (1, 4), at distance 2, has a greedy plan that is not optimal
 FAR_FALLBACK_EDGES = [(0, 1), (0, 5), (0, 6), (1, 2), (1, 3), (2, 3), (2, 4), (3, 5),
                       (4, 5), (4, 6)]
 
 
-def test_far_plan_route_falls_back_to_the_simplex(monkeypatch):
+def test_far_plan_route_falls_back_to_the_optimal_plan(monkeypatch):
     g = build_graph(7, FAR_FALLBACK_EDGES)
     assert g.distance(1, 4) == 2
     assert ollivier._plan_point(g, build_lipschitz_lp(g, 1, 4)) is None
-    calls = _count_calls(monkeypatch, "_simplex")
+    calls = _count_calls(monkeypatch, "_optimal_plan")
     cv = long_range_curvature(g, 1, 4)
-    assert calls == {"_simplex": 1}
+    assert calls == {"_optimal_plan": 1}
     assert cv.value == 2 == brute_force_curvature_oracle(g, 1, 4)
     assert verify_optimality_certificate(g, cv)
 
@@ -915,19 +967,11 @@ def test_far_plan_route_falls_back_to_the_simplex(monkeypatch):
 @given(connected_graphs(min_n=3, max_n=8))
 @example(build_graph(7, FAR_FALLBACK_EDGES))
 @settings(max_examples=80, deadline=None)
-def test_far_plan_route_matches_the_simplex_on_random_graphs(g):
+def test_far_plan_routes_match_the_exhaustive_reference_on_random_graphs(g):
     for x in range(g.n):
         for y in range(x + 1, g.n):
-            if g.adjacent(x, y):
-                continue
-            lp = build_lipschitz_lp(g, x, y)
-            simplex = ollivier._simplex(g, lp)
-            found = ollivier._plan_point(g, lp)
-            if found is not None:
-                cv = ollivier._curvature_value(lp, *found)
-                assert cv.value == simplex.value
-                assert verify_optimality_certificate(g, cv)
-            assert solve_lipschitz_lp(g, lp).value == simplex.value
+            if not g.adjacent(x, y):
+                _check_every_route(g, x, y)
 
 
 def test_min_edge_curvature_computes_its_own_reflections(monkeypatch):
