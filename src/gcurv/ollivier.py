@@ -414,12 +414,12 @@ def _greedy_plan(g: Graph, x: int, y: int):
 def _optimal_plan(g: Graph, x: int, y: int):
     """A transport plan of greatest total gain for the pair (x, y).
 
-    Returned as _greedy_plan returns its plan.  The sources, padded to
-    k = max(|S|, |T|) rows, are assigned to the sinks, padded to k columns,
-    at cost 2 - max(w, 0), with w a pair's gain (the module docstring) and
-    2 on the padding, by the Hungarian method (_hungarian): the least cost
-    is 2k less the greatest total gain.  The pairs of positive gain form
-    the plan.
+    Returns (sources, sinks, pairs) as _greedy_plan does.  The sources,
+    padded to k = max(|S|, |T|) rows, are assigned to the sinks, padded to
+    k columns, by the Hungarian method (_hungarian) at cost 2 - max(w, 0),
+    with w a pair's gain (the module docstring), and 2 on the padding: the
+    least cost is 2k less the greatest total gain.  The pairs of positive
+    gain form the plan.
     """
     x, y = index(x), index(y)
     adj = adjacency_bits(g)

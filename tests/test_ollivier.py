@@ -285,7 +285,8 @@ def _optimal_plan_route(g, x, y):
     """The pair answered by the point of its optimal plan: the fallback,
     forced whether or not the greedy plan's point certifies."""
     lp = build_lipschitz_lp(g, x, y)
-    return ollivier._curvature_value(lp, *ollivier._plan_point(g, lp, ollivier._optimal_plan(g, x, y)))
+    found = ollivier._plan_point(g, lp, ollivier._optimal_plan(g, x, y))
+    return ollivier._curvature_value(lp, *found)
 
 
 def test_pinned_digest_of_every_pair_on_irregular_graphs():
