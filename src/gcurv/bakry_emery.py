@@ -27,6 +27,7 @@ from .errors import (
     NonpositiveCurvatureError,
     check_vertex,
 )
+from .factorization import factorize
 from .graphs import Graph, effective_diameter, memo
 from .reflective import is_reflective
 from .spectral import _jacobi_eigenvalues, _psd_nullity
@@ -348,8 +349,6 @@ class RigidityReport(NamedTuple):
 
 def be_rigidity_check(corpus) -> RigidityReport:
     """Bound equality must hold exactly for the hypercubes of the corpus."""
-    from .factorization import factorize
-
     entries = []
     for name, g in corpus:
         report = be_effective_bound_report(g)

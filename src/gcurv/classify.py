@@ -1,10 +1,14 @@
 """Classification pipeline: predicates, cross-checks, family recognition.
 
-Every predicate in the report is computed by its own module with no shortcut
-inference; the known equivalences between them are then recorded as
-cross-check verdicts.  A failed verdict therefore points at a bug in one of
-the predicate implementations, which is exactly what makes the report useful
-as a correctness instrument.
+Each predicate in the report is computed by its own module, and the known
+equivalences between them are then recorded as cross-check verdicts, so a
+failed verdict points at a bug in one of the predicate implementations.  One
+predicate leans on another: when ``is_reflective`` holds,
+``spectral.is_distance_regular`` reads vertex 0's row alone (a reflective
+graph is vertex-transitive), and the Lichnerowicz verdict reads its array.
+E2's ``dr_and_lich == reflective`` is therefore not independent of
+``is_reflective``; verify's ``spectral.distance_regular_recount``, which
+recounts every row, is the independent check of the array.
 """
 
 import json
@@ -111,6 +115,10 @@ def _factors_share_curvature(factors) -> bool:
     return len(values) <= 1
 
 
+def _verdict(ok: bool, witness: str) -> TheoremVerdict:
+    return TheoremVerdict(ok, None if ok else witness)
+
+
 def classify(g: Graph) -> ClassificationReport:
     """Full predicate report with theorem cross-checks.
 
@@ -134,15 +142,11 @@ def classify(g: Graph) -> ClassificationReport:
     verdicts = {}
     shared = _factors_share_curvature(factors)
     e1_rhs = refl.reflective and mec.is_constant and shared
-    verdicts["E1_sharp_iff_reflective_constant"] = TheoremVerdict(
+    verdicts["E1_sharp_iff_reflective_constant"] = _verdict(
         eff_bm_sharp == e1_rhs,
-        None
-        if eff_bm_sharp == e1_rhs
-        else (
-            f"eff_bm_sharp={eff_bm_sharp} vs reflective={refl.reflective}, "
-            f"kappa_constant={mec.is_constant}, factors_share_kappa={shared}, "
-            f"min_edge={mec.min_edge}"
-        ),
+        f"eff_bm_sharp={eff_bm_sharp} vs reflective={refl.reflective}, "
+        f"kappa_constant={mec.is_constant}, factors_share_kappa={shared}, "
+        f"min_edge={mec.min_edge}",
     )
     if lc:
         preds = {
@@ -151,21 +155,18 @@ def classify(g: Graph) -> ClassificationReport:
             "dr_and_lich": dr.array is not None and lich.sharp,
             "named_list": len(factors) == 1 and specs[0] is not None,
         }
-        ok = len(set(preds.values())) == 1
-        verdicts["E2_locally_connected_equivalences"] = TheoremVerdict(
-            ok,
-            None if ok else "; ".join(f"{k}={v}" for k, v in preds.items()),
+        verdicts["E2_locally_connected_equivalences"] = _verdict(
+            len(set(preds.values())) == 1,
+            "; ".join(f"{k}={v}" for k, v in preds.items()),
         )
     else:
         verdicts["E2_locally_connected_equivalences"] = TheoremVerdict(
             True, "skipped: not locally connected"
         )
     e3_rhs = None not in specs
-    verdicts["E3_reflective_iff_factors_named"] = TheoremVerdict(
+    verdicts["E3_reflective_iff_factors_named"] = _verdict(
         refl.reflective == e3_rhs,
-        None
-        if refl.reflective == e3_rhs
-        else f"reflective={refl.reflective} vs factor families {names}",
+        f"reflective={refl.reflective} vs factor families {names}",
     )
 
     return ClassificationReport(
@@ -193,10 +194,10 @@ def _rational(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
 
 
-def report_to_json(report: ClassificationReport) -> str:
-    """Serialize a report deterministically; rationals stay exact."""
+def _report_payload(report: ClassificationReport) -> dict:
+    """JSON-ready dict of a report; rationals stay exact."""
     dr = report.distance_regular
-    payload = {
+    return {
         "n": report.n,
         "m": report.m,
         "max_degree": report.max_degree,
@@ -221,4 +222,8 @@ def report_to_json(report: ClassificationReport) -> str:
             for name, v in report.theorem_verdicts.items()
         },
     }
-    return json.dumps(payload, indent=2)
+
+
+def report_to_json(report: ClassificationReport) -> str:
+    """Serialize a report deterministically; rationals stay exact."""
+    return json.dumps(_report_payload(report), indent=2)

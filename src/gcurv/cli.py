@@ -1,5 +1,7 @@
 """Command line front end.
 
+Each command returns its JSON payload, its text lines and its exit code;
+main alone builds the graph, prints one of the two forms and maps errors.
 Exit codes: 0 success, 1 property failed (the queried property does not
 hold), 2 input error, 3 internal inconsistency (a cross-check that should
 be unfalsifiable failed).
@@ -8,16 +10,10 @@ be unfalsifiable failed).
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .bakry_emery import bakry_emery_curvature, be_effective_bound_report
-from .classify import _rational, classify, report_to_json
-from .errors import (
-    GcurvError,
-    InternalCheckError,
-    NonpositiveCurvatureError,
-    ParseError,
-)
+from .classify import _rational, _report_payload, classify
+from .errors import GcurvError, InternalCheckError, NonpositiveCurvatureError
 from .factorization import factorize
 from .families import parse_family
 from .graphs import effective_diameter, is_locally_connected, read_edge_list, read_text
@@ -32,30 +28,11 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+def _fmt(value: float) -> str:
+    return f"{value:.12g}"
 
 
-def _emit(args, payload: dict, text_lines) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _load_graph(args):
-    if args.file is not None:
-        return read_edge_list(args.file)
-    return parse_family(args.family).build()
-
-
-def _cmd_info(args):
-    g = _load_graph(args)
+def _cmd_info(g):
     lc, witness = is_locally_connected(g)
     degrees = sorted({g.degree(v) for v in range(g.n)})
     payload = {
@@ -73,39 +50,32 @@ def _cmd_info(args):
         f"locally connected: {lc}"
         + ("" if lc else f" (disconnected neighborhood at {witness})"),
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def _cmd_curvature(args):
-    g = _load_graph(args)
+def _cmd_curvature(g):
     mec = min_edge_curvature(g)
+    kappas = [edge_curvature(g, x, y).value for (x, y) in g.edges]
     payload = {
         "kappa_min": _rational(mec.value),
         "constant": mec.is_constant,
         "min_edge": list(mec.min_edge),
         "edges": [
-            {"edge": [x, y], "kappa": _rational(edge_curvature(g, x, y).value)}
-            for (x, y) in g.edges
+            {"edge": [x, y], "kappa": _rational(kappa)}
+            for (x, y), kappa in zip(g.edges, kappas)
         ],
     }
     lines = [f"kappa_min: {mec.value}  (constant: {mec.is_constant})"]
-    lines += [
-        f"  ({x},{y}): {edge_curvature(g, x, y).value}" for (x, y) in g.edges
-    ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    lines += [f"  ({x},{y}): {kappa}" for (x, y), kappa in zip(g.edges, kappas)]
+    return payload, lines, EXIT_OK
 
 
-def _cmd_effective_diameter(args):
-    g = _load_graph(args)
+def _cmd_effective_diameter(g):
     de = effective_diameter(g)
-    _emit(args, {"diam_eff": _rational(de)}, [f"diam_eff: {de}"])
-    return EXIT_OK
+    return {"diam_eff": _rational(de)}, [f"diam_eff: {de}"], EXIT_OK
 
 
-def _cmd_reflective(args):
-    g = _load_graph(args)
+def _cmd_reflective(g):
     verdict = is_reflective(g)
     payload = {
         "reflective": verdict.reflective,
@@ -115,33 +85,26 @@ def _cmd_reflective(args):
         ),
     }
     if verdict.reflective:
-        _emit(args, payload, ["reflective: true"])
-        return EXIT_OK
-    _emit(args, payload, [
-        "reflective: false",
-        f"counterexample edge: {verdict.counterexample}",
-    ])
-    return EXIT_PROPERTY
+        return payload, ["reflective: true"], EXIT_OK
+    lines = ["reflective: false", f"counterexample edge: {verdict.counterexample}"]
+    return payload, lines, EXIT_PROPERTY
 
 
-def _cmd_spectrum(args):
-    g = _load_graph(args)
+def _cmd_spectrum(g):
     lap = laplacian_spectrum(g)
     adj = adjacency_spectrum(g)
     payload = {
-        "laplacian": [float(f"{v:.12g}") for v in lap.values],
-        "adjacency": [float(f"{v:.12g}") for v in adj.values],
+        "laplacian": [float(_fmt(v)) for v in lap.values],
+        "adjacency": [float(_fmt(v)) for v in adj.values],
     }
     lines = [
         "laplacian: " + " ".join(_fmt(v) for v in lap.values),
         "adjacency: " + " ".join(_fmt(v) for v in adj.values),
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def _cmd_factorize(args):
-    g = _load_graph(args)
+def _cmd_factorize(g):
     factors = factorize(g)
     payload = {
         "prime": len(factors) == 1,
@@ -151,26 +114,24 @@ def _cmd_factorize(args):
     lines = [f"prime factors: {len(factors)}"]
     lines += [f"  factor {i}: {f.n} vertices, {f.m} edges"
               for i, f in enumerate(factors)]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def _cmd_bakry_emery(args):
-    g = _load_graph(args)
+def _cmd_bakry_emery(g):
     values = [bakry_emery_curvature(g, x) for x in range(g.n)]
-    payload = {"vertex_curvatures": [float(f"{v:.12g}") for v in values]}
+    payload = {"vertex_curvatures": [float(_fmt(v)) for v in values]}
     lines = [
         "vertex curvatures: " + " ".join(_fmt(v) for v in values),
     ]
     try:
         rep = be_effective_bound_report(g)
         payload["bound"] = {
-            "k_min": float(f"{rep.k_min:.12g}"),
+            "k_min": float(_fmt(rep.k_min)),
             "k_snapped": (
                 None if rep.k_snapped is None else _rational(rep.k_snapped)
             ),
             "diam_eff": _rational(rep.diam_eff),
-            "bound": float(f"{rep.bound:.12g}"),
+            "bound": float(_fmt(rep.bound)),
             "holds": rep.bound_holds,
             "equality": rep.equality,
         }
@@ -181,49 +142,46 @@ def _cmd_bakry_emery(args):
     except NonpositiveCurvatureError:
         payload["bound"] = None
         lines.append("diameter bound: not applicable (curvature not positive)")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def _cmd_classify(args):
-    g = _load_graph(args)
+def _cmd_classify(g):
     report = classify(g)
-    if args.json:
-        print(report_to_json(report))
-    else:
-        factors = ", ".join(name for _, name in report.prime_factors)
-        ia = report.distance_regular
-        print(f"vertices: {report.n}  edges: {report.m}  "
-              f"max degree: {report.max_degree}")
-        print(f"regular: {report.regular}  "
-              f"locally connected: {report.locally_connected}")
-        print(f"kappa_min: {report.kappa_min}  "
-              f"(constant: {report.kappa_constant})")
-        print(f"diam_eff: {report.diam_eff}")
-        print(f"effective diameter sharp: {report.eff_bm_sharp}")
-        print(f"reflective: {report.reflective}")
-        print(f"spectral gap: {_fmt(report.lambda_)}  "
-              f"(gap equals curvature: {report.lichnerowicz_sharp})")
-        print("intersection array: "
-              + ("none" if ia is None else f"{list(ia.b)}; {list(ia.c)}"))
-        print(f"prime factors: {factors}")
-        for name, verdict in report.theorem_verdicts.items():
-            state = "pass" if verdict.passed else f"FAIL ({verdict.witness})"
-            print(f"  {name}: {state}")
+    factors = ", ".join(name for _, name in report.prime_factors)
+    ia = report.distance_regular
+    lines = [
+        f"vertices: {report.n}  edges: {report.m}  "
+        f"max degree: {report.max_degree}",
+        f"regular: {report.regular}  "
+        f"locally connected: {report.locally_connected}",
+        f"kappa_min: {report.kappa_min}  "
+        f"(constant: {report.kappa_constant})",
+        f"diam_eff: {report.diam_eff}",
+        f"effective diameter sharp: {report.eff_bm_sharp}",
+        f"reflective: {report.reflective}",
+        f"spectral gap: {_fmt(report.lambda_)}  "
+        f"(gap equals curvature: {report.lichnerowicz_sharp})",
+        "intersection array: "
+        + ("none" if ia is None else f"{list(ia.b)}; {list(ia.c)}"),
+        f"prime factors: {factors}",
+    ]
+    for name, verdict in report.theorem_verdicts.items():
+        state = "pass" if verdict.passed else f"FAIL ({verdict.witness})"
+        lines.append(f"  {name}: {state}")
     hard_failure = any(
         not v.passed and not (v.witness or "").startswith("skipped")
         for v in report.theorem_verdicts.values()
     )
-    return EXIT_INTERNAL if hard_failure else EXIT_OK
+    return _report_payload(report), lines, EXIT_INTERNAL if hard_failure else EXIT_OK
 
 
-def _cmd_verify_theorems(args):
+def _cmd_verify_theorems(corpus_arg):
     corpus = None
-    if args.corpus != "standard":
-        corpus = load_corpus(read_text(args.corpus).split("\n"))
+    if corpus_arg != "standard":
+        corpus = load_corpus(read_text(corpus_arg).split("\n"))
     results = run_all_checks(corpus)
     payload = {
-        "corpus": args.corpus,
+        "corpus": corpus_arg,
         "checks": [
             {
                 "check": r.check,
@@ -235,18 +193,16 @@ def _cmd_verify_theorems(args):
         ],
         "all_passed": all(r.passed for r in results),
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        width = max((len(r.check) for r in results), default=8)
-        for r in results:
-            mark = "pass" if r.passed else "FAIL"
-            note = f"  [{r.witness}]" if r.witness else ""
-            print(f"{mark}  {r.check:<{width}}  {r.seconds:7.2f}s{note}")
-        total = sum(r.seconds for r in results)
-        failed = sum(1 for r in results if not r.passed)
-        print(f"{len(results)} checks, {failed} failed, {total:.1f}s")
-    return EXIT_OK if payload["all_passed"] else EXIT_INTERNAL
+    width = max((len(r.check) for r in results), default=8)
+    lines = []
+    for r in results:
+        mark = "pass" if r.passed else "FAIL"
+        note = f"  [{r.witness}]" if r.witness else ""
+        lines.append(f"{mark}  {r.check:<{width}}  {r.seconds:7.2f}s{note}")
+    total = sum(r.seconds for r in results)
+    failed = sum(1 for r in results if not r.passed)
+    lines.append(f"{len(results)} checks, {failed} failed, {total:.1f}s")
+    return payload, lines, EXIT_OK if payload["all_passed"] else EXIT_INTERNAL
 
 
 _GRAPH_COMMANDS = {
@@ -285,15 +241,23 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify-theorems":
-            return _cmd_verify_theorems(args)
-        return _GRAPH_COMMANDS[args.command](args)
-    except (ParseError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+            payload, lines, code = _cmd_verify_theorems(args.corpus)
+        else:
+            if args.file is not None:
+                g = read_edge_list(args.file)
+            else:
+                g = parse_family(args.family).build()
+            payload, lines, code = _GRAPH_COMMANDS[args.command](g)
+        if args.json:
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except InternalCheckError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except GcurvError as exc:
+    except (GcurvError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -625,12 +625,12 @@ INVARIANT_CHECKS = (
 
 
 def _run_one(name, fn, corpus) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         witness = fn(corpus)
     except Exception as exc:  # a crash is a failed check, not a crash of the suite
         witness = f"{type(exc).__name__}: {exc}"
-    return CheckResult(name, witness is None, witness, time.time() - t0)
+    return CheckResult(name, witness is None, witness, time.perf_counter() - t0)
 
 
 def run_all_checks(corpus=None):

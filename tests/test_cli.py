@@ -1,8 +1,10 @@
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -258,6 +260,14 @@ def test_classification_reports_a_failure_without_witness(monkeypatch):
                      theorem_verdicts={"eff_bm_sharp": TheoremVerdict(False, None)})
     monkeypatch.setattr(verify, "classify", lambda g: report)
     assert _check_classification((mem,)) == "K 2: eff_bm_sharp: failed without witness"
+
+
+def test_check_timings_ignore_a_wall_clock_that_steps_back(monkeypatch):
+    # each read of the wall clock is a second earlier than the one before
+    wall = itertools.count(1e9, -1.0)
+    monkeypatch.setattr(time, "time", lambda: next(wall))
+    result = verify._run_one("check", lambda corpus: None, ())
+    assert result.passed and result.seconds >= 0
 
 
 def test_check_names_unique_and_readme_total():
