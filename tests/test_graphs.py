@@ -86,6 +86,31 @@ def test_parse_edge_list_reports_the_line_of_an_out_of_range_edge(edge):
     assert exc.value.line == 3
 
 
+def test_parse_edge_list_reports_the_line_of_a_duplicate_edge():
+    with pytest.raises(ParseError, match=r"duplicate edge \(2, 1\)") as exc:
+        parse_edge_list("3 3\n0 1\n1 2\n2 1\n")
+    assert exc.value.line == 4
+
+
+@pytest.mark.parametrize("bad,message", [
+    (["2 2", "0 9", "1 0"], "self loop at vertex 2"),
+    (["0 9", "2 2", "1 0"], r"edge \(0, 9\) out of range for n=4"),
+    (["1 0", "0 9", "2 2"], r"duplicate edge \(1, 0\)"),
+])
+def test_parse_edge_list_reports_the_first_of_several_bad_edges(bad, message):
+    text = "\n".join(["4 5", "0 1", "1 2", *bad])
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_edge_list(text)
+    assert exc.value.line == 4
+
+
+def test_parse_edge_list_counts_comment_and_blank_lines_in_the_bad_line():
+    text = "# header next\n\n3 3\n# edges\n0 1\n\n   # indented\n1 2\n\n2 2\n"
+    with pytest.raises(ParseError, match="self loop at vertex 2") as exc:
+        parse_edge_list(text)
+    assert exc.value.line == 10
+
+
 def test_parse_edge_list_blames_no_edge_for_an_empty_vertex_set():
     # with n = 0 every label is out of range, but the header is at fault
     with pytest.raises(ParseError, match="at least one vertex") as exc:
