@@ -69,6 +69,14 @@ def check_vertex(n: int, x: int) -> None:
         raise InvalidParameterError(f"vertex {x} out of range for n={n}")
 
 
+def check_pair(n: int, x: int, y: int) -> None:
+    """check_vertex on both ends, then SameVertexError if they coincide."""
+    check_vertex(n, x)
+    check_vertex(n, y)
+    if x == y:
+        raise SameVertexError(x)
+
+
 class TrivialGraphError(GcurvError):
     pass
 

@@ -118,12 +118,17 @@ def _bfs_row(g: Graph, source: int) -> list:
     return row
 
 
-def _assemble(n: int, edge_list) -> Graph:
-    """The graph on 0..n-1 with these edges; DisconnectedError unless connected.
+def build_graph(n: int, edge_list) -> Graph:
+    """The graph on 0..n-1 with these edges, validated.
 
-    The witness is the component of vertex 0 and that of the first vertex
-    it misses.
+    n must be at least 1, and the edges in range and free of self loops
+    and duplicates, refused at the first that is not.  This is the only
+    home of the edge rules: parse_edge_list blames the line of the edge
+    refused here.  A disconnected graph raises DisconnectedError with the
+    component of vertex 0 and that of the first vertex it misses.
     """
+    if n < 1:
+        raise InvalidParameterError("graph needs at least one vertex")
     nbrs = [[] for _ in range(n)]
     seen = set()
     norm = []
@@ -147,13 +152,6 @@ def _assemble(n: int, edge_list) -> Graph:
     return g
 
 
-def build_graph(n: int, edge_list) -> Graph:
-    """Validated constructor: rejects self loops, duplicates, and disconnection."""
-    if n < 1:
-        raise InvalidParameterError("graph needs at least one vertex")
-    return _assemble(n, edge_list)
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain text edge-list format.
 
@@ -162,7 +160,6 @@ def parse_edge_list(text: str) -> Graph:
     """
     header = None
     edges = []
-    m_expected = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -193,31 +190,17 @@ def parse_edge_list(text: str) -> Graph:
     n, m = header
     if len(edges) != m:
         raise ParseError(f"expected {m} edges, found {len(edges)}")
+    sent = None  # line of the last edge handed to build_graph, which refuses at the first bad one
+
+    def hand_over():
+        nonlocal sent
+        for u, v, sent in edges:
+            yield u, v
+
     try:
-        return build_graph(n, [(u, v) for u, v, _ in edges])
+        return build_graph(n, hand_over())
     except (SelfLoopError, DuplicateEdgeError, InvalidParameterError) as exc:
-        bad = _locate_bad_edge(exc, edges, n)
-        raise ParseError(str(exc), line=bad) from exc
-
-
-def _locate_bad_edge(exc, edges, n):
-    """Line of the edge that build_graph refused, or None when no edge is at fault."""
-    if isinstance(exc, InvalidParameterError) and n >= 1:
-        for u, v, ln in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                return ln
-    if isinstance(exc, SelfLoopError):
-        for u, v, ln in edges:
-            if u == v == exc.vertex:
-                return ln
-    if isinstance(exc, DuplicateEdgeError):
-        seen = set()
-        for u, v, ln in edges:
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                return ln
-            seen.add(key)
-    return None
+        raise ParseError(str(exc), line=sent) from exc
 
 
 def read_text(path: str) -> str:
@@ -267,12 +250,17 @@ class SidePartition:
     middle: tuple
 
 
-def side_partition(g: Graph, x: int, y: int) -> SidePartition:
-    """The split by the edge (x, y); (y, x) reads the cached split of (x, y), sides swapped."""
+def check_edge(g: Graph, x: int, y: int) -> None:
+    """check_vertex on both ends, then NotAdjacentError unless (x, y) is an edge of g."""
     check_vertex(g.n, x)
     check_vertex(g.n, y)
     if not g.adjacent(x, y):
         raise NotAdjacentError(x, y)
+
+
+def side_partition(g: Graph, x: int, y: int) -> SidePartition:
+    """The split by the edge (x, y); (y, x) reads the cached split of (x, y), sides swapped."""
+    check_edge(g, x, y)
     if x < y:
         return _split(g, x, y)
     part = _split(g, y, x)
@@ -406,7 +394,7 @@ def induced_subgraph(g: Graph, s):
         for (u, v) in g.edges
         if u in index and v in index
     ]
-    return _assemble(len(vs), sub_edges), tuple(vs)
+    return build_graph(len(vs), sub_edges), tuple(vs)
 
 
 def is_isometric_subset(g: Graph, s) -> bool:

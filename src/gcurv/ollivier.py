@@ -102,12 +102,11 @@ from typing import NamedTuple
 from .errors import (
     InternalCheckError,
     InvalidParameterError,
-    NotAdjacentError,
     SameVertexError,
     TrivialGraphError,
-    check_vertex,
+    check_pair,
 )
-from .graphs import Graph, adjacency_bits, max_matching, memo
+from .graphs import Graph, adjacency_bits, check_edge, max_matching, memo
 from .reflective import orbit_roots
 
 @dataclass(frozen=True)
@@ -153,10 +152,7 @@ class MinEdgeCurvature(NamedTuple):
 
 def _objective(g: Graph, x: int, y: int):
     """Sorted support B1(x) union B1(y) and the objective coefficients on it."""
-    check_vertex(g.n, x)
-    check_vertex(g.n, y)
-    if x == y:
-        raise SameVertexError(x)
+    check_pair(g.n, x, y)
     s1x = g._nbr_sets[x]
     s1y = g._nbr_sets[y]
     support = tuple(sorted(s1x | s1y | {x, y}))
@@ -335,21 +331,14 @@ def _carry(cv: CurvatureValue, sigma, turn: bool) -> CurvatureValue:
 
 def edge_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
     """Exact curvature of the edge (x, y)."""
-    check_vertex(g.n, x)
-    check_vertex(g.n, y)
-    if x == y:
-        raise SameVertexError(x)
-    if not g.adjacent(x, y):
-        raise NotAdjacentError(x, y)
+    check_pair(g.n, x, y)
+    check_edge(g, x, y)
     return _pair_curvature(g, x, y)
 
 
 def long_range_curvature(g: Graph, x: int, y: int) -> CurvatureValue:
     """Exact curvature of an arbitrary vertex pair, scaled by 1/d(x, y)."""
-    check_vertex(g.n, x)
-    check_vertex(g.n, y)
-    if x == y:
-        raise SameVertexError(x)
+    check_pair(g.n, x, y)
     return _pair_curvature(g, x, y)
 
 
@@ -697,10 +686,7 @@ def brute_force_curvature_oracle(g: Graph, x: int, y: int) -> Fraction:
     shared method shows as a criterion_08 disagreement, not as an agreeing
     pair of wrong values.  No Fraction is built before the final division.
     """
-    check_vertex(g.n, x)
-    check_vertex(g.n, y)
-    if x == y:
-        raise SameVertexError(x)
+    check_pair(g.n, x, y)
     dist = g.dist_rows()
     top = max(g.degree(x), g.degree(y)) + 1
     mass = dict.fromkeys(g.neighbors[x], 1)

@@ -79,13 +79,13 @@ from typing import NamedTuple
 from .errors import (
     InternalCheckError,
     InvalidParameterError,
-    NotAdjacentError,
     NotReflectiveError,
     check_vertex,
 )
 from .graphs import (
     Graph,
     adjacency_bits,
+    check_edge,
     induced_subgraph,
     is_convex_subset,
     is_isometric_subset,
@@ -135,10 +135,7 @@ def candidate_reflection(g: Graph, x: int, y: int) -> CandidateOutcome:
     violator is reported.  Otherwise the pairing is mutual: y' = fwd(x')
     is a cross neighbor of x', so x' is the one cross neighbor of y'.
     """
-    check_vertex(g.n, x)
-    check_vertex(g.n, y)
-    if not g.adjacent(x, y):
-        raise NotAdjacentError(x, y)
+    check_edge(g, x, y)
     sp = side_partition(g, x, y)
     sx_set = frozenset(sp.side_x)
     sy_set = frozenset(sp.side_y)
@@ -192,10 +189,7 @@ def find_reflection(g: Graph, x: int, y: int) -> ReflectionSearch:
     mapping changes).  The search runs once per edge, on (a, b) = (min, max),
     and (b, a) reads its outcome.
     """
-    check_vertex(g.n, x)  # ahead of the memo, which would store -1 as its own edge end
-    check_vertex(g.n, y)
-    if not g.adjacent(x, y):
-        raise NotAdjacentError(x, y)
+    check_edge(g, x, y)  # ahead of the memo, which would store -1 as its own edge end
     mapping, axiom, witness = _search(g, *((x, y) if x < y else (y, x)))
     if mapping is None:
         return ReflectionSearch(None, axiom, witness)
@@ -276,10 +270,8 @@ def are_parallel(g: Graph, e1, e2) -> bool:
     """Ordered relation: e2's tail on e1's tail side, head on head side."""
     x, y = e1
     xp, yp = e2
-    if not g.adjacent(x, y):
-        raise NotAdjacentError(x, y)
-    if not g.adjacent(xp, yp):
-        raise NotAdjacentError(xp, yp)
+    check_edge(g, x, y)
+    check_edge(g, xp, yp)
     dist = g.dist_rows()
     return dist[xp][x] < dist[xp][y] and dist[yp][y] < dist[yp][x]
 
@@ -366,8 +358,7 @@ def pair_orbit_certificate(g: Graph) -> bool:
 
 def matching_structure_check(g: Graph, x: int, y: int, K) -> MatchingVerdict:
     """Each tail-side vertex: one cross neighbor and K-2 middle neighbors."""
-    if not g.adjacent(x, y):
-        raise NotAdjacentError(x, y)
+    check_edge(g, x, y)
     K = Fraction(K)
     if K.denominator != 1 or K < 2:
         return MatchingVerdict(False, f"constant {K} is not an integer >= 2")
@@ -391,6 +382,7 @@ def distance_eigenfunction_check(g: Graph, x: int, K) -> bool:
     Checks sum over neighbors of the distance increments against
     deg(x) - K * d(x, v) in rational arithmetic at every vertex.
     """
+    check_vertex(g.n, x)
     K = Fraction(K)
     dist = g.dist_rows()
     dx = dist[x]
@@ -411,8 +403,7 @@ def triangle_matching_check(g: Graph, x: int, y: int) -> bool:
     """
     from .ollivier import edge_curvature
 
-    if not g.adjacent(x, y):
-        raise NotAdjacentError(x, y)
+    check_edge(g, x, y)
     kappa = edge_curvature(g, x, y).value
     adj = adjacency_bits(g)
     common = (adj[x] & adj[y]).bit_count()
@@ -459,8 +450,7 @@ def vxy_convex_reflective_check(g: Graph, x: int, y: int) -> bool:
     verdict = is_reflective(g)
     if not verdict.reflective:
         raise NotReflectiveError(verdict.counterexample)
-    if not g.adjacent(x, y):
-        raise NotAdjacentError(x, y)
+    check_edge(g, x, y)
     side = side_partition(g, x, y).side_x
     if not is_convex_subset(g, side):
         return False
