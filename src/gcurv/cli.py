@@ -168,10 +168,7 @@ def _cmd_classify(g):
     for name, verdict in report.theorem_verdicts.items():
         state = "pass" if verdict.passed else f"FAIL ({verdict.witness})"
         lines.append(f"  {name}: {state}")
-    hard_failure = any(
-        not v.passed and not (v.witness or "").startswith("skipped")
-        for v in report.theorem_verdicts.values()
-    )
+    hard_failure = not all(v.passed for v in report.theorem_verdicts.values())
     return _report_payload(report), lines, EXIT_INTERNAL if hard_failure else EXIT_OK
 
 

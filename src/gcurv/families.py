@@ -163,6 +163,7 @@ def petersen() -> Graph:
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     """Cartesian product: (u1,u2) ~ (v1,v2) iff equal in one slot, adjacent in the other."""
     n2 = g2.n
+    check_budget(g1.n * n2, g1.n * g2.m + g1.m * n2)
     edges = []
     for u1 in range(g1.n):
         base = u1 * n2

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import chain
+from operator import index
 
 from .errors import (
     DisconnectedError,
@@ -121,18 +122,30 @@ def _bfs_row(g: Graph, source: int) -> list:
 def build_graph(n: int, edge_list) -> Graph:
     """The graph on 0..n-1 with these edges, validated.
 
-    n must be at least 1, and the edges in range and free of self loops
-    and duplicates, refused at the first that is not.  This is the only
+    n and every label must be integers (operator.index, so a bool reads as
+    0 or 1), and n at least 1 and within the input budget (check_budget)
+    before anything is allocated.  Edges must be in range and free of self
+    loops and duplicates, refused at the first that is not, and their
+    number within the budget before the Graph is built.  This is the only
     home of the edge rules: parse_edge_list blames the line of the edge
     refused here.  A disconnected graph raises DisconnectedError with the
     component of vertex 0 and that of the first vertex it misses.
     """
+    try:
+        n = index(n)
+    except TypeError:
+        raise InvalidParameterError(f"vertex count {n!r} is not an integer") from None
     if n < 1:
         raise InvalidParameterError("graph needs at least one vertex")
+    check_budget(n, 0)
     nbrs = [[] for _ in range(n)]
     seen = set()
     norm = []
     for u, v in edge_list:
+        try:
+            u, v = index(u), index(v)
+        except TypeError:
+            raise InvalidParameterError(f"edge ({u!r}, {v!r}) is not a pair of integers") from None
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
@@ -144,6 +157,7 @@ def build_graph(n: int, edge_list) -> Graph:
         norm.append((a, b))
         nbrs[a].append(b)
         nbrs[b].append(a)
+    check_budget(n, len(norm))
     g = Graph(n, tuple(sorted(norm)), tuple(tuple(sorted(nb)) for nb in nbrs))
     row = _bfs_row(g, 0)
     if -1 in row:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcurv import families
 from gcurv.errors import GcurvError, InvalidParameterError, ParseError
 from gcurv.families import (
     MAX_PRODUCT_NESTING,
@@ -248,6 +249,20 @@ def test_parse_family_checks_every_factor_against_the_budget():
     # the edges of K 4096 from the product's total
     with pytest.raises(ParseError, match=f"{MAX_EDGES} edges"):
         parse_family(f"( K {MAX_VERTICES} x J 4 1000000000 )")
+
+
+def test_path_graph_over_the_vertex_budget_is_refused():
+    with pytest.raises(ParseError, match=f"{MAX_VERTICES} vertices"):
+        path_graph(MAX_VERTICES + 1)
+
+
+def test_cartesian_product_over_the_vertex_budget_is_refused_before_its_edges(monkeypatch):
+    # 8192 vertices; the product's own size check runs before any edge is listed
+    q7, q6 = hypercube(7), hypercube(6)
+    monkeypatch.setattr(families, "build_graph",
+                        lambda *a: pytest.fail("listed the edges of an over-budget product"))
+    with pytest.raises(ParseError, match=f"{MAX_VERTICES} vertices"):
+        cartesian_product(q7, q6)
 
 
 def test_parse_family_bounds_product_nesting():

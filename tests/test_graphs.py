@@ -3,6 +3,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +62,28 @@ def test_build_rejects_duplicate_edge():
 def test_build_rejects_disconnected():
     with pytest.raises(DisconnectedError):
         build_graph(4, [(0, 1), (2, 3)])
+
+
+@pytest.mark.parametrize("n,edges", [
+    (2, [(0, 1.0)]), (2, [("0", 1)]), (2.0, [(0, 1)]), ("2", [(0, 1)]),
+])
+def test_build_refuses_a_non_integer_vertex_count_or_label(n, edges):
+    with pytest.raises(InvalidParameterError, match="not"):
+        build_graph(n, edges)
+
+
+def test_build_stores_integer_labels():
+    g = build_graph(np.int64(3), [(0, True), (np.int64(2), 1)])
+    assert g.edges == ((0, 1), (1, 2)) and g.neighbors == ((1,), (0, 2), (1,))
+    assert {type(v) for e in g.edges for v in e} == {int}
+    assert {type(v) for nb in g.neighbors for v in nb} == {int}
+    assert type(g.n) is int
+
+
+def test_build_refuses_edges_over_the_budget(monkeypatch):
+    monkeypatch.setattr(graphs, "MAX_EDGES", 2)
+    with pytest.raises(ParseError, match="input budget of 2 edges"):
+        build_graph(3, [(0, 1), (1, 2), (0, 2)])
 
 
 def test_parse_edge_list_k2():
