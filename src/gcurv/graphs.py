@@ -37,8 +37,9 @@ from .errors import (
 )
 
 # Input budget.  Every graph is eventually held as all-pairs distance rows
-# and dense n x n matrices, so edge lists and family expressions whose size
-# exceeds these are refused with ParseError before anything is allocated.
+# and dense n x n matrices, so edge lists, family expressions, products and
+# build_graph calls whose size exceeds these are refused with ParseError
+# before the graph is allocated.
 MAX_VERTICES = 4096
 MAX_EDGES = 200_000
 
@@ -123,8 +124,8 @@ def build_graph(n: int, edge_list) -> Graph:
     """The graph on 0..n-1 with these edges, validated.
 
     n and every label must be integers (operator.index, so a bool reads as
-    0 or 1), and n at least 1 and within the input budget (check_budget)
-    before anything is allocated.  Edges must be in range and free of self
+    0 or 1), and n at least 1 and within the input budget (check_budget
+    raises ParseError) before anything is allocated.  Edges must be in range and free of self
     loops and duplicates, refused at the first that is not, and their
     number within the budget before the Graph is built.  This is the only
     home of the edge rules: parse_edge_list blames the line of the edge
