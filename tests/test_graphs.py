@@ -68,7 +68,7 @@ def test_build_rejects_disconnected():
     (2, [(0, 1.0)]), (2, [("0", 1)]), (2.0, [(0, 1)]), ("2", [(0, 1)]),
 ])
 def test_build_refuses_a_non_integer_vertex_count_or_label(n, edges):
-    with pytest.raises(InvalidParameterError, match="not"):
+    with pytest.raises(InvalidParameterError, match="is not a.* integer"):
         build_graph(n, edges)
 
 
