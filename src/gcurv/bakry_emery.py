@@ -12,14 +12,17 @@ multiple of that block.  The gradient form is I/2 on the neighbors, so the
 reported float K(x) is twice the least eigenvalue of the reduced iterated
 form; the diameter-bound verdicts instead test the integer pencil
 Gamma_2 - r Gamma for positive semidefiniteness.
-An integer bilinear recursion recomputes 4 * Gamma_2 without the closed
-formula; it is the independent check of the assembled form.
+The bilinear recursion through 2 * Gamma recomputes 4 * Gamma_2 without the
+closed formula, as an int64 matrix over the two-step ball whose rows are
+linear forms in f; it is the independent check of the assembled form.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     InternalCheckError,
@@ -121,83 +124,92 @@ def gamma2_form(g: Graph, x: int) -> LocalForm:
     return LocalForm(x, support, tuple(tuple(r[1:]) for r in mat[1:]), 4)
 
 
-# --- independent symbolic route, used as the test oracle ---
+# --- independent recursion route, used as the test oracle ---
 
-def _add_product(quad, lin1, lin2, scale: int):
-    """Add scale * lin1 * lin2 into the monomial dict quad (keys u <= v)."""
-    for u, a in lin1.items():
-        for v, b in lin2.items():
-            key = (u, v) if u <= v else (v, u)
-            quad[key] = quad.get(key, 0) + scale * a * b
+def _recursion_matrix(g: Graph, x: int, support) -> np.ndarray:
+    """4 * Gamma_2 at x through the generic bilinear recursion, as an int64 matrix.
 
-
-def symbolic_gamma2(g: Graph, x: int):
-    """4 * Gamma_2 at x through the generic bilinear recursion, as a monomial dict.
-
-    Keys are vertex pairs (u, v) with u <= v, values the integer
-    coefficients of f(u) f(v).  Functions are vertex-indexed families of
-    linear forms in f, and with H_1 = 2 * Gamma the recursion
+    Functions are vertex-indexed families of linear forms in f, each form an
+    int64 row over the coordinates (x, *support), and with H_1 = 2 * Gamma
+    the recursion
 
         H_1(a, b)(v) = sum_{w~v} (a b(w) - a b(v)) - a(v) Delta b(v) - b(v) Delta a(v),
         4 Gamma_2 f(x) = sum_{w~x} (H_1(f, f)(w) - H_1(f, f)(x)) - 2 H_1(f, Delta f)(x)
 
-    keeps every coefficient an integer.  Delta f is built only on the
-    one-step ball and Delta Delta f only at x, the values the recursion
-    reads.  It never uses the expanded closed formula of gamma2_form, so it
-    serves as that form's independent check.
+    adds each product a(v) b(v) into m as the outer product of its two rows,
+    one line per H_1 term (the sums over w ~ x as one line each), so
+    f^T m f = 4 Gamma_2 f(x); m itself need not be symmetric.  Delta f is
+    built only on the one-step ball and Delta Delta f only at x, the values
+    the recursion reads.  A vertex read without a coordinate raises
+    InternalCheckError.  It never uses the closed formula of gamma2_form.
+
+    With D the largest degree on the one-step ball, Delta f has entries of
+    at most D, Delta Delta f of at most D^2 + 2D, and m of at most 10 D^2:
+    below 2 * 10^8 for D < MAX_VERTICES = 4096, the input budget, so int64
+    holds m, m + m^T and 4 (m + m^T) exactly.
+    """
+    pos = {v: i for i, v in enumerate((x, *support))}
+    one = (x, *g.neighbors[x])
+    adj = np.zeros((len(one), len(pos)), dtype=np.int64)  # row i: neighbors of one[i]
+    try:
+        for row, v in zip(adj, one):
+            row[[pos[w] for w in g.neighbors[v]]] = 1
+    except KeyError as exc:
+        raise InternalCheckError(
+            f"form at {x} touched {exc.args[0]} outside support") from None
+    near = [pos[w] for w in g.neighbors[x]]
+    d, deg = len(near), adj.sum(axis=1)
+    lap = adj.copy()
+    lap[range(len(one)), [0, *near]] -= deg  # lap[i] = Delta f(one[i])
+    lap2 = lap[1:].sum(axis=0) - d * lap[0]  # Delta Delta f(x)
+    m = np.zeros((len(pos), len(pos)), dtype=np.int64)
+    # sum_{w~x} H_1(f, f)(w)
+    m.flat[:: len(pos) + 1] += adj[1:].sum(axis=0)  # sum_{w~x} sum_{u~w} f(u) f(u)
+    m[near, near] -= deg[1:]  # - sum_{w~x} d_w f(w) f(w)
+    m[near] -= 2 * lap[1:]  # - sum_{w~x} 2 f(w) Delta f(w)
+    # - d_x H_1(f, f)(x)
+    m[near, near] -= d  # - d_x sum_{u~x} f(u) f(u)
+    m[0, 0] += d * d  # + d_x d_x f(x) f(x)
+    m[0] += 2 * d * lap[0]  # + 2 d_x f(x) Delta f(x)
+    # - 2 H_1(f, Delta f)(x)
+    m[near] -= 2 * lap[1:]  # - 2 sum_{w~x} f(w) Delta f(w)
+    m[0] += 2 * d * lap[0]  # + 2 d_x f(x) Delta f(x)
+    m[0] += 2 * lap2  # + 2 f(x) Delta Delta f(x)
+    m += 2 * np.outer(lap[0], lap[0])  # + 2 Delta f(x) Delta f(x)
+    return m
+
+
+def symbolic_gamma2(g: Graph, x: int):
+    """4 * Gamma_2 at x through the recursion, as a monomial dict.
+
+    Keys are vertex pairs (u, v) with u <= v, values the integer
+    coefficients of f(u) f(v), read off _recursion_matrix on the two-step
+    ball: m[u][v] + m[v][u] for u != v and m[u][u] for a square.
     """
     check_vertex(g.n, x)
-    nbrs = g.neighbors
-
-    def laplacian(form_at, v):
-        out = {}
-        for w in nbrs[v]:
-            for u, c in form_at(w).items():
-                out[u] = out.get(u, 0) + c
-        for u, c in form_at(v).items():
-            out[u] = out.get(u, 0) - len(nbrs[v]) * c
-        return out
-
-    def unit(v):
-        return {v: 1}
-
-    lap = {v: laplacian(unit, v) for v in (x, *nbrs[x])}
-    lap2 = laplacian(lap.__getitem__, x)
-
-    def add_h1(quad, a, b, da, db, v, scale):
-        for w in nbrs[v]:
-            _add_product(quad, a(w), b(w), scale)
-        _add_product(quad, a(v), b(v), -len(nbrs[v]) * scale)
-        _add_product(quad, a(v), db(v), -scale)
-        _add_product(quad, b(v), da(v), -scale)
-
-    quad = {}
-    for w in nbrs[x]:
-        add_h1(quad, unit, unit, lap.__getitem__, lap.__getitem__, w, 1)
-    add_h1(quad, unit, unit, lap.__getitem__, lap.__getitem__, x, -len(nbrs[x]))
-    add_h1(quad, unit, lap.__getitem__, lap.__getitem__, lambda v: lap2, x, -2)
-    return {k: c for k, c in quad.items() if c}
+    row = g.dist_rows()[x]
+    ball = (x, *(v for v in range(g.n) if 0 < row[v] <= 2))
+    m = _recursion_matrix(g, x, ball[1:])
+    s = m + m.T
+    rows, cols = np.nonzero(np.triu(s))
+    return {(min(ball[i], ball[j]), max(ball[i], ball[j])): int(s[i, j]) // (1 + (i == j))
+            for i, j in zip(rows.tolist(), cols.tolist())}
 
 
 def gamma2_matches_symbolic(g: Graph, x: int) -> bool:
     """Cross-check the assembled form against the recursion route.
 
-    The monomial f(u) f(v) holds the entry (u, u) once and the entries
-    (u, v) and (v, u) together, so doubled diagonals and plain off-diagonal
-    coefficients, over the form's denominator, must equal 8 times its
-    numerators.  Monomials at x are dropped by the gauge f(x) = 0.
+    The recursion runs at every vertex it is asked about, on the form's own
+    support, and never reads gamma2_form's closed formula.  m + m^T holds a
+    product f(u) f(v) once in each of its two entries and a square twice on
+    the diagonal, so over the form's denominator it must equal 8 times the
+    numerators.  The row and column of x are dropped by the gauge f(x) = 0.
     """
     direct = gamma2_form(g, x)
-    index = {v: i for i, v in enumerate(direct.support)}
-    mat = [[0] * len(index) for _ in index]
-    for (u, v), c in symbolic_gamma2(g, x).items():
-        if x in (u, v):
-            continue
-        if u not in index or v not in index:
-            raise InternalCheckError(f"form at {x} touched {u, v} outside support")
-        i, j = index[u], index[v]
-        mat[i][j] = mat[j][i] = c * direct.denominator * (2 if i == j else 1)
-    return all(r == [8 * c for c in row] for r, row in zip(mat, direct.numerators))
+    m = _recursion_matrix(g, x, direct.support)
+    s = (m + m.T)[1:, 1:]
+    num = np.array(direct.numerators, dtype=np.int64).reshape(s.shape)
+    return bool(np.array_equal(s * direct.denominator, 8 * num))
 
 
 # --- curvature ---
@@ -288,8 +300,8 @@ def _pencil_psd_nullity(g: Graph, x: int, r: Fraction):
     2 q a_den is 2 q A - p a_den I, with A/a_den the reduced iterated form.
     """
     a_num, a_den = _inner_gamma2(g, x)
-    shift = r.numerator * a_den
-    return _psd_nullity([[2 * r.denominator * v - shift * (i == j) for j, v in enumerate(row)]
+    scale, shift = 2 * r.denominator, r.numerator * a_den
+    return _psd_nullity([[scale * v - shift * (i == j) for j, v in enumerate(row)]
                          for i, row in enumerate(a_num)])
 
 

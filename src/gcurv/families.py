@@ -2,7 +2,9 @@
 
 Every generator produces a deterministic vertex labeling, and those of the
 vertex-transitive families validate the result against the family's
-expected order, regularity, and diameter before returning it.
+expected order, regularity, and diameter before returning it.  Each
+generator checks its size against the input budget (graphs.check_budget)
+once its parameters are valid and before it lists a vertex or an edge.
 """
 
 from dataclasses import dataclass, field
@@ -32,24 +34,28 @@ def _check(g: Graph, what: str, n: int, degree: int, diameter: int) -> Graph:
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise InvalidParameterError("complete graph needs n >= 1")
+    check_budget(*_SIZES["K"](n))
     return build_graph(n, list(combinations(range(n), 2)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidParameterError("cycle needs n >= 3")
+    check_budget(*_SIZES["C"](n))
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise InvalidParameterError("path needs n >= 1")
+    check_budget(*_SIZES["P"](n))
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise InvalidParameterError("complete bipartite needs both sides nonempty")
+    check_budget(*_SIZES["KB"](a, b))
     return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
@@ -57,6 +63,7 @@ def cocktail_party(k: int) -> Graph:
     """K_{k x 2}: 2k vertices, all edges except the pairing 2j ~ 2j+1."""
     if k < 2:
         raise InvalidParameterError("cocktail party graph needs k >= 2")
+    check_budget(*_SIZES["CP"](k))
     edges = [
         (u, v)
         for u, v in combinations(range(2 * k), 2)
@@ -69,6 +76,7 @@ def johnson(n: int, k: int) -> Graph:
     """Vertices are the k-subsets of an n-set, adjacent when they share k-1 elements."""
     if not (1 <= k <= n - 1):
         raise InvalidParameterError("johnson graph needs 1 <= k <= n-1")
+    check_budget(*_SIZES["J"](n, k))
     subsets = list(combinations(range(n), k))
     index = {s: i for i, s in enumerate(subsets)}
     edges = []
@@ -84,6 +92,7 @@ def halved_cube(n: int) -> Graph:
     """Even weight binary strings of length n, adjacent at Hamming distance 2."""
     if n < 2:
         raise InvalidParameterError("halved cube needs n >= 2")
+    check_budget(*_SIZES["HQ"](n))
     words = [w for w in range(1 << n) if bin(w).count("1") % 2 == 0]
     index = {w: i for i, w in enumerate(words)}
     edges = []

@@ -3,8 +3,9 @@
 Spectra come from LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``)
 on the dense matrix and are reported as floats.  Yes/no questions about
 them never compare floats: an eigenvalue bound such as lambda_1 >= kappa is
-restated as positive semidefiniteness of an integer matrix and decided by
-fraction-free elimination (``_psd_nullity``).
+restated as positive semidefiniteness of a symmetric integer matrix and
+decided by fraction-free elimination (``_psd_nullity``), which reads and
+eliminates its upper triangle only.
 
 The Lichnerowicz verdict has two routes to that matrix.  A distance-regular
 graph of diameter d uses the d x d congruence of its intersection matrix
@@ -88,7 +89,11 @@ def _psd_nullity(rows):
     Fraction-free (Bareiss) elimination on diagonal pivots, so every entry
     stays an integer minor.  A negative pivot, or a zero pivot whose row is
     not zero, means the matrix is indefinite; a zero row adds to the nullity.
+    Only the upper triangle is read and eliminated: a step keeps the
+    remaining block symmetric, so row i carries its entries from column i on
+    and the pivot row stands in for the pivot column.
     """
+    rows = [r[i:] for i, r in enumerate(rows)]
     nullity, prev = 0, 1
     while rows:
         d, tail = rows[0][0], rows[0][1:]
@@ -96,10 +101,10 @@ def _psd_nullity(rows):
             return False, None
         if d == 0:
             nullity += 1
-            rows = [r[1:] for r in rows[1:]]
+            rows = rows[1:]
         else:
-            rows = [[(d * a - r[0] * b) // prev for a, b in zip(r[1:], tail)]
-                    for r in rows[1:]]
+            rows = [[(d * a - c * b) // prev for a, b in zip(r, tail[i:])]
+                    for i, (r, c) in enumerate(zip(rows[1:], tail))]
             prev = d
     return True, nullity
 

@@ -32,6 +32,7 @@ from gcurv.families import (
     schlafli,
 )
 from gcurv.reflective import ReflectiveVerdict
+from gcurv.verify import STANDARD_CORPUS
 
 
 def test_single_edge_curvature():
@@ -279,6 +280,22 @@ def test_symbolic_route_flags_a_perturbed_form(monkeypatch, octahedron, i, j):
     assert gamma2_matches_symbolic(octahedron, 0) is False
 
 
+@pytest.mark.parametrize("expr", ["CP 3", "C 5"])
+def test_symbolic_route_flags_every_single_entry_perturbation(monkeypatch, expr):
+    # CP 3 at 0: four neighbors and the antipode; C 5 at 0: two neighbors
+    # and two vertices at distance 2, adjacent to each other
+    g = parse_family(expr).build()
+    real = bakry_emery.gamma2_form
+    k = len(real(g, 0).support)
+    for i in range(k):
+        for j in range(i, k):
+            monkeypatch.setattr(bakry_emery, "gamma2_form",
+                                lambda g, x: _perturbed(real(g, x), i, j))
+            assert gamma2_matches_symbolic(g, 0) is False, (i, j)
+    monkeypatch.undo()
+    assert gamma2_matches_symbolic(g, 0)
+
+
 def test_symbolic_monomial_outside_the_support_raises(monkeypatch, octahedron):
     real = bakry_emery.gamma2_form
 
@@ -322,3 +339,63 @@ def test_bound_report_is_cached_but_a_nonpositive_graph_is_not(monkeypatch):
         with pytest.raises(NonpositiveCurvatureError):
             be_effective_bound_report(flat)
     assert "be_bound" not in flat.cache
+
+
+def _dict_recursion(g, x):
+    """The recursion of symbolic_gamma2 on monomial dicts, the reference for its matrix.
+
+    Linear forms are {vertex: coefficient} dicts and each product of two
+    forms is expanded into {(u, v): coefficient} with u <= v, term by term.
+    """
+    nbrs = g.neighbors
+
+    def add_product(quad, lin1, lin2, scale):
+        for u, a in lin1.items():
+            for v, b in lin2.items():
+                key = (u, v) if u <= v else (v, u)
+                quad[key] = quad.get(key, 0) + scale * a * b
+
+    def laplacian(form_at, v):
+        out = {}
+        for w in nbrs[v]:
+            for u, c in form_at(w).items():
+                out[u] = out.get(u, 0) + c
+        for u, c in form_at(v).items():
+            out[u] = out.get(u, 0) - len(nbrs[v]) * c
+        return out
+
+    def unit(v):
+        return {v: 1}
+
+    lap = {v: laplacian(unit, v) for v in (x, *nbrs[x])}
+    lap2 = laplacian(lap.__getitem__, x)
+
+    def add_h1(quad, a, b, da, db, v, scale):
+        for w in nbrs[v]:
+            add_product(quad, a(w), b(w), scale)
+        add_product(quad, a(v), b(v), -len(nbrs[v]) * scale)
+        add_product(quad, a(v), db(v), -scale)
+        add_product(quad, b(v), da(v), -scale)
+
+    quad = {}
+    for w in nbrs[x]:
+        add_h1(quad, unit, unit, lap.__getitem__, lap.__getitem__, w, 1)
+    add_h1(quad, unit, unit, lap.__getitem__, lap.__getitem__, x, -len(nbrs[x]))
+    add_h1(quad, unit, lap.__getitem__, lap.__getitem__, lambda v: lap2, x, -2)
+    return {k: c for k, c in quad.items() if c}
+
+
+@given(connected_graphs(min_n=1, max_n=10))
+@settings(max_examples=60, deadline=None)
+def test_recursion_matrix_matches_the_dict_recursion_on_random_graphs(g):
+    for x in range(g.n):
+        assert symbolic_gamma2(g, x) == _dict_recursion(g, x)
+
+
+@pytest.mark.parametrize("expr", STANDARD_CORPUS)
+def test_recursion_matrix_matches_the_dict_recursion_on_the_standard_corpus(expr):
+    g = parse_family(expr).build()
+    for x in range(g.n):
+        quad = symbolic_gamma2(g, x)
+        assert all(type(c) is int for c in quad.values())
+        assert quad == _dict_recursion(g, x)

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import pytest
@@ -254,6 +255,43 @@ def test_parse_family_checks_every_factor_against_the_budget():
 def test_path_graph_over_the_vertex_budget_is_refused():
     with pytest.raises(ParseError, match=f"{MAX_VERTICES} vertices"):
         path_graph(MAX_VERTICES + 1)
+
+
+@pytest.mark.parametrize("build,args,unit", [
+    (complete_graph, (700,), "edges"),  # 244,650 edges
+    (path_graph, (10**6,), "vertices"),
+    (cycle, (10**6,), "vertices"),
+    (complete_bipartite, (448, 448), "edges"),  # 200,704 edges
+    (cocktail_party, (317,), "edges"),  # 200,344 edges
+    (johnson, (700, 1), "edges"),  # K 700 again
+    (halved_cube, (14,), "vertices"),  # 8,192 vertices, the least over budget
+])
+def test_generators_refuse_an_over_budget_size_before_listing_edges(build, args, unit):
+    # the size is checked on the family's arithmetic count, so the refusal
+    # allocates nothing in proportion to the graph it refuses
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"budget of .* {unit}"):
+            build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("build,args", [
+    (complete_graph, (0,)),
+    (path_graph, (0,)),
+    (cycle, (2,)),
+    (complete_bipartite, (0, 10**6)),
+    (cocktail_party, (1,)),
+    (johnson, (10**6, 0)),
+    (johnson, (10**6, 10**6)),
+    (halved_cube, (1,)),
+])
+def test_generators_refuse_a_bad_parameter_before_the_budget(build, args):
+    with pytest.raises(InvalidParameterError):
+        build(*args)
 
 
 def test_cartesian_product_over_the_vertex_budget_is_refused_before_its_edges(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs
+from gcurv import bakry_emery, spectral
 from gcurv.families import (
     cocktail_party,
     complete_graph,
@@ -389,3 +390,75 @@ def test_regular_graph_without_reflections_reads_every_row():
                          (5, 9), (6, 8), (6, 9), (7, 8)])
     assert is_distance_regular(g) == DistanceRegularity(None, (1, 0))
     assert _every_row_distance_regular(g) == DistanceRegularity(None, (1, 0))
+
+
+def _full_psd_nullity(rows):
+    """Bareiss elimination on the whole matrix, the reference for _psd_nullity."""
+    nullity, prev = 0, 1
+    while rows:
+        d, tail = rows[0][0], rows[0][1:]
+        if d < 0 or (d == 0 and any(tail)):
+            return False, None
+        if d == 0:
+            nullity += 1
+            rows = [r[1:] for r in rows[1:]]
+        else:
+            rows = [[(d * a - r[0] * b) // prev for a, b in zip(r[1:], tail)]
+                    for r in rows[1:]]
+            prev = d
+    return True, nullity
+
+
+@st.composite
+def symmetric_matrices_with_zero_pivots(draw):
+    """symmetric_int_matrices with larger entries, zero rows and columns
+    inserted (zero pivots that pass), a repeated row and column (a zero
+    pivot that appears mid-elimination), or a zeroed diagonal entry under a
+    nonzero row (a zero pivot that fails)."""
+    mat = draw(symmetric_int_matrices())
+    scale = draw(st.sampled_from([1, 7, 1000]))
+    mat = [[scale * v for v in row] for row in mat]
+    n = len(mat)
+    kind = draw(st.sampled_from(["plain", "zero", "repeat", "hole"]))
+    if kind == "zero":
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(mat)))
+            mat = [row[:i] + [0] + row[i:] for row in mat]
+            mat.insert(i, [0] * (len(mat) + 1))
+    elif kind == "repeat" and n:
+        i = draw(st.integers(0, n - 1))
+        mat = [row + [row[i]] for row in mat]
+        mat.append(mat[i][:])
+    elif kind == "hole" and n:
+        i = draw(st.integers(0, n - 1))
+        mat[i][i] = 0
+    return mat
+
+
+@given(symmetric_matrices_with_zero_pivots())
+@settings(max_examples=400, deadline=None)
+def test_psd_nullity_matches_the_full_matrix_elimination(mat):
+    assert all(row[j] == mat[j][i] for i, row in enumerate(mat) for j in range(len(mat)))
+    assert _psd_nullity(mat) == _full_psd_nullity(mat)
+
+
+@pytest.mark.parametrize("expr", STANDARD_CORPUS)
+def test_every_psd_nullity_caller_passes_a_symmetric_matrix(monkeypatch, expr):
+    seen = []
+
+    def symmetric_only(rows):
+        assert all(list(r) == list(c) for r, c in zip(rows, zip(*rows)))
+        seen.append(len(rows))
+        return _psd_nullity(rows)
+
+    monkeypatch.setattr(spectral, "_psd_nullity", symmetric_only)
+    monkeypatch.setattr(bakry_emery, "_psd_nullity", symmetric_only)
+    g = parse_family(expr).build()
+    for x in range(g.n):
+        bakry_emery._pencil_psd_nullity(g, x, Fraction(1, 3))
+    r = Fraction(round(smallest_positive_laplacian_eigenvalue(g)) or 1)
+    _gap_test(g, r)
+    ia = is_distance_regular(g).array
+    if ia is not None:
+        _quotient_gap_test(g, ia, r)
+    assert len(seen) == g.n + 1 + (ia is not None)
