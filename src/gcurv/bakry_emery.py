@@ -199,11 +199,12 @@ def symbolic_gamma2(g: Graph, x: int):
 def gamma2_matches_symbolic(g: Graph, x: int) -> bool:
     """Cross-check the assembled form against the recursion route.
 
-    The recursion runs at every vertex it is asked about, on the form's own
-    support, and never reads gamma2_form's closed formula.  m + m^T holds a
-    product f(u) f(v) once in each of its two entries and a square twice on
-    the diagonal, so over the form's denominator it must equal 8 times the
-    numerators.  The row and column of x are dropped by the gauge f(x) = 0.
+    criterion_09 runs it at every vertex of every corpus member.  The
+    recursion takes only the form's support, as its coordinates, and never
+    reads gamma2_form's closed formula.  m + m^T holds a product f(u) f(v)
+    once in each of its two entries and a square twice on the diagonal, so
+    over the form's denominator it must equal 8 times the numerators.  The
+    row and column of x are dropped by the gauge f(x) = 0.
     """
     direct = gamma2_form(g, x)
     m = _recursion_matrix(g, x, direct.support)
