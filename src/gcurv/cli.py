@@ -4,19 +4,21 @@ Each command returns its JSON payload, its text lines and its exit code;
 main alone builds the graph, prints one of the two forms and maps errors.
 Exit codes: 0 success, 1 property failed (the queried property does not
 hold), 2 input error, 3 internal inconsistency (a cross-check that should
-be unfalsifiable failed).
+be unfalsifiable failed), 141 (128 + SIGPIPE) when standard output is a
+pipe that its reader closed.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .bakry_emery import bakry_emery_curvature, be_effective_bound_report
 from .classify import _rational, _report_payload, classify
-from .errors import GcurvError, InternalCheckError, NonpositiveCurvatureError
+from .errors import GcurvError, InternalCheckError, NonpositiveCurvatureError, ParseError
 from .factorization import factorize
 from .families import parse_family
-from .graphs import effective_diameter, is_locally_connected, read_edge_list, read_text
+from .graphs import effective_diameter, is_locally_connected, parse_edge_list, read_text
 from .ollivier import edge_curvature, min_edge_curvature
 from .reflective import is_reflective
 from .spectral import adjacency_spectrum, laplacian_spectrum
@@ -26,6 +28,15 @@ EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141
+
+
+def _read(path: str) -> str:
+    """A file's text; a file that cannot be read is an input error."""
+    try:
+        return read_text(path)
+    except OSError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _fmt(value: float) -> str:
@@ -175,7 +186,7 @@ def _cmd_classify(g):
 def _cmd_verify_theorems(corpus_arg):
     corpus = None
     if corpus_arg != "standard":
-        corpus = load_corpus(read_text(corpus_arg).split("\n"))
+        corpus = load_corpus(_read(corpus_arg).split("\n"))
     results = run_all_checks(corpus)
     payload = {
         "corpus": corpus_arg,
@@ -241,22 +252,29 @@ def main(argv=None) -> int:
             payload, lines, code = _cmd_verify_theorems(args.corpus)
         else:
             if args.file is not None:
-                g = read_edge_list(args.file)
+                g = parse_edge_list(_read(args.file))
             else:
                 g = parse_family(args.family).build()
             payload, lines, code = _GRAPH_COMMANDS[args.command](g)
+    except InternalCheckError as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except GcurvError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
         if args.json:
             print(json.dumps(payload, indent=2))
         else:
             for line in lines:
                 print(line)
-        return code
-    except InternalCheckError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (GcurvError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: the rest of the output, and the flush at
+        # exit, go to devnull instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

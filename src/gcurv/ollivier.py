@@ -456,6 +456,40 @@ def _edge_bound(g: Graph, x: int, y: int, plan=None) -> int:
     return bound
 
 
+def _matching_bound(g: Graph, x: int, y: int) -> int:
+    """Tier-0 lower bound on the curvature of the edge (x, y), certified.
+
+    The triangle bound 4 - d_x - d_y + 3k (the module docstring) plus 2 for
+    each pair of a greedy maximal matching of sources to adjacent sinks:
+    each source, in increasing order, takes its lowest adjacent sink still
+    free, with no augmenting path.  Any matching is a plan, so this is a
+    weak-duality bound, at most _edge_bound, whose maximum matching has at
+    least as many pairs.  One bitmask step per source on adjacency_bits;
+    each pair's distance is read from the distance rows and must be 1, or
+    the pair is refused with an InternalCheckError.
+    """
+    adj = adjacency_bits(g)
+    ax, ay = adj[x], adj[y]
+    bound = 4 - ax.bit_count() - ay.bit_count() + 3 * (ax & ay).bit_count()
+    sources = ax & ~ay & ~(1 << y)
+    free = ay & ~ax & ~(1 << x)
+    if sources and free:
+        dist = g.dist_rows()
+        while sources and free:
+            bit = sources & -sources
+            sources ^= bit
+            s = bit.bit_length() - 1
+            near = adj[s] & free
+            if near:
+                bit = near & -near
+                free ^= bit
+                t = bit.bit_length() - 1
+                if dist[t][s] != 1:
+                    raise InternalCheckError(f"edge bound pair ({t}, {s}) of ({x}, {y}) is not adjacent")
+                bound += 2
+    return bound
+
+
 @memo("min_edge")
 def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
     """Minimum edge curvature with constancy information, cached.
@@ -464,25 +498,24 @@ def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
     minimum and, when values differ, the first edge attaining any other
     value.  Raises TrivialGraphError on a graph without edges.  The module
     docstring describes the route: bound-first over the edge orbits' roots,
-    every edge its own root on a graph that is not reflective.
+    every edge its own root on a graph that is not reflective, then a
+    lexicographic scan for the witnesses that solves a root tied with the
+    minimum only while a witness is still unknown.
     """
     if not g.edges:
         raise TrivialGraphError("edge curvature needs at least one edge")
     edges = g.edges
     roots = orbit_roots(g, edges)[0]
-    adj = adjacency_bits(g)
-    deg = [len(nb) for nb in g.neighbors]
-    # heap entries (bound, root, plan): the triangle bound with no plan,
+    # heap entries (bound, root, plan): the matching bound with no plan,
     # then the greedy bound with the plan that the solve reuses; neither
     # builds a program
-    heap = [(4 - deg[x] - deg[y] + 3 * (adj[x] & adj[y]).bit_count(), (x, y), None)
-            for (x, y) in dict.fromkeys(roots)]
+    heap = [(_matching_bound(g, *root), root, None) for root in dict.fromkeys(roots)]
     heapify(heap)
-    solved = {}  # a root left out has a bound, so a value, above the minimum
+    solved = {}
     best = None
     while heap:
         bound, root, plan = heap[0]
-        if best is not None and bound > best:
+        if best is not None and bound >= best:
             break
         if plan is None:
             plan = _greedy_plan(g, *root)
@@ -491,9 +524,28 @@ def min_edge_curvature(g: Graph) -> MinEdgeCurvature:
             heappop(heap)
             value = solved[root] = _pair_curvature(g, *root, plan).value
             best = value if best is None else min(best, value)
-    values = [solved.get(root) for root in roots]  # each edge takes its root's value
-    other = next((e for e, v in zip(edges, values) if v != best), None)
-    return MinEdgeCurvature(best, other is None, edges[values.index(best)], other)
+    # every root left has a bound, so a value, at least the minimum; the
+    # scan settles a tied one only while a witness is unknown
+    left = {root: (bound, plan) for bound, root, plan in heap}
+    min_edge = other = None
+    for edge, root in zip(edges, roots):
+        value = solved.get(root)
+        if value is None:
+            bound, plan = left[root]
+            if bound == best and plan is None:
+                plan = _greedy_plan(g, *root)
+                bound = _edge_bound(g, *root, plan)
+                left[root] = (bound, plan)
+            if bound == best:
+                value = solved[root] = _pair_curvature(g, *root, plan).value
+        if value == best:
+            if min_edge is None:
+                min_edge = edge
+        elif other is None:
+            other = edge
+        if min_edge is not None and other is not None:
+            break
+    return MinEdgeCurvature(best, other is None, min_edge, other)
 
 
 def long_range_curvatures(g: Graph) -> dict:

@@ -50,7 +50,10 @@ every side class of its corpus.
 orbit_roots closes vertex pairs x < y into orbits of the group the
 generators make; the Ollivier curvature records (ollivier) and
 pair_orbit_certificate both read it.  Pairs are taken in the order given,
-and the first one not yet reached is its orbit's root.  A breadth-first
+except that a pair whose curvature is already cached (a lone request
+solved it before the records reached it) goes first, and the first one
+not yet reached is its orbit's root: a solved pair roots its orbit, so
+no other pair of that orbit needs an LP.  A breadth-first
 search maps each reached pair through every generator and records each
 new image as (parent pair, sigma, side, root), with side 1 when the chain
 of generators from the root reaches the pair turned over.  An image
@@ -74,6 +77,7 @@ so sphere_isometry_witness checks them once per graph.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import (
@@ -295,9 +299,10 @@ def uncovered_vertex(g: Graph, members):
 def orbit_roots(g: Graph, pairs):
     """(the root of each pair x < y in order, the reversible roots).
 
-    Closes the orbits of reflection_generators not yet reached and records
-    each reached pair as (parent pair, sigma, side, root); the module
-    docstring describes the search.  On a graph that is not reflective
+    Closes the orbits of reflection_generators not yet reached, those of
+    the pairs with a cached curvature first, and records each reached pair
+    as (parent pair, sigma, side, root); the module docstring describes
+    the search.  On a graph that is not reflective
     every pair is its own root, no record is made and no root is known to
     be reversible.
     """
@@ -309,7 +314,7 @@ def orbit_roots(g: Graph, pairs):
             return list(pairs), set()
         orbits = cache["orbits"] = (gens, {}, set())
     gens, reach, reversible = orbits
-    for pair in pairs:
+    for pair in chain([p for p in pairs if ("kappa", *p) in cache], pairs):
         if pair in reach:
             continue
         reach[pair] = (None, None, 0, pair)

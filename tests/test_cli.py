@@ -291,3 +291,29 @@ def test_module_entry_point_runs_from_a_checkout(family, code):
         assert proc.stderr.startswith("input error:")
     else:
         assert "prime factors: CP(3)" in proc.stdout
+
+
+def test_closed_output_pipe_exits_141_without_a_traceback():
+    # stdout is a pipe whose read end is already closed, as when a reader
+    # such as `head -1` has left: not an input error
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "gcurv", "classify", "--family", "J 7 3",
+                               "--json"], env=env, stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == ""
+
+
+def test_unreadable_input_is_an_input_error(tmp_path, capsys):
+    # a directory given as the edge list or the corpus cannot be read
+    for argv in (["info", "--file", str(tmp_path)], ["verify-theorems", "--corpus", str(tmp_path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error:") and "Errno" in err

@@ -507,6 +507,26 @@ def test_pairs_solved_alone_lead_their_orbits(monkeypatch, expr, orbits):
     assert solves == orbits
 
 
+def test_a_pair_solved_alone_roots_its_orbit_wherever_it_lies(monkeypatch):
+    # Gosset's last edge and its last pair at distance 2, solved before any
+    # orbit record exists, open their orbits ahead of the first pairs, so
+    # the minimum and the far pairs reuse their LPs
+    solves = _count_solves(monkeypatch)
+    g = parse_family("gosset").build()
+    edge_curvature(g, *g.edges[-1])
+    assert min_edge_curvature(g) == (18, True, (0, 1), None)
+    assert solves == {"edge": 1, "far": 0}
+    g = parse_family("gosset").build()
+    far = [(x, y) for x in range(g.n) for y in range(x + 1, g.n) if g.distance(x, y) == 2][-1]
+    long_range_curvature(g, *far)
+    values = long_range_curvatures(g)
+    assert solves == {"edge": 1, "far": 2}
+    fresh = parse_family("gosset").build()
+    assert {d: {cv.value for p, cv in values.items() if g.distance(*p) == d} for d in (2, 3)} \
+        == {d: {long_range_curvature(fresh, 0, v).value} for d, v in ((2, 13), (3, 28))}
+    assert all(verify_optimality_certificate(g, values[p]) for p in (far, (0, 13), (0, 28)))
+
+
 def test_single_pairs_after_the_minimum_solve_one_lp_per_orbit(monkeypatch):
     # Gosset's far pairs form two orbits, 756 pairs at distance 2 and 28 at 3
     g = parse_family("gosset").build()
@@ -636,6 +656,33 @@ def test_bound_first_minimum_on_random_graphs(g):
     assert tuple(min_edge_curvature(g)) == _scan_min_edge(build_graph(g.n, g.edges))
     for (x, y) in g.edges:
         assert ollivier._edge_bound(g, x, y) <= edge_curvature(g, x, y).value
+
+
+@given(connected_graphs(min_n=2, max_n=12))
+@settings(max_examples=60, deadline=None)
+def test_matching_bound_is_at_most_the_greedy_bound(g):
+    # tier 0 <= tier 1 <= curvature on every edge
+    for (x, y) in g.edges:
+        tier0, tier1 = ollivier._matching_bound(g, x, y), ollivier._edge_bound(g, x, y)
+        assert tier0 <= tier1 <= edge_curvature(g, x, y).value
+
+
+def test_tied_edges_wait_for_the_witness_scan(monkeypatch):
+    # ( P 5 x C 6 ) is not reflective and 42 of its 54 edges tie at the
+    # minimum 0, each with a greedy bound of 0, so a heap that solved every
+    # root up to a bound above the minimum would solve 42; the witnesses
+    # are the first edge and the third, and only the first two are solved
+    g = parse_family("( P 5 x C 6 )").build()
+    fresh = build_graph(g.n, g.edges)
+    assert not is_reflective(g).reflective
+    values = [edge_curvature(fresh, *e).value for e in fresh.edges]
+    bounds = [ollivier._edge_bound(fresh, *e) for e in fresh.edges]
+    assert (g.m, values.count(0), min(values)) == (54, 42, 0)
+    assert all(b == 0 for b, v in zip(bounds, values) if v == 0)
+    solves = _count_solves(monkeypatch)
+    assert tuple(min_edge_curvature(g)) == _scan_min_edge(fresh) \
+        == (0, False, g.edges[0], g.edges[2])
+    assert solves == {"edge": 2, "far": 0}
 
 
 def _triangle_bound_checks(g):
@@ -806,6 +853,25 @@ def test_refused_edge_bound_is_an_internal_error():
     assert g.cache["adj_bits"][5] >> 2 & 1 and g.distance(2, 5) == 3
     with pytest.raises(InternalCheckError, match="edge bound"):
         min_edge_curvature(g)
+
+
+def test_refused_matching_bound_is_an_internal_error(monkeypatch):
+    # a false bit 2 in the adjacency mask of vertex 4 of C 5: the matching
+    # tier of the edge (0, 1) pairs source 4 with sink 2, at distance 2,
+    # as adjacent; the refusal comes before any greedy plan is built
+    g = cycle(5)
+    adjacency_bits(g)[4] |= 1 << 2
+    assert g.distance(2, 4) == 2
+    with pytest.raises(InternalCheckError, match="edge bound"):
+        ollivier._matching_bound(g, 0, 1)
+
+    def no_plan(*args):
+        raise AssertionError("a greedy plan was built")
+
+    monkeypatch.setattr(ollivier, "_greedy_plan", no_plan)
+    with pytest.raises(InternalCheckError, match="edge bound"):
+        min_edge_curvature(g)
+    assert "min_edge" not in g.cache
 
 
 # --- the plan route: a pair answered by the point of a transport plan ---
