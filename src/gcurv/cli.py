@@ -272,7 +272,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader is gone: the rest of the output, and the flush at
         # exit, go to devnull instead of raising again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_BROKEN_PIPE
     return code
 

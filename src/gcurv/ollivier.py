@@ -473,20 +473,20 @@ def _matching_bound(g: Graph, x: int, y: int) -> int:
     bound = 4 - ax.bit_count() - ay.bit_count() + 3 * (ax & ay).bit_count()
     sources = ax & ~ay & ~(1 << y)
     free = ay & ~ax & ~(1 << x)
-    if sources and free:
-        dist = g.dist_rows()
-        while sources and free:
-            bit = sources & -sources
-            sources ^= bit
-            s = bit.bit_length() - 1
-            near = adj[s] & free
-            if near:
-                bit = near & -near
-                free ^= bit
-                t = bit.bit_length() - 1
-                if dist[t][s] != 1:
-                    raise InternalCheckError(f"edge bound pair ({t}, {s}) of ({x}, {y}) is not adjacent")
-                bound += 2
+    dist = g.dist_rows()
+    while sources and free:
+        bit = sources & -sources
+        sources ^= bit
+        s = bit.bit_length() - 1
+        near = adj[s] & free
+        if near:
+            bit = near & -near
+            free ^= bit
+            t = bit.bit_length() - 1
+            if dist[t][s] != 1:
+                raise InternalCheckError(
+                    f"edge bound of ({x}, {y}) pairs source {s} with sink {t}, not adjacent")
+            bound += 2
     return bound
 
 
