@@ -55,14 +55,23 @@ lone rows f(y) - f(s) <= 2 for s in S and f(t) - f(x) <= 2 for t in T
 leave every free vertex stationary, and weak duality turns them into
 d_y + 1 - |S| - 2|T| = 4 - d_x - d_y + 3k, a triangle-count bound in the
 spirit of Jost and Liu (Discrete Comput. Geom. 2014), one popcount on
-per-vertex adjacency bitmasks.  A root popped with this tier-0 key goes
-back with the greedy transport bound of _edge_bound (tier 1, equal to the
-curvature on 3,728 of those 3,774 benchmark edges; tier 0 <= tier 1 <=
-curvature), and a root popped with its tier-1 key is solved from the plan
-of that bound, its program built only then.  The loop stops at the first
-popped key above the least value found: a root left unsolved lies above
-the minimum, each edge takes its root's value, and the value and both
-witnesses are those of a full scan of the edges.
+per-vertex adjacency bitmasks.  Tier 0 (_matching_bound) adds 2 for each
+pair of a greedy maximal matching of sources to adjacent sinks, each
+source taking its lowest free adjacent sink: any matching is a plan.  A
+root popped with its tier-0 key goes back with the greedy transport bound
+of _edge_bound (tier 1, equal to the curvature on 3,728 of those 3,774
+benchmark edges; its maximum matching has at least the greedy one's
+pairs, so tier 0 <= tier 1 <= curvature), and a root popped with its
+tier-1 key is solved from the plan of that bound, its program built only
+then.  The loop stops at the first popped key at or above the least value
+found, so every root left lies at or above the minimum.  A lexicographic
+scan over the edges then settles the witnesses: an edge takes its root's
+value where the root was solved, counts as another value where the
+root's key lies above the minimum, and otherwise (a tied key) its root
+is planned and, if the tier-1 bound still ties, solved; the scan stops
+once both witnesses are known.  The value and both witnesses are those
+of a full scan of the edges; a graph of constant curvature still solves
+every root.
 
 A pair's CurvatureValue is built only when it is asked for
 (edge_curvature, long_range_curvature, long_range_curvatures): its parent
@@ -77,7 +86,9 @@ optimizer and certificate of a pair that is not a root are the carried
 ones.  Single-pair requests compute no reflections: before an all-pairs
 call or pair_orbit_certificate has recorded orbits they solve their pair
 alone, and afterwards a pair the records have not reached closes a new
-orbit as its root.
+orbit as its root.  The orbit_roots call that makes the records first
+opens the orbits of the pairs solved alone, so each of them roots its
+orbit and no other pair of that orbit needs an LP.
 
 The independent oracle below works from the primal side instead: the
 curvature is (D+1) - W/d(x, y), with D the larger degree and W the integer
@@ -430,17 +441,20 @@ def _optimal_plan(g: Graph, x: int, y: int):
 
 
 def _edge_bound(g: Graph, x: int, y: int, plan=None) -> int:
-    """Integer lower bound on the curvature of the edge (x, y), certified.
+    """Tier-1 lower bound on the curvature of the edge (x, y), certified.
 
     Builds no program: _greedy_plan reads the per-vertex bitmasks of
     adjacency_bits.  With every source and sink alone the dual rows give
     the triangle bound d_y + 1 - |S| - 2|T| (the module docstring), and
-    each pair (t, s) of the plan at distance d adds 3 - d to it.  The plan
-    check replaces _dual_bound here: each pair's distance, read from the
-    distance rows, is the one its step claims (1 or 2), its ends lie in T
-    and S, and no source or sink is used twice, so every free vertex stays
-    stationary; any failure is an InternalCheckError.  plan is the
-    _greedy_plan of (x, y) where the caller already has it.
+    each pair (t, s) of the plan at distance d adds 3 - d to it.  So it is
+    at least _matching_bound, the tier-0 bound, whose greedy matching of
+    sources to adjacent sinks has at most as many pairs as the plan's
+    maximum matching.  The plan check replaces _dual_bound here: each
+    pair's distance, read from the distance rows, is the one its step
+    claims (1 or 2), its ends lie in T and S, and no source or sink is used
+    twice, so every free vertex stays stationary; any failure is an
+    InternalCheckError.  plan is the _greedy_plan of (x, y) where the
+    caller already has it.
     """
     sources, sinks, plan = plan or _greedy_plan(g, x, y)
     bound = len(g.neighbors[y]) + 1 - sources.bit_count() - 2 * sinks.bit_count()

@@ -50,10 +50,11 @@ every side class of its corpus.
 orbit_roots closes vertex pairs x < y into orbits of the group the
 generators make; the Ollivier curvature records (ollivier) and
 pair_orbit_certificate both read it.  Pairs are taken in the order given,
-except that a pair whose curvature is already cached (a lone request
-solved it before the records reached it) goes first, and the first one
-not yet reached is its orbit's root: a solved pair roots its orbit, so
-no other pair of that orbit needs an LP.  A breadth-first
+and the first one not yet reached is its orbit's root.  The call that
+makes the records takes first the pairs whose curvature lone requests
+have already cached (ollivier solves a pair alone only while no record
+exists), so a solved pair roots its orbit and no other pair of that
+orbit needs an LP.  A breadth-first
 search maps each reached pair through every generator and records each
 new image as (parent pair, sigma, side, root), with side 1 when the chain
 of generators from the root reaches the pair turned over.  An image
@@ -299,22 +300,24 @@ def uncovered_vertex(g: Graph, members):
 def orbit_roots(g: Graph, pairs):
     """(the root of each pair x < y in order, the reversible roots).
 
-    Closes the orbits of reflection_generators not yet reached, those of
-    the pairs with a cached curvature first, and records each reached pair
-    as (parent pair, sigma, side, root); the module docstring describes
-    the search.  On a graph that is not reflective
-    every pair is its own root, no record is made and no root is known to
-    be reversible.
+    Closes the orbits of reflection_generators not yet reached and records
+    each reached pair as (parent pair, sigma, side, root); the module
+    docstring describes the search.  The call that makes the records first
+    closes the orbits of the pairs whose curvature is already cached.  On
+    a graph that is not reflective every pair is its own root, no record
+    is made and no root is known to be reversible.
     """
     cache = g.cache
     orbits = cache.get("orbits")
+    solved = []  # pairs that lone requests solved before the records existed
     if orbits is None:
         gens = reflection_generators(g)
         if gens is None:
             return list(pairs), set()
         orbits = cache["orbits"] = (gens, {}, set())
+        solved = [key[1:] for key in cache if isinstance(key, tuple) and key[0] == "kappa"]
     gens, reach, reversible = orbits
-    for pair in chain([p for p in pairs if ("kappa", *p) in cache], pairs):
+    for pair in chain(solved, pairs):
         if pair in reach:
             continue
         reach[pair] = (None, None, 0, pair)

@@ -525,6 +525,14 @@ def test_a_pair_solved_alone_roots_its_orbit_wherever_it_lies(monkeypatch):
     assert {d: {cv.value for p, cv in values.items() if g.distance(*p) == d} for d in (2, 3)} \
         == {d: {long_range_curvature(fresh, 0, v).value} for d, v in ((2, 13), (3, 28))}
     assert all(verify_optimality_certificate(g, values[p]) for p in (far, (0, 13), (0, 28)))
+    # the minimum makes the records, and the far pair solved before it
+    # still roots its orbit
+    solves.update(edge=0, far=0)
+    g = parse_family("gosset").build()
+    long_range_curvature(g, *far)
+    min_edge_curvature(g)
+    long_range_curvatures(g)
+    assert solves == {"edge": 1, "far": 2}
 
 
 def test_single_pairs_after_the_minimum_solve_one_lp_per_orbit(monkeypatch):
