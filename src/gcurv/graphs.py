@@ -13,6 +13,21 @@ local_components splits each neighbourhood N(v) into the components of
 the subgraph it induces, as bitmasks; is_locally_connected, the
 factorization's local relation and the Ollivier edge bounds read them.
 
+distance_shells(g, u) splits u's distance row into one bitmask per distance
+k, the vertices at distance k from u.  The subset predicates of verify's
+structural checks read them, and build them only for the members of the
+sets they are asked about; classify and the curvature layers read distance
+rows.  A vertex set s, also a bitmask, is convex when no interior vertex of
+a geodesic between members leaves it: for u, v at distance d those are
+shells[u][k] & shells[v][d - k] for 0 < k < d.  s is isometric, its own
+distances those of g, exactly when every member v other than u has a
+neighbour in s one step nearer u, in adj[v] & shells[u][d(u, v) - 1] & s.
+If s is isometric, the step after v on a shortest path to u inside s is
+such a neighbour.  Conversely, by induction on d(u, v), the neighbour is at
+distance d(u, v) - 1 from u inside s, so v is at most d(u, v) from u inside
+s, and no path inside s is shorter than one in g.  Every label of s must
+be a vertex (check_vertex), or the predicate raises InvalidParameterError.
+
 are_isomorphic decides isomorphism exactly by individualization-refinement
 (McKay 1981) on the disjoint union of the two graphs; the comment opening
 that section gives the argument.
@@ -391,6 +406,33 @@ def is_locally_connected(g: Graph):
     return (True, None)
 
 
+def _subset_mask(g: Graph, s) -> int:
+    """The labels of s as one bitmask; check_vertex on each label."""
+    mask = 0
+    for v in s:
+        check_vertex(g.n, v)
+        mask |= 1 << index(v)
+    return mask
+
+
+def _bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit.bit_length() - 1
+
+
+@memo("shells")
+def distance_shells(g: Graph, u: int) -> tuple:
+    """Per distance k from u, the vertices at distance k as one bitmask, cached."""
+    row = g.dist_rows()[u]
+    shells = [0] * (max(row) + 1)
+    for v, d in enumerate(row):
+        shells[d] |= 1 << v
+    return tuple(shells)
+
+
 def induced_subgraph(g: Graph, s):
     """Induced subgraph on vertex subset s.
 
@@ -398,56 +440,56 @@ def induced_subgraph(g: Graph, s):
     subgraph vertex i.  Like build_graph it raises DisconnectedError when the
     subgraph is disconnected, so every Graph is connected.
     """
-    vs = sorted(set(s))
-    if not vs:
+    inside = _subset_mask(g, s)
+    if not inside:
         raise InvalidParameterError("induced subgraph needs a nonempty vertex set")
-    if vs[0] < 0 or vs[-1] >= g.n:
-        raise InvalidParameterError("subset contains labels outside the graph")
-    index = {v: i for i, v in enumerate(vs)}
+    vs = tuple(_bits(inside))
+    pos = {v: i for i, v in enumerate(vs)}
+    adj = adjacency_bits(g)
     sub_edges = [
-        (index[u], index[v])
-        for (u, v) in g.edges
-        if u in index and v in index
+        (i, pos[w])
+        for i, v in enumerate(vs)
+        for w in _bits(adj[v] & inside & -(2 << v))  # the neighbours in s above v
     ]
-    return build_graph(len(vs), sub_edges), tuple(vs)
+    return build_graph(len(vs), sub_edges), vs
 
 
 def is_isometric_subset(g: Graph, s) -> bool:
     """True iff induced-subgraph distances agree with ambient distances on s.
 
-    A breadth-first search from each member steps only inside s, so no
-    subgraph is built; a disconnected s is not isometric.
+    Every member v other than u needs a neighbour in s one step nearer u,
+    in adj[v] & distance_shells(g, u)[d(u, v) - 1] & s; the module
+    docstring gives the induction.  A disconnected s is not isometric.
     """
-    inside = frozenset(s)
+    inside = _subset_mask(g, s)
+    adj = adjacency_bits(g)
     dist = g.dist_rows()
-    for u in inside:
-        row = {u: 0}
-        q = deque([u])
-        while q:
-            a = q.popleft()
-            for w in g._nbr_sets[a] & inside:
-                if w not in row:
-                    row[w] = row[a] + 1
-                    q.append(w)
-        du = dist[u]
-        if len(row) != len(inside) or any(du[v] != d for v, d in row.items()):
-            return False
+    members = tuple(_bits(inside))
+    for u in members:
+        near, du = distance_shells(g, u), dist[u]
+        for v in members:
+            if v != u and not adj[v] & near[du[v] - 1] & inside:
+                return False
     return True
 
 
 def is_convex_subset(g: Graph, s) -> bool:
-    """True iff no geodesic between members of s leaves s."""
-    inside = set(s)
-    outside = [z for z in range(g.n) if z not in inside]
+    """True iff no geodesic between members of s leaves s.
+
+    The interior vertices of the geodesics between u and v at distance d
+    are those of shells[u][k] & shells[v][d - k] for 0 < k < d.
+    """
+    inside = _subset_mask(g, s)
+    outside = ~inside
     dist = g.dist_rows()
-    vs = sorted(inside)
-    for i, u in enumerate(vs):
-        du = dist[u]
-        for v in vs[i + 1:]:
-            duv = du[v]
-            dv = dist[v]
-            for z in outside:
-                if du[z] + dv[z] == duv:
+    members = tuple(_bits(inside))
+    shells = [distance_shells(g, u) for u in members]
+    for i, u in enumerate(members):
+        su, du = shells[i], dist[u]
+        for v, sv in zip(members[i + 1:], shells[i + 1:]):
+            d = du[v]
+            for k in range(1, d):
+                if su[k] & sv[d - k] & outside:
                     return False
     return True
 

@@ -388,16 +388,17 @@ def distance_eigenfunction_check(g: Graph, x: int, K) -> bool:
     """Does the distance function from x satisfy the exact Laplacian identity?
 
     Checks sum over neighbors of the distance increments against
-    deg(x) - K * d(x, v) in rational arithmetic at every vertex.
+    deg(x) - K * d(x, v) at every vertex, exactly: with K = p/q in lowest
+    terms, lap * q == deg(x) * q - p * d(x, v) in integers.
     """
     check_vertex(g.n, x)
     K = Fraction(K)
-    dist = g.dist_rows()
-    dx = dist[x]
+    p, q = K.numerator, K.denominator
+    dx = g.dist_rows()[x]
     deg_x = g.degree(x)
-    for v in range(g.n):
-        lap = sum(dx[w] - dx[v] for w in g.neighbors[v])
-        if Fraction(lap) != deg_x - K * dx[v]:
+    for v, nb in enumerate(g.neighbors):
+        lap = sum([dx[w] for w in nb]) - len(nb) * dx[v]
+        if lap * q != deg_x * q - p * dx[v]:
             return False
     return True
 

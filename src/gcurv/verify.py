@@ -492,7 +492,7 @@ def _check_reflection_axioms(corpus):
             m = found.mapping
             if any(m[m[v]] != v for v in range(g.n)):
                 return f"{mem.name} ({x},{y}): not an involution"
-            image = {tuple(sorted((m[u], m[v]))) for (u, v) in g.edges}
+            image = {(a, b) if a < b else (b, a) for a, b in ((m[u], m[v]) for (u, v) in g.edges)}
             if image != edge_set:
                 return f"{mem.name} ({x},{y}): not an automorphism"
             sx, sy = set(side_x), set(side_y)
@@ -505,7 +505,7 @@ def _check_reflection_axioms(corpus):
                 for (u, v) in g.edges
                 if (u in sx and v in sy) or (u in sy and v in sx)
             }
-            swaps = {tuple(sorted((v, m[v]))) for v in sx}
+            swaps = {(v, m[v]) if v < m[v] else (m[v], v) for v in sx}
             if cross != swaps:
                 return f"{mem.name} ({x},{y}): cross edges differ from swaps"
             for (u, v) in members:

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from conftest import load_workloads
 from gcurv import ollivier
 from gcurv.bakry_emery import bakry_emery_curvature, be_effective_bound_report
 from gcurv.classify import _candidates, classify, family_name, identify_family, report_to_json
@@ -13,18 +14,43 @@ from gcurv.families import (
     FamilySpec,
     complete_graph,
     cycle,
+    gosset,
     halved_cube,
     hypercube,
     johnson,
     parse_family,
     petersen,
 )
-from gcurv.graphs import build_graph
+from gcurv.graphs import build_graph, parse_edge_list
 from gcurv.spectral import (
     is_distance_regular,
     is_lichnerowicz_sharp,
     smallest_positive_laplacian_eigenvalue,
 )
+
+
+@pytest.mark.parametrize("build", [
+    gosset,
+    lambda: parse_family("( Q 2 x CP 3 )").build(),
+    lambda: parse_edge_list(load_workloads().random_inputs(1, 1)[0][1]),
+], ids=["gosset", "Q2xCP3", "random-seed-1"])
+def test_classify_and_curvature_paths_build_no_distance_shells(build):
+    # the shells serve the subset predicates of the verify checks alone;
+    # classify, the curvature calls and the certificate replay read distance rows
+    def shells_built(g):
+        return any(key == "shells" or isinstance(key, tuple) and key[0] == "shells"
+                   for key in g.cache)
+
+    g = build()
+    classify(g)
+    assert not shells_built(g)
+    g = build()
+    mec = ollivier.min_edge_curvature(g)
+    far = ollivier.long_range_curvatures(g)
+    x, y = mec.min_edge
+    cvs = [ollivier.edge_curvature(g, x, y), *list(far.values())[:8]]
+    assert all(ollivier.verify_optimality_certificate(g, cv) for cv in cvs)
+    assert not shells_built(g)
 
 
 def test_gosset_report(gosset_graph):

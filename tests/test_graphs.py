@@ -309,6 +309,130 @@ def test_convex_and_isometric_subsets():
     assert is_convex_subset(g, (0, 1))
 
 
+# The scans the shell predicates replaced, kept as references: every
+# outside vertex against every member pair, and a breadth-first search from
+# each member that steps only inside s.
+
+def _convex_by_scan(g, s):
+    inside = set(s)
+    dist = g.dist_rows()
+    vs = sorted(inside)
+    return not any(dist[u][z] + dist[v][z] == dist[u][v]
+                   for i, u in enumerate(vs) for v in vs[i + 1:]
+                   for z in range(g.n) if z not in inside)
+
+
+def _isometric_by_bfs(g, s):
+    inside = set(s)
+    for u in inside:
+        row = {u: 0}
+        q = deque([u])
+        while q:
+            a = q.popleft()
+            for w in g.neighbors[a]:
+                if w in inside and w not in row:
+                    row[w] = row[a] + 1
+                    q.append(w)
+        if len(row) != len(inside) or any(g.distance(u, v) != d for v, d in row.items()):
+            return False
+    return True
+
+
+def _induced_by_edge_scan(g, s):
+    vs = sorted(set(s))
+    index = {v: i for i, v in enumerate(vs)}
+    return tuple(sorted((index[u], index[v]) for (u, v) in g.edges if u in index and v in index))
+
+
+def _assert_subset_predicates_agree(g, s):
+    assert is_convex_subset(g, s) == _convex_by_scan(g, s), s
+    assert is_isometric_subset(g, s) == _isometric_by_bfs(g, s), s
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    """A connected graph on at most 12 vertices and a list of its labels.
+
+    The list is random (empty, single, duplicated and disconnected sets
+    among them), a ball, a side of an edge or a geodesic interval, so that
+    convex and isometric sets are drawn as well as others.
+    """
+    g = draw(connected_graphs(min_n=1, max_n=12))
+    labels = st.integers(0, g.n - 1)
+    dist = g.dist_rows()
+    kind = draw(st.sampled_from(["random", "random", "ball", "side", "interval"]))
+    if kind == "ball":
+        x, r = draw(labels), draw(st.integers(0, 3))
+        s = [v for v in range(g.n) if dist[x][v] <= r]
+    elif kind == "side" and g.m:
+        x, y = draw(st.sampled_from(g.edges))
+        s = list(side_partition(g, x, y).side_x)
+    elif kind == "interval":
+        u, v = draw(labels), draw(labels)
+        s = [z for z in range(g.n) if dist[u][z] + dist[z][v] == dist[u][v]]
+    else:
+        bits = draw(st.integers(0, (1 << g.n) - 1))
+        s = [v for v in range(g.n) if bits >> v & 1]
+    s = draw(st.permutations(s))
+    if s:
+        s += draw(st.lists(st.sampled_from(s), max_size=3))
+    return g, s
+
+
+@given(graphs_with_subsets())
+@settings(max_examples=400, deadline=None)
+def test_subset_predicates_match_the_scans(case):
+    g, s = case
+    _assert_subset_predicates_agree(g, s)
+    if s:
+        try:
+            sub, vs = induced_subgraph(g, s)
+        except DisconnectedError:
+            assert not _isometric_by_bfs(g, s)
+        else:
+            assert vs == tuple(sorted(set(s))) and sub.edges == _induced_by_edge_scan(g, s)
+
+
+def test_subset_predicates_match_the_scans_on_the_standard_corpus():
+    # every side, unit sphere and cap of sphere_isometry_witness, once per distinct set
+    for mem in standard_corpus():
+        g = mem.graph
+        dist = g.dist_rows()
+        sets = {frozenset(side_partition(g, x, y).side_x) for (u, v) in g.edges
+                for (x, y) in ((u, v), (v, u))}
+        for v in range(g.n):
+            sets.add(frozenset(g.neighbors[v]))
+            for w in range(g.n):
+                sets.add(frozenset(u for u in g.neighbors[v] if dist[u][w] == dist[v][w] + 1))
+        for s in sets:
+            _assert_subset_predicates_agree(g, s)
+
+
+def test_distance_shells_split_the_distance_row():
+    g = hypercube(3)
+    assert graphs.distance_shells(g, 0) == (0b1, 0b10110, 0b1101000, 0b10000000)
+    for u in range(g.n):
+        shells = graphs.distance_shells(g, u)
+        assert sum(shells) == (1 << g.n) - 1 and len(shells) == max(g.dist_rows()[u]) + 1
+        assert all(shells[d] >> v & 1 for v, d in enumerate(g.dist_rows()[u]))
+    assert graphs.distance_shells(g, 5) is g.cache["shells", 5]
+    assert graphs.distance_shells(build_graph(1, []), 0) == (1,)
+
+
+@pytest.mark.parametrize("predicate", [is_convex_subset, is_isometric_subset, induced_subgraph])
+@pytest.mark.parametrize("s", [[0, 9], [-1, 0], [0, 6], [3, 1.0], [0, "1"], [None]],
+                         ids=["9", "-1", "n", "float", "str", "None"])
+def test_subset_predicates_refuse_labels_outside_the_graph(predicate, s):
+    with pytest.raises(InvalidParameterError):
+        predicate(cycle(6), s)
+
+
+def test_subset_predicates_take_integer_labels_of_any_kind():
+    g = cycle(6)
+    assert is_convex_subset(g, np.array([0, 1])) and is_isometric_subset(g, (np.int64(1), True))
+    assert induced_subgraph(g, np.array([2, 1]))[1] == (1, 2)
+
+
 def test_isomorphic_octahedron_relabelled(octahedron):
     relabel = (5, 4, 3, 2, 1, 0)
     edges = [(relabel[u], relabel[v]) for (u, v) in octahedron.edges]

@@ -156,6 +156,41 @@ def test_distance_eigenfunction_octahedron(octahedron):
         assert distance_eigenfunction_check(octahedron, x, Fraction(4))
 
 
+def _eigenfunction_by_fractions(g, x, K):
+    """The identity in rational arithmetic, as the integer check replaced it."""
+    dx = g.dist_rows()[x]
+    return all(
+        Fraction(sum(dx[w] - dx[v] for w in g.neighbors[v])) == g.degree(x) - Fraction(K) * dx[v]
+        for v in range(g.n)
+    )
+
+
+@given(connected_graphs(max_n=12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_distance_eigenfunction_check_matches_the_fraction_formula(g, data):
+    x, v = data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, g.n - 1))
+    dx = g.dist_rows()[x]
+    lap = sum(dx[w] - dx[v] for w in g.neighbors[v])
+    # the K that makes the identity hold at v, when v is not x, then moved off it
+    exact = Fraction(g.degree(x) - lap, dx[v]) if dx[v] else Fraction(data.draw(st.integers(0, 9)))
+    K = data.draw(st.sampled_from([
+        exact, exact + Fraction(1, 7), int(exact), float(exact), Fraction(7, 2), 3.5, 0.1,
+    ]))
+    assert distance_eigenfunction_check(g, x, K) == _eigenfunction_by_fractions(g, x, K)
+
+
+@pytest.mark.parametrize("expr", ["CP 3", "HQ 5"])
+def test_distance_eigenfunction_check_refuses_a_near_constant(expr):
+    g = parse_family(expr).build()
+    K = min_edge_curvature(g).value
+    for x in range(g.n):
+        assert distance_eigenfunction_check(g, x, K)
+        for q in (1, 2, 3, 10**12):
+            for near in (K - Fraction(1, q), K + Fraction(1, q), float(K + Fraction(1, q))):
+                assert not distance_eigenfunction_check(g, x, near)
+                assert not _eigenfunction_by_fractions(g, x, near)
+
+
 def test_triangle_matching(octahedron):
     for (x, y) in octahedron.edges:
         assert triangle_matching_check(octahedron, x, y)
