@@ -428,9 +428,12 @@ def test_subset_predicates_refuse_labels_outside_the_graph(predicate, s):
 
 
 def test_subset_predicates_take_integer_labels_of_any_kind():
-    g = cycle(6)
-    assert is_convex_subset(g, np.array([0, 1])) and is_isometric_subset(g, (np.int64(1), True))
-    assert induced_subgraph(g, np.array([2, 1]))[1] == (1, 2)
+    # numpy labels past bit 63 must still land on their own bit of the mask
+    g = cycle(80)
+    assert is_convex_subset(g, np.array([70, 71])) and not is_convex_subset(g, np.array([0, 70]))
+    assert is_isometric_subset(g, (np.int64(0), True)) and not is_isometric_subset(g, np.array([0, 70]))
+    sub, vs = induced_subgraph(g, np.array([72, 71, 70]))
+    assert vs == (70, 71, 72) and sub.edges == ((0, 1), (1, 2))
 
 
 def test_isomorphic_octahedron_relabelled(octahedron):
